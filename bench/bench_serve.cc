@@ -1,9 +1,9 @@
-// The serving layer: cold vs warm plan cache (the A/B the cache exists
-// for — warm serves skip the rewrite phase entirely) and worker-pool
-// throughput at 1 vs N workers. On a single-core box the N-worker runs
+// The serving layer: worker-pool throughput at 1 vs N workers and the
+// cost of a load-shed rejection. On a single-core box the N-worker runs
 // measure queueing/locking overhead, not parallel speedup; the cpus
 // counter records what the machine offered so BENCH trajectories stay
-// comparable across hosts.
+// comparable across hosts. Template hits against misses are measured end
+// to end by bench/e2e's literal_sweep and rewrite_cold workloads.
 #include <future>
 #include <string>
 #include <thread>
@@ -38,45 +38,6 @@ std::string WorkloadQuery(size_t i) {
              std::to_string(1 + (i % 50));
   }
 }
-
-// One query at a time through the service (workers=0, pumped inline), cache
-// on or off: isolates the per-serve cost of the cache itself — cold runs
-// pay fingerprint + template rewrite + insert; warm runs pay fingerprint +
-// lookup + instantiate and skip the rewrite.
-void BM_ServeCacheAB(benchmark::State& state) {
-  const bool use_cache = state.range(0) != 0;
-  auto session = MakeFilmDb(100);
-  ServiceOptions options;
-  options.workers = 0;
-  options.use_cache = use_cache;
-  QueryService service(session.get(), options);
-  Check(service.Start(), "start");
-  size_t i = 0;
-  for (auto _ : state) {
-    auto future = service.Submit(WorkloadQuery(i++));
-    if (!service.ServeQueuedForTesting()) {
-      throw std::runtime_error("queue unexpectedly empty");
-    }
-    auto served = future.get();
-    Check(served.status(), "serve");
-    benchmark::DoNotOptimize(served->result.rows);
-    state.counters["rewrite_ns"] =
-        static_cast<double>(served->result.phase_times.rewrite_ns);
-  }
-  auto cs = service.cache().GetStats();
-  state.counters["cache_hits"] = static_cast<double>(cs.hits);
-  state.counters["cache_misses"] = static_cast<double>(cs.misses);
-  state.counters["hit_rate"] =
-      cs.hits + cs.misses > 0
-          ? static_cast<double>(cs.hits) /
-                static_cast<double>(cs.hits + cs.misses)
-          : 0.0;
-  service.Stop();
-}
-BENCHMARK(BM_ServeCacheAB)
-    ->Arg(0)  // cold path every time: cache disabled
-    ->Arg(1)  // warm after the first 3 serves
-    ->ArgNames({"cache"});
 
 // Throughput with a real worker pool: submit a batch of futures, drain
 // them, count queries/sec. Compare workers=1 against workers=4 (and see

@@ -415,8 +415,7 @@ class Shell {
         service_.reset();
         return nullptr;
       }
-      std::cout << "query service: " << threads_ << " worker(s), cache "
-                << service_->cache().shard_count() << " shard(s)\n";
+      std::cout << "query service: " << threads_ << " worker(s)\n";
       if (!persist_path_.empty()) {
         const eds::srv::LoadStats ls = service_->persist_load_stats();
         std::cout << "persist: " << persist_path_ << " warmed " << ls.ok

@@ -190,24 +190,26 @@ Status Session::ExecuteScript(std::string_view esql) {
 }
 
 Result<term::TermRef> Session::Translate(std::string_view esql_select) {
-  return TranslateTimed(esql_select, nullptr);
+  return TranslateSelect(esql_select, &catalog_, trace_sink_, nullptr);
 }
 
-Result<term::TermRef> Session::TranslateTimed(std::string_view esql_select,
-                                              PhaseTimes* times) {
+Result<term::TermRef> TranslateSelect(std::string_view esql,
+                                      const catalog::Catalog* catalog,
+                                      obs::TraceSink* sink,
+                                      PhaseTimes* times) {
   uint64_t t0 = obs::NowNs();
   esql::Statement stmt;
   {
-    obs::Span span(trace_sink_, "phase.parse", "phase");
-    EDS_ASSIGN_OR_RETURN(stmt, esql::ParseStatement(esql_select));
+    obs::Span span(sink, "phase.parse", "phase");
+    EDS_ASSIGN_OR_RETURN(stmt, esql::ParseStatement(esql));
   }
   uint64_t t1 = obs::NowNs();
   if (times != nullptr) times->parse_ns = t1 - t0;
   if (stmt.kind != esql::StatementKind::kSelect) {
     return Status::InvalidArgument("expected a SELECT statement");
   }
-  obs::Span span(trace_sink_, "phase.translate", "phase");
-  esql::Translator translator(&catalog_);
+  obs::Span span(sink, "phase.translate", "phase");
+  esql::Translator translator(catalog);
   Result<term::TermRef> plan = translator.TranslateQuery(*stmt.select);
   if (times != nullptr) times->translate_ns = obs::NowNs() - t1;
   return plan;
@@ -243,8 +245,9 @@ Result<QueryResult> Session::Query(std::string_view esql,
     query_span.Arg("esql", text);
   }
   QueryResult result;
-  EDS_ASSIGN_OR_RETURN(term::TermRef raw,
-                       TranslateTimed(esql, &result.phase_times));
+  EDS_ASSIGN_OR_RETURN(
+      term::TermRef raw,
+      TranslateSelect(esql, &catalog_, trace_sink_, &result.phase_times));
   result.raw_plan = raw;
   // One guard spans the whole pipeline when limits are set. Sticky trips
   // give the right cross-phase semantics for free: a deadline blown (or a
@@ -254,67 +257,91 @@ Result<QueryResult> Session::Query(std::string_view esql,
   const bool governed = options.limits.any();
   if (governed) guard.Arm(options.limits);
   term::TermRef plan = raw;
-  uint64_t t0 = obs::NowNs();
   if (options.rewrite) {
     rewrite::RewriteOptions rw = options.rewrite_options;
     if (governed && rw.guard == nullptr) rw.guard = &guard;
+    uint64_t t0 = obs::NowNs();
     EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome, Rewrite(raw, rw));
     plan = outcome.term;
     result.rewrite_stats = outcome.stats;
     result.phase_times.rewrite_ns = obs::NowNs() - t0;
-    if (outcome.stats.safety_stop) {
-      result.warnings.push_back(
-          "rewrite stopped early: max_applications (" +
-          std::to_string(rw.max_applications) +
-          ") reached; results are correct but the plan may be "
-          "under-optimized");
-    }
-    if (outcome.stats.trip.tripped()) {
-      result.rewrite_trip = outcome.stats.trip;
-      result.warnings.push_back(
-          "rewrite degraded by query governor (" +
-          outcome.stats.trip.ToString() +
-          "); best-so-far plan used, results are correct but the plan may "
-          "be under-optimized");
-    }
   }
-  result.optimized_plan = plan;
+  FinishOptions finish;
+  finish.catalog = &catalog_;
+  finish.db = &db_;
+  finish.exec_options = options.exec_options;
+  if (finish.exec_options.trace_sink == nullptr) {
+    finish.exec_options.trace_sink = trace_sink_;
+  }
+  finish.limits = options.limits;
+  finish.guard = governed ? &guard : nullptr;
+  finish.max_applications = options.rewrite_options.max_applications;
+  finish.start_ns = q0;
+  EDS_RETURN_IF_ERROR(FinishQuery(plan, finish, &result));
+  return result;
+}
+
+Status FinishQuery(const term::TermRef& plan, const FinishOptions& options,
+                   QueryResult* result) {
+  const rewrite::EngineStats& rw = result->rewrite_stats;
+  if (rw.safety_stop) {
+    result->warnings.push_back(
+        "rewrite stopped early: max_applications (" +
+        std::to_string(options.max_applications) +
+        ") reached; results are correct but the plan may be "
+        "under-optimized");
+  }
+  if (rw.trip.tripped()) {
+    result->rewrite_trip = rw.trip;
+    result->warnings.push_back(
+        "rewrite degraded by query governor (" + rw.trip.ToString() +
+        "); best-so-far plan used, results are correct but the plan may "
+        "be under-optimized");
+  }
+  result->optimized_plan = plan;
+  gov::QueryGuard* guard = options.guard;
   // A node-ceiling trip is a rewrite-phase budget: the plan stops improving
   // but the query still runs. Re-arm for the remaining phases without the
   // node ceiling (and with whatever wall-clock budget is left) — a sticky
   // node trip would otherwise fail execution over a resource it does not
   // consume.
-  if (governed && guard.tripped() &&
-      guard.trip().kind == gov::TripKind::kNodeCeiling) {
+  if (guard != nullptr && guard->tripped() &&
+      guard->trip().kind == gov::TripKind::kNodeCeiling) {
     gov::GovernorLimits rest = options.limits;
     rest.max_term_nodes = 0;
     if (rest.deadline_ms != 0) {
-      uint64_t elapsed_ms = (obs::NowNs() - q0) / 1'000'000ULL;
+      uint64_t elapsed_ms = (obs::NowNs() - options.start_ns) / 1'000'000ULL;
       rest.deadline_ms = elapsed_ms < rest.deadline_ms
                              ? rest.deadline_ms - elapsed_ms
                              : 1;  // nearly spent: trip on the first probe
     }
-    guard.Arm(rest);
+    guard->Arm(rest);
+  }
+  ExecOptions exec_options = options.exec_options;
+  obs::TraceSink* sink = exec_options.trace_sink;
+  if (options.infer_schema) {
+    uint64_t t0 = obs::NowNs();
+    obs::Span span(sink, "phase.schema", "phase");
+    EDS_ASSIGN_OR_RETURN(lera::Schema schema,
+                         lera::InferSchema(plan, *options.catalog, nullptr,
+                                           nullptr, guard));
+    for (const types::Field& f : schema) result->columns.push_back(f.name);
+    result->phase_times.schema_ns = obs::NowNs() - t0;
   }
   uint64_t t1 = obs::NowNs();
+  if (exec_options.guard == nullptr) exec_options.guard = guard;
   {
-    obs::Span span(trace_sink_, "phase.schema", "phase");
-    EDS_ASSIGN_OR_RETURN(
-        lera::Schema schema,
-        lera::InferSchema(plan, catalog_, nullptr, nullptr,
-                          governed ? &guard : nullptr));
-    for (const types::Field& f : schema) result.columns.push_back(f.name);
+    obs::Span span(sink, "phase.execute", "phase");
+    Executor executor(options.catalog, options.db, exec_options);
+    Result<Rows> rows = executor.Execute(plan);
+    result->exec_stats = executor.stats();
+    if (!rows.ok()) return rows.status();
+    result->rows = *std::move(rows);
   }
   uint64_t t2 = obs::NowNs();
-  result.phase_times.schema_ns = t2 - t1;
-  ExecOptions exec_options = options.exec_options;
-  if (governed && exec_options.guard == nullptr) exec_options.guard = &guard;
-  EDS_ASSIGN_OR_RETURN(result.rows,
-                       Run(plan, exec_options, &result.exec_stats));
-  uint64_t t3 = obs::NowNs();
-  result.phase_times.exec_ns = t3 - t2;
-  result.phase_times.total_ns = t3 - q0;
-  return result;
+  result->phase_times.exec_ns = t2 - t1;
+  result->phase_times.total_ns = t2 - options.start_ns;
+  return Status::OK();
 }
 
 Result<value::Value> Session::NewObject(

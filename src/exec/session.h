@@ -72,6 +72,40 @@ struct QueryOptions {
   gov::GovernorLimits limits;
 };
 
+// The front of the query pipeline, shared by Session and the serving
+// layer: parses one SELECT and translates it against `catalog` into LERA,
+// recording phase spans into `sink` and the parse/translate split into
+// `times` (each may be null).
+Result<term::TermRef> TranslateSelect(std::string_view esql,
+                                      const catalog::Catalog* catalog,
+                                      obs::TraceSink* sink, PhaseTimes* times);
+
+// What FinishQuery needs beyond the plan. The caller arms one guard with
+// `limits` before its translate/rewrite steps, so a single guard spans the
+// whole pipeline.
+struct FinishOptions {
+  const catalog::Catalog* catalog = nullptr;
+  const Database* db = nullptr;
+  // Execution knobs; trace_sink also receives the schema/execute spans.
+  ExecOptions exec_options;
+  gov::GovernorLimits limits;        // the query's budgets
+  gov::QueryGuard* guard = nullptr;  // armed with `limits`; null ungoverned
+  size_t max_applications = 0;  // the rewrite's safety valve (warning text)
+  uint64_t start_ns = 0;        // query start: deadline remainder, total_ns
+  // False when result->columns is already known (a replayed plan), which
+  // skips schema inference.
+  bool infer_schema = true;
+};
+
+// The back half of the query pipeline, shared by Session::Query and the
+// serving layer (srv::QueryService): turns result->rewrite_stats into
+// degradation warnings and rewrite_trip, re-arms the guard after a
+// node-ceiling trip, infers the output columns, and runs `plan` under the
+// guard, filling optimized_plan, exec_stats, rows and the schema/exec/total
+// phase times. On a failure in execution, result->columns is already set.
+Status FinishQuery(const term::TermRef& plan, const FinishOptions& options,
+                   QueryResult* result);
+
 // Registration-time checking for AddConstraint. Lint findings are only
 // surfaced (one line per EDS-Lxxx hit) — even unparseable text registers,
 // exactly as before, and fails at optimizer build time. Soundness
@@ -196,11 +230,6 @@ class Session {
 
  private:
   Status ApplyStatement(const esql::Statement& stmt);
-
-  // Translate with the parse/translate split reported into `times`
-  // (ignored when null). Query() uses this to fill PhaseTimes.
-  Result<term::TermRef> TranslateTimed(std::string_view esql_select,
-                                       PhaseTimes* times);
 
   catalog::Catalog catalog_;
   Database db_;

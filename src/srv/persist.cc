@@ -55,6 +55,12 @@ Status LoadRecordFailPoint() {
   return Status::OK();
 }
 
+// The tail every record kind ends with: u32 n, then n strings.
+void PutStringList(const std::vector<std::string>& items, Encoder* enc) {
+  enc->PutU32(static_cast<uint32_t>(items.size()));
+  for (const std::string& item : items) enc->PutString(item);
+}
+
 void EncodePlanRecord(const PersistedPlan& plan, std::string* payload) {
   Encoder enc(payload);
   enc.PutU8(kPlanRecord);
@@ -62,8 +68,7 @@ void EncodePlanRecord(const PersistedPlan& plan, std::string* payload) {
   enc.PutU64(plan.rewrite_ns);
   enc.PutString(plan.tmpl_text);
   enc.PutString(plan.nf_text);
-  enc.PutU32(static_cast<uint32_t>(plan.param_texts.size()));
-  for (const std::string& p : plan.param_texts) enc.PutString(p);
+  PutStringList(plan.param_texts, &enc);
 }
 
 void EncodeL0Record(const PersistedL0& entry, std::string* payload) {
@@ -73,51 +78,49 @@ void EncodeL0Record(const PersistedL0& entry, std::string* payload) {
   enc.PutString(entry.key);
   enc.PutString(entry.raw_text);
   enc.PutString(entry.plan_text);
-  enc.PutU32(static_cast<uint32_t>(entry.columns.size()));
-  for (const std::string& c : entry.columns) enc.PutString(c);
+  PutStringList(entry.columns, &enc);
 }
 
-// Decoders return Status so a malformed payload is one counted skip.
-// `max_items` bounds the declared list lengths: each item costs >= 4 bytes
-// on the wire, so the payload length already bounds real lists — the cap
-// only defeats lengths that lie.
-Status DecodePlanRecord(Decoder* dec, PersistedPlan* out) {
-  EDS_ASSIGN_OR_RETURN(out->hits, dec->GetU64());
-  EDS_ASSIGN_OR_RETURN(out->rewrite_ns, dec->GetU64());
-  EDS_ASSIGN_OR_RETURN(out->tmpl_text, dec->GetString());
-  EDS_ASSIGN_OR_RETURN(out->nf_text, dec->GetString());
+// Reads the closing string list and requires the record to end there. Each
+// item costs >= 4 bytes on the wire, so the payload length already bounds
+// real lists — the count check only defeats lengths that lie.
+Status GetStringListToEnd(Decoder* dec, std::vector<std::string>* out) {
   EDS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
   if (n > dec->remaining() / 4 + 1) {
-    return Status::InvalidArgument("persist: param count lies");
+    return Status::InvalidArgument("persist: list count lies");
   }
-  out->param_texts.reserve(n);
+  out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    EDS_ASSIGN_OR_RETURN(std::string p, dec->GetString());
-    out->param_texts.push_back(std::move(p));
+    EDS_ASSIGN_OR_RETURN(std::string item, dec->GetString());
+    out->push_back(std::move(item));
   }
   if (!dec->done()) {
-    return Status::InvalidArgument("persist: trailing bytes in plan record");
+    return Status::InvalidArgument("persist: trailing bytes in record");
   }
   return Status::OK();
 }
 
-Status DecodeL0Record(Decoder* dec, PersistedL0* out) {
-  EDS_ASSIGN_OR_RETURN(out->hits, dec->GetU64());
-  EDS_ASSIGN_OR_RETURN(out->key, dec->GetString());
-  EDS_ASSIGN_OR_RETURN(out->raw_text, dec->GetString());
-  EDS_ASSIGN_OR_RETURN(out->plan_text, dec->GetString());
-  EDS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-  if (n > dec->remaining() / 4 + 1) {
-    return Status::InvalidArgument("persist: column count lies");
-  }
-  out->columns.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    EDS_ASSIGN_OR_RETURN(std::string c, dec->GetString());
-    out->columns.push_back(std::move(c));
-  }
-  if (!dec->done()) {
-    return Status::InvalidArgument("persist: trailing bytes in L0 record");
-  }
+// Decoders return Status so a malformed payload is one counted skip; each
+// appends its record to `image` only once it decoded whole.
+Status DecodePlanRecord(Decoder* dec, CacheImage* image) {
+  PersistedPlan plan;
+  EDS_ASSIGN_OR_RETURN(plan.hits, dec->GetU64());
+  EDS_ASSIGN_OR_RETURN(plan.rewrite_ns, dec->GetU64());
+  EDS_ASSIGN_OR_RETURN(plan.tmpl_text, dec->GetString());
+  EDS_ASSIGN_OR_RETURN(plan.nf_text, dec->GetString());
+  EDS_RETURN_IF_ERROR(GetStringListToEnd(dec, &plan.param_texts));
+  image->plans.push_back(std::move(plan));
+  return Status::OK();
+}
+
+Status DecodeL0Record(Decoder* dec, CacheImage* image) {
+  PersistedL0 entry;
+  EDS_ASSIGN_OR_RETURN(entry.hits, dec->GetU64());
+  EDS_ASSIGN_OR_RETURN(entry.key, dec->GetString());
+  EDS_ASSIGN_OR_RETURN(entry.raw_text, dec->GetString());
+  EDS_ASSIGN_OR_RETURN(entry.plan_text, dec->GetString());
+  EDS_RETURN_IF_ERROR(GetStringListToEnd(dec, &entry.columns));
+  image->l0.push_back(std::move(entry));
   return Status::OK();
 }
 
@@ -136,34 +139,74 @@ bool RowsEqual(const exec::Rows& a, const exec::Rows& b) {
   return true;
 }
 
-// Ground differential execution of two plans that must be equivalent.
-// Returns true when a divergence is PROVEN (both sides executed cleanly
-// and their sorted row bags differ); errors and budget trips on either
-// side return false with *proven_clean=false (the caller counts the entry
-// unverified and admits it — an overloaded verifier must not evict valid
-// cache entries).
+// Load-time differential verification (PersistOptions::verify_load): runs
+// two ground plans that must be equivalent and compares their sorted row
+// bags. Returns true when a divergence is PROVEN (counted rejected).
+// Non-ground plans, errors and budget trips on either side count the entry
+// unverified and admit it: an overloaded verifier must not evict valid
+// cache entries.
 bool ProvenDivergent(exec::Session* session, const term::TermRef& lhs,
-                     const term::TermRef& rhs,
-                     const gov::GovernorLimits& limits, bool* proven_clean) {
-  *proven_clean = false;
-  gov::QueryGuard guard_l(limits);
-  exec::ExecOptions opts;
-  opts.guard = &guard_l;
-  Result<exec::Rows> left = session->Run(lhs, opts);
-  if (!left.ok()) return false;
-  gov::QueryGuard guard_r(limits);
-  opts.guard = &guard_r;
-  Result<exec::Rows> right = session->Run(rhs, opts);
-  if (!right.ok()) return false;
-  exec::Rows ls = std::move(left).value();
-  exec::Rows rs = std::move(right).value();
-  SortRows(&ls);
-  SortRows(&rs);
-  if (RowsEqual(ls, rs)) {
-    *proven_clean = true;
-    return false;
+                     const term::TermRef& rhs, const PersistOptions& options,
+                     LoadStats* s) {
+  auto run = [&](const term::TermRef& plan) -> Result<exec::Rows> {
+    gov::QueryGuard guard(options.verify_limits);
+    exec::ExecOptions opts;
+    opts.guard = &guard;
+    EDS_ASSIGN_OR_RETURN(exec::Rows rows, session->Run(plan, opts));
+    SortRows(&rows);
+    return rows;
+  };
+  if (lhs->ground() && rhs->ground()) {
+    Result<exec::Rows> left = run(lhs);
+    if (left.ok()) {
+      Result<exec::Rows> right = run(rhs);
+      if (right.ok()) {
+        if (RowsEqual(*left, *right)) return false;  // proven clean
+        ++s->rejected;
+        return true;
+      }
+    }
   }
-  return true;
+  ++s->unverified;
+  return false;
+}
+
+std::pair<uint64_t, uint64_t> EpochsOf(const PlanCache::SnapshotEntry& e) {
+  return {e.catalog_epoch, e.rules_epoch};
+}
+std::pair<uint64_t, uint64_t> EpochsOf(const L0Cache::SnapshotEntry& e) {
+  return {e.entry.catalog_epoch, e.entry.rules_epoch};
+}
+
+// Appends to `out` the hottest entries first, up to `top_k` (0: no cut),
+// dropping entries built under other epochs than the header's (stale) and
+// those `convert` cannot persist (nullopt: round-trip or size-cap failure,
+// skipped). One step for both record kinds.
+template <typename Entry, typename Record, typename Convert>
+void KeepHottest(std::vector<Entry> entries, const FileHeader& header,
+                 size_t top_k, SaveStats* s, std::vector<Record>* out,
+                 Convert convert) {
+  // Hottest first; the top-k cut then keeps the entries most worth the
+  // restart's disk read.
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.hits > b.hits;
+                   });
+  for (const Entry& e : entries) {
+    if (top_k != 0 && out->size() >= top_k) break;
+    const auto [catalog_epoch, rules_epoch] = EpochsOf(e);
+    if (catalog_epoch != header.catalog_epoch ||
+        rules_epoch != header.rules_epoch) {
+      ++s->stale;
+      continue;
+    }
+    std::optional<Record> record = convert(e);
+    if (!record.has_value()) {
+      ++s->skipped;
+      continue;
+    }
+    out->push_back(std::move(*record));
+  }
 }
 
 // Parses persisted term text under the load-side paranoia caps.
@@ -190,85 +233,44 @@ CacheImage BuildCacheImage(const PlanCache& cache, const L0Cache& l0,
   SaveStats* s = stats != nullptr ? stats : &local;
   CacheImage image;
   image.header = header;
+  auto text = [&](const term::TermRef& t) {
+    return RoundTripText(t, options.max_text_bytes);
+  };
 
-  std::vector<PlanCache::SnapshotEntry> plans = cache.Snapshot();
-  // Hottest first; the top-k cut then keeps the entries most worth the
-  // restart's disk read.
-  std::stable_sort(plans.begin(), plans.end(),
-                   [](const PlanCache::SnapshotEntry& a,
-                      const PlanCache::SnapshotEntry& b) {
-                     return a.hits > b.hits;
-                   });
-  for (const PlanCache::SnapshotEntry& e : plans) {
-    if (options.top_k != 0 && image.plans.size() >= options.top_k) break;
-    if (e.catalog_epoch != header.catalog_epoch ||
-        e.rules_epoch != header.rules_epoch) {
-      ++s->stale;
-      continue;
-    }
-    PersistedPlan plan;
-    std::optional<std::string> tmpl =
-        RoundTripText(e.tmpl, options.max_text_bytes);
-    std::optional<std::string> nf =
-        RoundTripText(e.normal_form, options.max_text_bytes);
-    if (!tmpl.has_value() || !nf.has_value()) {
-      ++s->skipped;
-      continue;
-    }
-    bool params_ok = true;
-    for (const term::TermRef& p : e.sample_params) {
-      std::optional<std::string> pt =
-          RoundTripText(p, options.max_text_bytes);
-      if (!pt.has_value()) {
-        params_ok = false;
-        break;
-      }
-      plan.param_texts.push_back(std::move(*pt));
-    }
-    if (!params_ok) {
-      ++s->skipped;
-      continue;
-    }
-    plan.tmpl_text = std::move(*tmpl);
-    plan.nf_text = std::move(*nf);
-    plan.hits = e.hits;
-    plan.rewrite_ns = e.rewrite_ns;
-    image.plans.push_back(std::move(plan));
-  }
+  KeepHottest(
+      cache.Snapshot(), header, options.top_k, s, &image.plans,
+      [&](const PlanCache::SnapshotEntry& e) -> std::optional<PersistedPlan> {
+        PersistedPlan plan;
+        std::optional<std::string> tmpl = text(e.tmpl);
+        std::optional<std::string> nf = text(e.normal_form);
+        if (!tmpl.has_value() || !nf.has_value()) return std::nullopt;
+        for (const term::TermRef& p : e.sample_params) {
+          std::optional<std::string> pt = text(p);
+          if (!pt.has_value()) return std::nullopt;
+          plan.param_texts.push_back(std::move(*pt));
+        }
+        plan.tmpl_text = std::move(*tmpl);
+        plan.nf_text = std::move(*nf);
+        plan.hits = e.hits;
+        plan.rewrite_ns = e.rewrite_ns;
+        return plan;
+      });
 
-  std::vector<L0Cache::SnapshotEntry> l0_entries = l0.Snapshot();
-  std::stable_sort(l0_entries.begin(), l0_entries.end(),
-                   [](const L0Cache::SnapshotEntry& a,
-                      const L0Cache::SnapshotEntry& b) {
-                     return a.hits > b.hits;
-                   });
-  for (const L0Cache::SnapshotEntry& e : l0_entries) {
-    if (options.top_k != 0 && image.l0.size() >= options.top_k) break;
-    if (e.entry.catalog_epoch != header.catalog_epoch ||
-        e.entry.rules_epoch != header.rules_epoch) {
-      ++s->stale;
-      continue;
-    }
-    if (e.key.size() > options.max_text_bytes) {
-      ++s->skipped;
-      continue;
-    }
-    std::optional<std::string> raw =
-        RoundTripText(e.entry.raw_plan, options.max_text_bytes);
-    std::optional<std::string> plan =
-        RoundTripText(e.entry.plan, options.max_text_bytes);
-    if (!raw.has_value() || !plan.has_value()) {
-      ++s->skipped;
-      continue;
-    }
-    PersistedL0 out;
-    out.key = e.key;
-    out.raw_text = std::move(*raw);
-    out.plan_text = std::move(*plan);
-    out.columns = e.entry.columns;
-    out.hits = e.hits;
-    image.l0.push_back(std::move(out));
-  }
+  KeepHottest(
+      l0.Snapshot(), header, options.top_k, s, &image.l0,
+      [&](const L0Cache::SnapshotEntry& e) -> std::optional<PersistedL0> {
+        if (e.key.size() > options.max_text_bytes) return std::nullopt;
+        std::optional<std::string> raw = text(e.entry.raw_plan);
+        std::optional<std::string> plan = text(e.entry.plan);
+        if (!raw.has_value() || !plan.has_value()) return std::nullopt;
+        PersistedL0 out;
+        out.key = e.key;
+        out.raw_text = std::move(*raw);
+        out.plan_text = std::move(*plan);
+        out.columns = e.entry.columns;
+        out.hits = e.hits;
+        return out;
+      });
   return image;
 }
 
@@ -279,27 +281,21 @@ std::string EncodeCacheImage(const CacheImage& image,
   SaveStats* s = stats != nullptr ? stats : &local;
   std::string out;
   EncodeFileHeader(image.header, &out);
-  std::string payload;
-  for (const PersistedPlan& plan : image.plans) {
-    payload.clear();
-    EncodePlanRecord(plan, &payload);
-    if (payload.size() > options.max_record_bytes) {
-      ++s->skipped;
-      continue;
+  auto append = [&](const auto& records, auto encode, uint64_t* written) {
+    std::string payload;
+    for (const auto& record : records) {
+      payload.clear();
+      encode(record, &payload);
+      if (payload.size() > options.max_record_bytes) {
+        ++s->skipped;
+        continue;
+      }
+      AppendRecord(payload, &out);
+      ++*written;
     }
-    AppendRecord(payload, &out);
-    ++s->plans;
-  }
-  for (const PersistedL0& entry : image.l0) {
-    payload.clear();
-    EncodeL0Record(entry, &payload);
-    if (payload.size() > options.max_record_bytes) {
-      ++s->skipped;
-      continue;
-    }
-    AppendRecord(payload, &out);
-    ++s->l0;
-  }
+  };
+  append(image.plans, EncodePlanRecord, &s->plans);
+  append(image.l0, EncodeL0Record, &s->l0);
   s->bytes = out.size();
   return out;
 }
@@ -399,39 +395,23 @@ Result<CacheImage> LoadPersistFile(const std::string& path,
       s->torn_tail = true;
       break;
     }
-    if (rec.status == RecordStatus::kBadCrc) {
-      ++s->skipped;
-      continue;
-    }
-    if (!LoadRecordFailPoint().ok()) {
+    if (rec.status == RecordStatus::kBadCrc || !LoadRecordFailPoint().ok()) {
       ++s->skipped;
       continue;
     }
     Decoder dec(rec.payload, options.max_text_bytes);
     Result<uint8_t> kind = dec.GetU8();
-    if (!kind.ok()) {
-      ++s->skipped;
-      continue;
-    }
-    if (*kind == kPlanRecord) {
-      PersistedPlan plan;
-      if (!DecodePlanRecord(&dec, &plan).ok()) {
-        ++s->skipped;
-        continue;
-      }
-      image.plans.push_back(std::move(plan));
-    } else if (*kind == kL0Record) {
-      PersistedL0 entry;
-      if (!DecodeL0Record(&dec, &entry).ok()) {
-        ++s->skipped;
-        continue;
-      }
-      image.l0.push_back(std::move(entry));
-    } else {
+    Status decoded = kind.status();
+    if (kind.ok() && *kind == kPlanRecord) {
+      decoded = DecodePlanRecord(&dec, &image);
+    } else if (kind.ok() && *kind == kL0Record) {
+      decoded = DecodeL0Record(&dec, &image);
+    } else if (kind.ok()) {
       // A record kind this build does not know: written by a future
       // version within the same format, or rot that survived the CRC.
-      ++s->skipped;
+      decoded = Status::InvalidArgument("persist: unknown record kind");
     }
+    if (!decoded.ok()) ++s->skipped;
   }
   return image;
 }
@@ -476,31 +456,18 @@ size_t WarmServiceCaches(const CacheImage& image, exec::Session* session,
     if (options.verify_load && session != nullptr) {
       // Substitute the sample literals into both sides and require equal
       // results. Non-ground instantiations (a template persisted without
-      // its literals) cannot be executed — admit unverified.
+      // its literals) cannot be executed — admitted unverified.
       Result<term::TermRef> raw = InstantiatePlan(*tmpl, params);
       Result<term::TermRef> opt = InstantiatePlan(*nf, params);
       if (!raw.ok() || !opt.ok()) {
         ++s->skipped;
         continue;
       }
-      if (!(*raw)->ground() || !(*opt)->ground()) {
-        ++s->unverified;
-      } else {
-        bool proven_clean = false;
-        if (ProvenDivergent(session, *raw, *opt, options.verify_limits,
-                            &proven_clean)) {
-          ++s->rejected;
-          continue;
-        }
-        if (!proven_clean) ++s->unverified;
-      }
+      if (ProvenDivergent(session, *raw, *opt, options, s)) continue;
     }
-    PlanCache::Key key;
-    key.tmpl = std::move(tmpl).value();
-    key.catalog_epoch = catalog_epoch;
-    key.rules_epoch = rules_epoch;
-    cache->Insert(key, std::move(nf).value(), plan.rewrite_ns,
-                  std::move(params), plan.hits);
+    cache->Insert({std::move(tmpl).value(), catalog_epoch, rules_epoch},
+                  std::move(nf).value(), plan.rewrite_ns, std::move(params),
+                  plan.hits);
     ++s->ok;
     ++installed;
   }
@@ -516,26 +483,14 @@ size_t WarmServiceCaches(const CacheImage& image, exec::Session* session,
       ++s->skipped;
       continue;
     }
-    if (options.verify_load && session != nullptr) {
-      if (!(*raw)->ground() || !(*plan)->ground()) {
-        ++s->unverified;
-      } else {
-        bool proven_clean = false;
-        if (ProvenDivergent(session, *raw, *plan, options.verify_limits,
-                            &proven_clean)) {
-          ++s->rejected;
-          continue;
-        }
-        if (!proven_clean) ++s->unverified;
-      }
+    if (options.verify_load && session != nullptr &&
+        ProvenDivergent(session, *raw, *plan, options, s)) {
+      continue;
     }
-    L0Cache::Entry cached;
-    cached.raw_plan = std::move(raw).value();
-    cached.plan = std::move(plan).value();
-    cached.columns = entry.columns;
-    cached.catalog_epoch = catalog_epoch;
-    cached.rules_epoch = rules_epoch;
-    l0->Insert(entry.key, std::move(cached), entry.hits);
+    l0->Insert(entry.key,
+               {std::move(raw).value(), std::move(plan).value(),
+                entry.columns, catalog_epoch, rules_epoch},
+               entry.hits);
     ++s->ok;
     ++installed;
   }

@@ -58,7 +58,7 @@ namespace eds::srv {
 struct PersistOptions {
   // Keep only the top-k hottest entries of each cache (by per-entry hit
   // count); 0 keeps everything admitted by the size caps.
-  size_t top_k = 0;
+  size_t top_k = 256;
   // Terms whose printed form exceeds this are not persisted (save) and
   // records declaring longer strings are skipped (load).
   size_t max_text_bytes = 1 << 20;

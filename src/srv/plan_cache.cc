@@ -9,8 +9,8 @@ namespace eds::srv {
 
 namespace {
 
-// 64-bit mix (splitmix64 finalizer) so epoch bits land in the shard-select
-// high bits too.
+// 64-bit mix (splitmix64 finalizer) so the epochs spread across the whole
+// index hash.
 uint64_t Mix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -18,20 +18,10 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-PlanCache::PlanCache(const Config& config) {
-  size_t shard_count = RoundUpPow2(std::max<size_t>(1, config.shards));
-  shards_ = std::vector<Shard>(shard_count);
-  nodes_per_shard_ =
-      std::max<uint64_t>(1, config.max_nodes / shard_count);
-}
+PlanCache::PlanCache(const Config& config)
+    : max_nodes_(std::max<uint64_t>(1, config.max_nodes)) {}
 
 uint64_t PlanCache::KeyHash(const Key& key) {
   uint64_t h = key.tmpl != nullptr ? key.tmpl->structural_hash() : 0;
@@ -49,36 +39,41 @@ bool PlanCache::KeyEquals(const Key& a, const Key& b) {
   return term::Equals(a.tmpl, b.tmpl);
 }
 
-std::optional<term::TermRef> PlanCache::Lookup(const Key& key) {
-  const uint64_t hash = KeyHash(key);
-  Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(hash);
-  if (it != shard.index.end()) {
+PlanCache::EntryList::iterator PlanCache::FindLocked(const Key& key,
+                                                     uint64_t hash) {
+  auto it = index_.find(hash);
+  if (it != index_.end()) {
     for (EntryList::iterator eit : it->second) {
-      if (KeyEquals(eit->key, key)) {
-        ++shard.stats.hits;
-        ++eit->hits;
-        // Bump to most-recent.
-        shard.entries.splice(shard.entries.begin(), shard.entries, eit);
-        return eit->normal_form;
-      }
+      if (KeyEquals(eit->key, key)) return eit;
     }
   }
-  ++shard.stats.misses;
-  return std::nullopt;
+  return entries_.end();
 }
 
-void PlanCache::EraseLocked(Shard& shard, uint64_t hash,
-                            EntryList::iterator it) {
-  auto idx = shard.index.find(hash);
-  if (idx != shard.index.end()) {
+std::optional<term::TermRef> PlanCache::Lookup(const Key& key) {
+  const uint64_t hash = KeyHash(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  EntryList::iterator it = FindLocked(key, hash);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
+  }
+  ++stats_.hits;
+  ++it->hits;
+  entries_.splice(entries_.begin(), entries_, it);  // bump to most-recent
+  return it->normal_form;
+}
+
+void PlanCache::EraseLocked(EntryList::iterator it) {
+  auto idx = index_.find(KeyHash(it->key));
+  if (idx != index_.end()) {
     auto& vec = idx->second;
     vec.erase(std::remove(vec.begin(), vec.end(), it), vec.end());
-    if (vec.empty()) shard.index.erase(idx);
+    if (vec.empty()) index_.erase(idx);
   }
-  shard.nodes -= it->charged_nodes;
-  shard.entries.erase(it);
+  stats_.nodes -= it->charged_nodes;
+  --stats_.entries;
+  entries_.erase(it);
 }
 
 void PlanCache::Insert(const Key& key, term::TermRef normal_form,
@@ -86,8 +81,7 @@ void PlanCache::Insert(const Key& key, term::TermRef normal_form,
                        uint64_t seed_hits) {
   if (key.tmpl == nullptr || normal_form == nullptr) return;
   const uint64_t hash = KeyHash(key);
-  Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(mu_);
   // Chaos: a failed insert is a skipped insert — the entry simply is not
   // cached, so the next lookup misses and pays a normal rewrite. Inside
   // the lock so the stats bump is race-free; a lambda because
@@ -97,112 +91,83 @@ void PlanCache::Insert(const Key& key, term::TermRef normal_form,
     return Status::OK();
   };
   if (!injected().ok()) {
-    ++shard.stats.insert_failures;
+    ++stats_.insert_failures;
     return;
   }
-  // Refresh an existing entry in place (same key rewritten again, e.g.
-  // after a racing double-miss).
-  auto it = shard.index.find(hash);
-  if (it != shard.index.end()) {
-    for (EntryList::iterator eit : it->second) {
-      if (KeyEquals(eit->key, key)) {
-        shard.nodes -= eit->charged_nodes;
-        eit->normal_form = std::move(normal_form);
-        eit->charged_nodes =
-            eit->key.tmpl->node_count() + eit->normal_form->node_count();
-        eit->rewrite_ns = rewrite_ns;
-        eit->sample_params = std::move(sample_params);
-        eit->hits += seed_hits;
-        shard.nodes += eit->charged_nodes;
-        shard.entries.splice(shard.entries.begin(), shard.entries, eit);
-        return;
-      }
-    }
+  EntryList::iterator it = FindLocked(key, hash);
+  if (it == entries_.end()) {
+    entries_.push_front(Entry{});
+    entries_.front().key = key;
+    index_[hash].push_back(entries_.begin());
+    ++stats_.inserts;
+    ++stats_.entries;
+  } else {
+    // Refresh in place (same key rewritten again, e.g. after a racing
+    // double-miss).
+    stats_.nodes -= it->charged_nodes;
+    entries_.splice(entries_.begin(), entries_, it);
   }
-  Entry entry;
-  entry.key = key;
-  entry.charged_nodes = key.tmpl->node_count() + normal_form->node_count();
+  Entry& entry = entries_.front();
   entry.normal_form = std::move(normal_form);
-  entry.hits = seed_hits;
+  entry.charged_nodes =
+      key.tmpl->node_count() + entry.normal_form->node_count();
+  entry.hits += seed_hits;
   entry.rewrite_ns = rewrite_ns;
   entry.sample_params = std::move(sample_params);
-  shard.nodes += entry.charged_nodes;
-  shard.entries.push_front(std::move(entry));
-  shard.index[hash].push_back(shard.entries.begin());
-  ++shard.stats.inserts;
-  ++shard.stats.entries;
-  // Evict least-recently-used entries until back under the shard budget;
-  // the entry just inserted survives even when it alone exceeds the budget
-  // (a cache that cannot hold the working plan is useless, not wrong).
-  while (shard.nodes > nodes_per_shard_ && shard.entries.size() > 1) {
-    EntryList::iterator last = std::prev(shard.entries.end());
-    EraseLocked(shard, KeyHash(last->key), last);
-    ++shard.stats.evictions;
-    --shard.stats.entries;
+  stats_.nodes += entry.charged_nodes;
+  // Evict least-recently-used entries until back under the ceiling (a
+  // refresh can grow an entry too); the entry just written survives even
+  // when it alone exceeds the ceiling (a cache that cannot hold the
+  // working plan is useless, not wrong).
+  while (stats_.nodes > max_nodes_ && entries_.size() > 1) {
+    EraseLocked(std::prev(entries_.end()));
+    ++stats_.evictions;
   }
 }
 
 std::vector<PlanCache::SnapshotEntry> PlanCache::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotEntry> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Entry& e : shard.entries) {
-      SnapshotEntry s;
-      s.tmpl = e.key.tmpl;
-      s.normal_form = e.normal_form;
-      s.catalog_epoch = e.key.catalog_epoch;
-      s.rules_epoch = e.key.rules_epoch;
-      s.hits = e.hits;
-      s.rewrite_ns = e.rewrite_ns;
-      s.sample_params = e.sample_params;
-      out.push_back(std::move(s));
-    }
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    SnapshotEntry s;
+    s.tmpl = e.key.tmpl;
+    s.normal_form = e.normal_form;
+    s.catalog_epoch = e.key.catalog_epoch;
+    s.rules_epoch = e.key.rules_epoch;
+    s.hits = e.hits;
+    s.rewrite_ns = e.rewrite_ns;
+    s.sample_params = e.sample_params;
+    out.push_back(std::move(s));
   }
   return out;
 }
 
 void PlanCache::InvalidateAll() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.stats.invalidations += shard.entries.size();
-    shard.stats.entries = 0;
-    shard.nodes = 0;
-    shard.entries.clear();
-    shard.index.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.invalidations += entries_.size();
+  stats_.entries = 0;
+  stats_.nodes = 0;
+  entries_.clear();
+  index_.clear();
 }
 
 void PlanCache::DropStale(uint64_t catalog_epoch, uint64_t rules_epoch) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (it->key.catalog_epoch == catalog_epoch &&
-          it->key.rules_epoch == rules_epoch) {
-        ++it;
-        continue;
-      }
-      auto doomed = it++;
-      EraseLocked(shard, KeyHash(doomed->key), doomed);
-      ++shard.stats.invalidations;
-      --shard.stats.entries;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->key.catalog_epoch == catalog_epoch &&
+        it->key.rules_epoch == rules_epoch) {
+      ++it;
+      continue;
     }
+    EraseLocked(it++);
+    ++stats_.invalidations;
   }
 }
 
 PlanCache::Stats PlanCache::GetStats() const {
-  Stats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-    total.inserts += shard.stats.inserts;
-    total.evictions += shard.stats.evictions;
-    total.insert_failures += shard.stats.insert_failures;
-    total.invalidations += shard.stats.invalidations;
-    total.entries += shard.stats.entries;
-    total.nodes += shard.nodes;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace eds::srv

@@ -12,7 +12,7 @@
 
 namespace eds::srv {
 
-// Sharded LRU cache of rewritten plans, keyed on the query's canonical
+// LRU cache of rewritten plans, keyed on the query's canonical
 // template (srv/fingerprint.h) plus the catalog and rule-library epochs it
 // was rewritten under. A hit skips the entire rewrite phase: the cached
 // normal form is instantiated with the query's literals and goes straight
@@ -29,21 +29,19 @@ namespace eds::srv {
 //     through the LRU — invalidation is lazy and O(1). InvalidateAll()
 //     drops everything eagerly (the shell's \cache clear).
 //
-// Concurrency: the table is sharded by key hash; each shard holds its own
-// mutex, hash map, and LRU list, so worker threads serving different
-// templates proceed without contention. Stats are per-shard and summed on
-// read.
+// Concurrency: one mutex around a classic LRU (list + hash index), as in
+// L0Cache. The critical section is a hash probe and a list splice, small
+// next to the query execution around it.
 //
 // Memory: each entry is charged its template + normal-form node counts
-// against a node-count ceiling (split evenly across shards); inserting past
-// the ceiling evicts least-recently-used entries of that shard. This is
-// the same currency as the governor's interner-node budget, so operators
+// against one node-count ceiling; an insert or refresh that leaves the
+// cache past the ceiling evicts least-recently-used entries. This is the
+// same currency as the governor's interner-node budget, so operators
 // reason about one unit ("term nodes") for both.
 class PlanCache {
  public:
   struct Config {
-    size_t shards = 8;          // rounded up to a power of two, >= 1
-    uint64_t max_nodes = 1 << 20;  // node ceiling across all shards
+    uint64_t max_nodes = 1 << 20;  // node ceiling
   };
 
   struct Key {
@@ -92,7 +90,7 @@ class PlanCache {
   std::optional<term::TermRef> Lookup(const Key& key);
 
   // Inserts (or refreshes) the normal form for `key`, evicting LRU entries
-  // until the shard is back under its node budget. The chaos site
+  // until the cache is back under its node ceiling. The chaos site
   // "srv.cache.insert" (EDS_FAIL_POINT) turns the insert into a counted
   // no-op — a degraded miss on the next lookup, never a wrong plan.
   // `rewrite_ns` records what the rewrite that produced `normal_form`
@@ -102,9 +100,8 @@ class PlanCache {
               uint64_t rewrite_ns = 0, term::TermList sample_params = {},
               uint64_t seed_hits = 0);
 
-  // Copies every live entry with its stats (shard by shard, each under its
-  // own lock; most-recently-used first within a shard). The persistence
-  // snapshot thread calls this off the serve path.
+  // Copies every live entry with its stats, most-recently-used first. The
+  // persistence snapshot calls this off the serve path.
   std::vector<SnapshotEntry> Snapshot() const;
 
   // Eagerly drops every entry (epoch bumps make stale entries unreachable
@@ -122,8 +119,6 @@ class PlanCache {
 
   Stats GetStats() const;
 
-  size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Entry {
     Key key;
@@ -136,27 +131,18 @@ class PlanCache {
   // LRU list, most-recent first; the map indexes into it.
   using EntryList = std::list<Entry>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    EntryList entries;
-    std::unordered_map<uint64_t, std::vector<EntryList::iterator>> index;
-    uint64_t nodes = 0;
-    Stats stats;
-  };
-
   static uint64_t KeyHash(const Key& key);
   static bool KeyEquals(const Key& a, const Key& b);
-  // High bits pick the shard so the index map (which consumes the full
-  // hash) stays decorrelated from the shard choice.
-  Shard& ShardFor(uint64_t hash) {
-    return shards_[(hash >> 48) & (shards_.size() - 1)];
-  }
-  // Unlinks `it` from its shard (list + index + node accounting).
-  static void EraseLocked(Shard& shard, uint64_t hash,
-                          EntryList::iterator it);
+  // The entry for `key` under `hash`, or entries_.end().
+  EntryList::iterator FindLocked(const Key& key, uint64_t hash);
+  // Unlinks `it` (list + index + node accounting).
+  void EraseLocked(EntryList::iterator it);
 
-  std::vector<Shard> shards_;
-  uint64_t nodes_per_shard_;  // config.max_nodes / shards, >= 1
+  const uint64_t max_nodes_;
+  mutable std::mutex mu_;
+  EntryList entries_;
+  std::unordered_map<uint64_t, std::vector<EntryList::iterator>> index_;
+  Stats stats_;  // entries and nodes kept live
 };
 
 }  // namespace eds::srv

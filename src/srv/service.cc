@@ -7,9 +7,6 @@
 #include <utility>
 
 #include "esql/parser.h"
-#include "esql/translator.h"
-#include "exec/executor.h"
-#include "lera/schema.h"
 #include "rules/optimizer.h"
 #include "srv/fingerprint.h"
 #include "term/term.h"
@@ -58,10 +55,10 @@ struct QueryService::TelemetryState {
 
 gov::GovernorLimits DeriveLimits(const gov::GovernorLimits& base,
                                  size_t queue_depth, size_t queue_capacity,
-                                 bool load_adaptive, double tenant_weight) {
+                                 double tenant_weight) {
   gov::GovernorLimits derived = base;
   derived.cancel = nullptr;  // cancellation is wired per-Submit
-  if (!load_adaptive || queue_capacity == 0) return derived;
+  if (queue_capacity == 0) return derived;
   const double weight = tenant_weight > 0.0 ? tenant_weight : 1.0;
   // A weight-w tenant experiences the queue as if it were w times larger;
   // weight 1.0 reproduces the unweighted policy exactly.
@@ -84,7 +81,7 @@ QueryService::QueryService(exec::Session* session,
     : session_(session),
       options_(options),
       cache_(options.cache),
-      l0_(options.use_l0 ? options.l0_capacity : 0),
+      l0_(options.l0_capacity),
       telemetry_(options.telemetry ? std::make_unique<TelemetryState>(options)
                                    : nullptr) {}
 
@@ -108,16 +105,7 @@ Status QueryService::Start() {
   // Warm restart: load the persisted caches before any worker exists, so
   // the first query already sees them. A missing or corrupt file is a cold
   // start, never a Start() failure.
-  if (!options_.persist_path.empty()) {
-    WarmFromDisk();
-    if (options_.persist_interval_ms != 0) {
-      {
-        std::lock_guard<std::mutex> lock(persist_mu_);
-        persist_stop_ = false;
-      }
-      persist_thread_ = std::thread([this] { PersistLoop(); });
-    }
-  }
+  if (!options_.persist_path.empty()) WarmFromDisk();
   sinks_.clear();
   for (size_t i = 0; i < options_.workers; ++i) {
     sinks_.push_back(options_.collect_traces
@@ -128,12 +116,8 @@ Status QueryService::Start() {
   for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  if (telemetry_ != nullptr && !options_.telemetry_export_path.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(export_mu_);
-      export_stop_ = false;
-    }
-    export_thread_ = std::thread([this] { ExportLoop(); });
+  if (persist_ticks() || export_ticks()) {
+    background_ = std::thread([this] { BackgroundLoop(); });
   }
   return Status::OK();
 }
@@ -146,6 +130,7 @@ void QueryService::Stop() {
     stopping_ = true;
     orphaned.swap(queue_);
     cv_.notify_all();
+    background_cv_.notify_all();
   }
   for (Item& item : orphaned) {
     item.done(Status::RuntimeError("query service stopping"));
@@ -154,29 +139,16 @@ void QueryService::Stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  // Stop the export tick after the workers have drained so its final
-  // snapshot (ExportLoop writes once more on shutdown) sees final tallies.
-  if (export_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(export_mu_);
-      export_stop_ = true;
-    }
-    export_cv_.notify_all();
-    export_thread_.join();
-  }
-  // Persist after the workers have drained: the final snapshot is the
-  // cache state the next process warms from, so it must include every
-  // query served before shutdown.
-  if (persist_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(persist_mu_);
-      persist_stop_ = true;
-    }
-    persist_cv_.notify_all();
-    persist_thread_.join();
-  }
+  if (background_.joinable()) background_.join();
+  // The final writes follow the drain, so they see every query served
+  // before shutdown: the persist snapshot is what the next process warms
+  // from, and the last metrics export comes after it so it counts that
+  // save.
   if (!options_.persist_path.empty()) {
     (void)SavePersistNow();  // failures are counted, never block shutdown
+  }
+  if (export_ticks()) {
+    (void)WriteTelemetrySnapshot(options_.telemetry_export_path);
   }
   std::lock_guard<std::mutex> lock(mu_);
   started_ = false;
@@ -229,10 +201,8 @@ void QueryService::SubmitWithCallback(
       double weight = options_.default_tenant_weight;
       auto it = options_.tenant_weights.find(opts.tenant);
       if (it != options_.tenant_weights.end()) weight = it->second;
-      item.granted =
-          DeriveLimits(options_.base_limits, queue_.size(),
-                       options_.queue_capacity, options_.load_adaptive,
-                       weight);
+      item.granted = DeriveLimits(options_.base_limits, queue_.size(),
+                                  options_.queue_capacity, weight);
       item.granted.cancel = opts.cancel;
       item.snapshot = snapshots_.Current();
       item.tenant = opts.tenant;
@@ -529,221 +499,129 @@ Result<ServedQuery> QueryService::ServeNow(const std::string& esql,
         std::chrono::nanoseconds(options_.test_delay_ns));
   }
 
+  gov::QueryGuard guard;
+  if (granted.any()) guard.Arm(granted);
+  exec::FinishOptions finish;
+  finish.catalog = snap.catalog.get();
+  finish.db = &session_->db();
+  finish.exec_options = options_.exec_options;
+  finish.exec_options.trace_sink = sink;
+  finish.limits = granted;
+  finish.guard = granted.any() ? &guard : nullptr;
+  finish.max_applications = options_.rewrite_options.max_applications;
+  finish.start_ns = q0;
+
   // Level 0: exact-text lookup before the parser runs. A hit replays the
   // fully instantiated plan and its columns — parse, translate, rewrite
   // and schema inference are all skipped (their phase times stay 0) and
   // the query goes straight to governed execution.
+  const bool use_l0 = options_.l0_capacity != 0;
   std::string l0_key;
-  if (options_.use_l0) {
+  std::optional<L0Cache::Entry> hit;
+  if (use_l0) {
     l0_key = NormalizeQueryText(esql);
-    std::optional<L0Cache::Entry> hit =
-        l0_.Lookup(l0_key, snap.catalog_epoch, snap.rules_epoch);
-    if (hit.has_value()) {
-      obs::Span l0_span(sink, "srv.l0.replay", "srv");
-      served.l0_hit = true;
-      result.raw_plan = hit->raw_plan;
-      result.optimized_plan = hit->plan;
-      result.columns = hit->columns;
-      gov::QueryGuard guard;
-      if (granted.any()) guard.Arm(granted);
-      exec::ExecOptions exec_options = options_.exec_options;
-      exec_options.trace_sink = sink;
-      if (granted.any() && exec_options.guard == nullptr) {
-        exec_options.guard = &guard;
-      }
-      uint64_t e0 = obs::NowNs();
-      {
-        obs::Span span(sink, "phase.execute", "phase");
-        exec::Executor executor(snap.catalog.get(), &session_->db(),
-                                exec_options);
-        Result<exec::Rows> rows = executor.Execute(hit->plan);
-        result.exec_stats = executor.stats();
-        if (!rows.ok()) return rows.status();
-        result.rows = *std::move(rows);
-      }
-      uint64_t end = obs::NowNs();
-      result.phase_times.exec_ns = end - e0;
-      result.phase_times.total_ns = end - q0;
-      return served;
-    }
+    hit = l0_.Lookup(l0_key, snap.catalog_epoch, snap.rules_epoch);
   }
-
-  // Parse + translate. The session's TranslateTimed is bypassed so no
-  // worker ever touches the session-level trace sink.
-  uint64_t t0 = obs::NowNs();
-  esql::Statement stmt;
+  term::TermRef plan;
+  if (hit.has_value()) {
+    served.l0_hit = true;
+    result.raw_plan = hit->raw_plan;
+    result.columns = hit->columns;
+    finish.infer_schema = false;
+    plan = hit->plan;
+  } else {
+    EDS_ASSIGN_OR_RETURN(plan,
+                         PlanQuery(esql, snap, finish.guard, sink, &served));
+  }
+  Status finished;
   {
-    obs::Span span(sink, "phase.parse", "phase");
-    EDS_ASSIGN_OR_RETURN(stmt, esql::ParseStatement(esql));
-  }
-  uint64_t t1 = obs::NowNs();
-  result.phase_times.parse_ns = t1 - t0;
-  if (stmt.kind != esql::StatementKind::kSelect) {
-    return Status::InvalidArgument("expected a SELECT statement");
-  }
-  term::TermRef raw;
-  {
-    obs::Span span(sink, "phase.translate", "phase");
-    esql::Translator translator(snap.catalog.get());
-    EDS_ASSIGN_OR_RETURN(raw, translator.TranslateQuery(*stmt.select));
-  }
-  result.phase_times.translate_ns = obs::NowNs() - t1;
-  result.raw_plan = raw;
-
-  gov::QueryGuard guard;
-  const bool governed = granted.any();
-  if (governed) guard.Arm(granted);
-
-  const rules::Optimizer* optimizer = snap.optimizer.get();
-
-  term::TermRef plan = raw;
-  uint64_t rw0 = obs::NowNs();
-  if (options_.rewrite && options_.use_cache) {
-    // Cached path: fingerprint, then hit->replay / miss->rewrite+insert.
-    Fingerprint fp;
-    {
-      obs::Span span(sink, "srv.fingerprint", "srv");
-      fp = FingerprintPlan(raw);
-    }
-    if (telemetry_ != nullptr) {
-      served.template_hash = term::Hash(fp.tmpl);
-    }
-    PlanCache::Key key{fp.tmpl, snap.catalog_epoch, snap.rules_epoch};
-    std::optional<term::TermRef> cached = cache_.Lookup(key);
-    if (cached.has_value()) {
-      obs::Span span(sink, "srv.cache.replay", "srv");
-      Result<term::TermRef> replayed = InstantiatePlan(*cached, fp.params);
-      if (replayed.ok()) {
-        plan = *replayed;
-        served.cache_hit = true;
-        // rewrite_ns stays 0: the rewrite phase never ran.
-      }
-      // A malformed entry falls through to the miss path below.
-    }
-    if (!served.cache_hit) {
-      rewrite::RewriteOptions rw = options_.rewrite_options;
-      rw.trace_sink = sink;
-      if (governed && rw.guard == nullptr) rw.guard = &guard;
-      obs::Span span(sink, "phase.rewrite", "phase");
-      // Rewrite the *template*: parameter variables are opaque to every
-      // value-inspecting rule method, so the normal form is valid for any
-      // literal instantiation (srv/fingerprint.h).
-      EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
-                           optimizer->Rewrite(fp.tmpl, rw));
-      result.rewrite_stats = outcome.stats;
-      Result<term::TermRef> instantiated =
-          InstantiatePlan(outcome.term, fp.params);
-      if (!instantiated.ok()) {
-        // A template normal form that cannot be re-instantiated (a rule
-        // moved a parameter into a context substitution rejects) is
-        // uncacheable: degrade to a plain rewrite of the raw plan.
-        served.cache_bypass = true;
-        EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome direct,
-                             optimizer->Rewrite(raw, rw));
-        result.rewrite_stats = direct.stats;
-        plan = direct.term;
-      } else {
-        plan = *instantiated;
-        // Degraded rewrites (governor trip / safety valve) are correct but
-        // under-optimized — never cache them, so a future uncontended run
-        // gets the chance to do better.
-        if (!outcome.stats.trip.tripped() && !outcome.stats.safety_stop) {
-          // The entry carries what this rewrite cost and the literals it
-          // ran under: persistence ranks hotness by hits and re-verifies
-          // loaded entries by re-executing with these sample literals.
-          cache_.Insert(key, outcome.term, obs::NowNs() - rw0, fp.params);
-          served.cache_stored = true;
-        } else {
-          served.cache_bypass = true;
-        }
-      }
-    }
-    result.phase_times.rewrite_ns =
-        served.cache_hit ? 0 : obs::NowNs() - rw0;
-  } else if (options_.rewrite) {
-    rewrite::RewriteOptions rw = options_.rewrite_options;
-    rw.trace_sink = sink;
-    if (governed && rw.guard == nullptr) rw.guard = &guard;
-    obs::Span span(sink, "phase.rewrite", "phase");
-    EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
-                         optimizer->Rewrite(raw, rw));
-    result.rewrite_stats = outcome.stats;
-    plan = outcome.term;
-    served.cache_bypass = true;
-    result.phase_times.rewrite_ns = obs::NowNs() - rw0;
-  }
-  if (result.rewrite_stats.safety_stop) {
-    result.warnings.push_back(
-        "rewrite stopped early: max_applications reached; results are "
-        "correct but the plan may be under-optimized");
-  }
-  if (result.rewrite_stats.trip.tripped()) {
-    result.rewrite_trip = result.rewrite_stats.trip;
-    result.warnings.push_back(
-        "rewrite degraded by query governor (" +
-        result.rewrite_stats.trip.ToString() +
-        "); best-so-far plan used, results are correct but the plan may "
-        "be under-optimized");
-  }
-  result.optimized_plan = plan;
-
-  // Mirror Session::Query's re-arm: a node-ceiling trip is a rewrite-phase
-  // budget, not an execution death sentence.
-  if (governed && guard.tripped() &&
-      guard.trip().kind == gov::TripKind::kNodeCeiling) {
-    gov::GovernorLimits rest = granted;
-    rest.max_term_nodes = 0;
-    if (rest.deadline_ms != 0) {
-      uint64_t elapsed_ms = (obs::NowNs() - q0) / 1'000'000ULL;
-      rest.deadline_ms = elapsed_ms < rest.deadline_ms
-                             ? rest.deadline_ms - elapsed_ms
-                             : 1;
-    }
-    guard.Arm(rest);
+    obs::Span replay_span(served.l0_hit ? sink : nullptr, "srv.l0.replay",
+                          "srv");
+    finished = exec::FinishQuery(plan, finish, &result);
   }
 
-  uint64_t s0 = obs::NowNs();
-  {
-    obs::Span span(sink, "phase.schema", "phase");
-    EDS_ASSIGN_OR_RETURN(
-        lera::Schema schema,
-        lera::InferSchema(plan, *snap.catalog, nullptr, nullptr,
-                          governed ? &guard : nullptr));
-    for (const types::Field& f : schema) result.columns.push_back(f.name);
-  }
-  uint64_t e0 = obs::NowNs();
-  result.phase_times.schema_ns = e0 - s0;
-
-  // Populate L0 only with full-fidelity plans: a governor-degraded or
-  // safety-stopped rewrite is correct but under-optimized, and an L0 hit
-  // would replay it verbatim forever.
-  if (options_.use_l0 && !result.rewrite_stats.trip.tripped() &&
+  // Populate L0 once the columns are known (an execution failure does not
+  // make the plan wrong), and only with full-fidelity plans: a
+  // governor-degraded or safety-stopped rewrite is correct but
+  // under-optimized, and an L0 hit would replay it verbatim forever.
+  if (use_l0 && !served.l0_hit && !result.columns.empty() &&
+      !result.rewrite_stats.trip.tripped() &&
       !result.rewrite_stats.safety_stop) {
-    L0Cache::Entry entry;
-    entry.raw_plan = raw;
-    entry.plan = plan;
-    entry.columns = result.columns;
-    entry.catalog_epoch = snap.catalog_epoch;
-    entry.rules_epoch = snap.rules_epoch;
-    l0_.Insert(l0_key, std::move(entry));
+    l0_.Insert(l0_key, {result.raw_plan, plan, result.columns,
+                        snap.catalog_epoch, snap.rules_epoch});
   }
-
-  exec::ExecOptions exec_options = options_.exec_options;
-  exec_options.trace_sink = sink;
-  if (governed && exec_options.guard == nullptr) exec_options.guard = &guard;
-  {
-    obs::Span span(sink, "phase.execute", "phase");
-    exec::Executor executor(snap.catalog.get(), &session_->db(),
-                            exec_options);
-    Result<exec::Rows> rows = executor.Execute(plan);
-    result.exec_stats = executor.stats();
-    if (!rows.ok()) return rows.status();
-    result.rows = *std::move(rows);
-  }
-  uint64_t end = obs::NowNs();
-  result.phase_times.exec_ns = end - e0;
-  result.phase_times.total_ns = end - q0;
+  EDS_RETURN_IF_ERROR(finished);
   return served;
+}
+
+Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
+                                              const ServingSnapshot& snap,
+                                              gov::QueryGuard* guard,
+                                              obs::TraceSink* sink,
+                                              ServedQuery* served) {
+  exec::QueryResult& result = served->result;
+  // Against the snapshot's catalog, and never the session's trace sink.
+  EDS_ASSIGN_OR_RETURN(term::TermRef raw,
+                       exec::TranslateSelect(esql, snap.catalog.get(), sink,
+                                             &result.phase_times));
+  result.raw_plan = raw;
+  if (!options_.rewrite) return raw;
+
+  // Fingerprint, then hit->replay / miss->rewrite+insert.
+  uint64_t rw0 = obs::NowNs();
+  Fingerprint fp;
+  {
+    obs::Span span(sink, "srv.fingerprint", "srv");
+    fp = FingerprintPlan(raw);
+  }
+  if (telemetry_ != nullptr) {
+    served->template_hash = term::Hash(fp.tmpl);
+  }
+  PlanCache::Key key{fp.tmpl, snap.catalog_epoch, snap.rules_epoch};
+  std::optional<term::TermRef> cached = cache_.Lookup(key);
+  if (cached.has_value()) {
+    obs::Span span(sink, "srv.cache.replay", "srv");
+    Result<term::TermRef> replayed = InstantiatePlan(*cached, fp.params);
+    if (replayed.ok()) {
+      served->cache_hit = true;
+      return *replayed;  // rewrite_ns stays 0: the rewrite phase never ran
+    }
+    // A malformed entry falls through to the miss path below.
+  }
+  rewrite::RewriteOptions rw = options_.rewrite_options;
+  rw.trace_sink = sink;
+  if (rw.guard == nullptr) rw.guard = guard;
+  obs::Span span(sink, "phase.rewrite", "phase");
+  // Rewrite the *template*: parameter variables are opaque to every
+  // value-inspecting rule method, so the normal form is valid for any
+  // literal instantiation (srv/fingerprint.h).
+  EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome,
+                       snap.optimizer->Rewrite(fp.tmpl, rw));
+  result.rewrite_stats = outcome.stats;
+  Result<term::TermRef> plan = InstantiatePlan(outcome.term, fp.params);
+  if (!plan.ok()) {
+    // A template normal form that cannot be re-instantiated (a rule moved
+    // a parameter into a context substitution rejects) is uncacheable:
+    // degrade to a plain rewrite of the raw plan.
+    served->cache_bypass = true;
+    EDS_ASSIGN_OR_RETURN(rewrite::RewriteOutcome direct,
+                         snap.optimizer->Rewrite(raw, rw));
+    result.rewrite_stats = direct.stats;
+    plan = direct.term;
+  } else if (!outcome.stats.trip.tripped() && !outcome.stats.safety_stop) {
+    // The entry carries what this rewrite cost and the literals it ran
+    // under: persistence ranks hotness by hits and re-verifies loaded
+    // entries by re-executing with these sample literals.
+    cache_.Insert(key, outcome.term, obs::NowNs() - rw0, fp.params);
+    served->cache_stored = true;
+  } else {
+    // Degraded rewrites (governor trip / safety valve) are correct but
+    // under-optimized — never cache them, so a future uncontended run
+    // gets the chance to do better.
+    served->cache_bypass = true;
+  }
+  result.phase_times.rewrite_ns = obs::NowNs() - rw0;
+  return plan;
 }
 
 ServiceStats QueryService::GetStats() const {
@@ -833,15 +711,13 @@ Status QueryService::WriteTelemetrySnapshot(const std::string& path) const {
 }
 
 void QueryService::WarmFromDisk() {
-  PersistOptions opts = options_.persist;
-  opts.top_k = options_.persist_top_k;
   LoadStats stats;
   Result<CacheImage> image =
-      LoadPersistFile(options_.persist_path, opts, &stats);
+      LoadPersistFile(options_.persist_path, options_.persist, &stats);
   if (image.ok()) {
     WarmServiceCaches(*image, session_, &cache_, &l0_,
                       session_->catalog().epoch(), session_->rules_epoch(),
-                      opts, &stats);
+                      options_.persist, &stats);
   }
   std::lock_guard<std::mutex> lock(persist_stats_mu_);
   persist_load_stats_ = stats;
@@ -852,8 +728,6 @@ Status QueryService::SavePersistNow() {
     return Status::InvalidArgument(
         "persistence is not configured (persist_path is empty)");
   }
-  PersistOptions opts = options_.persist;
-  opts.top_k = options_.persist_top_k;
   FileHeader header;
   // Stamp the file with the serving snapshot's epochs: cache contents are
   // keyed by what serving pinned, which during a concurrent DDL batch can
@@ -869,8 +743,8 @@ Status QueryService::SavePersistNow() {
     // One write at a time: the periodic tick, an operator-forced save, and
     // the final Stop() write must not interleave their tmp files.
     std::lock_guard<std::mutex> io(persist_io_mu_);
-    saved = SavePersistFile(options_.persist_path, cache_, l0_, header, opts,
-                            &stats);
+    saved = SavePersistFile(options_.persist_path, cache_, l0_, header,
+                            options_.persist, &stats);
   }
   std::lock_guard<std::mutex> lock(persist_stats_mu_);
   if (saved.ok()) {
@@ -896,32 +770,37 @@ SaveStats QueryService::persist_save_stats() const {
   return persist_save_stats_;
 }
 
-void QueryService::PersistLoop() {
-  const auto interval = std::chrono::milliseconds(
-      std::max<uint64_t>(1, options_.persist_interval_ms));
-  std::unique_lock<std::mutex> lock(persist_mu_);
+void QueryService::BackgroundLoop() {
+  using Clock = std::chrono::steady_clock;
+  auto after = [](uint64_t interval_ms) {
+    return Clock::now() +
+           std::chrono::milliseconds(std::max<uint64_t>(1, interval_ms));
+  };
+  // A tick that is off is due never.
+  Clock::time_point next_persist = persist_ticks()
+                                       ? after(options_.persist_interval_ms)
+                                       : Clock::time_point::max();
+  Clock::time_point next_export =
+      export_ticks() ? after(options_.telemetry_export_interval_ms)
+                     : Clock::time_point::max();
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    const bool stop =
-        persist_cv_.wait_for(lock, interval, [this] { return persist_stop_; });
-    if (stop) return;  // Stop() writes the final snapshot after the drain
+    // Stop() does the final writes itself, after the drain.
+    if (background_cv_.wait_until(lock, std::min(next_persist, next_export),
+                                  [this] { return stopping_; })) {
+      return;
+    }
+    // The work runs outside mu_: the metrics export takes it again, and
+    // file I/O must never hold up admission or Stop().
     lock.unlock();
-    (void)SavePersistNow();
-    lock.lock();
-  }
-}
-
-void QueryService::ExportLoop() {
-  const auto interval = std::chrono::milliseconds(
-      std::max<uint64_t>(1, options_.telemetry_export_interval_ms));
-  std::unique_lock<std::mutex> lock(export_mu_);
-  for (;;) {
-    const bool stop =
-        export_cv_.wait_for(lock, interval, [this] { return export_stop_; });
-    lock.unlock();
-    // Written outside the lock: the snapshot takes mu_ (queue depth) and
-    // does file I/O, neither of which should ever block Stop().
-    (void)WriteTelemetrySnapshot(options_.telemetry_export_path);
-    if (stop) return;
+    if (Clock::now() >= next_persist) {
+      (void)SavePersistNow();
+      next_persist = after(options_.persist_interval_ms);
+    }
+    if (Clock::now() >= next_export) {
+      (void)WriteTelemetrySnapshot(options_.telemetry_export_path);
+      next_export = after(options_.telemetry_export_interval_ms);
+    }
     lock.lock();
   }
 }

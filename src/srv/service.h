@@ -31,9 +31,9 @@ namespace eds::srv {
 // admission queue sheds load when full; a worker pool drains the queue,
 // each admitted query running under a QueryGuard whose budgets are derived
 // from the service's base limits scaled by the load observed at admission;
-// and a sharded rewritten-plan cache (srv/plan_cache.h) in front of the
-// workers lets structurally repeated queries skip the rewrite phase
-// entirely. docs/server.md covers the architecture and policies.
+// and a rewritten-plan cache (srv/plan_cache.h) in front of the workers
+// lets structurally repeated queries skip the rewrite phase entirely.
+// docs/server.md covers the architecture and policies.
 //
 // Concurrency contract: workers never read the live session catalog or
 // optimizer — every admitted query pins the immutable ServingSnapshot
@@ -106,8 +106,6 @@ struct ServiceOptions {
   // GovernorLimits from this via DeriveLimits(); zero fields stay
   // unlimited. The cancel field is ignored (cancellation is per-Submit).
   gov::GovernorLimits base_limits;
-  // When false, admitted queries always get the base limits verbatim.
-  bool load_adaptive = true;
   // Per-tenant admission weights (satellite of the snapshot-server PR): a
   // tenant with weight w sees the queue as if it were w times larger, so
   // under pressure a weight-2 tenant keeps roughly twice the budget share
@@ -116,13 +114,10 @@ struct ServiceOptions {
   // reproduces the unweighted policy bit-for-bit.
   std::map<std::string, double> tenant_weights;
   double default_tenant_weight = 1.0;
-  // Rewritten-plan cache; use_cache=false serves every query through a
-  // full rewrite (A/B baseline).
-  bool use_cache = true;
+  // Rewritten-plan cache (srv/plan_cache.h).
   PlanCache::Config cache;
   // Level-0 exact-text cache in front of the parser (srv/l0_cache.h);
-  // use_l0=false serves every query through the full front half.
-  bool use_l0 = true;
+  // 0 disables it, serving every query through the full front half.
   size_t l0_capacity = 256;
   // When true each worker records phase spans into its own TraceSink;
   // WriteMergedTrace() merges them by timestamp into one Chrome trace.
@@ -151,9 +146,10 @@ struct ServiceOptions {
   // When set, every slow query is also appended to this JSONL file (one
   // QueryRecordToJson line per query, trace included).
   std::string slow_query_log_path;
-  // When set, a background thread writes a Prometheus text-format metrics
-  // snapshot (ExportMetrics + MetricsRegistry::ToPrometheus) to this path
-  // every interval, and once more at Stop().
+  // When set, the background thread writes a Prometheus text-format
+  // metrics snapshot (ExportMetrics + MetricsRegistry::ToPrometheus) to
+  // this path every interval, and once more at Stop(), after the final
+  // persist save.
   std::string telemetry_export_path;
   uint64_t telemetry_export_interval_ms = 1000;
   // Deterministic latency injection for tests and demos: a query whose
@@ -169,15 +165,11 @@ struct ServiceOptions {
   // to it; see docs/persistence.md. Empty disables persistence.
   std::string persist_path;
   // Background snapshot cadence between Start and Stop; 0 means only the
-  // final write at Stop(). The snapshot thread mirrors the telemetry
-  // exporter: its own mutex/cv, never on the serve path.
+  // final write at Stop(). Snapshots run on the background thread, never
+  // on the serve path.
   uint64_t persist_interval_ms = 0;
-  // Hottest entries (by per-entry hit count) kept per cache at each
-  // snapshot; 0 persists everything the size caps admit.
-  size_t persist_top_k = 256;
-  // Paranoia caps and optional load-time differential re-verification
-  // (PersistOptions::verify_load); top_k here is overridden by
-  // persist_top_k.
+  // The hottest-k cut per cache (top_k), paranoia caps and optional
+  // load-time differential re-verification (PersistOptions::verify_load).
   PersistOptions persist;
 };
 
@@ -192,7 +184,6 @@ struct ServiceOptions {
 // <= 0 are treated as 1.0). Exposed for tests and docs.
 gov::GovernorLimits DeriveLimits(const gov::GovernorLimits& base,
                                  size_t queue_depth, size_t queue_capacity,
-                                 bool load_adaptive,
                                  double tenant_weight = 1.0);
 
 // Per-submit parameters beyond the query text.
@@ -330,19 +321,34 @@ class QueryService {
                        const gov::GovernorLimits& granted, uint64_t queue_ns,
                        uint64_t serve_ns, size_t worker_id,
                        const obs::TraceSink* scratch);
-  void ExportLoop();
-  void PersistLoop();
+  // Whether the background thread has periodic persist saves / metrics
+  // exports to run.
+  bool persist_ticks() const {
+    return !options_.persist_path.empty() && options_.persist_interval_ms != 0;
+  }
+  bool export_ticks() const {
+    return telemetry_ != nullptr && !options_.telemetry_export_path.empty();
+  }
+  // The background thread: runs each periodic tick when it falls due,
+  // until Stop() sets stopping_.
+  void BackgroundLoop();
   // Warms the caches from options.persist_path at Start(); a missing or
   // header-corrupt file is a counted cold start, never a Start() failure.
   void WarmFromDisk();
-  // The cached pipeline: translate -> fingerprint -> cache lookup or
-  // template rewrite + insert -> schema -> execute. Reads schema and rule
-  // state only from `snap`.
+  // The cached pipeline: L0 lookup, else PlanQuery; then the shared tail
+  // (exec::FinishQuery: schema -> execute). Reads schema and rule state
+  // only from `snap`.
   Result<ServedQuery> ServeNow(const std::string& esql,
                                const ServingSnapshot& snap,
                                const gov::GovernorLimits& granted,
                                const gov::CancelToken* cancel,
                                obs::TraceSink* sink, size_t worker_id);
+  // The front half behind an L0 miss: parse -> translate -> fingerprint ->
+  // cache lookup or template rewrite + insert. Returns the plan to run.
+  Result<term::TermRef> PlanQuery(const std::string& esql,
+                                  const ServingSnapshot& snap,
+                                  gov::QueryGuard* guard, obs::TraceSink* sink,
+                                  ServedQuery* served);
   // Rebuilds + publishes the snapshot if the session's epochs moved (the
   // direct-session-DDL-while-idle compatibility path). Cheap no-op when
   // clean: two relaxed loads + one shared_ptr copy.
@@ -375,29 +381,22 @@ class QueryService {
   std::vector<std::unique_ptr<obs::TraceSink>> sinks_;  // per worker
 
   std::unique_ptr<TelemetryState> telemetry_;  // null: telemetry off
-  // The export tick gets its own mutex/cv: sharing cv_ would let the
-  // exporter consume a notify_one meant for a worker and stall a queued
-  // query.
-  std::thread export_thread_;
-  mutable std::mutex export_mu_;
-  std::condition_variable export_cv_;
-  bool export_stop_ = false;
 
-  // Persistence snapshot tick, same shape as the export tick (own cv so a
-  // notify meant for a worker is never consumed here). persist_io_mu_
-  // serializes actual file writes (periodic tick vs an explicit
-  // SavePersistNow vs the final Stop() write); persist_stats_mu_ guards
-  // the cumulative tallies.
-  std::thread persist_thread_;
-  mutable std::mutex persist_mu_;
-  std::condition_variable persist_cv_;
-  bool persist_stop_ = false;
+  // persist_io_mu_ serializes actual file writes (periodic tick vs an
+  // explicit SavePersistNow vs the final Stop() write); persist_stats_mu_
+  // guards the cumulative tallies.
   std::mutex persist_io_mu_;
   mutable std::mutex persist_stats_mu_;
   LoadStats persist_load_stats_;
   SaveStats persist_save_stats_;
   uint64_t persist_saves_ = 0;          // successful snapshot writes
   uint64_t persist_save_failures_ = 0;  // failed snapshot writes
+
+  // The one background thread (persist saves and metrics exports). It
+  // waits under mu_ for stopping_ but on its own cv: sharing cv_ would let
+  // it consume a notify_one meant for a worker and stall a queued query.
+  std::condition_variable background_cv_;
+  std::thread background_;
 };
 
 // Metrics importers, mirroring the obs:: exporters: cache.* and srv.*.

@@ -141,10 +141,11 @@ TEST(CodecTest, RecordFramingSkipsBadCrcAndStopsOnTorn) {
 
 // ---------------- save / load round trip ----------------
 
-ServiceOptions PersistOptionsFor(const std::string& path, bool use_l0 = true) {
+ServiceOptions PersistOptionsFor(const std::string& path,
+                                 size_t l0_capacity = 256) {
   ServiceOptions options;
   options.workers = 0;
-  options.use_l0 = use_l0;
+  options.l0_capacity = l0_capacity;
   options.persist_path = path;
   return options;
 }
@@ -324,7 +325,7 @@ TEST(PersistRestartTest, WarmRestartHitsTemplateCacheAndMatchesColdResults) {
   {
     testutil::FilmDb db;
     QueryService service(&db.session,
-                         PersistOptionsFor(path, /*use_l0=*/false));
+                         PersistOptionsFor(path, /*l0_capacity=*/0));
     EDS_ASSERT_OK(service.Start());
     size_t cold_hits = 0;
     for (const std::string& q : workload) {
@@ -342,7 +343,7 @@ TEST(PersistRestartTest, WarmRestartHitsTemplateCacheAndMatchesColdResults) {
   {
     testutil::FilmDb db;
     QueryService service(&db.session,
-                         PersistOptionsFor(path, /*use_l0=*/false));
+                         PersistOptionsFor(path, /*l0_capacity=*/0));
     EDS_ASSERT_OK(service.Start());
     LoadStats load = service.persist_load_stats();
     EXPECT_GT(load.ok, 0u);

@@ -211,9 +211,9 @@ TEST(TenantAdmissionTest, WeightOneReproducesBasePolicy) {
   gov::GovernorLimits base_limits;
   base_limits.deadline_ms = 1000;
   for (size_t depth : {size_t{0}, size_t{10}, size_t{32}, size_t{63}}) {
-    gov::GovernorLimits base = DeriveLimits(base_limits, depth, 64, true);
+    gov::GovernorLimits base = DeriveLimits(base_limits, depth, 64);
     gov::GovernorLimits weighted =
-        DeriveLimits(base_limits, depth, 64, true, 1.0);
+        DeriveLimits(base_limits, depth, 64, 1.0);
     EXPECT_EQ(base.deadline_ms, weighted.deadline_ms) << "depth " << depth;
     EXPECT_EQ(base.max_rows, weighted.max_rows) << "depth " << depth;
   }
@@ -225,13 +225,13 @@ TEST(TenantAdmissionTest, LighterWeightTightensBudgetsUnderLoad) {
   // At half capacity a weight-0.25 tenant sees the load as if the queue
   // were 4x fuller: its derived deadline must be strictly shorter than the
   // default tenant's.
-  gov::GovernorLimits heavy = DeriveLimits(base_limits, 32, 64, true, 1.0);
-  gov::GovernorLimits light = DeriveLimits(base_limits, 32, 64, true, 0.25);
+  gov::GovernorLimits heavy = DeriveLimits(base_limits, 32, 64, 1.0);
+  gov::GovernorLimits light = DeriveLimits(base_limits, 32, 64, 0.25);
   EXPECT_LT(light.deadline_ms, heavy.deadline_ms);
   EXPECT_LT(light.deadline_ms, base_limits.deadline_ms);
   // Nonpositive weights fall back to the default share rather than
   // dividing by zero.
-  gov::GovernorLimits zero = DeriveLimits(base_limits, 32, 64, true, 0.0);
+  gov::GovernorLimits zero = DeriveLimits(base_limits, 32, 64, 0.0);
   EXPECT_EQ(zero.deadline_ms, heavy.deadline_ms);
 }
 

@@ -73,7 +73,7 @@ TEST_F(SrvStressTest, ConcurrentResultsMatchSingleThreadedPipeline) {
   ServiceOptions options;
   options.workers = 4;
   options.queue_capacity = kQueries;  // no shedding in the comparison run
-  options.use_l0 = false;  // the plan-cache hit tally below is the point
+  options.l0_capacity = 0;  // the plan-cache hit tally below is the point
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(service.Start());
 
@@ -153,7 +153,7 @@ TEST_F(SrvStressTest, CacheInsertChaosDegradesToNormalRewrite) {
   ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 64;
-  options.use_l0 = false;  // every repeat must reach the plan cache
+  options.l0_capacity = 0;  // every repeat must reach the plan cache
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(service.Start());
 
@@ -181,7 +181,7 @@ TEST_F(SrvStressTest, TransientInsertFailureHeals) {
       gov::FailPoints::Global().Configure("srv.cache.insert=once"));
   ServiceOptions options;
   options.workers = 1;
-  options.use_l0 = false;  // every repeat must reach the plan cache
+  options.l0_capacity = 0;  // every repeat must reach the plan cache
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";

@@ -1,4 +1,4 @@
-// The serving layer: fingerprinting, the sharded plan cache, admission
+// The serving layer: fingerprinting, the plan cache, admission
 // control, and the cached query pipeline. Deterministic tests run with
 // workers=0 and pump the queue on the test thread; the threaded paths live
 // in srv_stress_test.cc.
@@ -155,7 +155,6 @@ TEST(PlanCacheTest, EpochMismatchMisses) {
 
 TEST(PlanCacheTest, LruEvictionUnderNodeCeiling) {
   PlanCache::Config config;
-  config.shards = 1;  // one shard so the ceiling applies to all entries
   config.max_nodes = 12;  // each entry charges 2 + 2 = 4 nodes
   PlanCache cache(config);
   cache.Insert(MakeKey(T(1)), T(101));
@@ -175,7 +174,6 @@ TEST(PlanCacheTest, LruEvictionUnderNodeCeiling) {
 
 TEST(PlanCacheTest, OversizedEntryStillCached) {
   PlanCache::Config config;
-  config.shards = 1;
   config.max_nodes = 1;  // smaller than any entry
   PlanCache cache(config);
   cache.Insert(MakeKey(T(1)), T(101));
@@ -205,14 +203,28 @@ TEST(PlanCacheTest, InvalidateAllDropsEverything) {
   EXPECT_FALSE(cache.Lookup(MakeKey(T(1))).has_value());
 }
 
-TEST(PlanCacheTest, ShardCountRoundsUpToPowerOfTwo) {
+TEST(PlanCacheTest, RefreshThatGrowsAnEntryEvictsBackUnderTheCeiling) {
   PlanCache::Config config;
-  config.shards = 5;
+  config.max_nodes = 12;  // three 2 + 2 = 4-node entries fill it exactly
   PlanCache cache(config);
-  EXPECT_EQ(cache.shard_count(), 8u);
-  config.shards = 0;
-  PlanCache one(config);
-  EXPECT_EQ(one.shard_count(), 1u);
+  cache.Insert(MakeKey(T(1)), T(101));
+  cache.Insert(MakeKey(T(2)), T(102));
+  cache.Insert(MakeKey(T(3)), T(103));
+  ASSERT_EQ(cache.GetStats().nodes, 12u);
+  // Refresh T(1) with a 4-node normal form: its charge grows 4 -> 6.
+  term::TermRef bigger =
+      term::Term::Apply("PLAN", {T(201), term::Term::Constant(Value::Int(7))});
+  ASSERT_GE(bigger->node_count(), 4u);
+  cache.Insert(MakeKey(T(1)), bigger);
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_LE(stats.nodes, 12u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  // The refreshed entry survives; the least recently used one went.
+  auto hit = cache.Lookup(MakeKey(T(1)));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->get(), bigger.get());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(2))).has_value());
 }
 
 // ---------------- admission policy ----------------
@@ -222,7 +234,7 @@ TEST(DeriveLimitsTest, IdleQueueGrantsFullBudget) {
   base.deadline_ms = 1000;
   base.max_term_nodes = 100000;
   base.max_rows = 5000;
-  gov::GovernorLimits got = DeriveLimits(base, 0, 64, true);
+  gov::GovernorLimits got = DeriveLimits(base, 0, 64);
   EXPECT_EQ(got.deadline_ms, 1000u);
   EXPECT_EQ(got.max_term_nodes, 100000u);
   EXPECT_EQ(got.max_rows, 5000u);
@@ -234,21 +246,18 @@ TEST(DeriveLimitsTest, SaturatedQueueGrantsQuarterBudget) {
   base.deadline_ms = 1000;
   base.max_term_nodes = 100000;
   base.max_rows = 5000;
-  gov::GovernorLimits got = DeriveLimits(base, 64, 64, true);
+  gov::GovernorLimits got = DeriveLimits(base, 64, 64);
   EXPECT_EQ(got.deadline_ms, 250u);
   EXPECT_EQ(got.max_term_nodes, 25000u);
   // Row ceiling is a result-size bound, not a load knob.
   EXPECT_EQ(got.max_rows, 5000u);
 }
 
-TEST(DeriveLimitsTest, UnlimitedStaysUnlimitedAndAdaptiveCanBeOff) {
+TEST(DeriveLimitsTest, UnlimitedStaysUnlimited) {
   gov::GovernorLimits base;  // all zero: unlimited
-  gov::GovernorLimits got = DeriveLimits(base, 64, 64, true);
+  gov::GovernorLimits got = DeriveLimits(base, 64, 64);
   EXPECT_EQ(got.deadline_ms, 0u);
   EXPECT_EQ(got.max_term_nodes, 0u);
-  base.deadline_ms = 100;
-  got = DeriveLimits(base, 64, 64, false);
-  EXPECT_EQ(got.deadline_ms, 100u);  // verbatim when not adaptive
 }
 
 // ---------------- the service (workers=0, pumped) ----------------
@@ -410,26 +419,6 @@ TEST(QueryServiceTest, CancelledWhileQueuedFailsFast) {
   EXPECT_NE(r.status().message().find("cancelled"), std::string::npos);
 }
 
-TEST(QueryServiceTest, CacheDisabledAlwaysRewrites) {
-  testutil::FilmDb db;
-  ServiceOptions options = PumpedOptions();
-  options.use_cache = false;
-  options.use_l0 = false;  // L0 would short-circuit the repeat below
-  QueryService service(&db.session, options);
-  EDS_ASSERT_OK(service.Start());
-  for (int i = 0; i < 2; ++i) {
-    auto r = PumpOne(&service,
-                     service.Submit("SELECT Winner FROM BEATS WHERE "
-                                    "Winner > 7"));
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r->cache_hit);
-    EXPECT_TRUE(r->cache_bypass);
-    EXPECT_GT(r->result.phase_times.rewrite_ns, 0u);
-  }
-  PlanCache::Stats cs = service.cache().GetStats();
-  EXPECT_EQ(cs.hits + cs.misses + cs.inserts, 0u);
-}
-
 TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(
@@ -440,7 +429,7 @@ TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
       WHERE B1.L = B2.W );
   )"));
   ServiceOptions recursive_options = PumpedOptions();
-  recursive_options.use_l0 = false;  // exercise the structural cache layer
+  recursive_options.l0_capacity = 0;  // exercise the structural cache layer
   QueryService service(&db.session, recursive_options);
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT W FROM BETTER_THAN WHERE W = 1";
@@ -457,6 +446,57 @@ TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
       &service, service.Submit("SELECT W FROM BETTER_THAN WHERE W = 2"));
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third->cache_hit);
+}
+
+// Session::Query and the service share one pipeline tail, so a safety
+// stop reads the same to a client either way.
+TEST(QueryServiceTest, DegradationWarningsMatchSessionQuery) {
+  testutil::FilmDb db;
+  EDS_ASSERT_OK(db.session.ExecuteScript(R"(
+    CREATE VIEW BETTER_THAN (W, L) AS (
+      SELECT Winner, Loser FROM BEATS
+      UNION
+      SELECT B1.W, B2.L FROM BETTER_THAN B1, BETTER_THAN B2
+      WHERE B1.L = B2.W );
+  )"));
+  // A recursive plan keeps its literals inline, so the template the
+  // service rewrites is the raw plan Session::Query rewrites.
+  const char* q = "SELECT W FROM BETTER_THAN WHERE W = 1";
+  exec::QueryOptions direct_options;
+  direct_options.rewrite_options.max_applications = 1;
+  auto direct = db.session.Query(q, direct_options);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_TRUE(direct->rewrite_stats.safety_stop);
+  ASSERT_FALSE(direct->warnings.empty());
+
+  ServiceOptions options = PumpedOptions();
+  options.rewrite_options.max_applications = 1;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  auto served = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->result.warnings, direct->warnings);
+  EXPECT_TRUE(served->cache_bypass);  // degraded: never cached
+  EXPECT_EQ(served->result.rows, direct->rows);
+}
+
+// The governor budget binds the L0 replay too: both the first serve and
+// the second (an L0 hit) fail on the row ceiling.
+TEST(QueryServiceTest, RowBudgetGovernsTheL0Replay) {
+  testutil::FilmDb db;
+  ServiceOptions options = PumpedOptions();
+  options.base_limits.max_rows = 1;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  const char* q = "SELECT Winner, Loser FROM BEATS";
+  for (int i = 0; i < 2; ++i) {
+    auto r = PumpOne(&service, service.Submit(q));
+    ASSERT_FALSE(r.ok()) << "serve " << i;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+  L0Cache::Stats ls = service.l0_cache().GetStats();
+  EXPECT_EQ(ls.inserts, 1u);
+  EXPECT_EQ(ls.hits, 1u);  // the second serve replayed the L0 plan
 }
 
 // ---------------- the L0 exact-text cache ----------------
@@ -553,7 +593,7 @@ TEST(QueryServiceTest, L0EvictsLeastRecentlyUsedAtCapacity) {
 TEST(QueryServiceTest, L0DisabledNeverConsultsTheCache) {
   testutil::FilmDb db;
   ServiceOptions options = PumpedOptions();
-  options.use_l0 = false;
+  options.l0_capacity = 0;
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";

@@ -586,5 +586,34 @@ TEST(ServiceTelemetryTest, ExportThreadWritesFinalSnapshotOnStop) {
   std::remove(options.telemetry_export_path.c_str());
 }
 
+// Stop() drains, saves, then exports: the last metrics file counts the
+// final persist save.
+TEST(ServiceTelemetryTest, FinalExportCountsTheFinalPersistSave) {
+  testutil::FilmDb db;
+  ServiceOptions options;
+  options.workers = 1;
+  options.persist_path = testing::TempDir() + "/eds_telemetry_final.eds";
+  options.persist_interval_ms = 3'600'000;  // only the Stop() save
+  options.telemetry_export_path =
+      testing::TempDir() + "/eds_telemetry_final.prom";
+  options.telemetry_export_interval_ms = 3'600'000;  // only the Stop() write
+  std::remove(options.persist_path.c_str());
+  std::remove(options.telemetry_export_path.c_str());
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  EDS_ASSERT_OK_RESULT(
+      service.Submit("SELECT Winner FROM BEATS WHERE Winner > 7").get());
+  service.Stop();
+
+  std::ifstream in(options.telemetry_export_path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_NE(buffer.str().find("persist_save_count 1\n"), std::string::npos)
+      << buffer.str();
+  std::remove(options.persist_path.c_str());
+  std::remove(options.telemetry_export_path.c_str());
+}
+
 }  // namespace
 }  // namespace eds::srv

@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
   std::string command;
   std::string path;
   PersistOptions options;
+  options.top_k = 0;  // compact keeps everything unless --top-k says so
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--top-k=", 0) == 0) {
