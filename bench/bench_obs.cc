@@ -95,21 +95,17 @@ BENCHMARK(BM_Query_Plain);
 BENCHMARK(BM_Query_Profiled);
 BENCHMARK(BM_Query_Traced);
 
-// Serving-telemetry overhead A/B on the hottest serve path (the same
-// query repeated: L0 hits after the first). Off must track the pre-PR-8
-// serve cost — telemetry off is one null branch — while On prices the
-// histogram records + flight-recorder append, and OnSlowCapture adds the
-// per-query scratch span tracing that slow-query capture arms (threshold
-// set to never fire, so this is the steady-state cost, not JSON
+// Serving-telemetry cost on the hottest serve path (the same query
+// repeated: L0 hits after the first). Telemetry is always on: On prices
+// the histogram records + flight-recorder append, and OnSlowCapture adds
+// the per-worker span tracing that slow-query capture arms (threshold set
+// to never fire, so this is the steady-state cost, not JSON
 // serialization).
-enum class TelemetryMode { kOff, kOn, kOnSlowCapture };
-
-void BM_ServeTelemetry(benchmark::State& state, TelemetryMode mode) {
+void BM_ServeTelemetry(benchmark::State& state, bool slow_capture) {
   auto session = MakeGraphDb(60);
   eds::srv::ServiceOptions options;
   options.workers = 0;  // pumped on this thread: no scheduler noise
-  options.telemetry = mode != TelemetryMode::kOff;
-  if (mode == TelemetryMode::kOnSlowCapture) {
+  if (slow_capture) {
     options.slow_query_ns = std::numeric_limits<uint64_t>::max();
   }
   eds::srv::QueryService service(session.get(), options);
@@ -124,16 +120,12 @@ void BM_ServeTelemetry(benchmark::State& state, TelemetryMode mode) {
   }
   service.Stop();
 }
-void BM_Serve_TelemetryOff(benchmark::State& state) {
-  BM_ServeTelemetry(state, TelemetryMode::kOff);
-}
 void BM_Serve_TelemetryOn(benchmark::State& state) {
-  BM_ServeTelemetry(state, TelemetryMode::kOn);
+  BM_ServeTelemetry(state, /*slow_capture=*/false);
 }
 void BM_Serve_TelemetryOnSlowCapture(benchmark::State& state) {
-  BM_ServeTelemetry(state, TelemetryMode::kOnSlowCapture);
+  BM_ServeTelemetry(state, /*slow_capture=*/true);
 }
-BENCHMARK(BM_Serve_TelemetryOff);
 BENCHMARK(BM_Serve_TelemetryOn);
 BENCHMARK(BM_Serve_TelemetryOnSlowCapture);
 

@@ -459,7 +459,7 @@ class Shell {
   // \top (recent) / \slow (ranked by serve time): renders the service's
   // flight recorder, one line per retained QueryRecord.
   void ShowRecorder(const std::string& rest, bool slowest) {
-    if (service_ == nullptr || !service_->telemetry_enabled()) {
+    if (service_ == nullptr) {
       std::cout << "no telemetry (start the shell with --threads=N)\n";
       return;
     }

@@ -197,22 +197,19 @@ Result<term::TermRef> TranslateSelect(std::string_view esql,
                                       const catalog::Catalog* catalog,
                                       obs::TraceSink* sink,
                                       PhaseTimes* times) {
-  uint64_t t0 = obs::NowNs();
   esql::Statement stmt;
   {
-    obs::Span span(sink, "phase.parse", "phase");
+    obs::Span span(sink, "phase.parse", "phase",
+                   times != nullptr ? &times->parse_ns : nullptr);
     EDS_ASSIGN_OR_RETURN(stmt, esql::ParseStatement(esql));
   }
-  uint64_t t1 = obs::NowNs();
-  if (times != nullptr) times->parse_ns = t1 - t0;
   if (stmt.kind != esql::StatementKind::kSelect) {
     return Status::InvalidArgument("expected a SELECT statement");
   }
-  obs::Span span(sink, "phase.translate", "phase");
+  obs::Span span(sink, "phase.translate", "phase",
+                 times != nullptr ? &times->translate_ns : nullptr);
   esql::Translator translator(catalog);
-  Result<term::TermRef> plan = translator.TranslateQuery(*stmt.select);
-  if (times != nullptr) times->translate_ns = obs::NowNs() - t1;
-  return plan;
+  return translator.TranslateQuery(*stmt.select);
 }
 
 Result<rewrite::RewriteOutcome> Session::Rewrite(
@@ -319,28 +316,24 @@ Status FinishQuery(const term::TermRef& plan, const FinishOptions& options,
   }
   ExecOptions exec_options = options.exec_options;
   obs::TraceSink* sink = exec_options.trace_sink;
+  PhaseTimes& times = result->phase_times;
   if (options.infer_schema) {
-    uint64_t t0 = obs::NowNs();
-    obs::Span span(sink, "phase.schema", "phase");
+    obs::Span span(sink, "phase.schema", "phase", &times.schema_ns);
     EDS_ASSIGN_OR_RETURN(lera::Schema schema,
                          lera::InferSchema(plan, *options.catalog, nullptr,
                                            nullptr, guard));
     for (const types::Field& f : schema) result->columns.push_back(f.name);
-    result->phase_times.schema_ns = obs::NowNs() - t0;
   }
-  uint64_t t1 = obs::NowNs();
   if (exec_options.guard == nullptr) exec_options.guard = guard;
   {
-    obs::Span span(sink, "phase.execute", "phase");
+    obs::Span span(sink, "phase.execute", "phase", &times.exec_ns);
     Executor executor(options.catalog, options.db, exec_options);
     Result<Rows> rows = executor.Execute(plan);
     result->exec_stats = executor.stats();
     if (!rows.ok()) return rows.status();
     result->rows = *std::move(rows);
   }
-  uint64_t t2 = obs::NowNs();
-  result->phase_times.exec_ns = t2 - t1;
-  result->phase_times.total_ns = t2 - options.start_ns;
+  times.total_ns = obs::NowNs() - options.start_ns;
   return Status::OK();
 }
 

@@ -29,8 +29,9 @@ namespace eds::exec {
 
 // Steady-clock wall time of each pipeline phase for one Query() call,
 // always filled (a handful of clock reads per query — not per node — so
-// there is no "off" mode to manage). Benches surface these as counters so
-// BENCH trajectories carry per-phase breakdowns.
+// there is no "off" mode to manage). Parse, translate, schema and exec are
+// the durations of their phase.* spans. Benches surface these as counters
+// so BENCH trajectories carry per-phase breakdowns.
 struct PhaseTimes {
   uint64_t parse_ns = 0;      // ESQL text -> statement AST
   uint64_t translate_ns = 0;  // statement -> LERA term

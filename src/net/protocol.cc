@@ -30,7 +30,7 @@ uint32_t ReadLe32(const char* p) {
 void AppendFrame(MsgType type, uint64_t request_id, std::string_view body,
                  std::string* out) {
   std::string payload;
-  payload.reserve(1 + 8 + body.size());
+  payload.reserve(kFrameHeaderBytes + body.size());
   srv::Encoder enc(&payload);
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutU64(request_id);

@@ -36,6 +36,9 @@ inline constexpr uint32_t kProtocolVersion = 1;
 // Frames larger than this are a protocol error (connection closed): bounds
 // both the server's per-connection buffering and the decoder's allocation.
 inline constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
+// A frame's payload is [u8 type][u64 request_id][body]; its length, which
+// max_frame_bytes bounds, is the body's plus this.
+inline constexpr size_t kFrameHeaderBytes = 1 + 8;
 // Longest tenant id a HELLO may carry. Tenant ids key per-tenant server
 // state (admission stats, weight lookups), so a client-chosen string
 // must not be an unbounded memory-growth vector.

@@ -589,7 +589,21 @@ void Server::HandleQuery(const ConnPtr& conn, const Frame& f) {
           msg.ok = false;
           msg.error = served.status().message();
         }
-        (void)SendFrame(conn, MsgType::kResult, id, EncodeResult(msg));
+        std::string body = EncodeResult(msg);
+        // A frame over the cap would be refused by the client's NextFrame,
+        // which drops the connection and every query pipelined on it; the
+        // query fails with a message instead.
+        const size_t frame_bytes = kFrameHeaderBytes + body.size();
+        if (frame_bytes > options_.max_frame_bytes) {
+          ResultMsg too_big;
+          too_big.ok = false;
+          too_big.error = "result too large: its RESULT frame is " +
+                          std::to_string(frame_bytes) +
+                          " bytes, over the max_frame_bytes cap of " +
+                          std::to_string(options_.max_frame_bytes);
+          body = EncodeResult(too_big);
+        }
+        (void)SendFrame(conn, MsgType::kResult, id, body);
         FinishPending(conn, id);
       });
 }

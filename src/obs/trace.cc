@@ -17,22 +17,21 @@ uint64_t NowNs() {
 
 TraceSink::TraceSink() : origin_ns_(NowNs()) {}
 
-Span::Span(TraceSink* sink, const char* name, const char* category)
-    : sink_(sink) {
-  if (sink_ == nullptr) return;
-  name_ = name;
-  category_ = category;
-  depth_ = sink_->depth_++;
+Span::Span(TraceSink* sink, const char* name, const char* category,
+           uint64_t* elapsed_ns)
+    : sink_(sink), elapsed_ns_(elapsed_ns) {
+  if (sink_ == nullptr && elapsed_ns_ == nullptr) return;
+  if (sink_ != nullptr) {
+    name_ = name;
+    category_ = category;
+    depth_ = sink_->depth_++;
+  }
   start_ns_ = NowNs();
 }
 
 Span::Span(TraceSink* sink, std::string name, const char* category)
-    : sink_(sink) {
-  if (sink_ == nullptr) return;
-  name_ = std::move(name);
-  category_ = category;
-  depth_ = sink_->depth_++;
-  start_ns_ = NowNs();
+    : Span(sink, "", category) {
+  if (sink_ != nullptr) name_ = std::move(name);
 }
 
 void Span::Arg(const char* key, std::string value) {
@@ -46,13 +45,18 @@ void Span::Arg(const char* key, int64_t value) {
 }
 
 void Span::Finish() {
+  if (sink_ == nullptr && elapsed_ns_ == nullptr) return;
+  const uint64_t dur_ns = NowNs() - start_ns_;
+  if (elapsed_ns_ != nullptr) {
+    *elapsed_ns_ = dur_ns;
+    elapsed_ns_ = nullptr;
+  }
   if (sink_ == nullptr) return;
-  const uint64_t end = NowNs();
   TraceEvent e;
   e.name = std::move(name_);
   e.category = category_;
   e.start_ns = start_ns_ - sink_->origin_ns_;
-  e.dur_ns = end - start_ns_;
+  e.dur_ns = dur_ns;
   e.depth = depth_;
   e.args = std::move(args_);
   sink_->events_.push_back(std::move(e));
@@ -72,16 +76,6 @@ void TraceSink::RecordComplete(
   e.depth = depth_;
   e.args = std::move(args);
   events_.push_back(std::move(e));
-}
-
-void TraceSink::AppendFrom(const TraceSink& other) {
-  const uint64_t base = other.origin_ns_ - origin_ns_;
-  events_.reserve(events_.size() + other.events_.size());
-  for (const TraceEvent& e : other.events_) {
-    TraceEvent copy = e;
-    copy.start_ns = base + e.start_ns;
-    events_.push_back(std::move(copy));
-  }
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -108,48 +102,15 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-void TraceSink::WriteChromeTrace(std::ostream& os) const {
-  // ts/dur are microseconds (doubles) in the trace-event format; emit with
-  // three decimals so nanosecond spans stay distinguishable.
-  auto us = [](uint64_t ns) {
-    std::ostringstream o;
-    o << ns / 1000 << '.' << static_cast<char>('0' + (ns % 1000) / 100)
-      << static_cast<char>('0' + (ns % 100) / 10)
-      << static_cast<char>('0' + ns % 10);
-    return o.str();
-  };
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : events_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << JsonEscape(e.name) << "\",\"cat\":\""
-       << JsonEscape(e.category) << "\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
-       << "\"ts\":" << us(e.start_ns) << ",\"dur\":" << us(e.dur_ns);
-    if (!e.args.empty()) {
-      os << ",\"args\":{";
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) os << ",";
-        os << "\"" << JsonEscape(e.args[i].first) << "\":\""
-           << JsonEscape(e.args[i].second) << "\"";
-      }
-      os << "}";
-    }
-    os << "}";
-  }
-  os << "\n]}\n";
-}
+namespace {
 
-std::string TraceSink::ToChromeTraceJson() const {
-  std::ostringstream os;
-  WriteChromeTrace(os);
-  return os.str();
-}
-
-void WriteMergedChromeTrace(std::ostream& os,
-                            const std::vector<SinkWithTid>& sinks) {
-  // Rebase every sink onto the earliest origin so concurrent workers line
-  // up on one timeline instead of each starting at ts=0.
+// The one Chrome-trace serializer. Every sink is rebased onto the earliest
+// origin_ns() so concurrent workers line up on one timeline instead of
+// each starting at ts=0; events are emitted by absolute start time, each
+// under its sink's tid. Events of each sink before `first_event` are
+// skipped.
+void WriteTrace(std::ostream& os, const std::vector<SinkWithTid>& sinks,
+                size_t first_event) {
   uint64_t min_origin = 0;
   bool have_origin = false;
   for (const SinkWithTid& s : sinks) {
@@ -168,14 +129,17 @@ void WriteMergedChromeTrace(std::ostream& os,
   for (const SinkWithTid& s : sinks) {
     if (s.sink == nullptr) continue;
     const uint64_t base = s.sink->origin_ns() - min_origin;
-    for (const TraceEvent& e : s.sink->events()) {
-      flat.push_back({&e, base + e.start_ns, s.tid});
+    const std::vector<TraceEvent>& events = s.sink->events();
+    for (size_t i = first_event; i < events.size(); ++i) {
+      flat.push_back({&events[i], base + events[i].start_ns, s.tid});
     }
   }
   std::stable_sort(flat.begin(), flat.end(),
                    [](const Flat& a, const Flat& b) {
                      return a.abs_start_ns < b.abs_start_ns;
                    });
+  // ts/dur are microseconds (doubles) in the trace-event format; emit with
+  // three decimals so nanosecond spans stay distinguishable.
   auto us = [](uint64_t ns) {
     std::ostringstream o;
     o << ns / 1000 << '.' << static_cast<char>('0' + (ns % 1000) / 100)
@@ -205,6 +169,23 @@ void WriteMergedChromeTrace(std::ostream& os,
     os << "}";
   }
   os << "\n]}\n";
+}
+
+}  // namespace
+
+void TraceSink::WriteChromeTrace(std::ostream& os, size_t first_event) const {
+  WriteTrace(os, {{this, 1}}, first_event);
+}
+
+std::string TraceSink::ToChromeTraceJson(size_t first_event) const {
+  std::ostringstream os;
+  WriteChromeTrace(os, first_event);
+  return os.str();
+}
+
+void WriteMergedChromeTrace(std::ostream& os,
+                            const std::vector<SinkWithTid>& sinks) {
+  WriteTrace(os, sinks, 0);
 }
 
 }  // namespace eds::obs

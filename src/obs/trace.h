@@ -14,11 +14,12 @@ namespace eds::obs {
 // instrumentation sites open around a phase, a rewrite pass/block, a fired
 // rule, an executor operator, or a fixpoint round.
 //
-// The contract that keeps this near-free when tracing is off: every
-// instrumentation site costs exactly one branch on a null sink pointer — no
-// clock read, no allocation, no string construction. Sites that need a
-// dynamic span name (rule names, relation names) must guard the name
-// construction behind the same branch.
+// The contract that keeps this near-free when tracing is off: a span with
+// no sink and no elapsed-time pointer costs exactly one branch — no clock
+// read, no allocation, no string construction (with only the pointer, it
+// reads the clock twice and records nothing). Sites that need a dynamic
+// span name (rule names, relation names) must guard the name construction
+// behind a null-sink branch.
 //
 // Serialization targets the Chrome trace-event format ("traceEvents" with
 // ph:"X" complete events, microsecond timestamps), which Perfetto and
@@ -53,10 +54,11 @@ class TraceSink {
   int depth() const { return depth_; }
   void Clear() { events_.clear(); }
 
-  // Chrome trace-event JSON: {"traceEvents":[...],"displayTimeUnit":"ms"}.
-  // Loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
-  void WriteChromeTrace(std::ostream& os) const;
-  std::string ToChromeTraceJson() const;
+  // Chrome trace-event JSON: {"traceEvents":[...],"displayTimeUnit":"ms"},
+  // events by start time under tid 1, skipping events() before
+  // `first_event`. Loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
+  void WriteChromeTrace(std::ostream& os, size_t first_event = 0) const;
+  std::string ToChromeTraceJson(size_t first_event = 0) const;
 
   // Steady-clock NowNs() at construction; event timestamps are relative to
   // this. Exposed so WriteMergedChromeTrace can rebase sinks created at
@@ -70,13 +72,6 @@ class TraceSink {
                       uint64_t start_ns_abs, uint64_t end_ns_abs,
                       std::vector<std::pair<std::string, std::string>> args);
 
-  // Copies every completed event of `other` into this sink, rebased from
-  // `other`'s origin onto ours (both sinks read the same steady clock, so
-  // the rebase is exact). Used by the serving layer's slow-query capture:
-  // spans recorded into a per-query scratch sink are folded into the
-  // worker's long-lived sink after the query completes.
-  void AppendFrom(const TraceSink& other);
-
  private:
   friend class Span;
   std::vector<TraceEvent> events_;
@@ -86,13 +81,16 @@ class TraceSink {
 
 // RAII span: opens on construction, records a TraceEvent into the sink on
 // Finish() / destruction. A null sink makes every member function a no-op
-// after a single branch. Spans must be closed in LIFO order per sink (the
-// natural shape of scoped instrumentation); the depth bookkeeping assumes
-// it.
+// after a single branch, unless an elapsed-time pointer is given. Spans
+// must be closed in LIFO order per sink (the natural shape of scoped
+// instrumentation); the depth bookkeeping assumes it.
 class Span {
  public:
   // `name`/`category` must outlive the span (string literals in practice).
-  Span(TraceSink* sink, const char* name, const char* category);
+  // A non-null `elapsed_ns` receives the span's duration at Finish(), with
+  // or without a sink (with one, it equals the event's dur_ns).
+  Span(TraceSink* sink, const char* name, const char* category,
+       uint64_t* elapsed_ns = nullptr);
   // Dynamic span name. Only call through a `if (sink != nullptr)` guard, or
   // the name string gets built even when tracing is off.
   Span(TraceSink* sink, std::string name, const char* category);
@@ -112,6 +110,7 @@ class Span {
 
  private:
   TraceSink* sink_;  // null when tracing is off
+  uint64_t* elapsed_ns_ = nullptr;  // Finish() stores the duration here
   std::string name_;
   const char* category_ = "";
   uint64_t start_ns_ = 0;
@@ -125,8 +124,8 @@ class Span {
 std::string JsonEscape(const std::string& s);
 
 // One sink plus the Chrome-trace thread id to emit its events under.
-// WriteChromeTrace hardwires tid 1 (single-sink sessions); the merged
-// writer gives each worker its own lane in the Perfetto timeline.
+// WriteChromeTrace is the merged writer over one sink with tid 1; the
+// serving layer gives each worker its own lane in the Perfetto timeline.
 struct SinkWithTid {
   const TraceSink* sink = nullptr;
   int tid = 1;

@@ -14,6 +14,8 @@
 namespace eds::srv {
 
 namespace {
+// Flight recorder depth: the last N served queries kept as QueryRecords.
+constexpr size_t kFlightRecorderCapacity = 128;
 // Flight-recorder text truncation: enough to recognize the query, bounded
 // so the ring's memory stays O(capacity).
 constexpr size_t kRecordTextLimit = 200;
@@ -21,37 +23,6 @@ constexpr size_t kRecordTextLimit = 200;
 // fire; below this the p99 estimate is noise.
 constexpr uint64_t kSlowP99MinSamples = 32;
 }  // namespace
-
-// All telemetry state lives behind one pointer so that telemetry=false
-// costs the serve path a single null branch.
-struct QueryService::TelemetryState {
-  LatencyHistograms latency;
-  FlightRecorder recorder;
-  std::unique_ptr<SlowQueryLog> slow_log;  // null without a log path
-  // Any slow threshold configured: per-query scratch tracing is on so a
-  // slow query's spans can be kept retroactively.
-  bool capture_slow = false;
-  // Per-worker scratch sinks (index == worker id; one extra covers the
-  // workers==0 test pump). Cleared before each query; a slow query's
-  // contents are serialized into its QueryRecord before the clear.
-  std::vector<std::unique_ptr<obs::TraceSink>> scratch;
-
-  explicit TelemetryState(const ServiceOptions& options)
-      : recorder(options.flight_recorder_capacity),
-        capture_slow(options.slow_query_ns != 0 ||
-                     options.slow_query_p99_multiple > 0.0) {
-    if (!options.slow_query_log_path.empty()) {
-      slow_log = std::make_unique<SlowQueryLog>(options.slow_query_log_path);
-    }
-    if (capture_slow) {
-      const size_t n = std::max<size_t>(options.workers, 1);
-      scratch.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        scratch.push_back(std::make_unique<obs::TraceSink>());
-      }
-    }
-  }
-};
 
 gov::GovernorLimits DeriveLimits(const gov::GovernorLimits& base,
                                  size_t queue_depth, size_t queue_capacity,
@@ -82,8 +53,11 @@ QueryService::QueryService(exec::Session* session,
       options_(options),
       cache_(options.cache),
       l0_(options.l0_capacity),
-      telemetry_(options.telemetry ? std::make_unique<TelemetryState>(options)
-                                   : nullptr) {}
+      recorder_(kFlightRecorderCapacity),
+      slow_log_(options.slow_query_log_path.empty()
+                    ? nullptr
+                    : std::make_unique<SlowQueryLog>(
+                          options.slow_query_log_path)) {}
 
 QueryService::~QueryService() { Stop(); }
 
@@ -106,11 +80,14 @@ Status QueryService::Start() {
   // the first query already sees them. A missing or corrupt file is a cold
   // start, never a Start() failure.
   if (!options_.persist_path.empty()) WarmFromDisk();
+  // A worker traces when its spans are kept (collect_traces) or a slow
+  // verdict may need them; one sink covers the workers == 0 test pump.
   sinks_.clear();
-  for (size_t i = 0; i < options_.workers; ++i) {
-    sinks_.push_back(options_.collect_traces
-                         ? std::make_unique<obs::TraceSink>()
-                         : nullptr);
+  if (options_.collect_traces || options_.slow_query_ns != 0 ||
+      options_.slow_query_p99_multiple > 0.0) {
+    for (size_t i = 0; i < std::max<size_t>(options_.workers, 1); ++i) {
+      sinks_.push_back(std::make_unique<obs::TraceSink>());
+    }
   }
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
@@ -155,13 +132,6 @@ void QueryService::Stop() {
 }
 
 std::future<Result<ServedQuery>> QueryService::Submit(
-    std::string esql, const gov::CancelToken* cancel) {
-  SubmitOptions opts;
-  opts.cancel = cancel;
-  return Submit(std::move(esql), opts);
-}
-
-std::future<Result<ServedQuery>> QueryService::Submit(
     std::string esql, const SubmitOptions& opts) {
   auto promise = std::make_shared<std::promise<Result<ServedQuery>>>();
   std::future<Result<ServedQuery>> future = promise->get_future();
@@ -198,7 +168,7 @@ void QueryService::SubmitWithCallback(
       item.cancel = opts.cancel;
       item.done = std::move(done);
       item.enqueue_ns = obs::NowNs();
-      double weight = options_.default_tenant_weight;
+      double weight = 1.0;
       auto it = options_.tenant_weights.find(opts.tenant);
       if (it != options_.tenant_weights.end()) weight = it->second;
       item.granted = DeriveLimits(options_.base_limits, queue_.size(),
@@ -329,18 +299,10 @@ bool QueryService::ServeQueuedForTesting() {
 
 void QueryService::ServeItem(Item item, size_t worker_id) {
   const uint64_t dequeue_ns = obs::NowNs();
-  obs::TraceSink* worker_sink =
+  obs::TraceSink* sink =
       worker_id < sinks_.size() ? sinks_[worker_id].get() : nullptr;
-  // With slow-query capture on, the query's spans go to a per-worker
-  // scratch sink so they can be kept retroactively if it turns out slow;
-  // otherwise straight to the long-lived worker sink (or nowhere).
-  obs::TraceSink* scratch = nullptr;
-  if (telemetry_ != nullptr && telemetry_->capture_slow &&
-      worker_id < telemetry_->scratch.size()) {
-    scratch = telemetry_->scratch[worker_id].get();
-    scratch->Clear();
-  }
-  obs::TraceSink* sink = scratch != nullptr ? scratch : worker_sink;
+  // This query's spans are the sink's events from here on.
+  const size_t first_event = sink != nullptr ? sink->size() : 0;
   Result<ServedQuery> served = [&]() -> Result<ServedQuery> {
     if (item.snapshot == nullptr) {
       return Status::Internal("no serving snapshot pinned (service bug)");
@@ -369,15 +331,10 @@ void QueryService::ServeItem(Item item, size_t worker_id) {
       ++stats_.failed;
     }
   }
-  if (telemetry_ != nullptr) {
-    RecordTelemetry(item.esql, served, item.granted, queue_ns, serve_ns,
-                    worker_id, scratch);
-    // Scratch traces detoured around the worker sink; fold them back in so
-    // collect_traces sees the same merged timeline either way.
-    if (scratch != nullptr && worker_sink != nullptr) {
-      worker_sink->AppendFrom(*scratch);
-    }
-  }
+  RecordTelemetry(item.esql, served, item.granted, queue_ns, serve_ns,
+                  worker_id, sink, first_event);
+  // Traced only for the slow verdict: keep the sink to one query.
+  if (sink != nullptr && !options_.collect_traces) sink->Clear();
   item.done(std::move(served));
 }
 
@@ -386,9 +343,8 @@ void QueryService::RecordTelemetry(const std::string& esql,
                                    const gov::GovernorLimits& granted,
                                    uint64_t queue_ns, uint64_t serve_ns,
                                    size_t worker_id,
-                                   const obs::TraceSink* scratch) {
-  TelemetryState& tel = *telemetry_;
-
+                                   const obs::TraceSink* sink,
+                                   size_t first_event) {
   QueryRecord rec;
   rec.text = esql.substr(0, kRecordTextLimit);
   rec.queue_ns = queue_ns;
@@ -420,7 +376,7 @@ void QueryService::RecordTelemetry(const std::string& esql,
   // the very threshold it is judged by.
   bool slow = options_.slow_query_ns != 0 && serve_ns >= options_.slow_query_ns;
   if (!slow && options_.slow_query_p99_multiple > 0.0) {
-    const obs::HistogramSnapshot prior = tel.latency.serve.Snapshot();
+    const obs::HistogramSnapshot prior = latency_.serve.Snapshot();
     if (prior.count >= kSlowP99MinSamples) {
       const double threshold =
           options_.slow_query_p99_multiple *
@@ -429,39 +385,39 @@ void QueryService::RecordTelemetry(const std::string& esql,
     }
   }
   rec.slow = slow;
-  if (slow && scratch != nullptr) {
-    rec.trace_json = scratch->ToChromeTraceJson();
+  if (slow && sink != nullptr) {
+    rec.trace_json = sink->ToChromeTraceJson(first_event);
   }
 
-  tel.latency.queue.Record(queue_ns);
-  tel.latency.serve.Record(serve_ns);
+  latency_.queue.Record(queue_ns);
+  latency_.serve.Record(serve_ns);
   if (rec.ok) {
     // Phase histograms record only phases that actually ran: an L0 hit
     // skips parse, a template hit skips rewrite, and folding their zeros
     // in would fake an impossibly fast phase.
     if (!rec.l0_hit) {
-      tel.latency.parse.Record(rec.phases.parse_ns);
+      latency_.parse.Record(rec.phases.parse_ns);
       if (options_.rewrite && !rec.cache_hit) {
-        tel.latency.rewrite.Record(rec.phases.rewrite_ns);
+        latency_.rewrite.Record(rec.phases.rewrite_ns);
       }
     }
-    tel.latency.execute.Record(rec.phases.exec_ns);
+    latency_.execute.Record(rec.phases.exec_ns);
     if (rec.l0_hit) {
-      tel.latency.serve_l0_hit.Record(serve_ns);
+      latency_.serve_l0_hit.Record(serve_ns);
     } else if (rec.cache_hit) {
-      tel.latency.serve_tmpl_hit.Record(serve_ns);
+      latency_.serve_tmpl_hit.Record(serve_ns);
     } else {
-      tel.latency.serve_miss.Record(serve_ns);
+      latency_.serve_miss.Record(serve_ns);
     }
   }
 
-  const bool log_slow = slow && tel.slow_log != nullptr;
+  const bool log_slow = slow && slow_log_ != nullptr;
   QueryRecord for_log;
   if (log_slow) for_log = rec;
-  const uint64_t seq = tel.recorder.Add(std::move(rec));
+  const uint64_t seq = recorder_.Add(std::move(rec));
   if (log_slow) {
     for_log.seq = seq;
-    (void)tel.slow_log->Append(for_log);  // sink errors must not fail serving
+    (void)slow_log_->Append(for_log);  // sink errors must not fail serving
   }
 }
 
@@ -492,9 +448,7 @@ Result<ServedQuery> QueryService::ServeNow(const std::string& esql,
   if (options_.test_delay_ns != 0 && !options_.test_delay_marker.empty() &&
       esql.find(options_.test_delay_marker) != std::string::npos) {
     obs::Span delay_span(sink, "srv.injected_delay", "srv");
-    if (sink != nullptr) {
-      delay_span.Arg("delay_ns", options_.test_delay_ns);
-    }
+    delay_span.Arg("delay_ns", options_.test_delay_ns);
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(options_.test_delay_ns));
   }
@@ -519,7 +473,8 @@ Result<ServedQuery> QueryService::ServeNow(const std::string& esql,
   std::string l0_key;
   std::optional<L0Cache::Entry> hit;
   if (use_l0) {
-    l0_key = NormalizeQueryText(esql);
+    // Capped: Lookup rejects an oversize key without a full normalization.
+    l0_key = NormalizeQueryText(esql, l0_.max_key_bytes());
     hit = l0_.Lookup(l0_key, snap.catalog_epoch, snap.rules_epoch);
   }
   term::TermRef plan;
@@ -574,9 +529,7 @@ Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
     obs::Span span(sink, "srv.fingerprint", "srv");
     fp = FingerprintPlan(raw);
   }
-  if (telemetry_ != nullptr) {
-    served->template_hash = term::Hash(fp.tmpl);
-  }
+  served->template_hash = term::Hash(fp.tmpl);
   PlanCache::Key key{fp.tmpl, snap.catalog_epoch, snap.rules_epoch};
   std::optional<term::TermRef> cached = cache_.Lookup(key);
   if (cached.has_value()) {
@@ -647,18 +600,15 @@ void QueryService::WriteMergedTrace(std::ostream& os) const {
 }
 
 std::vector<QueryRecord> QueryService::RecentQueries(size_t limit) const {
-  if (telemetry_ == nullptr) return {};
-  return telemetry_->recorder.Recent(limit);
+  return recorder_.Recent(limit);
 }
 
 std::vector<QueryRecord> QueryService::SlowestQueries(size_t limit) const {
-  if (telemetry_ == nullptr) return {};
-  return telemetry_->recorder.Slowest(limit);
+  return recorder_.Slowest(limit);
 }
 
 uint64_t QueryService::slow_queries_logged() const {
-  if (telemetry_ == nullptr || telemetry_->slow_log == nullptr) return 0;
-  return telemetry_->slow_log->appended();
+  return slow_log_ != nullptr ? slow_log_->appended() : 0;
 }
 
 void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
@@ -671,12 +621,9 @@ void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
   ExportCacheStats(cache_.GetStats(), registry);
   ExportL0Stats(l0_.GetStats(), registry);
   obs::ExportGovStats(gov::CumulativeTripCounters(), registry);
-  if (telemetry_ != nullptr) {
-    ExportLatencyMetrics(telemetry_->latency, registry);
-    registry->Counter("srv.flight_recorder.total",
-                      telemetry_->recorder.total_added());
-    registry->Counter("srv.slow_queries.logged", slow_queries_logged());
-  }
+  ExportLatencyMetrics(latency_, registry);
+  registry->Counter("srv.flight_recorder.total", recorder_.total_added());
+  registry->Counter("srv.slow_queries.logged", slow_queries_logged());
   if (!options_.persist_path.empty()) {
     std::lock_guard<std::mutex> lock(persist_stats_mu_);
     registry->Counter("persist.load.ok", persist_load_stats_.ok);

@@ -110,16 +110,15 @@ struct ServiceOptions {
   // tenant with weight w sees the queue as if it were w times larger, so
   // under pressure a weight-2 tenant keeps roughly twice the budget share
   // of a weight-1 tenant before both bottom out at 25%. Unknown tenants
-  // (and the "" default tenant) get default_tenant_weight. Weight 1.0
-  // reproduces the unweighted policy bit-for-bit.
+  // (and the "" default tenant) weigh 1.0, which reproduces the unweighted
+  // policy bit-for-bit.
   std::map<std::string, double> tenant_weights;
-  double default_tenant_weight = 1.0;
   // Rewritten-plan cache (srv/plan_cache.h).
   PlanCache::Config cache;
   // Level-0 exact-text cache in front of the parser (srv/l0_cache.h);
   // 0 disables it, serving every query through the full front half.
   size_t l0_capacity = 256;
-  // When true each worker records phase spans into its own TraceSink;
+  // When true each worker keeps every query's spans in its own TraceSink;
   // WriteMergedTrace() merges them by timestamp into one Chrome trace.
   bool collect_traces = false;
   // Applied to every served query's rewrite phase (trace/profile knobs are
@@ -128,19 +127,14 @@ struct ServiceOptions {
   exec::ExecOptions exec_options;
   bool rewrite = true;  // run the rewriter at all (false: raw plans)
 
-  // --- Serving telemetry (srv/telemetry.h) ---
-  // Master switch. Off, the serve path pays exactly one null-pointer
-  // branch per query (the PR-3 discipline) and RecentQueries()/
-  // ExportMetrics() latency sections are empty.
-  bool telemetry = true;
-  // Flight recorder depth: last N served queries kept as QueryRecords.
-  size_t flight_recorder_capacity = 128;
+  // --- Serving telemetry (srv/telemetry.h; always on) ---
   // Slow-query thresholds; a query is "slow" when either fires. The
   // absolute one is in nanoseconds of serve time; the relative one marks
   // queries slower than `multiple` times the trailing p99 of serve time
   // (only once >= 32 samples exist, so a cold start can't flag everything).
   // 0 disables each. Slow queries get their span trace captured
-  // retroactively and attached to their QueryRecord.
+  // retroactively (from their worker's sink, which either threshold arms)
+  // and attached to their QueryRecord.
   uint64_t slow_query_ns = 0;
   double slow_query_p99_multiple = 0.0;
   // When set, every slow query is also appended to this JSONL file (one
@@ -215,13 +209,9 @@ class QueryService {
 
   // Submits one SELECT. Returns a future resolving to the served result or
   // an error (parse errors, execution errors, governor trips, load-shed
-  // rejections, shutdown). `cancel` may be null; when set it must outlive
-  // the returned future's completion and cancels the query cooperatively
-  // at the governor's chokepoints.
-  std::future<Result<ServedQuery>> Submit(
-      std::string esql, const gov::CancelToken* cancel = nullptr);
+  // rejections, shutdown). See SubmitOptions for cancellation and tenant.
   std::future<Result<ServedQuery>> Submit(std::string esql,
-                                          const SubmitOptions& opts);
+                                          const SubmitOptions& opts = {});
 
   // Callback flavor of Submit for callers that must not park a thread per
   // query (the network server's response writers). `done` is invoked
@@ -257,26 +247,26 @@ class QueryService {
   const L0Cache& l0_cache() const { return l0_; }
   const ServiceOptions& options() const { return options_; }
 
-  // Per-worker sinks (non-null only with collect_traces), for merging with
-  // a session-level sink; index == worker id.
+  // Per-worker sinks (empty unless collect_traces or a slow threshold is
+  // set; emptied after each query without collect_traces), for merging
+  // with a session-level sink; index == worker id.
   std::vector<const obs::TraceSink*> worker_sinks() const;
 
   // Merges every worker sink into one Chrome trace (tid = worker id + 2;
   // tid 1 is conventionally the submitting thread).
   void WriteMergedTrace(std::ostream& os) const;
 
-  // Flight recorder queries (empty when telemetry is off). Recent() is
-  // newest first; Slowest() ranks the retained window by serve time.
+  // Flight recorder queries. Recent() is newest first; Slowest() ranks the
+  // retained window by serve time.
   std::vector<QueryRecord> RecentQueries(size_t limit = 0) const;
   std::vector<QueryRecord> SlowestQueries(size_t limit) const;
-  bool telemetry_enabled() const { return telemetry_ != nullptr; }
   // Lines appended to the slow-query log so far (0 without a log path).
   uint64_t slow_queries_logged() const;
 
   // One-stop metrics export: srv.* service tallies, srv.queue_depth (the
   // current queue depth, a gauge), cache.* plan-cache stats, srv.l0.*
-  // exact-text stats, gov.* trip counters, and — with telemetry on — the
-  // srv.latency.* histograms (quantile gauges + Prometheus distributions).
+  // exact-text stats, gov.* trip counters, and the srv.latency.*
+  // histograms (quantile gauges + Prometheus distributions).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   // Renders ExportMetrics() as Prometheus text exposition into `path`
@@ -307,28 +297,23 @@ class QueryService {
     std::string tenant;
   };
 
-  // Everything the recorder/histograms/slow-log need, allocated only when
-  // options.telemetry is set; a null pointer is the entire off cost.
-  struct TelemetryState;
-
   void WorkerLoop(size_t worker_id);
   void ServeItem(Item item, size_t worker_id);
   // Builds the QueryRecord for one served (or failed) query, records the
-  // latency histograms, applies the slow-query policy (trace attach + log
-  // append), and adds the record to the flight recorder.
+  // latency histograms, applies the slow-query policy (attach `sink`'s
+  // events from `first_event` on + log append), and adds the record to
+  // the flight recorder.
   void RecordTelemetry(const std::string& esql,
                        const Result<ServedQuery>& served,
                        const gov::GovernorLimits& granted, uint64_t queue_ns,
                        uint64_t serve_ns, size_t worker_id,
-                       const obs::TraceSink* scratch);
+                       const obs::TraceSink* sink, size_t first_event);
   // Whether the background thread has periodic persist saves / metrics
   // exports to run.
   bool persist_ticks() const {
     return !options_.persist_path.empty() && options_.persist_interval_ms != 0;
   }
-  bool export_ticks() const {
-    return telemetry_ != nullptr && !options_.telemetry_export_path.empty();
-  }
+  bool export_ticks() const { return !options_.telemetry_export_path.empty(); }
   // The background thread: runs each periodic tick when it falls due,
   // until Stop() sets stopping_.
   void BackgroundLoop();
@@ -380,7 +365,9 @@ class QueryService {
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<obs::TraceSink>> sinks_;  // per worker
 
-  std::unique_ptr<TelemetryState> telemetry_;  // null: telemetry off
+  LatencyHistograms latency_;
+  FlightRecorder recorder_;
+  std::unique_ptr<SlowQueryLog> slow_log_;  // null without a log path
 
   // persist_io_mu_ serializes actual file writes (periodic tick vs an
   // explicit SavePersistNow vs the final Stop() write); persist_stats_mu_

@@ -32,8 +32,7 @@ namespace eds::srv {
 //
 // Everything here is off the serve path's critical section: histograms
 // record via relaxed atomics, the recorder takes one short mutex per
-// query, and with ServiceOptions::telemetry=false none of it is touched
-// (one null-pointer branch, the PR-3 discipline).
+// query.
 
 // One served (or failed) query as the flight recorder keeps it.
 struct QueryRecord {
@@ -84,7 +83,6 @@ class FlightRecorder {
   // Retained records ranked by serve_ns descending (ties: newer first).
   std::vector<QueryRecord> Slowest(size_t limit) const;
 
-  size_t capacity() const { return capacity_; }
   uint64_t total_added() const;
 
  private:

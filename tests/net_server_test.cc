@@ -112,6 +112,42 @@ TEST_F(NetServerTest, QueryErrorsTravelAsFailedResults) {
   EXPECT_TRUE(again->ok);
 }
 
+// A rendered result over the frame cap is answered with a failed RESULT
+// naming the size and the cap, not with a frame the client would refuse
+// by dropping the connection and every query pipelined on it.
+TEST_F(NetServerTest, OversizeResultFailsWithMessageAndKeepsConnection) {
+  constexpr size_t kCap = 16 << 10;
+  for (int i = 100; i < 3100; ++i) {
+    ASSERT_TRUE(db_.session
+                    .InsertRow("BEATS", {value::Value::Int(i),
+                                         value::Value::Int(i + 1)})
+                    .ok());
+  }
+  ServerOptions server_options;
+  server_options.max_frame_bytes = kCap;
+  StartServer({}, server_options);
+  Client::Options copts;
+  copts.port = server_->port();
+  copts.max_frame_bytes = kCap;
+  auto client = Client::Connect(copts);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  auto big = (*client)->Query("SELECT Winner, Loser FROM BEATS");
+  ASSERT_TRUE(big.ok()) << big.status().ToString();  // transport ok
+  EXPECT_FALSE(big->ok);
+  EXPECT_NE(big->error.find("result too large"), std::string::npos)
+      << big->error;
+  EXPECT_NE(big->error.find(std::to_string(kCap)), std::string::npos)
+      << big->error;
+
+  // The same connection still serves.
+  auto small =
+      (*client)->Query("SELECT Winner FROM BEATS WHERE Winner < 3");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_TRUE(small->ok) << small->error;
+  EXPECT_EQ(small->rows.size(), 2u);
+}
+
 // The acceptance bar: >=4 clients x >=100 queries over TCP, result bags
 // byte-identical to single-threaded in-process serving.
 TEST_F(NetServerTest, ConcurrentClientsMatchSerialInProcessServing) {

@@ -2,11 +2,13 @@
 // aggregates vs engine statistics, Chrome trace-event JSON validity (via a
 // minimal JSON parser below), metrics-registry unification, and the
 // guarantee that observability never changes rewrite outcomes.
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -637,25 +639,55 @@ TEST(MergedTraceTest, NullAndEmptySinksAreSkipped) {
   EXPECT_EQ(events->array[0].Find("tid")->number, 3.0);
 }
 
-TEST(TraceSinkTest, AppendFromRebasesOntoTargetOrigin) {
-  TraceSink target;
-  { obs::Span span(&target, "own", "test"); }
-  TraceSink scratch;  // constructed later: larger origin_ns
-  ASSERT_GE(scratch.origin_ns(), target.origin_ns());
-  { obs::Span span(&scratch, "borrowed", "test"); }
-  const uint64_t scratch_rel = scratch.events()[0].start_ns;
+TEST(TraceSinkTest, ElapsedPointerIsFilledWithOrWithoutASink) {
+  uint64_t untraced_ns = 0;
+  {
+    obs::Span span(nullptr, "timed", "test", &untraced_ns);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(untraced_ns, 1'000'000u);
 
-  target.AppendFrom(scratch);
-  ASSERT_EQ(target.size(), 2u);
-  const TraceEvent& copied = target.events()[1];
-  EXPECT_EQ(copied.name, "borrowed");
-  // Rebased: scratch-relative time plus the origin gap, exactly.
-  EXPECT_EQ(copied.start_ns,
-            scratch_rel + (scratch.origin_ns() - target.origin_ns()));
-  // The borrowed event starts no earlier than the later sink's creation.
-  EXPECT_GE(copied.start_ns, scratch.origin_ns() - target.origin_ns());
-  // Source is untouched.
-  EXPECT_EQ(scratch.size(), 1u);
+  TraceSink sink;
+  uint64_t traced_ns = 0;
+  { obs::Span span(&sink, "timed", "test", &traced_ns); }
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.events()[0].dur_ns, traced_ns);  // one interval, not two
+}
+
+TEST(TraceSinkTest, ChromeTraceFromFirstEventSkipsEarlierSpans) {
+  TraceSink sink;
+  { obs::Span span(&sink, "earlier", "test"); }
+  { obs::Span span(&sink, "later", "test"); }
+  JsonValue root;
+  ASSERT_TRUE(JsonParser(sink.ToChromeTraceJson(1)).Parse(&root));
+  const JsonValue* events = root.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 1u);
+  EXPECT_EQ(events->array[0].Find("name")->str, "later");
+  EXPECT_EQ(events->array[0].Find("tid")->number, 1.0);
+}
+
+// PhaseTimes are read off the phase spans, so each phase time equals the
+// dur_ns of its span exactly (not a second pair of clock reads).
+TEST_F(ObsTest, PhaseTimesEqualTheirPhaseSpans) {
+  TraceSink sink;
+  session().set_trace_sink(&sink);
+  auto result = session().Query(NestedQuery());
+  session().set_trace_sink(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::map<std::string, std::vector<uint64_t>> durs;
+  for (const TraceEvent& e : sink.events()) durs[e.name].push_back(e.dur_ns);
+  const exec::PhaseTimes& t = result->phase_times;
+  const std::pair<const char*, uint64_t> phases[] = {
+      {"phase.parse", t.parse_ns},
+      {"phase.translate", t.translate_ns},
+      {"phase.schema", t.schema_ns},
+      {"phase.execute", t.exec_ns}};
+  for (const auto& [name, ns] : phases) {
+    ASSERT_EQ(durs[name].size(), 1u) << name;
+    EXPECT_EQ(durs[name][0], ns) << name;
+    EXPECT_GT(ns, 0u) << name;
+  }
 }
 
 }  // namespace

@@ -411,7 +411,9 @@ TEST(QueryServiceTest, CancelledWhileQueuedFailsFast) {
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
   gov::CancelToken cancel;
-  auto f = service.Submit("SELECT Winner FROM BEATS", &cancel);
+  SubmitOptions opts;
+  opts.cancel = &cancel;
+  auto f = service.Submit("SELECT Winner FROM BEATS", opts);
   cancel.Cancel();
   auto r = PumpOne(&service, std::move(f));
   ASSERT_FALSE(r.ok());
@@ -603,6 +605,93 @@ TEST(QueryServiceTest, L0DisabledNeverConsultsTheCache) {
   EXPECT_FALSE(repeat->l0_hit);
   L0Cache::Stats ls = service.l0_cache().GetStats();
   EXPECT_EQ(ls.hits + ls.misses + ls.inserts, 0u);
+}
+
+// A query whose L0 key is over the size cap is still served, through the
+// full front half, and never lands in L0.
+TEST(QueryServiceTest, OversizeTextBypassesL0AndIsStillServed) {
+  testutil::FilmDb db;
+  const std::string q =
+      "SELECT Title FROM FILM WHERE Title <> '" +
+      std::string(L0Cache::kDefaultMaxKeyBytes + 1, 'x') + "'";
+  auto expected = db.session.Query(q);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  for (int i = 0; i < 2; ++i) {
+    auto served = PumpOne(&service, service.Submit(q));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_FALSE(served->l0_hit);
+    EXPECT_EQ(served->result.rows, expected->rows);
+  }
+  obs::MetricsRegistry registry;
+  service.ExportMetrics(&registry);
+  EXPECT_GE(registry.Get("srv.l0.oversize_rejects"), 2.0);
+  EXPECT_EQ(registry.Get("srv.l0.entries"), 0.0);
+}
+
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// With collect_traces on, a slow query's trace is only its own spans (the
+// events after its mark in the worker sink), while the worker sink keeps
+// every query for the merged trace.
+TEST(QueryServiceTest, SlowCaptureWithCollectTracesKeepsBoth) {
+  testutil::FilmDb db;
+  ServiceOptions options = PumpedOptions();
+  options.collect_traces = true;
+  options.slow_query_ns = 1;  // every query is slow
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  constexpr int kQueries = 5;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(PumpOne(&service,
+                        service.Submit("SELECT Winner FROM BEATS WHERE "
+                                       "Winner > " + std::to_string(i)))
+                    .ok());
+  }
+  const std::string query_event = "\"name\":\"srv.query\"";
+  std::vector<QueryRecord> records = service.RecentQueries();
+  ASSERT_EQ(records.size(), static_cast<size_t>(kQueries));
+  for (const QueryRecord& rec : records) {
+    ASSERT_TRUE(rec.slow);
+    EXPECT_EQ(CountOccurrences(rec.trace_json, query_event), 1u)
+        << rec.trace_json;
+    EXPECT_NE(rec.trace_json.find(rec.text), std::string::npos)
+        << rec.trace_json;
+  }
+  std::ostringstream merged;
+  service.WriteMergedTrace(merged);
+  EXPECT_EQ(CountOccurrences(merged.str(), query_event),
+            static_cast<size_t>(kQueries));
+  service.Stop();
+}
+
+// With only a slow threshold, the worker sink holds one query at a time.
+TEST(QueryServiceTest, SlowCaptureWithoutCollectTracesEmptiesTheSink) {
+  testutil::FilmDb db;
+  ServiceOptions options = PumpedOptions();
+  options.slow_query_ns = 1;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  std::vector<const obs::TraceSink*> sinks = service.worker_sinks();
+  ASSERT_EQ(sinks.size(), 1u);  // the workers == 0 pump's sink
+  ASSERT_NE(sinks[0], nullptr);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(PumpOne(&service,
+                        service.Submit("SELECT Loser FROM BEATS WHERE "
+                                       "Loser > " + std::to_string(i)))
+                    .ok());
+    EXPECT_EQ(sinks[0]->size(), 0u);
+    EXPECT_FALSE(service.RecentQueries(1)[0].trace_json.empty());
+  }
+  service.Stop();
 }
 
 TEST(QueryServiceTest, MetricsExportersUseDottedNames) {

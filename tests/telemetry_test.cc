@@ -331,7 +331,6 @@ TEST(ServiceTelemetryTest, RecorderTracksOutcomesNewestFirst) {
   testutil::FilmDb db;
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
-  EXPECT_TRUE(service.telemetry_enabled());
 
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
   EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
@@ -365,27 +364,6 @@ TEST(ServiceTelemetryTest, TemplateHitSharesTheMissesHash) {
   EXPECT_NE(recent[0].template_hash, 0u);
   // Same structure, different literal: the workload grouping key matches.
   EXPECT_EQ(recent[0].template_hash, recent[1].template_hash);
-  service.Stop();
-}
-
-TEST(ServiceTelemetryTest, TelemetryOffCostsAndRecordsNothing) {
-  testutil::FilmDb db;
-  ServiceOptions options = PumpedOptions();
-  options.telemetry = false;
-  QueryService service(&db.session, options);
-  EDS_ASSERT_OK(service.Start());
-  EXPECT_FALSE(service.telemetry_enabled());
-  EDS_ASSERT_OK_RESULT(PumpOne(
-      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 7")));
-  EXPECT_TRUE(service.RecentQueries().empty());
-  EXPECT_TRUE(service.SlowestQueries(5).empty());
-  EXPECT_EQ(service.slow_queries_logged(), 0u);
-
-  MetricsRegistry registry;
-  service.ExportMetrics(&registry);
-  EXPECT_TRUE(registry.Has("srv.submitted"));  // tallies still export
-  EXPECT_FALSE(registry.Has("srv.latency.serve.count"));
-  EXPECT_FALSE(registry.Has("srv.flight_recorder.total"));
   service.Stop();
 }
 
