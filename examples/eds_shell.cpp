@@ -440,9 +440,10 @@ class Shell {
     }
     eds::srv::PlanCache::Stats s = service_->cache().GetStats();
     std::cout << "entries:         " << s.entries << " (" << s.nodes
-              << " nodes)\n"
+              << " nodes, " << s.probation_nodes << " in probation)\n"
               << "hits / misses:   " << s.hits << " / " << s.misses << "\n"
               << "inserts:         " << s.inserts << "\n"
+              << "promotions:      " << s.promotions << "\n"
               << "evictions:       " << s.evictions << "\n"
               << "insert failures: " << s.insert_failures << "\n"
               << "invalidations:   " << s.invalidations << "\n";

@@ -184,7 +184,7 @@ void ExportInternerStats(const term::Interner::Stats& stats,
                          MetricsRegistry* registry) {
   registry->Counter("interner.hits", stats.hits);
   registry->Counter("interner.misses", stats.misses);
-  registry->Counter("interner.entries", stats.entries);
+  registry->Gauge("interner.entries", static_cast<double>(stats.entries));
   registry->Counter("interner.sweeps", stats.sweeps);
 }
 

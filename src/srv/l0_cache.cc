@@ -138,7 +138,7 @@ void ExportL0Stats(const L0Cache::Stats& stats,
   registry->Counter("srv.l0.evictions", stats.evictions);
   registry->Counter("srv.l0.invalidations", stats.invalidations);
   registry->Counter("srv.l0.oversize_rejects", stats.oversize_rejects);
-  registry->Counter("srv.l0.entries", stats.entries);
+  registry->Gauge("srv.l0.entries", static_cast<double>(stats.entries));
 }
 
 }  // namespace eds::srv

@@ -21,7 +21,8 @@ uint64_t Mix(uint64_t x) {
 }  // namespace
 
 PlanCache::PlanCache(const Config& config)
-    : max_nodes_(std::max<uint64_t>(1, config.max_nodes)) {}
+    : max_nodes_(std::max<uint64_t>(1, config.max_nodes)),
+      probation_cap_(std::max<uint64_t>(1, max_nodes_ / kProbationShare)) {}
 
 uint64_t PlanCache::KeyHash(const Key& key) {
   uint64_t h = key.tmpl != nullptr ? key.tmpl->structural_hash() : 0;
@@ -39,28 +40,70 @@ bool PlanCache::KeyEquals(const Key& a, const Key& b) {
   return term::Equals(a.tmpl, b.tmpl);
 }
 
-PlanCache::EntryList::iterator PlanCache::FindLocked(const Key& key,
-                                                     uint64_t hash) {
+std::optional<PlanCache::EntryList::iterator> PlanCache::FindLocked(
+    const Key& key, uint64_t hash) {
   auto it = index_.find(hash);
   if (it != index_.end()) {
     for (EntryList::iterator eit : it->second) {
       if (KeyEquals(eit->key, key)) return eit;
     }
   }
-  return entries_.end();
+  return std::nullopt;
+}
+
+void PlanCache::ChargeLocked(Entry& entry, uint64_t nodes) {
+  stats_.nodes = stats_.nodes - entry.charged_nodes + nodes;
+  if (!entry.is_protected) {
+    stats_.probation_nodes =
+        stats_.probation_nodes - entry.charged_nodes + nodes;
+  }
+  entry.charged_nodes = nodes;
+}
+
+void PlanCache::MoveToHeadLocked(EntryList::iterator it, bool to_protected) {
+  // Uncharged from the old segment, recharged to the new one.
+  const uint64_t charge = it->charged_nodes;
+  ChargeLocked(*it, 0);
+  EntryList& from = it->is_protected ? protected_ : probation_;
+  EntryList& to = to_protected ? protected_ : probation_;
+  to.splice(to.begin(), from, it);
+  it->is_protected = to_protected;
+  ChargeLocked(*it, charge);
+}
+
+void PlanCache::EnforceCapsLocked() {
+  // Protected may use what probation's cap leaves of the ceiling; its
+  // overflow gets a second chance at the probation head.
+  const uint64_t protected_cap =
+      max_nodes_ > probation_cap_ ? max_nodes_ - probation_cap_ : 0;
+  while (stats_.nodes - stats_.probation_nodes > protected_cap &&
+         protected_.size() > 1) {
+    MoveToHeadLocked(std::prev(protected_.end()), /*to_protected=*/false);
+  }
+  // Only probation evicts, so a flood of one-shot inserts can never push
+  // out a plan that has been reused. The head survives even when it alone
+  // exceeds the cap (a cache that cannot hold the working plan is useless,
+  // not wrong).
+  while (stats_.probation_nodes > probation_cap_ && probation_.size() > 1) {
+    EraseLocked(std::prev(probation_.end()));
+    ++stats_.evictions;
+  }
 }
 
 std::optional<term::TermRef> PlanCache::Lookup(const Key& key) {
   const uint64_t hash = KeyHash(key);
   std::lock_guard<std::mutex> lock(mu_);
-  EntryList::iterator it = FindLocked(key, hash);
-  if (it == entries_.end()) {
+  std::optional<EntryList::iterator> found = FindLocked(key, hash);
+  if (!found.has_value()) {
     ++stats_.misses;
     return std::nullopt;
   }
+  EntryList::iterator it = *found;
   ++stats_.hits;
   ++it->hits;
-  entries_.splice(entries_.begin(), entries_, it);  // bump to most-recent
+  if (!it->is_protected) ++stats_.promotions;
+  MoveToHeadLocked(it, /*to_protected=*/true);
+  EnforceCapsLocked();
   return it->normal_form;
 }
 
@@ -71,9 +114,9 @@ void PlanCache::EraseLocked(EntryList::iterator it) {
     vec.erase(std::remove(vec.begin(), vec.end(), it), vec.end());
     if (vec.empty()) index_.erase(idx);
   }
-  stats_.nodes -= it->charged_nodes;
+  ChargeLocked(*it, 0);
   --stats_.entries;
-  entries_.erase(it);
+  (it->is_protected ? protected_ : probation_).erase(it);
 }
 
 void PlanCache::Insert(const Key& key, term::TermRef normal_form,
@@ -94,74 +137,72 @@ void PlanCache::Insert(const Key& key, term::TermRef normal_form,
     ++stats_.insert_failures;
     return;
   }
-  EntryList::iterator it = FindLocked(key, hash);
-  if (it == entries_.end()) {
-    entries_.push_front(Entry{});
-    entries_.front().key = key;
-    index_[hash].push_back(entries_.begin());
+  // A refresh (same key rewritten again, e.g. after a racing double-miss)
+  // updates the entry in place and keeps its segment.
+  std::optional<EntryList::iterator> found = FindLocked(key, hash);
+  EntryList::iterator it;
+  if (found.has_value()) {
+    it = *found;
+  } else {
+    probation_.push_front(Entry{});
+    it = probation_.begin();
+    it->key = key;
+    index_[hash].push_back(it);
     ++stats_.inserts;
     ++stats_.entries;
-  } else {
-    // Refresh in place (same key rewritten again, e.g. after a racing
-    // double-miss).
-    stats_.nodes -= it->charged_nodes;
-    entries_.splice(entries_.begin(), entries_, it);
   }
-  Entry& entry = entries_.front();
-  entry.normal_form = std::move(normal_form);
-  entry.charged_nodes =
-      key.tmpl->node_count() + entry.normal_form->node_count();
-  entry.hits += seed_hits;
-  entry.rewrite_ns = rewrite_ns;
-  entry.sample_params = std::move(sample_params);
-  stats_.nodes += entry.charged_nodes;
-  // Evict least-recently-used entries until back under the ceiling (a
-  // refresh can grow an entry too); the entry just written survives even
-  // when it alone exceeds the ceiling (a cache that cannot hold the
-  // working plan is useless, not wrong).
-  while (stats_.nodes > max_nodes_ && entries_.size() > 1) {
-    EraseLocked(std::prev(entries_.end()));
-    ++stats_.evictions;
-  }
+  it->normal_form = std::move(normal_form);
+  ChargeLocked(*it, key.tmpl->node_count() + it->normal_form->node_count());
+  it->hits += seed_hits;
+  it->rewrite_ns = rewrite_ns;
+  it->sample_params = std::move(sample_params);
+  MoveToHeadLocked(it, it->is_protected || seed_hits > 0);
+  EnforceCapsLocked();
 }
 
 std::vector<PlanCache::SnapshotEntry> PlanCache::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotEntry> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    SnapshotEntry s;
-    s.tmpl = e.key.tmpl;
-    s.normal_form = e.normal_form;
-    s.catalog_epoch = e.key.catalog_epoch;
-    s.rules_epoch = e.key.rules_epoch;
-    s.hits = e.hits;
-    s.rewrite_ns = e.rewrite_ns;
-    s.sample_params = e.sample_params;
-    out.push_back(std::move(s));
+  out.reserve(stats_.entries);
+  for (const EntryList* segment : {&protected_, &probation_}) {
+    for (const Entry& e : *segment) {
+      SnapshotEntry s;
+      s.tmpl = e.key.tmpl;
+      s.normal_form = e.normal_form;
+      s.catalog_epoch = e.key.catalog_epoch;
+      s.rules_epoch = e.key.rules_epoch;
+      s.hits = e.hits;
+      s.rewrite_ns = e.rewrite_ns;
+      s.sample_params = e.sample_params;
+      out.push_back(std::move(s));
+    }
   }
   return out;
 }
 
 void PlanCache::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.invalidations += entries_.size();
+  stats_.invalidations += stats_.entries;
   stats_.entries = 0;
   stats_.nodes = 0;
-  entries_.clear();
+  stats_.probation_nodes = 0;
+  probation_.clear();
+  protected_.clear();
   index_.clear();
 }
 
 void PlanCache::DropStale(uint64_t catalog_epoch, uint64_t rules_epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->key.catalog_epoch == catalog_epoch &&
-        it->key.rules_epoch == rules_epoch) {
-      ++it;
-      continue;
+  for (EntryList* segment : {&protected_, &probation_}) {
+    for (auto it = segment->begin(); it != segment->end();) {
+      if (it->key.catalog_epoch == catalog_epoch &&
+          it->key.rules_epoch == rules_epoch) {
+        ++it;
+        continue;
+      }
+      EraseLocked(it++);
+      ++stats_.invalidations;
     }
-    EraseLocked(it++);
-    ++stats_.invalidations;
   }
 }
 

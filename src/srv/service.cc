@@ -636,7 +636,8 @@ void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->Counter("persist.save.l0", persist_save_stats_.l0);
     registry->Counter("persist.save.skipped", persist_save_stats_.skipped);
     registry->Counter("persist.save.stale", persist_save_stats_.stale);
-    registry->Counter("persist.save.bytes", persist_save_stats_.bytes);
+    registry->Gauge("persist.save.bytes",
+                    static_cast<double>(persist_save_stats_.bytes));
     registry->Counter("persist.save.count", persist_saves_);
     registry->Counter("persist.save.failures", persist_save_failures_);
   }
@@ -760,8 +761,13 @@ void ExportCacheStats(const PlanCache::Stats& stats,
   registry->Counter("cache.evictions", stats.evictions);
   registry->Counter("cache.insert_failures", stats.insert_failures);
   registry->Counter("cache.invalidations", stats.invalidations);
-  registry->Counter("cache.entries", stats.entries);
-  registry->Counter("cache.nodes", stats.nodes);
+  registry->Counter("cache.promotions", stats.promotions);
+  // Levels that fall on eviction: gauges, so rate() never reads a drop as
+  // a counter reset.
+  registry->Gauge("cache.entries", static_cast<double>(stats.entries));
+  registry->Gauge("cache.nodes", static_cast<double>(stats.nodes));
+  registry->Gauge("cache.probation_nodes",
+                  static_cast<double>(stats.probation_nodes));
 }
 
 void ExportServiceStats(const ServiceStats& stats,

@@ -287,6 +287,50 @@ TEST(PersistTest, VerifyLoadRejectsDivergentPlans) {
                    .has_value());
 }
 
+TEST(PersistTest, WarmRestoredHotEntrySurvivesOneShotFlood) {
+  // A restored entry with persisted hits lands in the protected segment,
+  // so a burst of one-shot templates after the restart cannot evict it; a
+  // restored entry that was never hit starts in probation like any insert.
+  CacheImage image;
+  PersistedPlan hot;
+  hot.tmpl_text = "FILTER(RELATION('HOT'), ($1.1 > 1))";
+  hot.nf_text = hot.tmpl_text;
+  hot.hits = 7;
+  PersistedPlan cold = hot;
+  cold.tmpl_text = "FILTER(RELATION('COLD'), ($1.1 > 1))";
+  cold.nf_text = cold.tmpl_text;
+  cold.hits = 0;
+  image.plans = {hot, cold};
+  PlanCache::Config config;
+  config.max_nodes = 1024;  // probation cap 64
+  PlanCache cache(config);
+  L0Cache l0(16);
+  PersistOptions opts;
+  LoadStats stats;
+  ASSERT_EQ(WarmServiceCaches(image, nullptr, &cache, &l0, 0, 0, opts,
+                              &stats),
+            2u);
+  // The two entries have the same shape, so each charges half the nodes:
+  // hot in protected, cold in probation, and no hit promoted either.
+  PlanCache::Stats restored = cache.GetStats();
+  EXPECT_EQ(restored.probation_nodes * 2, restored.nodes);
+  EXPECT_EQ(restored.promotions, 0u);
+  for (int i = 0; i < 1000; ++i) {
+    auto t = term::ParseTerm("FILTER(RELATION('ONCE'), ($1.1 > " +
+                             std::to_string(i) + "))");
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    cache.Insert({*t, 0, 0}, *t);
+  }
+  EXPECT_GT(cache.GetStats().evictions, 0u);
+  auto reparse = [](const std::string& text) {
+    auto t = term::ParseTerm(text);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return *t;
+  };
+  EXPECT_TRUE(cache.Lookup({reparse(hot.tmpl_text), 0, 0}).has_value());
+  EXPECT_FALSE(cache.Lookup({reparse(cold.tmpl_text), 0, 0}).has_value());
+}
+
 TEST(PersistTest, OversizeL0KeysAreNeverPersisted) {
   // A key past the L0 length cap is rejected at insert time (counted), so
   // it can never reach the persisted file.

@@ -155,21 +155,119 @@ TEST(PlanCacheTest, EpochMismatchMisses) {
 
 TEST(PlanCacheTest, LruEvictionUnderNodeCeiling) {
   PlanCache::Config config;
-  config.max_nodes = 12;  // each entry charges 2 + 2 = 4 nodes
+  config.max_nodes = 128;  // probation cap 128 / 16 = 8: two 4-node entries
   PlanCache cache(config);
   cache.Insert(MakeKey(T(1)), T(101));
   cache.Insert(MakeKey(T(2)), T(102));
-  cache.Insert(MakeKey(T(3)), T(103));
-  // Touch T(1) so T(2) is the least recently used.
+  // T(1)'s first hit promotes it out of probation.
   EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
+  cache.Insert(MakeKey(T(3)), T(103));
   cache.Insert(MakeKey(T(4)), T(104));
+  // Probation held T(4), T(3), T(2) = 12 nodes over its cap of 8: its
+  // least recently used entry went, although the cache has room to spare.
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.entries, 3u);
-  EXPECT_LE(stats.nodes, 12u);
+  EXPECT_EQ(stats.nodes, 12u);
+  EXPECT_EQ(stats.probation_nodes, 8u);
   EXPECT_FALSE(cache.Lookup(MakeKey(T(2))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(3))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(4))).has_value());
+  EXPECT_EQ(cache.GetStats().promotions, 3u);
+}
+
+TEST(PlanCacheTest, HitEntrySurvivesOneShotFloodLargerThanTheCache) {
+  PlanCache::Config config;
+  config.max_nodes = 1024;  // probation cap 64: sixteen 4-node entries
+  PlanCache cache(config);
+  cache.Insert(MakeKey(T(0)), T(100));
+  ASSERT_TRUE(cache.Lookup(MakeKey(T(0))).has_value());
+  // 2000 one-shot templates charge 8000 nodes, nearly 8x the ceiling; a
+  // plain LRU would have pushed the reused plan out long ago.
+  constexpr int kFlood = 2000;
+  for (int i = 1; i <= kFlood; ++i) cache.Insert(MakeKey(T(i)), T(100000 + i));
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.evictions, static_cast<uint64_t>(kFlood - 16));
+  EXPECT_EQ(stats.entries, 17u);
+  EXPECT_EQ(stats.probation_nodes, 64u);
+  EXPECT_EQ(stats.nodes, 68u);
+  auto hit = cache.Lookup(MakeKey(T(0)));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->get(), T(100).get());
+  // The flood's survivors are its newest sixteen.
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(kFlood - 15))).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(kFlood - 16))).has_value());
+}
+
+TEST(PlanCacheTest, ProbationNeverExceedsItsCap) {
+  PlanCache::Config config;
+  config.max_nodes = 1024;  // probation cap 64
+  PlanCache cache(config);
+  for (int i = 1; i <= 100; ++i) {
+    // Entries of varying size: i % 7 extra constants charge 4 + i % 7.
+    term::TermList args = {term::Term::Constant(Value::Int(i))};
+    for (int k = 0; k < i % 7; ++k) {
+      args.push_back(term::Term::Constant(Value::Int(k)));
+    }
+    cache.Insert(MakeKey(T(i)), term::Term::Apply("PLAN", args));
+    ASSERT_LE(cache.GetStats().probation_nodes, 64u) << "after insert " << i;
+  }
+  // One entry that alone exceeds the cap is still cached; probation then
+  // holds it and nothing else.
+  term::TermList wide;
+  for (int k = 0; k < 100; ++k) {
+    wide.push_back(term::Term::Constant(Value::Int(k)));
+  }
+  term::TermRef big = term::Term::Apply("PLAN", wide);
+  cache.Insert(MakeKey(T(1000)), big);
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.probation_nodes, 2 + big->node_count());
+  EXPECT_GT(stats.probation_nodes, 64u);
+  auto hit = cache.Lookup(MakeKey(T(1000)));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->get(), big.get());
+  // Promoted: probation is empty again.
+  EXPECT_EQ(cache.GetStats().probation_nodes, 0u);
+}
+
+TEST(PlanCacheTest, DropStaleAndInvalidateAllClearBothSegments) {
+  PlanCache cache;
+  // A and B under epochs (1, 1), C and D under (2, 1); A and C are hit,
+  // so each segment holds one entry of each epoch pair.
+  cache.Insert(MakeKey(T(1), 1, 1), T(101));
+  cache.Insert(MakeKey(T(2), 1, 1), T(102));
+  cache.Insert(MakeKey(T(3), 2, 1), T(103));
+  cache.Insert(MakeKey(T(4), 2, 1), T(104));
+  ASSERT_TRUE(cache.Lookup(MakeKey(T(1), 1, 1)).has_value());
+  ASSERT_TRUE(cache.Lookup(MakeKey(T(3), 2, 1)).has_value());
+  PlanCache::Stats stats = cache.GetStats();
+  ASSERT_EQ(stats.entries, 4u);
+  ASSERT_EQ(stats.nodes, 16u);
+  ASSERT_EQ(stats.probation_nodes, 8u);
+
+  cache.DropStale(2, 1);  // drops protected A and probation B
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.nodes, 8u);            // protected C + probation D
+  EXPECT_EQ(stats.probation_nodes, 4u);  // D
+  EXPECT_EQ(cache.Snapshot().size(), 2u);
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(1), 1, 1)).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(2), 1, 1)).has_value());
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(3), 2, 1)).has_value());
+
+  cache.InvalidateAll();  // protected C, probation D
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.invalidations, 4u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.nodes, 0u);
+  EXPECT_EQ(stats.probation_nodes, 0u);
+  EXPECT_TRUE(cache.Snapshot().empty());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(3), 2, 1)).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(4), 2, 1)).has_value());
 }
 
 TEST(PlanCacheTest, OversizedEntryStillCached) {
@@ -205,26 +303,35 @@ TEST(PlanCacheTest, InvalidateAllDropsEverything) {
 
 TEST(PlanCacheTest, RefreshThatGrowsAnEntryEvictsBackUnderTheCeiling) {
   PlanCache::Config config;
-  config.max_nodes = 12;  // three 2 + 2 = 4-node entries fill it exactly
+  config.max_nodes = 64;  // probation cap 4 (one entry), protected 60
   PlanCache cache(config);
-  cache.Insert(MakeKey(T(1)), T(101));
-  cache.Insert(MakeKey(T(2)), T(102));
-  cache.Insert(MakeKey(T(3)), T(103));
-  ASSERT_EQ(cache.GetStats().nodes, 12u);
+  // Fifteen hit entries fill protected exactly; T(16) waits in probation.
+  for (int i = 1; i <= 15; ++i) {
+    cache.Insert(MakeKey(T(i)), T(100 + i));
+    ASSERT_TRUE(cache.Lookup(MakeKey(T(i))).has_value());
+  }
+  cache.Insert(MakeKey(T(16)), T(116));
+  ASSERT_EQ(cache.GetStats().nodes, 64u);
+  ASSERT_EQ(cache.GetStats().evictions, 0u);
   // Refresh T(1) with a 4-node normal form: its charge grows 4 -> 6.
   term::TermRef bigger =
       term::Term::Apply("PLAN", {T(201), term::Term::Constant(Value::Int(7))});
-  ASSERT_GE(bigger->node_count(), 4u);
+  ASSERT_EQ(bigger->node_count(), 4u);
   cache.Insert(MakeKey(T(1)), bigger);
+  // Protected went over its 60 nodes, so its least recently used entry
+  // T(2) was demoted to the probation head; probation went over its cap
+  // and evicted T(16), its tail.
   PlanCache::Stats stats = cache.GetStats();
-  EXPECT_LE(stats.nodes, 12u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  // The refreshed entry survives; the least recently used one went.
+  EXPECT_EQ(stats.entries, 15u);
+  EXPECT_EQ(stats.nodes, 62u);
+  EXPECT_EQ(stats.probation_nodes, 4u);
   auto hit = cache.Lookup(MakeKey(T(1)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->get(), bigger.get());
-  EXPECT_FALSE(cache.Lookup(MakeKey(T(2))).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(16))).has_value());
+  // The demoted entry had its second chance: a hit promotes it back.
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(2))).has_value());
 }
 
 // ---------------- admission policy ----------------
@@ -709,6 +816,28 @@ TEST(QueryServiceTest, MetricsExportersUseDottedNames) {
   EXPECT_NE(json.find("cache.hits"), std::string::npos) << json;
   EXPECT_NE(json.find("srv.admitted"), std::string::npos) << json;
   EXPECT_NE(json.find("srv.l0.hits"), std::string::npos) << json;
+}
+
+TEST(QueryServiceTest, LevelMetricsExportAsGauges) {
+  // Sizes fall on eviction and sweeps; typed as counters, Prometheus
+  // rate() would read every drop as a counter reset.
+  obs::MetricsRegistry registry;
+  ExportCacheStats(PlanCache::Stats{}, &registry);
+  ExportL0Stats(L0Cache::Stats{}, &registry);
+  obs::ExportInternerStats(term::Interner::Stats{}, &registry);
+  const std::string prom = registry.ToPrometheus();
+  for (const char* gauge : {"cache_entries", "cache_nodes",
+                            "cache_probation_nodes", "srv_l0_entries",
+                            "interner_entries"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + gauge + " gauge\n"),
+              std::string::npos)
+        << gauge << "\n" << prom;
+  }
+  for (const char* counter : {"cache_promotions", "cache_evictions"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + counter + " counter\n"),
+              std::string::npos)
+        << counter << "\n" << prom;
+  }
 }
 
 TEST(QueryServiceTest, MergedTraceCarriesWorkerTids) {
