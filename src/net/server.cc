@@ -13,8 +13,10 @@
 #include <cstring>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "gov/failpoint.h"
+#include "obs/trace.h"
 
 namespace eds::net {
 
@@ -49,6 +51,12 @@ Status FailWrite() {
   return Status::OK();
 }
 
+// Bytes read from one connection per poller pass: poll is level-triggered,
+// so a client with more queued gets the rest on the next pass, after every
+// other ready connection had its turn.
+constexpr size_t kReadBudgetBytes = 64 << 10;
+constexpr int kListenBacklog = 64;
+
 const char* TypeName(MsgType t) {
   switch (t) {
     case MsgType::kHello: return "HELLO";
@@ -69,18 +77,13 @@ const char* TypeName(MsgType t) {
 }  // namespace
 
 Server::Server(srv::QueryService* service, const ServerOptions& options)
-    : service_(service), options_(options) {
-  if (options_.collect_traces) {
-    sink_ = std::make_unique<obs::TraceSink>();
-  }
-}
+    : service_(service), options_(options) {}
 
 Server::~Server() { Shutdown(true); }
 
 Status Server::Start() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (running_) return Status::InvalidArgument("server already running");
+  if (phase_.load() != Phase::kStopped) {
+    return Status::InvalidArgument("server already running");
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
@@ -101,7 +104,7 @@ Status Server::Start() {
       0) {
     return fail(Errno("bind"));
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) return fail(Errno("listen"));
+  if (::listen(listen_fd_, kListenBacklog) < 0) return fail(Errno("listen"));
   sockaddr_in bound{};
   socklen_t blen = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen) <
@@ -114,28 +117,17 @@ Status Server::Start() {
   if (::pipe(wake_fds_) != 0) return fail(Errno("pipe"));
   (void)SetNonBlocking(wake_fds_[0]);
   (void)SetNonBlocking(wake_fds_[1]);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    running_ = true;
-    accepting_ = true;
-    stop_ = false;
-    draining_.store(false);
-    stopping_.store(false);
-  }
+  phase_.store(Phase::kServing);
   poller_ = std::thread(&Server::PollLoop, this);
   return Status::OK();
 }
 
 void Server::Shutdown(bool drain) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
-    accepting_ = false;
-  }
-  // From here on new QUERY frames are refused with a failed RESULT, so
-  // pending_total_ only decreases: a client that keeps pipelining cannot
-  // hold the drain open.
-  draining_.store(true);
+  // From here on the poller stops accepting and new QUERY frames are
+  // refused with a failed RESULT, so pending_total_ only decreases: a
+  // client that keeps pipelining cannot hold the drain open.
+  Phase serving = Phase::kServing;
+  if (!phase_.compare_exchange_strong(serving, Phase::kDraining)) return;
   WakePoller();
   if (drain) {
     // Connections stay open while their admitted queries finish; the
@@ -143,22 +135,13 @@ void Server::Shutdown(bool drain) {
     // drain_timeout_ms — anything still pending afterwards is cancelled
     // by the stop path below.
     std::unique_lock<std::mutex> dlock(drain_mu_);
-    auto drained = [&] { return pending_total_.load() == 0; };
-    if (options_.drain_timeout_ms > 0) {
-      (void)drain_cv_.wait_for(
-          dlock, std::chrono::milliseconds(options_.drain_timeout_ms),
-          drained);
-    } else {
-      drain_cv_.wait(dlock, drained);
-    }
+    (void)drain_cv_.wait_for(
+        dlock, std::chrono::milliseconds(options_.drain_timeout_ms),
+        [&] { return pending_total_.load() == 0; });
   }
-  // Aborts any send still parked on a slow reader, so the poller join
-  // below can never wait behind one.
-  stopping_.store(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
+  // Ends the poller loop and aborts any send still parked on a slow
+  // reader, so the poller join below can never wait behind one.
+  phase_.store(Phase::kStopping);
   WakePoller();
   if (poller_.joinable()) poller_.join();
   // The poller's exit path cancelled whatever was still pending (the
@@ -168,19 +151,11 @@ void Server::Shutdown(bool drain) {
     std::unique_lock<std::mutex> dlock(drain_mu_);
     drain_cv_.wait(dlock, [&] { return pending_total_.load() == 0; });
   }
-  for (int i = 0; i < 2; ++i) {
-    if (wake_fds_[i] >= 0) {
-      ::close(wake_fds_[i]);
-      wake_fds_[i] = -1;
-    }
+  for (int& fd : wake_fds_) {
+    ::close(fd);
+    fd = -1;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  running_ = false;
-}
-
-bool Server::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
+  phase_.store(Phase::kStopped);
 }
 
 size_t Server::active_connections() const {
@@ -226,6 +201,11 @@ void Server::ExportMetrics(obs::MetricsRegistry* registry) const {
                   static_cast<double>(pending_total_.load()));
 }
 
+void Server::Count(uint64_t ServerStats::*field, uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.*field += n;
+}
+
 void Server::WakePoller() {
   if (wake_fds_[1] >= 0) {
     char b = 1;
@@ -238,11 +218,11 @@ void Server::PollLoop() {
   for (;;) {
     std::vector<pollfd> fds;
     std::vector<ConnPtr> polled;
-    bool accepting = false;
+    const Phase phase = phase_.load();
+    if (phase == Phase::kStopping) break;
+    const bool accepting = phase == Phase::kServing;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) break;
-      accepting = accepting_;
       fds.push_back({wake_fds_[0], POLLIN, 0});
       if (accepting) fds.push_back({listen_fd_, POLLIN, 0});
       polled.reserve(conns_.size());
@@ -257,10 +237,7 @@ void Server::PollLoop() {
       // A persistent failure (e.g. EINVAL once nfds exceeds the rlimit)
       // returns immediately; back off instead of busy-spinning the
       // rebuild-and-retry loop at 100% CPU.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.poll_errors;
-      }
+      Count(&ServerStats::poll_errors);
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
@@ -271,7 +248,7 @@ void Server::PollLoop() {
     }
     size_t base = 1;
     if (accepting) {
-      if (fds[1].revents & POLLIN) AcceptReady();
+      if (fds[1].revents & POLLIN) Accept();
       base = 2;
     }
     for (size_t i = 0; i < polled.size(); ++i) {
@@ -282,12 +259,8 @@ void Server::PollLoop() {
         continue;
       }
       if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Status read = ReadAvailable(conn);
-      if (!read.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.read_errors;
-        }
+      if (!ReadAvailable(conn).ok()) {
+        Count(&ServerStats::read_errors);
         CloseConnection(conn);
         continue;
       }
@@ -296,7 +269,7 @@ void Server::PollLoop() {
       }
     }
   }
-  // stop_: tear everything down. Closing cancels pending tokens; their
+  // Stopping: tear everything down. Closing cancels pending tokens; their
   // callbacks drain after the poller exits (Shutdown waits for them).
   std::vector<ConnPtr> rest;
   {
@@ -310,86 +283,70 @@ void Server::PollLoop() {
   }
 }
 
-void Server::AcceptReady() {
-  Status s = AcceptOne();
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.accept_errors;
-  }
-}
-
-Status Server::AcceptOne() {
-  sockaddr_in addr{};
-  socklen_t alen = sizeof(addr);
-  int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
+void Server::Accept() {
+  int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      return Status::OK();
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      Count(&ServerStats::accept_errors);
     }
-    return Errno("accept");
+    return;
   }
   // The fail point fires after accept so injection closes a real
   // connection (the client observes a reset, the chaos test's vantage
   // point) instead of busy-looping the listen socket.
-  Status injected = FailAccept();
-  if (!injected.ok()) {
+  if (!FailAccept().ok()) {
     ::close(fd);
-    return injected;
+    Count(&ServerStats::accept_errors);
+    return;
   }
   (void)SetNonBlocking(fd);
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto conn = std::make_shared<Connection>();
   conn->fd = fd;
-  char host[INET_ADDRSTRLEN] = {0};
-  ::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host));
-  conn->peer = std::string(host) + ":" + std::to_string(ntohs(addr.sin_port));
-  conn->open_ns = obs::NowNs();
-  bool reject = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (conns_.size() >= options_.max_connections) {
-      reject = true;
-      ++stats_.rejected;
-    } else {
+    if (conns_.size() < options_.max_connections) {
       conn->id = next_session_id_++;
       conns_[fd] = conn;
       ++stats_.accepted;
+      return;
     }
+    ++stats_.rejected;
   }
-  if (reject) {
-    ErrorMsg err;
-    err.message = "server connection limit reached";
-    std::string frame;
-    AppendFrame(MsgType::kError, 0, EncodeError(err), &frame);
-    (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-    ::close(fd);
-  }
-  return Status::OK();
+  ErrorMsg err;
+  err.message = "server connection limit reached";
+  std::string frame;
+  AppendFrame(MsgType::kError, 0, EncodeError(err), &frame);
+  (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+  ::close(fd);
 }
 
 Status Server::ReadAvailable(const ConnPtr& conn) {
   Status injected = FailRead();
   if (!injected.ok()) return injected;
   char buf[16384];
-  for (;;) {
+  size_t got = 0;
+  Status status;
+  while (got < kReadBudgetBytes) {
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.bytes_read += static_cast<uint64_t>(n);
+      got += static_cast<size_t>(n);
       continue;
     }
+    if (n < 0 && errno == EINTR) continue;
     if (n == 0) {
       // Clean EOF: whatever complete frames are buffered still dispatch,
       // then the connection closes.
       conn->wants_close.store(true);
-      return Status::OK();
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      status = Errno("recv");
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
-    if (errno == EINTR) continue;
-    return Errno("recv");
+    break;
   }
+  if (got > 0) Count(&ServerStats::bytes_read, got);
+  return status;
 }
 
 bool Server::DrainFrames(const ConnPtr& conn) {
@@ -403,23 +360,13 @@ bool Server::DrainFrames(const ConnPtr& conn) {
       ProtocolError(conn, 0, why);
       return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.frames_read;
-    }
+    Count(&ServerStats::frames_read);
     if (!Dispatch(conn, frame)) return false;
     if (conn->wants_close.load()) return true;
   }
 }
 
 bool Server::Dispatch(const ConnPtr& conn, const Frame& f) {
-  std::unique_ptr<obs::Span> span;
-  if (sink_ != nullptr) {
-    span = std::make_unique<obs::Span>(
-        sink_.get(), std::string("net.msg.") + TypeName(f.type), "net");
-    span->Arg("session", conn->id);
-    span->Arg("request", f.request_id);
-  }
   if (!conn->hello_done && f.type != MsgType::kHello) {
     ProtocolError(conn, f.request_id, "HELLO required before any other message");
     return false;
@@ -462,15 +409,12 @@ bool Server::Dispatch(const ConnPtr& conn, const Frame& f) {
           .ok();
     }
     case MsgType::kQuery:
-      if (draining_.load()) {
+      if (phase_.load() != Phase::kServing) {
         // Shutdown in progress: refusing here keeps pending_total_
         // monotonically decreasing so the drain wait terminates. The
         // refusal travels as a failed RESULT (like any per-query error)
         // and the connection stays open for RESULTs still in flight.
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.drain_rejected;
-        }
+        Count(&ServerStats::drain_rejected);
         ResultMsg r;
         r.ok = false;
         r.error = "server draining: query rejected";
@@ -486,30 +430,22 @@ bool Server::Dispatch(const ConnPtr& conn, const Frame& f) {
         ProtocolError(conn, f.request_id, "bad CANCEL: " + c.status().message());
         return false;
       }
-      std::shared_ptr<PendingQuery> target;
+      std::shared_ptr<gov::CancelToken> target;
       {
         std::lock_guard<std::mutex> lock(conn->pending_mu);
         auto it = conn->pending.find(c->target_request);
         if (it != conn->pending.end()) target = it->second;
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (target != nullptr) {
-          ++stats_.cancels;
-        } else {
-          ++stats_.cancel_misses;  // already finished: a benign race
-        }
-      }
+      // A miss means the target already finished: a benign race.
+      Count(target != nullptr ? &ServerStats::cancels
+                              : &ServerStats::cancel_misses);
       // No reply: the cancelled QUERY's own RESULT carries the outcome
       // (either rows, if it won the race, or the governor's cancel error).
-      if (target != nullptr) target->token.Cancel();
+      if (target != nullptr) target->Cancel();
       return true;
     }
     case MsgType::kStats: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.stats_requests;
-      }
+      Count(&ServerStats::stats_requests);
       StatsResult sr;
       sr.prometheus = BuildStatsText();
       return SendFrame(conn, MsgType::kStatsResult, f.request_id,
@@ -522,10 +458,7 @@ bool Server::Dispatch(const ConnPtr& conn, const Frame& f) {
         ProtocolError(conn, f.request_id, "bad EXEC: " + e.status().message());
         return false;
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.execs;
-      }
+      Count(&ServerStats::execs);
       // Runs on the poller by design: DDL stalls only *new* messages.
       // Queries already admitted keep draining on the snapshot they
       // pinned; ApplyDdl publishes the successor before this returns.
@@ -561,27 +494,24 @@ void Server::HandleQuery(const ConnPtr& conn, const Frame& f) {
     return;
   }
   const uint64_t id = f.request_id;
-  auto pending = std::make_shared<PendingQuery>();
+  auto token = std::make_shared<gov::CancelToken>();
   {
     std::lock_guard<std::mutex> lock(conn->pending_mu);
-    if (!conn->pending.emplace(id, pending).second) {
+    if (!conn->pending.emplace(id, token).second) {
       ProtocolError(conn, id, "duplicate request id");
       return;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-  }
+  Count(&ServerStats::queries);
   pending_total_.fetch_add(1);
   srv::SubmitOptions opts;
-  opts.cancel = &pending->token;
+  opts.cancel = token.get();
   opts.tenant = conn->tenant;
-  // `pending` rides in the capture so the token outlives the query even if
-  // the connection dies first; the callback runs on a service worker.
+  // `token` rides in the capture so it outlives the query even if the
+  // connection dies first; the callback runs on a service worker.
   service_->SubmitWithCallback(
       std::move(q->esql), opts,
-      [this, conn, pending, id](Result<srv::ServedQuery> served) {
+      [this, conn, token, id](Result<srv::ServedQuery> served) {
         ResultMsg msg;
         if (served.ok()) {
           msg = RenderServed(*served);
@@ -610,26 +540,18 @@ void Server::HandleQuery(const ConnPtr& conn, const Frame& f) {
 
 Status Server::SendFrame(const ConnPtr& conn, MsgType type,
                          uint64_t request_id, std::string_view body) {
-  Status s = SendFrameImpl(conn, type, request_id, body);
-  if (!s.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.write_errors;
-    }
+  auto fail = [&](Status s) {
+    Count(&ServerStats::write_errors);
     conn->wants_close.store(true);
     WakePoller();
-  }
-  return s;
-}
-
-Status Server::SendFrameImpl(const ConnPtr& conn, MsgType type,
-                             uint64_t request_id, std::string_view body) {
+    return s;
+  };
   Status injected = FailWrite();
-  if (!injected.ok()) return injected;
+  if (!injected.ok()) return fail(injected);
   std::string frame;
   AppendFrame(type, request_id, body, &frame);
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->closed) return Status::RuntimeError("connection closed");
+  if (conn->fd < 0) return fail(Status::RuntimeError("connection closed"));
   size_t off = 0;
   // Write deadline: a frame (up to max_frame_bytes) can exceed the socket
   // send buffer, and a client that simply stops reading would otherwise
@@ -650,36 +572,31 @@ Status Server::SendFrameImpl(const ConnPtr& conn, MsgType type,
       // Slow reader: wait for writability in short slices so a poller
       // shutdown (which shuts the socket down first, failing this send)
       // never waits behind us for long.
-      if (conn->wants_close.load() || stopping_.load()) {
-        return Status::RuntimeError("connection closing");
+      if (conn->wants_close.load() || phase_.load() == Phase::kStopping) {
+        return fail(Status::RuntimeError("connection closing"));
       }
       if (deadline_ns != 0 && obs::NowNs() >= deadline_ns) {
-        return Status::RuntimeError(
+        return fail(Status::RuntimeError(
             "send timed out after " +
             std::to_string(options_.write_timeout_ms) +
-            "ms: client not reading");
+            "ms: client not reading"));
       }
       pollfd p{conn->fd, POLLOUT, 0};
       ::poll(&p, 1, 50);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return Errno("send");
+    return fail(Errno("send"));
   }
-  {
-    std::lock_guard<std::mutex> slock(mu_);
-    ++stats_.frames_written;
-    stats_.bytes_written += frame.size();
-  }
+  std::lock_guard<std::mutex> slock(mu_);
+  ++stats_.frames_written;
+  stats_.bytes_written += frame.size();
   return Status::OK();
 }
 
 void Server::ProtocolError(const ConnPtr& conn, uint64_t request_id,
                            const std::string& message) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.protocol_errors;
-  }
+  Count(&ServerStats::protocol_errors);
   ErrorMsg err;
   err.message = message;
   (void)SendFrame(conn, MsgType::kError, request_id, EncodeError(err));
@@ -696,28 +613,20 @@ void Server::CloseConnection(const ConnPtr& conn) {
   }
   // Everything still in flight gets cancelled; the service's callbacks
   // still fire (finding the socket closed) and drain pending_total_.
-  std::vector<std::shared_ptr<PendingQuery>> inflight;
+  std::vector<std::shared_ptr<gov::CancelToken>> inflight;
   {
     std::lock_guard<std::mutex> lock(conn->pending_mu);
     for (const auto& [id, p] : conn->pending) inflight.push_back(p);
     conn->pending.clear();
   }
-  for (const auto& p : inflight) p->token.Cancel();
+  for (const auto& token : inflight) token->Cancel();
   conn->wants_close.store(true);
   // Shut down before taking write_mu: a worker blocked in send() wakes
   // with an error and releases the lock instead of stalling the poller.
   ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    conn->closed = true;
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
-  if (sink_ != nullptr) {
-    sink_->RecordComplete("net.connection", "net", conn->open_ns, obs::NowNs(),
-                          {{"peer", conn->peer},
-                           {"session", std::to_string(conn->id)}});
-  }
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  ::close(conn->fd);
+  conn->fd = -1;
 }
 
 void Server::FinishPending(const ConnPtr& conn, uint64_t request_id) {

@@ -9,13 +9,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "gov/governor.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "srv/service.h"
 
 namespace eds::net {
@@ -29,7 +27,10 @@ namespace eds::net {
 //     GOODBYE) inline. EXEC (DDL) also runs on the poller — by design it
 //     only stalls *new* messages, never in-flight queries, because
 //     QueryService::ApplyDdl publishes a new serving snapshot while old
-//     queries drain on theirs.
+//     queries drain on theirs. Each pass reads at most a fixed budget from
+//     each readable connection (poll is level-triggered, so the rest waits
+//     for the next pass): one fast writer cannot starve the others or grow
+//     its input buffer past a frame plus one budget.
 //   * QUERY is handed to QueryService::SubmitWithCallback; the service's
 //     worker pool serves it and the completion callback writes the RESULT
 //     frame back from the worker thread (per-connection write mutex, so
@@ -41,6 +42,14 @@ namespace eds::net {
 //   * CANCEL fires the gov::CancelToken of the named in-flight request;
 //     closing a connection cancels everything still pending on it, so a
 //     dead client stops consuming budget at the next governor chokepoint.
+//   * The server records no spans of its own: per-query timing lives in
+//     the service (phase spans, latency histograms); the server keeps
+//     only the ServerStats tallies.
+//
+// Lifecycle: stopped -> serving (Start) -> draining -> stopping -> stopped
+// (Shutdown). Serving accepts connections and queries; draining stops
+// accepting and refuses new QUERYs while admitted ones finish; stopping
+// aborts parked sends and closes every connection.
 //
 // Fail-point sites net.accept / net.read / net.write let the chaos suite
 // kill connections mid-message; the contract under injection is: the
@@ -50,7 +59,6 @@ namespace eds::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
-  int backlog = 64;
   // Connections beyond this are accepted, told ERROR, and closed — the
   // wire analog of admission load-shedding.
   size_t max_connections = 64;
@@ -60,14 +68,9 @@ struct ServerOptions {
   // for at most this window, never the poller or Shutdown(). 0 = no limit.
   uint64_t write_timeout_ms = 5000;
   // Shutdown(drain=true) waits at most this long for in-flight queries;
-  // whatever is still pending afterwards is cancelled. 0 = wait forever
-  // (drain is still guaranteed to make progress — new QUERYs are rejected
-  // while draining — but individual queries may run long).
+  // whatever is still pending afterwards is cancelled.
   uint64_t drain_timeout_ms = 30'000;
   std::string server_info = "eds";
-  // When true the server records per-connection spans (net.connection) and
-  // per-message spans into its own TraceSink (trace_sink()).
-  bool collect_traces = false;
 };
 
 // Cumulative tallies, exported as net.* metrics.
@@ -102,7 +105,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Binds, listens, and spawns the poller. Fails on bind/listen errors
-  // (port in use, bad host).
+  // (port in use, bad host), or when the server is not stopped.
   Status Start();
 
   // Graceful stop: stop accepting, optionally wait for in-flight queries
@@ -113,13 +116,12 @@ class Server {
   // hold the drain open — and the wait is bounded by
   // ServerOptions::drain_timeout_ms (whatever remains is cancelled). With
   // drain=false pending queries are cancelled instead of awaited.
-  // Idempotent. Either way, returns only once no completion callback can
-  // still be in flight.
+  // Idempotent: only the call that ends serving does the work, and that
+  // call returns only once no completion callback can still be in flight.
   void Shutdown(bool drain = true);
 
   // The bound port (resolves option port 0 to the kernel's choice).
   uint16_t port() const { return port_; }
-  bool running() const;
 
   size_t active_connections() const;
   size_t pending_queries() const;  // submitted, RESULT not yet written
@@ -128,43 +130,34 @@ class Server {
   // net.* metrics (connections gauge + the ServerStats counters).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
-  // Non-null only with options.collect_traces.
-  const obs::TraceSink* trace_sink() const { return sink_.get(); }
-
  private:
-  // One in-flight QUERY: the cancel token must outlive the service
-  // callback, so it rides a shared_ptr captured by the callback itself.
-  struct PendingQuery {
-    gov::CancelToken token;
-  };
+  enum class Phase { kStopped, kServing, kDraining, kStopping };
 
   struct Connection {
-    int fd = -1;
+    int fd = -1;      // -1 once closed; written under write_mu
     uint64_t id = 0;  // session id, assigned at accept
-    std::string peer;
     std::string inbuf;
     bool hello_done = false;
     std::string tenant;
-    // Guards fd writes and the closed flag: a worker writing a RESULT and
-    // the poller closing the socket never interleave.
+    // Guards fd writes: a worker writing a RESULT and the poller closing
+    // the socket never interleave.
     std::mutex write_mu;
-    bool closed = false;
-    // Poller sets true (e.g. after GOODBYE_OK or a write error) to have
-    // the connection torn down on the next loop pass.
+    // Set (e.g. after GOODBYE_OK or a write error) to have the connection
+    // torn down on the next poller pass.
     std::atomic<bool> wants_close{false};
-    // In-flight QUERYs by request id. Guarded by pending_mu (poller
-    // inserts/cancels, worker callbacks erase).
+    // Cancel tokens of the in-flight QUERYs by request id. Guarded by
+    // pending_mu (poller inserts/cancels, worker callbacks erase). Shared
+    // with the service callback, so a token outlives a dead connection.
     std::mutex pending_mu;
-    std::map<uint64_t, std::shared_ptr<PendingQuery>> pending;
-    uint64_t open_ns = 0;  // NowNs at accept (connection-lifetime span)
+    std::map<uint64_t, std::shared_ptr<gov::CancelToken>> pending;
   };
   using ConnPtr = std::shared_ptr<Connection>;
 
   void PollLoop();
-  void AcceptReady();
-  Status AcceptOne();  // EDS_FAIL_POINT("net.accept") lives here
-  // Drains readable bytes into conn->inbuf; an error return means the
-  // connection must close. EDS_FAIL_POINT("net.read") lives here.
+  // Accepts one connection. EDS_FAIL_POINT("net.accept") lives here.
+  void Accept();
+  // Reads up to the per-pass budget into conn->inbuf; an error return
+  // means the connection must close. EDS_FAIL_POINT("net.read") lives here.
   Status ReadAvailable(const ConnPtr& conn);
   // Parses + dispatches every complete frame in conn->inbuf. False: close.
   bool DrainFrames(const ConnPtr& conn);
@@ -172,38 +165,29 @@ class Server {
   void HandleQuery(const ConnPtr& conn, const Frame& frame);
   // Writes one frame; thread-safe vs. Close. A failure counts a write
   // error and schedules the connection for teardown.
+  // EDS_FAIL_POINT("net.write") lives here.
   Status SendFrame(const ConnPtr& conn, MsgType type, uint64_t request_id,
                    std::string_view body);
-  // The raw write path. EDS_FAIL_POINT("net.write") lives here.
-  Status SendFrameImpl(const ConnPtr& conn, MsgType type, uint64_t request_id,
-                       std::string_view body);
   // Convenience: ERROR frame + schedule close (protocol_errors tally).
   void ProtocolError(const ConnPtr& conn, uint64_t request_id,
                      const std::string& message);
   void CloseConnection(const ConnPtr& conn);  // poller thread only
   void FinishPending(const ConnPtr& conn, uint64_t request_id);
   void WakePoller();
+  void Count(uint64_t ServerStats::*field, uint64_t n = 1);
   std::string BuildStatsText() const;
 
   srv::QueryService* service_;
   ServerOptions options_;
-  std::unique_ptr<obs::TraceSink> sink_;  // null unless collect_traces
 
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
   uint16_t port_ = 0;
   std::thread poller_;
+  // Read lock-free by the poller, Dispatch and the worker send paths.
+  std::atomic<Phase> phase_{Phase::kStopped};
 
-  mutable std::mutex mu_;  // state flags + conns_ + stats_
-  bool running_ = false;
-  bool accepting_ = false;
-  bool stop_ = false;
-  // Lock-free mirrors of the shutdown phases, readable from worker-thread
-  // send paths and Dispatch without taking mu_: draining_ rejects new
-  // QUERYs once Shutdown begins; stopping_ aborts any send still waiting
-  // on a slow reader so the poller join can never wait behind one.
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
+  mutable std::mutex mu_;  // conns_ + stats_
   std::map<int, ConnPtr> conns_;  // by fd
   ServerStats stats_;
   uint64_t next_session_id_ = 1;

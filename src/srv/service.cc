@@ -449,8 +449,15 @@ Result<ServedQuery> QueryService::ServeNow(const std::string& esql,
       esql.find(options_.test_delay_marker) != std::string::npos) {
     obs::Span delay_span(sink, "srv.injected_delay", "srv");
     delay_span.Arg("delay_ns", options_.test_delay_ns);
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.test_delay_ns));
+    // Sliced so a cancel cuts it short, as the governor's chokepoints
+    // would for a real long-running query.
+    const uint64_t until = obs::NowNs() + options_.test_delay_ns;
+    for (uint64_t now = obs::NowNs();
+         now < until && (cancel == nullptr || !cancel->cancelled());
+         now = obs::NowNs()) {
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(std::min<uint64_t>(until - now, 1'000'000)));
+    }
   }
 
   gov::QueryGuard guard;
@@ -587,16 +594,6 @@ std::vector<const obs::TraceSink*> QueryService::worker_sinks() const {
   out.reserve(sinks_.size());
   for (const auto& sink : sinks_) out.push_back(sink.get());
   return out;
-}
-
-void QueryService::WriteMergedTrace(std::ostream& os) const {
-  std::vector<obs::SinkWithTid> sinks;
-  for (size_t i = 0; i < sinks_.size(); ++i) {
-    if (sinks_[i] != nullptr) {
-      sinks.push_back({sinks_[i].get(), static_cast<int>(i) + 2});
-    }
-  }
-  obs::WriteMergedChromeTrace(os, sinks);
 }
 
 std::vector<QueryRecord> QueryService::RecentQueries(size_t limit) const {

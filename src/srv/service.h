@@ -48,7 +48,7 @@ namespace eds::srv {
 // legal only while no query is in flight; the next Submit() notices the
 // epoch change and republishes. The service never touches the session's
 // trace sink; per-worker sinks keep tracing safe under the pool
-// (WriteMergedTrace).
+// (worker_sinks()).
 
 // Serving metadata carried alongside the ordinary QueryResult.
 struct ServedQuery {
@@ -118,8 +118,9 @@ struct ServiceOptions {
   // Level-0 exact-text cache in front of the parser (srv/l0_cache.h);
   // 0 disables it, serving every query through the full front half.
   size_t l0_capacity = 256;
-  // When true each worker keeps every query's spans in its own TraceSink;
-  // WriteMergedTrace() merges them by timestamp into one Chrome trace.
+  // When true each worker keeps every query's spans in its own TraceSink
+  // (worker_sinks(); obs::WriteMergedChromeTrace merges them by timestamp
+  // into one Chrome trace).
   bool collect_traces = false;
   // Applied to every served query's rewrite phase (trace/profile knobs are
   // overridden per worker; the guard field is owned by the service).
@@ -147,9 +148,10 @@ struct ServiceOptions {
   std::string telemetry_export_path;
   uint64_t telemetry_export_interval_ms = 1000;
   // Deterministic latency injection for tests and demos: a query whose
-  // text contains the marker sleeps test_delay_ns inside a traced
-  // "srv.injected_delay" span before serving begins. The serving analog of
-  // the gov fail points (which can only inject errors, not latency).
+  // text contains the marker sleeps test_delay_ns (cut short if the query
+  // is cancelled) inside a traced "srv.injected_delay" span before serving
+  // begins. The serving analog of the gov fail points (which can only
+  // inject errors, not latency).
   std::string test_delay_marker;
   uint64_t test_delay_ns = 0;
 
@@ -249,12 +251,10 @@ class QueryService {
 
   // Per-worker sinks (empty unless collect_traces or a slow threshold is
   // set; emptied after each query without collect_traces), for merging
-  // with a session-level sink; index == worker id.
+  // with a session-level sink through obs::WriteMergedChromeTrace; index ==
+  // worker id (by convention tid = worker id + 2, tid 1 being the
+  // submitting thread).
   std::vector<const obs::TraceSink*> worker_sinks() const;
-
-  // Merges every worker sink into one Chrome trace (tid = worker id + 2;
-  // tid 1 is conventionally the submitting thread).
-  void WriteMergedTrace(std::ostream& os) const;
 
   // Flight recorder queries. Recent() is newest first; Slowest() ranks the
   // retained window by serve time.

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -541,6 +542,167 @@ TEST_F(NetServerTest, DrainTerminatesAgainstPipeliningClient) {
   EXPECT_EQ(server_->pending_queries(), 0u);
   // The drain window saw at least one QUERY turned away.
   EXPECT_GE(server_->GetStats().drain_rejected, 1u);
+}
+
+// Shutdown(drain=false) cancels what is in flight instead of awaiting it:
+// it returns long before the query's injected delay would end, with
+// nothing left pending and no RESULT sent.
+TEST_F(NetServerTest, ShutdownWithoutDrainCancelsInFlightQuery) {
+  srv::ServiceOptions service_options;
+  service_options.test_delay_marker = "BEATS";
+  service_options.test_delay_ns = 10'000'000'000ULL;
+  StartServer(service_options);
+  auto client = Dial();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->SendQuery("SELECT Winner FROM BEATS WHERE Winner > 2")
+                  .ok());
+  for (int i = 0; i < 100 && server_->pending_queries() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server_->pending_queries(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown(/*drain=*/false);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  EXPECT_LT(ms, 5000) << "Shutdown waited out the delay";
+  EXPECT_EQ(server_->pending_queries(), 0u);
+  EXPECT_FALSE(client->ReadResponse().ok());  // closed without a RESULT
+  const std::vector<srv::QueryRecord> recent = service_->RecentQueries(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_NE(recent[0].error.find("cancel"), std::string::npos)
+      << recent[0].error;
+}
+
+// A query that outlives drain_timeout_ms is cancelled when the drain
+// window closes: Shutdown(drain=true) returns after about the timeout, not
+// after the query's delay, and the straggler's RESULT is never sent.
+TEST_F(NetServerTest, DrainTimeoutCancelsStraggler) {
+  srv::ServiceOptions service_options;
+  service_options.test_delay_marker = "BEATS";
+  service_options.test_delay_ns = 10'000'000'000ULL;
+  ServerOptions options;
+  options.drain_timeout_ms = 100;
+  StartServer(service_options, options);
+  auto client = Dial();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->SendQuery("SELECT Winner FROM BEATS WHERE Winner > 2")
+                  .ok());
+  for (int i = 0; i < 100 && server_->pending_queries() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server_->pending_queries(), 1u);
+
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown(/*drain=*/true);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  EXPECT_GE(ms, 95) << "the drain window closed early";
+  EXPECT_LT(ms, 5000) << "Shutdown waited out the delay";
+  EXPECT_EQ(server_->pending_queries(), 0u);
+  EXPECT_FALSE(client->ReadResponse().ok());  // closed without a RESULT
+  const std::vector<srv::QueryRecord> recent = service_->RecentQueries(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_NE(recent[0].error.find("cancel"), std::string::npos)
+      << recent[0].error;
+}
+
+// One client pipelines QUERY frames totalling many times the frame cap and
+// the poller's per-pass read budget, and keeps going until a second
+// client's STATS round trip completes: the poller reads the burst over
+// many passes, answers every frame with a RESULT (served or shed), and
+// serves the other connection in between.
+TEST_F(NetServerTest, PipelinedBurstIsAnsweredWhileOtherClientsAreServed) {
+  constexpr size_t kCap = 4 << 10;
+  constexpr int kMinFrames = 256;  // ~256 KiB: several read budgets
+  constexpr int kMaxFrames = 20'000;
+  ServerOptions options;
+  options.max_frame_bytes = kCap;
+  StartServer({}, options);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string hello;
+  AppendFrame(MsgType::kHello, 1, EncodeHello(Hello{}), &hello);
+  ASSERT_EQ(::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  timeval timeout{20, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  QueryMsg query;
+  query.esql = "SELECT Winner FROM BEATS WHERE Winner > 1" +
+               std::string(1000, ' ');
+
+  std::atomic<bool> stats_done{false};
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> sent{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kMaxFrames; ++i) {
+      if (i >= kMinFrames && stats_done.load()) break;
+      std::string frame;
+      AppendFrame(MsgType::kQuery, 2 + i, EncodeQuery(query), &frame);
+      if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(frame.size())) {
+        break;
+      }
+      sent.store(i + 1);
+    }
+    writer_done.store(true);
+  });
+  std::vector<int> results(kMaxFrames, 0);
+  int other_frames = 0;
+  std::thread reader([&] {
+    std::string inbuf;
+    int received = 0;
+    char buf[16384];
+    while (!writer_done.load() || received < sent.load()) {
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) return;  // closed or timed out: the counts below fail
+      inbuf.append(buf, static_cast<size_t>(n));
+      Frame frame;
+      while (NextFrame(&inbuf, kDefaultMaxFrameBytes, &frame, nullptr) ==
+             FrameStatus::kOk) {
+        const uint64_t slot = frame.request_id - 2;
+        if (frame.type == MsgType::kResult && slot < results.size()) {
+          ++results[slot];
+          ++received;
+        } else if (frame.type != MsgType::kHelloOk) {
+          ++other_frames;
+        }
+      }
+    }
+  });
+
+  for (int i = 0; i < 500 && sent.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // No fatal assertion until both threads are joined.
+  auto other = Dial();
+  Result<std::string> stats = Status::RuntimeError("second client failed");
+  if (other != nullptr) stats = other->Stats();
+  stats_done.store(true);
+  writer.join();
+  reader.join();
+  ::close(fd);
+
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("net_bytes_read"), std::string::npos);
+  EXPECT_LT(sent.load(), kMaxFrames) << "STATS waited out the burst";
+  ASSERT_GE(sent.load(), kMinFrames);
+  EXPECT_EQ(other_frames, 0);
+  for (int i = 0; i < sent.load(); ++i) {
+    EXPECT_EQ(results[i], 1) << "request " << 2 + i;
+  }
+  EXPECT_GE(server_->GetStats().bytes_read,
+            static_cast<uint64_t>(sent.load()) * (kFrameHeaderBytes + 1000));
 }
 
 // Tenant ids key per-tenant server state, so an oversize one is refused

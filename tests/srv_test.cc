@@ -8,6 +8,7 @@
 #include "esql/translator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "srv/fingerprint.h"
 #include "srv/plan_cache.h"
 #include "srv/service.h"
@@ -746,6 +747,17 @@ size_t CountOccurrences(const std::string& text, const std::string& needle) {
   return n;
 }
 
+// Merges the worker sinks into one Chrome trace, tid = worker id + 2 (tid 1
+// is the submitting thread's, as in eds_shell's --trace-out).
+void WriteWorkerTrace(const QueryService& service, std::ostream& os) {
+  std::vector<obs::SinkWithTid> sinks;
+  std::vector<const obs::TraceSink*> workers = service.worker_sinks();
+  for (size_t i = 0; i < workers.size(); ++i) {
+    sinks.push_back({workers[i], static_cast<int>(i) + 2});
+  }
+  obs::WriteMergedChromeTrace(os, sinks);
+}
+
 // With collect_traces on, a slow query's trace is only its own spans (the
 // events after its mark in the worker sink), while the worker sink keeps
 // every query for the merged trace.
@@ -774,7 +786,7 @@ TEST(QueryServiceTest, SlowCaptureWithCollectTracesKeepsBoth) {
         << rec.trace_json;
   }
   std::ostringstream merged;
-  service.WriteMergedTrace(merged);
+  WriteWorkerTrace(service, merged);
   EXPECT_EQ(CountOccurrences(merged.str(), query_event),
             static_cast<size_t>(kQueries));
   service.Stop();
@@ -851,7 +863,7 @@ TEST(QueryServiceTest, MergedTraceCarriesWorkerTids) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   service.Stop();
   std::ostringstream os;
-  service.WriteMergedTrace(os);
+  WriteWorkerTrace(service, os);
   std::string json = os.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos) << json;
