@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <utility>
@@ -22,6 +23,25 @@ constexpr size_t kRecordTextLimit = 200;
 // Minimum serve-time samples before the trailing-p99 slow threshold can
 // fire; below this the p99 estimate is noise.
 constexpr uint64_t kSlowP99MinSamples = 32;
+
+// process.rss_bytes (VmRSS) and process.peak_rss_bytes (VmHWM) from
+// /proc/self/status, which reports both in kB. A field the file lacks, or
+// a file that cannot be read (not Linux), exports nothing.
+void ExportProcessMemory(obs::MetricsRegistry* registry) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    // Both field names are 6 characters, "VmRSS:" and "VmHWM:".
+    auto bytes = [&line] {
+      return 1024.0 * std::strtod(line.c_str() + 6, nullptr);
+    };
+    if (line.rfind("VmRSS:", 0) == 0) {
+      registry->Gauge("process.rss_bytes", bytes());
+    } else if (line.rfind("VmHWM:", 0) == 0) {
+      registry->Gauge("process.peak_rss_bytes", bytes());
+    }
+  }
+}
 }  // namespace
 
 gov::GovernorLimits DeriveLimits(const gov::GovernorLimits& base,
@@ -621,6 +641,7 @@ void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
   ExportLatencyMetrics(latency_, registry);
   registry->Counter("srv.flight_recorder.total", recorder_.total_added());
   registry->Counter("srv.slow_queries.logged", slow_queries_logged());
+  ExportProcessMemory(registry);
   if (!options_.persist_path.empty()) {
     std::lock_guard<std::mutex> lock(persist_stats_mu_);
     registry->Counter("persist.load.ok", persist_load_stats_.ok);

@@ -265,8 +265,9 @@ class QueryService {
 
   // One-stop metrics export: srv.* service tallies, srv.queue_depth (the
   // current queue depth, a gauge), cache.* plan-cache stats, srv.l0.*
-  // exact-text stats, gov.* trip counters, and the srv.latency.*
-  // histograms (quantile gauges + Prometheus distributions).
+  // exact-text stats, gov.* trip counters, the srv.latency.*
+  // histograms (quantile gauges + Prometheus distributions), and the
+  // process.rss_bytes / process.peak_rss_bytes gauges (Linux only).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   // Renders ExportMetrics() as Prometheus text exposition into `path`

@@ -35,35 +35,35 @@ const char* ValueKindName(ValueKind kind) {
 Value Value::Bool(bool b) {
   Value v;
   v.kind_ = ValueKind::kBool;
-  v.bool_ = b;
+  v.scalar_.b = b;
   return v;
 }
 
 Value Value::Int(int64_t i) {
   Value v;
   v.kind_ = ValueKind::kInt;
-  v.int_ = i;
+  v.scalar_.i = i;
   return v;
 }
 
 Value Value::Real(double d) {
   Value v;
   v.kind_ = ValueKind::kReal;
-  v.real_ = d;
+  v.scalar_.d = d;
   return v;
 }
 
 Value Value::String(std::string s) {
   Value v;
   v.kind_ = ValueKind::kString;
-  v.string_ = std::make_shared<const std::string>(std::move(s));
+  v.payload_ = std::make_shared<const std::string>(std::move(s));
   return v;
 }
 
 Value Value::ObjectRef(uint64_t oid) {
   Value v;
   v.kind_ = ValueKind::kObjectRef;
-  v.oid_ = oid;
+  v.scalar_.oid = oid;
   return v;
 }
 
@@ -72,7 +72,7 @@ Value Value::Tuple(std::vector<Value> values) {
   v.kind_ = ValueKind::kTuple;
   auto data = std::make_shared<TupleData>();
   data->values = std::move(values);
-  v.tuple_ = std::move(data);
+  v.payload_ = std::move(data);
   return v;
 }
 
@@ -84,7 +84,7 @@ Value Value::NamedTuple(std::vector<std::string> names,
   auto data = std::make_shared<TupleData>();
   data->names = std::move(names);
   data->values = std::move(values);
-  v.tuple_ = std::move(data);
+  v.payload_ = std::move(data);
   return v;
 }
 
@@ -94,7 +94,7 @@ Value Value::Set(std::vector<Value> elements) {
                  elements.end());
   Value v;
   v.kind_ = ValueKind::kSet;
-  v.elems_ = std::make_shared<const std::vector<Value>>(std::move(elements));
+  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
   return v;
 }
 
@@ -102,58 +102,58 @@ Value Value::Bag(std::vector<Value> elements) {
   std::sort(elements.begin(), elements.end());
   Value v;
   v.kind_ = ValueKind::kBag;
-  v.elems_ = std::make_shared<const std::vector<Value>>(std::move(elements));
+  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
   return v;
 }
 
 Value Value::List(std::vector<Value> elements) {
   Value v;
   v.kind_ = ValueKind::kList;
-  v.elems_ = std::make_shared<const std::vector<Value>>(std::move(elements));
+  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
   return v;
 }
 
 Value Value::Array(std::vector<Value> elements) {
   Value v;
   v.kind_ = ValueKind::kArray;
-  v.elems_ = std::make_shared<const std::vector<Value>>(std::move(elements));
+  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
   return v;
 }
 
 bool Value::AsBool() const {
   assert(kind_ == ValueKind::kBool);
-  return bool_;
+  return scalar_.b;
 }
 
 int64_t Value::AsInt() const {
   assert(kind_ == ValueKind::kInt);
-  return int_;
+  return scalar_.i;
 }
 
 double Value::AsReal() const {
-  if (kind_ == ValueKind::kInt) return static_cast<double>(int_);
+  if (kind_ == ValueKind::kInt) return static_cast<double>(scalar_.i);
   assert(kind_ == ValueKind::kReal);
-  return real_;
+  return scalar_.d;
 }
 
 const std::string& Value::AsString() const {
   assert(kind_ == ValueKind::kString);
-  return *string_;
+  return payload<std::string>();
 }
 
 uint64_t Value::AsObjectRef() const {
   assert(kind_ == ValueKind::kObjectRef);
-  return oid_;
+  return scalar_.oid;
 }
 
 const TupleData& Value::tuple() const {
   assert(kind_ == ValueKind::kTuple);
-  return *tuple_;
+  return payload<TupleData>();
 }
 
 const Value* Value::FindField(const std::string& name) const {
   if (kind_ != ValueKind::kTuple) return nullptr;
-  const TupleData& t = *tuple_;
+  const TupleData& t = payload<TupleData>();
   for (size_t i = 0; i < t.names.size(); ++i) {
     if (EqualsIgnoreCase(t.names[i], name)) return &t.values[i];
   }
@@ -162,7 +162,7 @@ const Value* Value::FindField(const std::string& name) const {
 
 const std::vector<Value>& Value::elements() const {
   assert(is_collection());
-  return *elems_;
+  return payload<std::vector<Value>>();
 }
 
 namespace {

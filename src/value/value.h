@@ -59,25 +59,13 @@ class Value {
   Value() : kind_(ValueKind::kNull) {}
 
   Value(const Value& other)
-      : kind_(other.kind_),
-        bool_(other.bool_),
-        int_(other.int_),
-        real_(other.real_),
-        oid_(other.oid_),
-        string_(other.string_),
-        tuple_(other.tuple_),
-        elems_(other.elems_) {
+      : kind_(other.kind_), scalar_(other.scalar_), payload_(other.payload_) {
     ++internal::value_copies;
   }
   Value& operator=(const Value& other) {
     kind_ = other.kind_;
-    bool_ = other.bool_;
-    int_ = other.int_;
-    real_ = other.real_;
-    oid_ = other.oid_;
-    string_ = other.string_;
-    tuple_ = other.tuple_;
-    elems_ = other.elems_;
+    scalar_ = other.scalar_;
+    payload_ = other.payload_;
     ++internal::value_copies;
     return *this;
   }
@@ -138,14 +126,26 @@ class Value {
   std::string ToString() const;
 
  private:
+  // Which payload is live depends on kind_: the scalar kinds use one
+  // member of scalar_, and kString/kTuple/collections point payload_ at a
+  // std::string, a TupleData or a std::vector<Value>. One shared_ptr
+  // rather than three keeps stored rows, kGeneric lanes and term nodes
+  // small.
+  union Scalar {
+    bool b;
+    int64_t i;
+    double d;
+    uint64_t oid;
+  };
+
+  template <typename T>
+  const T& payload() const {
+    return *static_cast<const T*>(payload_.get());
+  }
+
   ValueKind kind_;
-  bool bool_ = false;
-  int64_t int_ = 0;
-  double real_ = 0;
-  uint64_t oid_ = 0;
-  std::shared_ptr<const std::string> string_;
-  std::shared_ptr<const TupleData> tuple_;
-  std::shared_ptr<const std::vector<Value>> elems_;
+  Scalar scalar_{.i = 0};
+  std::shared_ptr<const void> payload_;
 };
 
 // Total order over all values: kinds rank first (null < bool < numeric <
@@ -161,6 +161,9 @@ inline bool operator<(const Value& a, const Value& b) {
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
+
+static_assert(sizeof(Value) == 32,
+              "Value is a kind, one scalar word and one shared payload");
 
 }  // namespace eds::value
 

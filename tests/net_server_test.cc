@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -314,6 +315,33 @@ TEST_F(NetServerTest, StatsOverTheWire) {
   EXPECT_NE(stats->find("srv_snapshot_publishes"), std::string::npos);
   EXPECT_NE(stats->find("net_queries"), std::string::npos);
 }
+
+#ifdef __linux__
+// The process.* gauges come from /proc/self/status; a STATS reply carries
+// them as Prometheus gauges, and the high-water mark bounds the current
+// resident set.
+TEST_F(NetServerTest, StatsReportProcessMemory) {
+  StartServer();
+  auto client = Dial();
+  ASSERT_NE(client, nullptr);
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto gauge = [&](const std::string& name) {
+    const std::string line = "\n" + name + " ";
+    const size_t at = stats->find(line);
+    EXPECT_NE(at, std::string::npos) << name << " missing from STATS";
+    if (at == std::string::npos) return 0.0;
+    return std::strtod(stats->c_str() + at + line.size(), nullptr);
+  };
+  EXPECT_NE(stats->find("# TYPE process_rss_bytes gauge"), std::string::npos);
+  EXPECT_NE(stats->find("# TYPE process_peak_rss_bytes gauge"),
+            std::string::npos);
+  const double rss = gauge("process_rss_bytes");
+  const double peak = gauge("process_peak_rss_bytes");
+  EXPECT_GT(rss, 0.0);
+  EXPECT_GE(peak, rss);
+}
+#endif
 
 TEST_F(NetServerTest, MalformedFrameGetsErrorAndClose) {
   StartServer();

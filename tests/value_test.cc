@@ -1,5 +1,8 @@
 #include "value/value.h"
 
+#include <cstdint>
+#include <utility>
+
 #include "gtest/gtest.h"
 
 namespace eds::value {
@@ -100,10 +103,88 @@ TEST(ValueTest, Printing) {
             "(1, 2)");
 }
 
+// The address of v's shared payload, or nullptr for a scalar kind.
+const void* PayloadAddress(const Value& v) {
+  switch (v.kind()) {
+    case ValueKind::kString: return &v.AsString();
+    case ValueKind::kTuple: return &v.tuple();
+    default: return v.is_collection() ? &v.elements() : nullptr;
+  }
+}
+
 TEST(ValueTest, CopyIsShallowShared) {
-  Value s = Value::Set({Value::Int(1), Value::Int(2)});
-  Value copy = s;
-  EXPECT_EQ(&s.elements(), &copy.elements());  // shared payload
+  const Value payloads[] = {
+      Value::Set({Value::Int(1), Value::Int(2)}),
+      Value::String("Quinn"),
+      Value::Tuple({Value::Int(1), Value::String("a")}),
+  };
+  for (const Value& v : payloads) {
+    Value copy = v;
+    ASSERT_NE(PayloadAddress(v), nullptr) << v;
+    EXPECT_EQ(PayloadAddress(v), PayloadAddress(copy)) << v;
+  }
+}
+
+// One Value assigned across payload kinds, Set <- String <- NamedTuple <-
+// Int <- Set, by copy and by move: each step must leave every accessor
+// reading the new payload (a stale scalar or payload pointer from the
+// previous kind would show here), and copies count exactly once, moves
+// never.
+TEST(ValueTest, AssignAcrossPayloadKinds) {
+  const Value steps[] = {
+      Value::String("Quinn"),
+      Value::NamedTuple({"Name", "Salary"},
+                        {Value::String("Quinn"), Value::Int(12000)}),
+      Value::Int(42),
+      Value::Set({Value::Int(3), Value::Int(1)}),
+  };
+  auto expect_reads = [](const Value& v, const Value& want) {
+    ASSERT_EQ(v.kind(), want.kind());
+    EXPECT_EQ(v, want);
+    EXPECT_EQ(v.ToString(), want.ToString());
+    switch (want.kind()) {
+      case ValueKind::kString:
+        EXPECT_EQ(v.AsString(), "Quinn");
+        EXPECT_EQ(v.FindField("Name"), nullptr);
+        break;
+      case ValueKind::kTuple:
+        ASSERT_EQ(v.TupleSize(), 2u);
+        EXPECT_EQ(v.Field(0).AsString(), "Quinn");
+        ASSERT_NE(v.FindField("salary"), nullptr);
+        EXPECT_EQ(v.FindField("salary")->AsInt(), 12000);
+        break;
+      case ValueKind::kInt:
+        EXPECT_EQ(v.AsInt(), 42);
+        EXPECT_DOUBLE_EQ(v.AsReal(), 42.0);
+        EXPECT_FALSE(v.is_collection());
+        break;
+      case ValueKind::kSet:
+        ASSERT_EQ(v.size(), 2u);
+        EXPECT_EQ(v.elements()[0].AsInt(), 1);
+        EXPECT_EQ(v.elements()[1].AsInt(), 3);
+        break;
+      default:
+        FAIL() << "unexpected kind " << ValueKindName(want.kind());
+    }
+  };
+
+  Value copied = Value::Set({Value::Int(7)});
+  Value moved = Value::Set({Value::Int(7)});
+  for (const Value& want : steps) {
+    uint64_t before = ValueCopyCount();
+    copied = want;
+    EXPECT_EQ(ValueCopyCount() - before, 1u) << want;
+    EXPECT_EQ(PayloadAddress(copied), PayloadAddress(want)) << want;
+    expect_reads(copied, want);
+
+    Value donor = want;
+    const void* payload = PayloadAddress(donor);
+    before = ValueCopyCount();
+    moved = std::move(donor);
+    EXPECT_EQ(ValueCopyCount() - before, 0u) << want;
+    EXPECT_EQ(PayloadAddress(moved), payload) << want;
+    expect_reads(moved, want);
+  }
 }
 
 }  // namespace
