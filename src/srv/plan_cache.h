@@ -2,12 +2,12 @@
 #define EDS_SRV_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "srv/segmented_lru.h"
 #include "term/term.h"
 
 namespace eds::srv {
@@ -36,26 +36,17 @@ namespace eds::srv {
 // Memory: each entry is charged its template + normal-form node counts,
 // the same currency as the governor's interner-node budget, so operators
 // reason about one unit ("term nodes") for both. The node ceiling is split
-// into two segments (the SLRU of W-TinyLFU's main region):
-//   * probation — every new entry starts here, and the segment is capped
-//     at 1/kProbationShare of the ceiling. Going over that cap evicts from
-//     the probation tail only, so a flood of one-shot templates churns
-//     through this window instead of the whole cache;
-//   * protected — an entry's first Lookup hit promotes it here, and only
-//     this segment may use the rest of the ceiling. When it overflows, its
-//     least-recently-used entry is demoted to the probation head for a
-//     second chance rather than evicted outright.
-// An Insert with seed_hits > 0 (a warm restore of a persisted hot entry)
-// goes straight to protected.
+// into the probation and protected segments of the shared segment policy
+// (srv/segmented_lru.h): new templates enter probation, a first Lookup hit
+// promotes to protected, and only the probation tail is evicted, so a flood
+// of one-shot templates cannot push out a plan that has been reused. An
+// Insert with seed_hits > 0 (a warm restore of a persisted hot entry) goes
+// straight to protected.
 class PlanCache {
  public:
   struct Config {
     uint64_t max_nodes = 1 << 20;  // node ceiling
   };
-
-  // Probation's share of the node ceiling is 1/kProbationShare. Chosen by
-  // sweeping 1/16, 1/8 and 1/4 on bench_e2e's rewrite_cold (EXPERIMENTS.md).
-  static constexpr uint64_t kProbationShare = 16;
 
   struct Key {
     term::TermRef tmpl;
@@ -143,38 +134,26 @@ class PlanCache {
   struct Entry {
     Key key;
     term::TermRef normal_form;
-    uint64_t charged_nodes = 0;
     uint64_t hits = 0;
     uint64_t rewrite_ns = 0;
     term::TermList sample_params;
-    bool is_protected = false;  // which segment's list holds the entry
   };
-  // One list per segment, most-recent first; the map indexes into both
-  // (splicing between lists keeps the iterators valid).
-  using EntryList = std::list<Entry>;
+  using Segments = SegmentedLru<Entry>;
 
   static uint64_t KeyHash(const Key& key);
   static bool KeyEquals(const Key& a, const Key& b);
   // The entry for `key` under `hash`, if cached.
-  std::optional<EntryList::iterator> FindLocked(const Key& key, uint64_t hash);
-  // Re-charges `entry` at `nodes`, keeping the totals in step.
-  void ChargeLocked(Entry& entry, uint64_t nodes);
-  // Moves `it` to the head of the protected or the probation list.
-  void MoveToHeadLocked(EntryList::iterator it, bool to_protected);
-  // Demotes protected-tail entries while protected is over its share, then
-  // evicts probation-tail entries while probation is over its cap. Neither
-  // segment is emptied: its head survives even when it alone is over.
+  std::optional<Segments::iterator> FindLocked(const Key& key, uint64_t hash);
+  // Drops `entry` from the hash index (the segments still hold it).
+  void UnindexLocked(const Entry& entry);
+  // Applies the segment caps, unindexing each evicted entry.
   void EnforceCapsLocked();
-  // Unlinks `it` (list + index + node accounting).
-  void EraseLocked(EntryList::iterator it);
 
-  const uint64_t max_nodes_;
-  const uint64_t probation_cap_;  // max_nodes_ / kProbationShare, at least 1
   mutable std::mutex mu_;
-  EntryList probation_;
-  EntryList protected_;
-  std::unordered_map<uint64_t, std::vector<EntryList::iterator>> index_;
-  Stats stats_;  // entries, nodes and probation_nodes kept live
+  Segments lru_;
+  std::unordered_map<uint64_t, std::vector<Segments::iterator>> index_;
+  // Counters kept here; the size figures are read off lru_.
+  Stats stats_;
 };
 
 }  // namespace eds::srv

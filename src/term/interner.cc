@@ -111,7 +111,11 @@ TermRef Interner::Intern(TermKind kind, value::Value value, std::string name,
     idx = (idx + 1) & mask;
   }
 
-  auto t = std::make_shared<TermBuilder>();
+  // Not make_shared: that would put the node and its control block in one
+  // allocation, so the table's weak_ptr would pin the whole dead node until
+  // the next sweep. Separate, the node is freed with its last TermRef and
+  // a tombstone holds only the control block.
+  std::shared_ptr<TermBuilder> t(new TermBuilder());
   t->kind_ = kind;
   t->value_ = std::move(value);
   t->name_ = std::move(name);

@@ -6,6 +6,7 @@
 // rows. Kill-mid-write and corrupt-file suites live in
 // persist_chaos_test.cc.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -329,6 +330,49 @@ TEST(PersistTest, WarmRestoredHotEntrySurvivesOneShotFlood) {
   };
   EXPECT_TRUE(cache.Lookup({reparse(hot.tmpl_text), 0, 0}).has_value());
   EXPECT_FALSE(cache.Lookup({reparse(cold.tmpl_text), 0, 0}).has_value());
+}
+
+TEST(PersistTest, WarmRestoredHotL0EntrySurvivesOneShotFlood) {
+  // The L0 tier shares the plan cache's segment policy: a restored text
+  // with persisted hits lands in protected and outlives a post-restart
+  // burst of one-shot texts; one that was never hit starts in probation.
+  CacheImage image;
+  PersistedL0 hot;
+  hot.key = "HOT";
+  hot.raw_text = "RELATION('BEATS')";
+  hot.plan_text = hot.raw_text;
+  hot.columns = {"Winner", "Loser"};
+  hot.hits = 3;
+  PersistedL0 cold = hot;
+  cold.key = "COLD";
+  cold.hits = 0;
+  image.l0 = {cold, hot};
+  PlanCache cache;
+  L0Cache l0(256);  // probation window: 16 entries
+  PersistOptions opts;
+  LoadStats stats;
+  ASSERT_EQ(WarmServiceCaches(image, nullptr, &cache, &l0, 0, 0, opts,
+                              &stats),
+            2u);
+  L0Cache::Stats restored = l0.GetStats();
+  EXPECT_EQ(restored.entries, 2u);
+  EXPECT_EQ(restored.probation_entries, 1u);
+  EXPECT_EQ(restored.promotions, 0u);
+  // Snapshot lists protected first, as PlanCache::Snapshot does, although
+  // the cold text was restored first.
+  std::vector<L0Cache::SnapshotEntry> snap = l0.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].key, "HOT");
+  EXPECT_EQ(snap[0].hits, 3u);
+  EXPECT_EQ(snap[1].key, "COLD");
+  for (int i = 0; i < 1000; ++i) {
+    l0.Insert("ONCE " + std::to_string(i), L0Cache::Entry{});
+  }
+  EXPECT_GT(l0.GetStats().evictions, 0u);
+  std::optional<L0Cache::Entry> hit = l0.Lookup("HOT", 0, 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->columns, hot.columns);
+  EXPECT_FALSE(l0.Lookup("COLD", 0, 0).has_value());
 }
 
 TEST(PersistTest, OversizeL0KeysAreNeverPersisted) {

@@ -280,6 +280,25 @@ TEST(PlanCacheTest, OversizedEntryStillCached) {
   EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
 }
 
+// A one-node ceiling is no larger than probation's minimum of one, so
+// protected gets no share: a hit entry is demoted straight back, the next
+// insert evicts it, and the cache holds one entry, not one per segment.
+TEST(PlanCacheTest, OneNodeCeilingHoldsOneEntry) {
+  PlanCache::Config config;
+  config.max_nodes = 1;
+  PlanCache cache(config);
+  cache.Insert(MakeKey(T(1)), T(101));
+  ASSERT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
+  cache.Insert(MakeKey(T(2)), T(102));
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.probation_nodes, stats.nodes);
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(1))).has_value());
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(2))).has_value());
+}
+
 TEST(PlanCacheTest, InsertRefreshesExistingKey) {
   PlanCache cache;
   cache.Insert(MakeKey(T(1)), T(101));
@@ -629,6 +648,143 @@ TEST(L0CacheTest, NormalizeCollapsesLexicalNoise) {
             NormalizeQueryText("SELECT w FROM b WHERE w > 3"));
 }
 
+// At the default capacity of 256 the probation window is 16 entries. A
+// text that has hit once sits in protected, where 10k one-shot texts (39x
+// the capacity) cannot reach it; the one-shots churn through probation.
+TEST(L0CacheTest, OneShotFloodCannotEvictARepeatedText) {
+  L0Cache l0(256);
+  l0.Insert("REPEATED", L0Cache::Entry{});
+  ASSERT_TRUE(l0.Lookup("REPEATED", 0, 0).has_value());  // promoted
+  constexpr int kFlood = 10000;
+  for (int i = 0; i < kFlood; ++i) {
+    l0.Insert("ONCE " + std::to_string(i), L0Cache::Entry{});
+    L0Cache::Stats s = l0.GetStats();
+    const uint64_t protected_entries = s.entries - s.probation_entries;
+    ASSERT_LE(s.entries, protected_entries + 16) << "after insert " << i;
+  }
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.entries, 17u);
+  EXPECT_EQ(stats.probation_entries, 16u);
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.evictions, static_cast<uint64_t>(kFlood - 16));
+  EXPECT_TRUE(l0.Lookup("REPEATED", 0, 0).has_value());
+  // The flood's survivors are its newest sixteen.
+  EXPECT_TRUE(
+      l0.Lookup("ONCE " + std::to_string(kFlood - 16), 0, 0).has_value());
+  EXPECT_FALSE(
+      l0.Lookup("ONCE " + std::to_string(kFlood - 17), 0, 0).has_value());
+}
+
+// The serve path inserts a text on its first sighting (a miss); the second
+// sighting hits as long as fewer than capacity / 16 other new texts
+// arrived in between. The service tests' "second serve is an L0 hit"
+// expectations rest on this window.
+TEST(L0CacheTest, RepeatWithinTheProbationWindowHits) {
+  L0Cache l0(256);  // probation window: 16 entries
+  l0.Insert("A", L0Cache::Entry{});
+  for (int i = 0; i < 15; ++i) {
+    l0.Insert("X " + std::to_string(i), L0Cache::Entry{});
+  }
+  EXPECT_TRUE(l0.Lookup("A", 0, 0).has_value());  // 15 newer texts: kept
+  EXPECT_EQ(l0.GetStats().evictions, 0u);
+  l0.Insert("B", L0Cache::Entry{});
+  for (int i = 0; i < 16; ++i) {
+    l0.Insert("Y " + std::to_string(i), L0Cache::Entry{});
+  }
+  // 16 newer texts filled the window: B left through the probation tail,
+  // after the 15 X texts, while A, promoted by its hit, stayed.
+  EXPECT_FALSE(l0.Lookup("B", 0, 0).has_value());
+  EXPECT_TRUE(l0.Lookup("A", 0, 0).has_value());
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.evictions, 16u);
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+// At capacity 1 protected has no share of the ceiling, so a hit entry is
+// demoted straight back and L0 stays a one-entry LRU.
+TEST(L0CacheTest, CapacityBoundsEntriesAfterAHit) {
+  L0Cache l0(1);
+  l0.Insert("A", L0Cache::Entry{});
+  ASSERT_TRUE(l0.Lookup("A", 0, 0).has_value());
+  l0.Insert("B", L0Cache::Entry{});
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_FALSE(l0.Lookup("A", 0, 0).has_value());
+  EXPECT_TRUE(l0.Lookup("B", 0, 0).has_value());
+}
+
+// Serves `text` the way the serve path does: a lookup, then an insert on
+// a miss. Returns whether it hit.
+bool ServeL0(L0Cache& l0, const std::string& text) {
+  if (l0.Lookup(text, 0, 0).has_value()) return true;
+  l0.Insert(text, L0Cache::Entry{});
+  return false;
+}
+
+// Below 32 entries the probation window is a single entry, so two texts
+// that alternate evict each other from it. Each is then remembered as
+// evicted, its next insert lands in protected, and from there both hit: one
+// miss more per text than a plain LRU takes, not a miss on every request.
+TEST(L0CacheTest, AlternatingPairHitsAtSmallCapacity) {
+  L0Cache l0(16);  // probation window: 1 entry
+  std::vector<bool> hits;
+  for (int i = 0; i < 8; ++i) hits.push_back(ServeL0(l0, i % 2 ? "B" : "A"));
+  EXPECT_EQ(hits, (std::vector<bool>{false, false, false, true, true, true,
+                                     true, true}));
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.readmissions, 1u);  // A, after B pushed it out
+  EXPECT_EQ(stats.promotions, 1u);    // B, hit in probation
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.probation_entries, 0u);
+}
+
+// A cycle of 20 texts at the default capacity repeats further apart than
+// the 16-entry window. Round one misses throughout; in round two the four
+// texts the window lost are readmitted into protected (missing once more)
+// and the sixteen it kept hit; from round three every text hits.
+TEST(L0CacheTest, CycleLongerThanTheWindowHitsFromTheThirdRound) {
+  L0Cache l0(256);
+  constexpr int kCycle = 20;
+  std::vector<int> hits_per_round;
+  for (int round = 0; round < 4; ++round) {
+    int hits = 0;
+    for (int i = 0; i < kCycle; ++i) {
+      hits += ServeL0(l0, "CYCLE " + std::to_string(i)) ? 1 : 0;
+    }
+    hits_per_round.push_back(hits);
+  }
+  EXPECT_EQ(hits_per_round, (std::vector<int>{0, 16, 20, 20}));
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.readmissions, 4u);
+  EXPECT_EQ(stats.promotions, 16u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.entries, 20u);
+  EXPECT_EQ(stats.probation_entries, 0u);
+}
+
+// The evicted-text memory holds `capacity` hashes: a text that comes back
+// after more than that many other evictions starts over in probation.
+TEST(L0CacheTest, ReadmissionMemoryIsBoundedByCapacity) {
+  L0Cache l0(32);  // probation window: 2 entries; remembers 32 evictions
+  ServeL0(l0, "OLD");
+  for (int i = 0; i < 34; ++i) ServeL0(l0, "ONCE " + std::to_string(i));
+  // OLD was the first of 33 evictions, so it has been forgotten.
+  EXPECT_EQ(l0.GetStats().evictions, 33u);
+  EXPECT_FALSE(ServeL0(l0, "OLD"));
+  EXPECT_EQ(l0.GetStats().readmissions, 0u);
+  EXPECT_EQ(l0.GetStats().probation_entries, 2u);
+  // OLD's insert evicted ONCE 32, which pushed ONCE 0 out of the memory;
+  // ONCE 1 is now the oldest text remembered, and comes back protected.
+  EXPECT_FALSE(ServeL0(l0, "ONCE 1"));
+  L0Cache::Stats stats = l0.GetStats();
+  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(stats.entries - stats.probation_entries, 1u);
+}
+
 TEST(QueryServiceTest, L0HitSkipsFrontHalfOfPipeline) {
   testutil::FilmDb db;
   QueryService service(&db.session, PumpedOptions());
@@ -840,12 +996,13 @@ TEST(QueryServiceTest, LevelMetricsExportAsGauges) {
   const std::string prom = registry.ToPrometheus();
   for (const char* gauge : {"cache_entries", "cache_nodes",
                             "cache_probation_nodes", "srv_l0_entries",
-                            "interner_entries"}) {
+                            "srv_l0_probation_entries", "interner_entries"}) {
     EXPECT_NE(prom.find(std::string("# TYPE ") + gauge + " gauge\n"),
               std::string::npos)
         << gauge << "\n" << prom;
   }
-  for (const char* counter : {"cache_promotions", "cache_evictions"}) {
+  for (const char* counter : {"cache_promotions", "cache_evictions",
+                              "srv_l0_promotions", "srv_l0_readmissions"}) {
     EXPECT_NE(prom.find(std::string("# TYPE ") + counter + " counter\n"),
               std::string::npos)
         << counter << "\n" << prom;
