@@ -143,6 +143,23 @@ void BM_Histogram_Record(benchmark::State& state) {
 }
 BENCHMARK(BM_Histogram_Record);
 
+// The same record from 2 and 4 threads into one shared histogram, as the
+// service's workers do. Each thread keeps to its own shard (allocated by
+// its first record), so the per-record cost should stay that of the
+// single-threaded case rather than grow with contention.
+void BM_Histogram_RecordThreaded(benchmark::State& state) {
+  static eds::obs::Histogram histogram;
+  uint64_t value = 1 + static_cast<uint64_t>(state.thread_index());
+  for (auto _ : state) {
+    histogram.Record(value);
+    value = (value * 1664525 + 1013904223) & ((1ULL << 30) - 1);
+  }
+  if (state.thread_index() == 0) {
+    benchmark::DoNotOptimize(histogram.Snapshot().count);
+  }
+}
+BENCHMARK(BM_Histogram_RecordThreaded)->Threads(2)->Threads(4);
+
 }  // namespace
 
 BENCHMARK_MAIN();

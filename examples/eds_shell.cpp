@@ -442,7 +442,9 @@ class Shell {
     std::cout << "entries:         " << s.entries << " (" << s.nodes
               << " nodes, " << s.probation_nodes << " in probation)\n"
               << "hits / misses:   " << s.hits << " / " << s.misses << "\n"
-              << "inserts:         " << s.inserts << "\n"
+              << "inserts:         " << s.inserts << " ("
+              << service_->admission_deferrals()
+              << " first sightings deferred)\n"
               << "promotions:      " << s.promotions << "\n"
               << "evictions:       " << s.evictions << "\n"
               << "insert failures: " << s.insert_failures << "\n"

@@ -44,27 +44,31 @@ Result<Rows> Executor::Execute(const term::TermRef& plan) {
   FixEnv env;
   const uint64_t copies_before = value::ValueCopyCount();
   Result<Rows> out = Eval(plan, env);
+  stored_rows_.clear();
   stats_.value_copies += value::ValueCopyCount() - copies_before;
   if (out.ok()) stats_.rows_output += out->size();
   return out;
 }
 
-const Rows* Executor::TryBorrowStoredRows(const term::TermRef& t,
-                                          const FixEnv& env,
-                                          const vec::Batch** batch) {
-  if (batch != nullptr) *batch = nullptr;
-  if (!lera::IsRelation(t)) return nullptr;
+Executor::Borrowed Executor::TryBorrow(const term::TermRef& t,
+                                       const FixEnv& env) {
+  if (!lera::IsRelation(t)) return {};
   Result<std::string> name = lera::RelationName(t);
-  if (!name.ok()) return nullptr;
+  if (!name.ok()) return {};
   // Fixpoint variables shadow stored relations, exactly as in Eval.
   auto it = env.find(ToUpperAscii(*name));
-  if (it != env.end()) return it->second;
-  if (!db_->HasTable(*name)) return nullptr;
+  if (it != env.end()) return {it->second, nullptr};
+  if (!db_->HasTable(*name)) return {};
   Result<const Table*> table = db_->GetTable(*name);
-  if (!table.ok()) return nullptr;
+  if (!table.ok()) return {};
   stats_.rows_scanned += (*table)->size();
-  if (batch != nullptr && options_.vectorized) *batch = &(*table)->batch();
-  return &(*table)->rows();
+  return {nullptr, &(*table)->batch()};
+}
+
+const Rows& Executor::StoredRows(const vec::Batch* batch) {
+  auto [it, inserted] = stored_rows_.try_emplace(batch);
+  if (inserted) it->second = batch->ToRows();
+  return it->second;
 }
 
 Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
@@ -127,7 +131,7 @@ Result<Rows> Executor::EvalDispatch(const term::TermRef& t,
     if (db_->HasTable(name)) {
       EDS_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(name));
       stats_.rows_scanned += table->size();
-      return table->rows();
+      return StoredRows(&table->batch());
     }
     if (catalog_->HasView(name)) {
       EDS_ASSIGN_OR_RETURN(const catalog::ViewDef* view,

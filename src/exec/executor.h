@@ -91,16 +91,25 @@ class Executor {
   Result<Rows> Eval(const term::TermRef& t, const FixEnv& env);
   Result<Rows> EvalDispatch(const term::TermRef& t, const FixEnv& env);
 
-  // Rows for `t` that are already materialized — a fixpoint binding or a
-  // stored base table — borrowed without copying (counted as scanned just
-  // like an evaluated scan). Null when `t` genuinely needs evaluation
-  // (views, operator trees, unknown names: Eval reports those errors).
-  // SEARCH feeds on borrowed inputs where it can so a scan over a stored
-  // table never deep-copies the table first. When `batch` is non-null it
-  // receives the table's cached columnar image (null for fixpoint
-  // bindings, which are row vectors).
-  const Rows* TryBorrowStoredRows(const term::TermRef& t, const FixEnv& env,
-                                  const vec::Batch** batch = nullptr);
+  // An input that needs no evaluation, borrowed without copying (counted
+  // as scanned just like an evaluated scan): a fixpoint binding's rows or a
+  // stored table's batch, exactly one of them set. Empty when `t`
+  // genuinely needs evaluation (views, operator trees, unknown names: Eval
+  // reports those errors). SEARCH feeds on borrowed inputs where it can,
+  // so a scan over a stored table never copies the table first.
+  struct Borrowed {
+    const Rows* rows = nullptr;
+    const vec::Batch* batch = nullptr;
+    explicit operator bool() const {
+      return rows != nullptr || batch != nullptr;
+    }
+  };
+  Borrowed TryBorrow(const term::TermRef& t, const FixEnv& env);
+
+  // The row image of a stored table's batch, built on first use and kept
+  // until Execute returns, so the row path converts each table at most
+  // once per Execute.
+  const Rows& StoredRows(const vec::Batch* batch);
 
   // operators.cc
   Result<Rows> EvalSearch(const term::TermRef& t, const FixEnv& env);
@@ -121,9 +130,11 @@ class Executor {
   // *MaybeVec wrappers: a vectorized attempt whose error is anything but
   // ResourceExhausted (a governor trip, always final) restores the stats
   // snapshot, counts a fallback and reruns the row-path oracle, which
-  // reproduces the precise user-visible error or result.
+  // reproduces the precise user-visible error or result. Input i of a
+  // search is batches[i] when that is set (a stored table; inputs[i] is
+  // then null), else *inputs[i].
   Result<Rows> SearchWithInputsMaybeVec(
-      const term::TermRef& search, const std::vector<const Rows*>& inputs,
+      const term::TermRef& search, std::vector<const Rows*> inputs,
       const std::vector<const vec::Batch*>& batches);
   Result<Rows> EvalSearchWithInputsVec(
       const term::TermRef& search, const std::vector<const Rows*>& inputs,
@@ -134,11 +145,14 @@ class Executor {
   // Sorted set-semantics dedup: vectorized hash grouping when profitable,
   // DedupRows otherwise; output identical either way.
   void DedupMaybeVec(Rows* rows);
-  // Borrows `t`'s rows (setting *batch, *borrowed) or evaluates into
-  // *owned. Used by the unary/binary vectorized operators.
-  Result<const Rows*> ChildRows(const term::TermRef& t, const FixEnv& env,
-                                Rows* owned, const vec::Batch** batch,
-                                bool* borrowed);
+  // The columnar image of `t`: a stored table's own batch, or `conv`
+  // filled from a borrowed fixpoint binding or from evaluating `t`.
+  // `*borrowed` tells the caller to charge the rows to the guard itself
+  // (an evaluated child was charged by its Eval). Used by the unary/binary
+  // vectorized operators.
+  Result<const vec::Batch*> ChildBatch(const term::TermRef& t,
+                                       const FixEnv& env, vec::Batch* conv,
+                                       bool* borrowed);
 
   EvalContext MakeExprContext() const;
 
@@ -146,6 +160,7 @@ class Executor {
   const Database* db_;
   ExecOptions options_;
   ExecStats stats_;
+  std::map<const vec::Batch*, Rows> stored_rows_;  // see StoredRows()
 };
 
 // Sorts rows lexicographically and removes duplicates (set semantics).

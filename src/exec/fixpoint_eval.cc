@@ -164,11 +164,9 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
           }
           FixEnv inner = env;
           inner[key] = &total;
-          const vec::Batch* batch = nullptr;
-          if (const Rows* stored =
-                  TryBorrowStoredRows(input_terms[i], inner, &batch)) {
-            inputs.push_back(stored);
-            batches.push_back(batch);
+          if (Borrowed b = TryBorrow(input_terms[i], inner)) {
+            inputs.push_back(b.rows);
+            batches.push_back(b.batch);
             continue;
           }
           Result<Rows> rows = Eval(input_terms[i], inner);

@@ -34,10 +34,9 @@ Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
       !qual->constant().AsBool()) {
     return Rows{};
   }
-  // Stored inputs are borrowed straight from the table (or fixpoint
-  // binding); only derived inputs are materialized into `owned`, whose
-  // reserve keeps the borrowed pointers stable. Borrowed tables carry
-  // their cached columnar image for the vectorized path.
+  // Stored inputs are borrowed straight from the table's batch (or the
+  // fixpoint binding's rows); only derived inputs are materialized into
+  // `owned`, whose reserve keeps the borrowed pointers stable.
   std::vector<Rows> owned;
   owned.reserve(input_terms.size());
   std::vector<const Rows*> inputs;
@@ -45,10 +44,9 @@ Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
   std::vector<const vec::Batch*> batches;
   batches.reserve(input_terms.size());
   for (const TermRef& in : input_terms) {
-    const vec::Batch* batch = nullptr;
-    if (const Rows* stored = TryBorrowStoredRows(in, env, &batch)) {
-      inputs.push_back(stored);
-      batches.push_back(batch);
+    if (Borrowed b = TryBorrow(in, env)) {
+      inputs.push_back(b.rows);
+      batches.push_back(b.batch);
       continue;
     }
     EDS_ASSIGN_OR_RETURN(Rows rows, Eval(in, env));

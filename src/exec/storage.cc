@@ -4,38 +4,26 @@
 
 namespace eds::exec {
 
-Status Table::Insert(Row row) {
-  if (row.size() != column_count_) {
+Table::Table(size_t column_count) { batch_.cols.resize(column_count); }
+
+Row Table::RowAt(size_t i) const {
+  Row row;
+  row.reserve(batch_.cols.size());
+  for (const vec::ColumnVector& col : batch_.cols) {
+    row.push_back(col.ValueAt(i));
+  }
+  return row;
+}
+
+Status Table::Insert(const Row& row) {
+  if (row.size() != batch_.cols.size()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(row.size()) + " values, table expects " +
-        std::to_string(column_count_));
+        std::to_string(batch_.cols.size()));
   }
-  rows_.push_back(std::move(row));
-  InvalidateBatch();
+  for (size_t c = 0; c < row.size(); ++c) batch_.cols[c].AppendValue(row[c]);
+  ++batch_.rows;
   return Status::OK();
-}
-
-const vec::Batch& Table::batch() const {
-  BatchCache* cache = cache_.get();
-  if (!cache->built.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(cache->mu);
-    if (!cache->built.load(std::memory_order_relaxed)) {
-      vec::Batch built;
-      vec::Batch::FromRows(rows_, &built);  // Insert enforces arity: never ragged
-      // Keep the table's width visible even with no rows, so batch
-      // consumers see the right arity.
-      if (rows_.empty()) built.cols.resize(column_count_);
-      cache->batch = std::move(built);
-      cache->built.store(true, std::memory_order_release);
-    }
-  }
-  return cache->batch;
-}
-
-void Table::InvalidateBatch() {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cache_->batch = vec::Batch();
-  cache_->built.store(false, std::memory_order_release);
 }
 
 value::Value ObjectHeap::New(std::string type_name, value::Value state) {

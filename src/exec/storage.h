@@ -1,10 +1,8 @@
 #ifndef EDS_EXEC_STORAGE_H_
 #define EDS_EXEC_STORAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -20,41 +18,28 @@ namespace eds::exec {
 using Row = std::vector<value::Value>;
 using Rows = std::vector<Row>;
 
-// In-memory stored table.
+// In-memory stored table. Its one image is columnar: Insert appends each
+// cell to its column, under the same lane commit/demote rules as
+// vec::Batch::FromRows, so batch() is exactly the batch FromRows would build
+// from the rows in insertion order. The vectorized executor reads the batch
+// directly; the row path rebuilds rows from it (Executor keeps at most one
+// row image per table per Execute). Readers never race writers: data
+// writes are serialized against serving by QueryService's serve gate.
 class Table {
  public:
-  explicit Table(size_t column_count)
-      : column_count_(column_count), cache_(new BatchCache) {}
+  explicit Table(size_t column_count);
 
-  size_t column_count() const { return column_count_; }
-  const Rows& rows() const { return rows_; }
-  size_t size() const { return rows_.size(); }
+  size_t column_count() const { return batch_.cols.size(); }
+  size_t size() const { return batch_.rows; }
+  const vec::Batch& batch() const { return batch_; }
 
-  Status Insert(Row row);
-  void Clear() {
-    rows_.clear();
-    InvalidateBatch();
-  }
+  // Row `i` (i < size()), rebuilt from the columns.
+  Row RowAt(size_t i) const;
 
-  // Columnar image of rows(), built lazily on first use and cached until
-  // the next Insert/Clear. Concurrent readers are safe (double-checked
-  // build under a mutex); readers racing writers are excluded by the same
-  // serving contract that already protects rows_ itself.
-  const vec::Batch& batch() const;
+  Status Insert(const Row& row);
 
  private:
-  // Heap-held so Table stays movable (map emplacement) despite the mutex.
-  struct BatchCache {
-    std::mutex mu;
-    std::atomic<bool> built{false};
-    vec::Batch batch;
-  };
-
-  void InvalidateBatch();
-
-  size_t column_count_;
-  Rows rows_;
-  std::unique_ptr<BatchCache> cache_;
+  vec::Batch batch_;
 };
 
 // An object with identity: its dynamic type name and its tuple value (field

@@ -212,7 +212,7 @@ Result<vec::Batch> JoinStage(const vec::Batch& left,
 }  // namespace
 
 Result<Rows> Executor::SearchWithInputsMaybeVec(
-    const term::TermRef& search, const std::vector<const Rows*>& inputs,
+    const term::TermRef& search, std::vector<const Rows*> inputs,
     const std::vector<const vec::Batch*>& batches) {
   if (options_.vectorized) {
     ExecStats saved = stats_;
@@ -222,6 +222,9 @@ Result<Rows> Executor::SearchWithInputsMaybeVec(
     }
     stats_ = saved;
     ++stats_.vec_fallbacks;
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i] == nullptr) inputs[i] = &StoredRows(batches[i]);
   }
   return EvalSearchWithInputs(search, inputs);
 }
@@ -252,7 +255,7 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
     if (!ok) return Rows{};
   }
 
-  // Columnar images of the inputs: stored tables arrive as cached batches,
+  // Columnar images of the inputs: stored tables arrive as their batches,
   // everything else (fixpoint deltas, materialized subtrees) converts here.
   std::vector<vec::Batch> converted(n);
   std::vector<const vec::Batch*> in_batches(n);
@@ -310,36 +313,30 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
   return out;
 }
 
-Result<const Rows*> Executor::ChildRows(const term::TermRef& t,
-                                        const FixEnv& env, Rows* owned,
-                                        const vec::Batch** batch,
-                                        bool* borrowed) {
-  if (const Rows* stored = TryBorrowStoredRows(t, env, batch)) {
-    *borrowed = true;
-    return stored;
+Result<const vec::Batch*> Executor::ChildBatch(const term::TermRef& t,
+                                               const FixEnv& env,
+                                               vec::Batch* conv,
+                                               bool* borrowed) {
+  Borrowed b = TryBorrow(t, env);
+  *borrowed = static_cast<bool>(b);
+  if (b.batch != nullptr) return b.batch;
+  Rows owned;
+  if (b.rows == nullptr) {
+    EDS_ASSIGN_OR_RETURN(owned, Eval(t, env));
+    b.rows = &owned;
   }
-  *batch = nullptr;
-  *borrowed = false;
-  Result<Rows> rows = Eval(t, env);
-  EDS_RETURN_IF_ERROR(rows.status());
-  *owned = std::move(*rows);
-  return owned;
+  if (!vec::Batch::FromRows(*b.rows, conv)) {
+    return Status::Unsupported("ragged input rows");
+  }
+  return conv;
 }
 
 Result<Rows> Executor::EvalFilterVec(const term::TermRef& t,
                                      const FixEnv& env) {
-  Rows owned;
-  const vec::Batch* tb = nullptr;
-  bool borrowed = false;
-  EDS_ASSIGN_OR_RETURN(const Rows* child,
-                       ChildRows(t->arg(0), env, &owned, &tb, &borrowed));
   vec::Batch conv;
-  if (tb == nullptr) {
-    if (!vec::Batch::FromRows(*child, &conv)) {
-      return Status::Unsupported("ragged filter input");
-    }
-    tb = &conv;
-  }
+  bool borrowed = false;
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* tb,
+                       ChildBatch(t->arg(0), env, &conv, &borrowed));
   vec::ExprFrame frame;
   frame.batch = tb;
   frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
@@ -354,7 +351,7 @@ Result<Rows> Executor::EvalFilterVec(const term::TermRef& t,
   // The row path charges borrowed children through the child's Eval; the
   // vectorized path charges at the end so a fallback never double-counts.
   if (borrowed && options_.guard != nullptr &&
-      options_.guard->AddRows(child->size())) {
+      options_.guard->AddRows(tb->rows)) {
     return options_.guard->TripStatus();
   }
   return out;
@@ -365,18 +362,10 @@ Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
   if (!t->arg(1)->IsApply(term::kList)) {
     return Status::InvalidArgument("malformed PROJECT");
   }
-  Rows owned;
-  const vec::Batch* tb = nullptr;
-  bool borrowed = false;
-  EDS_ASSIGN_OR_RETURN(const Rows* child,
-                       ChildRows(t->arg(0), env, &owned, &tb, &borrowed));
   vec::Batch conv;
-  if (tb == nullptr) {
-    if (!vec::Batch::FromRows(*child, &conv)) {
-      return Status::Unsupported("ragged project input");
-    }
-    tb = &conv;
-  }
+  bool borrowed = false;
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* tb,
+                       ChildBatch(t->arg(0), env, &conv, &borrowed));
   const TermList& projections = t->arg(1)->args();
   vec::ExprFrame frame;
   frame.batch = tb;
@@ -400,37 +389,22 @@ Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
     out.push_back(std::move(row));
   }
   if (borrowed && options_.guard != nullptr &&
-      options_.guard->AddRows(child->size())) {
+      options_.guard->AddRows(tb->rows)) {
     return options_.guard->TripStatus();
   }
   return out;
 }
 
 Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
-  Rows owned_a, owned_b;
-  const vec::Batch* ba = nullptr;
-  const vec::Batch* bb = nullptr;
-  bool borrowed_a = false, borrowed_b = false;
-  EDS_ASSIGN_OR_RETURN(
-      const Rows* a, ChildRows(t->arg(0), env, &owned_a, &ba, &borrowed_a));
-  EDS_ASSIGN_OR_RETURN(
-      const Rows* b, ChildRows(t->arg(1), env, &owned_b, &bb, &borrowed_b));
   vec::Batch conv_a, conv_b;
-  if (ba == nullptr) {
-    if (!vec::Batch::FromRows(*a, &conv_a)) {
-      return Status::Unsupported("ragged join input");
-    }
-    ba = &conv_a;
-  }
-  if (bb == nullptr) {
-    if (!vec::Batch::FromRows(*b, &conv_b)) {
-      return Status::Unsupported("ragged join input");
-    }
-    bb = &conv_b;
-  }
+  bool borrowed_a = false, borrowed_b = false;
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* ba,
+                       ChildBatch(t->arg(0), env, &conv_a, &borrowed_a));
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* bb,
+                       ChildBatch(t->arg(1), env, &conv_b, &borrowed_b));
 
   Rows out;
-  if (!a->empty() && !b->empty()) {
+  if (ba->rows != 0 && bb->rows != 0) {
     std::vector<TermList> conjuncts_at(3);
     for (const TermRef& c : term::Conjuncts(t->arg(2))) {
       const int64_t level = MaxInputIndex(c);
@@ -475,7 +449,7 @@ Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
     }
   }
   const size_t charge =
-      (borrowed_a ? a->size() : 0) + (borrowed_b ? b->size() : 0);
+      (borrowed_a ? ba->rows : 0) + (borrowed_b ? bb->rows : 0);
   if (charge > 0 && options_.guard != nullptr &&
       options_.guard->AddRows(charge)) {
     return options_.guard->TripStatus();

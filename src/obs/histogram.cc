@@ -38,8 +38,27 @@ size_t Histogram::ShardSlot() {
   return slot;
 }
 
+Histogram::~Histogram() {
+  for (std::atomic<Shard*>& shard : shards_) delete shard.load();
+}
+
+Histogram::Shard& Histogram::LocalShard() {
+  std::atomic<Shard*>& slot = shards_[ShardSlot()];
+  Shard* shard = slot.load(std::memory_order_acquire);
+  if (shard != nullptr) return *shard;
+  // Threads sharing a slot may race to allocate it: one CAS wins, and the
+  // loser frees its copy and records into the winner's.
+  Shard* fresh = new Shard();
+  if (slot.compare_exchange_strong(shard, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;
+  return *shard;
+}
+
 void Histogram::Record(uint64_t value) {
-  Shard& shard = shards_[ShardSlot()];
+  Shard& shard = LocalShard();
   shard.counts[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
@@ -53,23 +72,22 @@ void Histogram::Record(uint64_t value) {
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.counts.assign(kBuckets, 0);
-  for (const Shard& shard : shards_) {
+  for (const std::atomic<Shard*>& slot : shards_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
     for (size_t i = 0; i < kBuckets; ++i) {
-      snap.counts[i] += shard.counts[i].load(std::memory_order_relaxed);
+      snap.counts[i] += shard->counts[i].load(std::memory_order_relaxed);
     }
-    snap.count += shard.count.load(std::memory_order_relaxed);
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-    snap.max = std::max(snap.max, shard.max.load(std::memory_order_relaxed));
+    snap.count += shard->count.load(std::memory_order_relaxed);
+    snap.sum += shard->sum.load(std::memory_order_relaxed);
+    snap.max = std::max(snap.max, shard->max.load(std::memory_order_relaxed));
   }
   return snap;
 }
 
 void Histogram::ResetForTesting() {
-  for (Shard& shard : shards_) {
-    for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-    shard.max.store(0, std::memory_order_relaxed);
+  for (std::atomic<Shard*>& slot : shards_) {
+    delete slot.exchange(nullptr, std::memory_order_relaxed);
   }
 }
 

@@ -16,14 +16,17 @@ namespace eds::obs {
 // linear sub-buckets, so the relative quantile error is bounded by
 // 1/kSubCount (~6% with kSubBits=4) across the full uint64 range. This is
 // the classic HdrHistogram layout reduced to what a latency gauge needs:
-// fixed memory, O(1) record, O(buckets) snapshot.
+// bounded memory, O(1) record, O(buckets) snapshot.
 //
 // Concurrency: recording is lock-free. Counters are relaxed atomics,
 // sharded kShards ways with each shard on its own cache line set; a thread
 // picks its shard once (thread-local round-robin), so the worker pool
-// records without a shared lock OR a shared cache line. Snapshot() sums
-// the shards with relaxed loads — it is a statistically consistent view,
-// not a linearizable one, which is all a quantile gauge needs. The one
+// records without a shared lock OR a shared cache line. A shard (~7.8 KB)
+// is allocated by the first Record() that lands on it, so a histogram
+// costs one pointer per shard until used and one shard per recording
+// thread after (up to kShards). Snapshot() sums the shards with relaxed
+// loads — it is a statistically consistent view, not a linearizable one,
+// which is all a quantile gauge needs. The one
 // cross-shard invariant tests may rely on: every Record() that
 // happens-before a Snapshot() is fully visible in it (count, sum, and its
 // bucket all move together per shard).
@@ -56,6 +59,7 @@ class Histogram {
   static constexpr size_t kBuckets = (63 - kSubBits) * kSubCount + 2 * kSubCount;
 
   Histogram() = default;
+  ~Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -64,7 +68,7 @@ class Histogram {
 
   HistogramSnapshot Snapshot() const;
 
-  // Zeroes every shard. NOT safe concurrently with Record (tests only).
+  // Drops every shard. NOT safe concurrently with Record (tests only).
   void ResetForTesting();
 
   // Bucket math, exposed for tests and the Prometheus exporter.
@@ -81,8 +85,10 @@ class Histogram {
     std::atomic<uint64_t> max{0};
   };
   static size_t ShardSlot();
+  // The calling thread's shard, allocated on its first use.
+  Shard& LocalShard();
 
-  std::array<Shard, kShards> shards_{};
+  std::array<std::atomic<Shard*>, kShards> shards_{};
 };
 
 }  // namespace eds::obs

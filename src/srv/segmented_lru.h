@@ -188,6 +188,8 @@ class SegmentedLru {
 // cache admits it straight to protected (SegmentedLru::Touch with `hot`):
 // it misses once more than under a plain LRU, then hits. One-shot keys age
 // out unseen. Costs a hash and a map node per remembered key, not a value.
+// QueryService reuses it as the plan cache's admission doorkeeper: the
+// hashes of templates whose first rewrite was served but not stored.
 class EvictedKeys {
  public:
   explicit EvictedKeys(size_t capacity) : capacity_(capacity) {}

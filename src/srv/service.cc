@@ -73,6 +73,7 @@ QueryService::QueryService(exec::Session* session,
       options_(options),
       cache_(options.cache),
       l0_(options.l0_capacity),
+      first_sightings_(kAdmissionGhostCapacity),
       recorder_(kFlightRecorderCapacity),
       slow_log_(options.slow_query_log_path.empty()
                     ? nullptr
@@ -589,11 +590,14 @@ Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
     result.rewrite_stats = direct.stats;
     plan = direct.term;
   } else if (!outcome.stats.trip.tripped() && !outcome.stats.safety_stop) {
-    // The entry carries what this rewrite cost and the literals it ran
-    // under: persistence ranks hotness by hits and re-verifies loaded
-    // entries by re-executing with these sample literals.
-    cache_.Insert(key, outcome.term, obs::NowNs() - rw0, fp.params);
-    served->cache_stored = true;
+    // Stored from the template's second sighting on. The entry carries
+    // what this rewrite cost and the literals it ran under: persistence
+    // ranks hotness by hits and re-verifies loaded entries by re-executing
+    // with these sample literals.
+    if (AdmitTemplate(served->template_hash)) {
+      cache_.Insert(key, outcome.term, obs::NowNs() - rw0, fp.params);
+      served->cache_stored = true;
+    }
   } else {
     // Degraded rewrites (governor trip / safety valve) are correct but
     // under-optimized — never cache them, so a future uncontended run
@@ -604,9 +608,22 @@ Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
   return plan;
 }
 
+bool QueryService::AdmitTemplate(uint64_t hash) {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  if (first_sightings_.Contains(hash)) return true;
+  first_sightings_.Remember(hash);
+  ++admission_deferrals_;
+  return false;
+}
+
 ServiceStats QueryService::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+uint64_t QueryService::admission_deferrals() const {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  return admission_deferrals_;
 }
 
 std::vector<const obs::TraceSink*> QueryService::worker_sinks() const {
@@ -636,6 +653,7 @@ void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
   }
   registry->Counter("srv.snapshot.publishes", snapshot_publishes());
   ExportCacheStats(cache_.GetStats(), registry);
+  registry->Counter("cache.admission_deferrals", admission_deferrals());
   ExportL0Stats(l0_.GetStats(), registry);
   obs::ExportGovStats(gov::CumulativeTripCounters(), registry);
   ExportLatencyMetrics(latency_, registry);

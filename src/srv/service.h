@@ -80,6 +80,15 @@ struct ServedQuery {
 // metrics export — without limit.
 inline constexpr size_t kMaxTrackedTenants = 64;
 
+// Plan-cache admission on a template's second sighting (the doorkeeper of
+// TinyLFU): a template's first rewrite is served but not stored, and only
+// its structural hash is remembered, in a ghost list of the last
+// kAdmissionGhostCapacity deferred templates (srv::EvictedKeys, ~60 bytes
+// a hash). A miss whose template is remembered stores its plan. The hash
+// leaves the catalog/rule epochs out, so a DDL between two sightings does
+// not reset admission. Warm restores from the persist file bypass it.
+inline constexpr size_t kAdmissionGhostCapacity = 1024;
+
 // Cumulative service tallies, exported as srv.* metrics.
 struct ServiceStats {
   uint64_t submitted = 0;
@@ -243,6 +252,9 @@ class QueryService {
   bool ServeQueuedForTesting();
 
   ServiceStats GetStats() const;
+  // Template misses whose plan was not stored because it was the
+  // template's first sighting (kAdmissionGhostCapacity).
+  uint64_t admission_deferrals() const;
   PlanCache& cache() { return cache_; }
   const PlanCache& cache() const { return cache_; }
   L0Cache& l0_cache() { return l0_; }
@@ -335,6 +347,10 @@ class QueryService {
                                   const ServingSnapshot& snap,
                                   gov::QueryGuard* guard, obs::TraceSink* sink,
                                   ServedQuery* served);
+  // The admission decision for a cacheable miss of the template with
+  // structural hash `hash`: true on its second sighting, else remembers
+  // the hash and counts a deferral.
+  bool AdmitTemplate(uint64_t hash);
   // Rebuilds + publishes the snapshot if the session's epochs moved (the
   // direct-session-DDL-while-idle compatibility path). Cheap no-op when
   // clean: two relaxed loads + one shared_ptr copy.
@@ -347,6 +363,10 @@ class QueryService {
   ServiceOptions options_;
   PlanCache cache_;
   L0Cache l0_;
+  // First sightings of templates not yet stored (AdmitTemplate).
+  mutable std::mutex admission_mu_;
+  EvictedKeys first_sightings_;
+  uint64_t admission_deferrals_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -146,6 +146,20 @@ inline void Mix(uint64_t* h, uint64_t x) {
   *h *= kFnvPrime;
 }
 
+// Mix for a whole hash word (a child's or an element's hash). FNV is a
+// byte-wise hash: fed words whose differences are structured, such as the
+// hashes of ATTR($1.1) and ATTR($1.2), its xor-multiply step lets those
+// differences cancel, and lists of seven such children already collided.
+// The splitmix64 finalizer spreads each word over all 64 bits first.
+inline void MixWord(uint64_t* h, uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  Mix(h, x);
+}
+
 }  // namespace
 
 namespace internal {
@@ -183,7 +197,7 @@ uint64_t HashConstantValue(const value::Value& v) {
     case ValueKind::kTuple:
       Mix(&h, 5);
       for (const value::Value& f : v.tuple().values) {
-        Mix(&h, HashConstantValue(f));
+        MixWord(&h, HashConstantValue(f));
       }
       break;
     case ValueKind::kSet:
@@ -193,7 +207,7 @@ uint64_t HashConstantValue(const value::Value& v) {
       Mix(&h, 6 + static_cast<uint64_t>(v.kind()) -
                   static_cast<uint64_t>(ValueKind::kSet));
       for (const value::Value& e : v.elements()) {
-        Mix(&h, HashConstantValue(e));
+        MixWord(&h, HashConstantValue(e));
       }
       break;
     case ValueKind::kObjectRef:
@@ -211,7 +225,7 @@ uint64_t HashNode(TermKind kind, const std::string& name,
   Mix(&h, static_cast<uint64_t>(kind));
   switch (kind) {
     case TermKind::kConstant:
-      Mix(&h, HashConstantValue(v));
+      MixWord(&h, HashConstantValue(v));
       break;
     case TermKind::kVariable:
     case TermKind::kCollectionVariable:
@@ -219,7 +233,7 @@ uint64_t HashNode(TermKind kind, const std::string& name,
       break;
     case TermKind::kApply:
       for (char c : name) Mix(&h, static_cast<uint8_t>(c));
-      for (size_t i = 0; i < n; ++i) Mix(&h, child_hashes[i]);
+      for (size_t i = 0; i < n; ++i) MixWord(&h, child_hashes[i]);
       break;
   }
   return h;

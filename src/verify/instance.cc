@@ -145,7 +145,8 @@ VerifyEnv::Snapshot VerifyEnv::SnapshotOf(size_t instance_index) const {
   for (const auto& [tname, arity] : table_arity_) {
     (void)arity;
     auto t = inst.db->GetTable(tname);
-    snap.tables.emplace_back(tname, t.ok() ? (*t)->rows() : exec::Rows{});
+    snap.tables.emplace_back(tname,
+                             t.ok() ? (*t)->batch().ToRows() : exec::Rows{});
   }
   return snap;
 }

@@ -24,6 +24,54 @@ TEST(StorageTest, TableArityChecked) {
   EXPECT_EQ(t.size(), 1u);
 }
 
+// A table's batch is its only image: Insert appends each cell under the
+// lane rules of vec::Batch::FromRows, so the batch matches FromRows over
+// the same rows lane for lane, and RowAt reads every cell back unchanged.
+TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
+  ObjectHeap heap;
+  const Value ref =
+      heap.New("Actor", Value::NamedTuple({"Name"}, {Value::String("Quinn")}));
+  const Rows rows = {
+      {Value::Null(), Value::Int(1), Value::Null(),
+       Value::Set({Value::Int(1)}), ref},
+      {Value::Null(), Value::Real(2.5), Value::Int(3), Value::Set({}),
+       Value::Null()},
+      {Value::Null(), Value::Int(4), Value::Null(), Value::Null(), ref},
+  };
+  Table t(5);
+  for (const Row& r : rows) EDS_ASSERT_OK(t.Insert(r));
+  vec::Batch expected;
+  ASSERT_TRUE(vec::Batch::FromRows(rows, &expected));
+  ASSERT_EQ(t.size(), rows.size());
+  ASSERT_EQ(t.batch().rows, rows.size());
+  ASSERT_EQ(t.batch().cols.size(), expected.cols.size());
+  for (size_t c = 0; c < expected.cols.size(); ++c) {
+    EXPECT_EQ(t.batch().cols[c].lane(), expected.cols[c].lane()) << c;
+    EXPECT_EQ(t.batch().cols[c].null_count(), expected.cols[c].null_count())
+        << c;
+  }
+  EXPECT_EQ(t.batch().cols[0].lane(), vec::Lane::kNullOnly);
+  EXPECT_EQ(t.batch().cols[1].lane(), vec::Lane::kGeneric);  // Int, then Real
+  EXPECT_EQ(t.batch().cols[2].lane(), vec::Lane::kInt64);
+  EXPECT_EQ(t.batch().cols[3].lane(), vec::Lane::kGeneric);  // sets
+  EXPECT_EQ(t.batch().cols[4].lane(), vec::Lane::kGeneric);  // object refs
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row got = t.RowAt(i);
+    ASSERT_EQ(got.size(), rows[i].size());
+    for (size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(got[c].kind(), rows[i][c].kind()) << i << "," << c;
+      EXPECT_EQ(got[c], rows[i][c]) << i << "," << c;
+    }
+  }
+}
+
+TEST(StorageTest, EmptyTableKeepsItsWidth) {
+  Table t(3);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.column_count(), 3u);
+  EXPECT_EQ(t.batch().cols.size(), 3u);
+}
+
 TEST(StorageTest, ObjectHeapRoundTrip) {
   ObjectHeap heap;
   Value ref = heap.New("Actor", Value::NamedTuple({"Name"},
@@ -71,6 +119,39 @@ TEST_F(ExecTest, ScanBaseTable) {
   Rows rows = Run("RELATION('FILM')");
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_EQ(stats_.rows_scanned, 3u);
+}
+
+// An insert after a scan is visible to the next scan on both engines: the
+// batch the first scan read is the one Insert appended to, in place, so
+// nothing is rebuilt between them.
+TEST_F(ExecTest, InsertAfterScanIsVisibleToBothEngines) {
+  ExecOptions row_path;
+  row_path.vectorized = false;
+  const char* search =
+      "SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.1, $1.2))";
+  const char* scan = "RELATION('BEATS')";
+  const size_t before = Run(search).size();
+  EXPECT_EQ(Run(search, row_path).size(), before);
+  EXPECT_EQ(Run(scan).size(), before);
+  auto beats = db_.session.db().GetTable("BEATS");
+  ASSERT_TRUE(beats.ok());
+  const vec::Batch* image = &(*beats)->batch();
+
+  EDS_ASSERT_OK(
+      db_.session.InsertRow("BEATS", {Value::Int(100), Value::Int(101)}));
+  EXPECT_EQ(&(*beats)->batch(), image);
+  EXPECT_EQ(image->rows, before + 1);
+  const Row added = {Value::Int(100), Value::Int(101)};
+  for (const char* plan : {search, scan}) {
+    for (bool vectorized : {true, false}) {
+      ExecOptions options;
+      options.vectorized = vectorized;
+      Rows rows = Run(plan, options);
+      ASSERT_EQ(rows.size(), before + 1) << plan << " " << vectorized;
+      EXPECT_EQ(rows.back(), added) << plan << " " << vectorized;
+      EXPECT_EQ(stats_.rows_scanned, before + 1) << plan << " " << vectorized;
+    }
+  }
 }
 
 TEST_F(ExecTest, ViewReferenceEvaluatesDefinition) {

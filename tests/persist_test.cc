@@ -184,9 +184,10 @@ TEST(PersistTest, SaveLoadRoundTripPreservesRecords) {
   EXPECT_EQ(image->l0.size(), 4u);
   EXPECT_EQ(image->header.catalog_epoch, db.session.catalog().epoch());
   EXPECT_EQ(image->header.rules_epoch, db.session.rules_epoch());
-  // Hit counts survived: the shared template was hit 3 times after its
-  // insert (4 queries, first was the miss).
-  EXPECT_EQ(image->plans[0].hits, 3u);
+  // Hit counts survived: the shared template was hit twice after its
+  // insert (4 queries: the first sighting defers admission, the second
+  // stores the plan).
+  EXPECT_EQ(image->plans[0].hits, 2u);
   std::remove(path.c_str());
 }
 
@@ -422,7 +423,9 @@ TEST(PersistRestartTest, WarmRestartHitsTemplateCacheAndMatchesColdResults) {
       cold_rows.push_back(served->result.rows);
       if (served->cache_hit) ++cold_hits;
     }
-    EXPECT_EQ(cold_hits, workload.size() - 3);  // 3 distinct templates
+    // 3 distinct templates: two miss twice each (admission on the second
+    // sighting), the one-shot FILM template once.
+    EXPECT_EQ(cold_hits, workload.size() - 5);
     service.Stop();
   }
 
@@ -483,6 +486,43 @@ TEST(PersistRestartTest, WarmRestartServesL0HitsBeforeTheParser) {
     EXPECT_EQ(served->result.phase_times.parse_ns, 0u);
     service.Stop();
   }
+  std::remove(path.c_str());
+}
+
+// A warm restore bypasses admission: a template loaded from the persist
+// file hits on its first sighting after the restart, and defers nothing.
+TEST(PersistRestartTest, WarmRestoredTemplateHitsOnItsFirstSighting) {
+  const std::string path = TempPath("admission.eds");
+  std::remove(path.c_str());
+  {
+    testutil::FilmDb db;
+    QueryService service(&db.session,
+                         PersistOptionsFor(path, /*l0_capacity=*/0));
+    EDS_ASSERT_OK(service.Start());
+    for (int k = 1; k <= 3; ++k) {
+      auto served = PumpOne(
+          &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > " +
+                                   std::to_string(k)));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_EQ(served->cache_hit, k == 3) << k;
+    }
+    service.Stop();
+  }
+  testutil::FilmDb db;
+  QueryService service(&db.session,
+                       PersistOptionsFor(path, /*l0_capacity=*/0));
+  EDS_ASSERT_OK(service.Start());
+  EXPECT_EQ(service.persist_load_stats().ok, 1u);
+  const std::string q = "SELECT Winner FROM BEATS WHERE Winner > 5";
+  auto served = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->cache_hit);
+  EXPECT_EQ(served->result.phase_times.rewrite_ns, 0u);
+  EXPECT_EQ(service.admission_deferrals(), 0u);
+  auto direct = db.session.Query(q);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(served->result.rows, direct->rows);
+  service.Stop();
   std::remove(path.c_str());
 }
 

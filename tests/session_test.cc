@@ -30,7 +30,7 @@ TEST(SessionTest, InsertEvaluatesConstructorExpressions) {
   )"));
   auto table = s.db().GetTable("T");
   ASSERT_TRUE(table.ok());
-  const Row& row = (*table)->rows()[0];
+  const Row row = (*table)->RowAt(0);
   EXPECT_EQ(row[0], Value::Int(2));
   EXPECT_EQ(row[1], Value::Set({Value::String("a"), Value::String("b")}));
 }

@@ -414,7 +414,9 @@ TEST(QueryServiceTest, ServesSameRowsAsDirectSession) {
   EXPECT_EQ(served->result.columns, direct->columns);
   EXPECT_EQ(served->result.rows, direct->rows);
   EXPECT_FALSE(served->cache_hit);
-  EXPECT_TRUE(served->cache_stored);
+  // A template's first sighting is served but not stored.
+  EXPECT_FALSE(served->cache_stored);
+  EXPECT_EQ(service.admission_deferrals(), 1u);
   service.Stop();
   ServiceStats stats = service.GetStats();
   EXPECT_EQ(stats.submitted, 1u);
@@ -431,6 +433,12 @@ TEST(QueryServiceTest, WarmCacheSkipsRewriteAndStaysCorrect) {
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->cache_hit);
   EXPECT_GT(first->result.phase_times.rewrite_ns, 0u);
+  // The template's second sighting stores its plan.
+  auto stored = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5"));
+  ASSERT_TRUE(stored.ok());
+  EXPECT_FALSE(stored->cache_hit);
+  EXPECT_TRUE(stored->cache_stored);
 
   // Different literal, same template: a hit, with the *right* answer for
   // the new literal.
@@ -449,11 +457,114 @@ TEST(QueryServiceTest, WarmCacheSkipsRewriteAndStaysCorrect) {
   EXPECT_GE(cs.misses, 1u);
 }
 
+// The latency histograms allocate their shards on first use, so a service
+// kept on the stack (bench_e2e's server) is small until its workers record.
+TEST(QueryServiceTest, ServiceObjectStaysSmall) {
+  EXPECT_LE(sizeof(QueryService), 64u * 1024);
+}
+
+// ---------------- admission on a template's second sighting -----------
+
+// A stream of one-shot templates is served, rewritten once each, and
+// stores nothing: each first sighting leaves only its hash behind.
+TEST(QueryServiceTest, OneShotTemplateFloodStoresNothing) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  constexpr int kTemplates = 10000;
+  for (int i = 0; i < kTemplates; ++i) {
+    // The bits of i + 2 below its leading one pick Winner/Loser for each
+    // projected column: every i gets its own projection list, hence its
+    // own template.
+    std::string cols;
+    for (int bit = 31 - __builtin_clz(static_cast<unsigned>(i + 2)) - 1;
+         bit >= 0; --bit) {
+      if (!cols.empty()) cols += ", ";
+      cols += ((i + 2) >> bit) & 1 ? "Loser" : "Winner";
+    }
+    auto served = PumpOne(
+        &service, service.Submit("SELECT " + cols + " FROM BEATS"));
+    ASSERT_TRUE(served.ok()) << cols << ": " << served.status().ToString();
+    ASSERT_FALSE(served->cache_hit) << cols;
+    ASSERT_FALSE(served->cache_stored) << cols;
+    ASSERT_EQ(served->result.rows.size(), 9u) << cols;
+  }
+  obs::MetricsRegistry registry;
+  service.ExportMetrics(&registry);
+  EXPECT_EQ(registry.Get("cache.entries"), 0.0);
+  EXPECT_EQ(registry.Get("cache.nodes"), 0.0);
+  EXPECT_EQ(registry.Get("cache.inserts"), 0.0);
+  EXPECT_EQ(registry.Get("cache.admission_deferrals"),
+            static_cast<double>(kTemplates));
+  EXPECT_EQ(service.admission_deferrals(), static_cast<uint64_t>(kTemplates));
+}
+
+// First sighting: rewritten, not stored. Second: rewritten and stored.
+// Third: a hit that skips the rewrite and answers for its own literal.
+TEST(QueryServiceTest, TemplateHitsFromItsThirdSighting) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  auto first = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 7"));
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->cache_hit);
+  EXPECT_FALSE(first->cache_stored);
+  EXPECT_EQ(service.cache().GetStats().entries, 0u);
+  EXPECT_EQ(service.admission_deferrals(), 1u);
+
+  auto second = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5"));
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->cache_hit);
+  EXPECT_TRUE(second->cache_stored);
+  EXPECT_GT(second->result.phase_times.rewrite_ns, 0u);
+  EXPECT_EQ(service.cache().GetStats().entries, 1u);
+
+  auto third = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 3"));
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->cache_hit);
+  EXPECT_EQ(third->result.phase_times.rewrite_ns, 0u);
+  auto direct = db.session.Query("SELECT Winner FROM BEATS WHERE Winner > 3");
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(third->result.rows, direct->rows);
+  EXPECT_EQ(service.admission_deferrals(), 1u);
+}
+
+// The ghost list keys on the template alone, not the epochs: a DDL between
+// a template's two sightings does not make the second a first again.
+TEST(QueryServiceTest, DdlBetweenSightingsStillAdmits) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  auto first = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 7"));
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->cache_stored);
+  EDS_ASSERT_OK(db.session.ExecuteScript("CREATE TABLE ADMIT_T (A : INT);"));
+
+  auto second = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5"));
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(second->catalog_epoch, first->catalog_epoch);
+  EXPECT_FALSE(second->cache_hit);
+  EXPECT_TRUE(second->cache_stored);
+  auto third = PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 3"));
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->cache_hit);
+  EXPECT_EQ(service.admission_deferrals(), 1u);
+}
+
 TEST(QueryServiceTest, DdlBumpsEpochAndInvalidatesLazily) {
   testutil::FilmDb db;
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  // The template's first sighting, so that `q` is its second and stored.
+  const char* first_sighting = "SELECT Winner FROM BEATS WHERE Winner > 8";
+  ASSERT_TRUE(PumpOne(&service, service.Submit(first_sighting)).ok());
   auto first = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->cache_stored);
@@ -565,7 +676,12 @@ TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
   auto first = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->cache_hit);
-  // Same literal: exact-match hit (FIX plans skip parameterization).
+  // Same literal: stored on its second sighting, then an exact-match hit
+  // (FIX plans skip parameterization).
+  auto stored = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(stored.ok());
+  EXPECT_FALSE(stored->cache_hit);
+  EXPECT_TRUE(stored->cache_stored);
   auto second = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);

@@ -143,6 +143,35 @@ TEST(HistogramTest, ConcurrentRecordsAllLand) {
   EXPECT_EQ(snap.sum, expected_sum);
 }
 
+// Shards are allocated by the first record that lands on them: an unused
+// histogram is one pointer per shard, and threads that share a shard
+// (more threads than shards) race to allocate it and lose no record.
+TEST(HistogramTest, ShardsAreAllocatedOnFirstRecord) {
+  static_assert(sizeof(Histogram) <= 128);
+  Histogram h;
+  constexpr int kThreads = 16;  // two per shard
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &ready] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      h.Record(7);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(snap.counts[Histogram::BucketIndex(7)],
+            static_cast<uint64_t>(kThreads));
+  h.ResetForTesting();
+  EXPECT_EQ(h.Snapshot().count, 0u);
+  h.Record(3);
+  EXPECT_EQ(h.Snapshot().count, 1u);
+}
+
 // ---------------- Prometheus text exposition ----------------
 
 TEST(PrometheusTest, RendersTypedAndSanitizedMetrics) {
@@ -358,12 +387,16 @@ TEST(ServiceTelemetryTest, TemplateHitSharesTheMissesHash) {
       &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 1")));
   EDS_ASSERT_OK_RESULT(PumpOne(
       &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 2")));
+  // The third sighting hits (the second stored the plan).
+  EDS_ASSERT_OK_RESULT(PumpOne(
+      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 3")));
   std::vector<QueryRecord> recent = service.RecentQueries();
-  ASSERT_EQ(recent.size(), 2u);
+  ASSERT_EQ(recent.size(), 3u);
   EXPECT_STREQ(CacheOutcomeName(recent[0]), "tmpl");
   EXPECT_NE(recent[0].template_hash, 0u);
   // Same structure, different literal: the workload grouping key matches.
   EXPECT_EQ(recent[0].template_hash, recent[1].template_hash);
+  EXPECT_EQ(recent[0].template_hash, recent[2].template_hash);
   service.Stop();
 }
 

@@ -83,6 +83,43 @@ TEST(VecDiffTest, EsqlCorpusMatchesRowEngine) {
   EXPECT_GT(vec_batches, 0u);
 }
 
+// Scans after inserts: each insert appends to the table's one columnar
+// image (a Real that demotes BEATS's Int lanes, a NULL, a FILM row), and
+// the next scan on either engine must read exactly the appended rows.
+TEST(VecDiffTest, ScanAfterInsertMatchesRowEngine) {
+  testutil::FilmDb db;
+  using value::Value;
+  const std::vector<std::pair<const char*, Row>> inserts = {
+      {"BEATS", {Value::Int(4), Value::Int(11)}},
+      {"BEATS", {Value::Real(2.5), Value::Null()}},
+      {"FILM",
+       {Value::Int(4), Value::String("Zorba"),
+        Value::Set({Value::String("Western")})}},
+  };
+  for (size_t round = 0; round <= inserts.size(); ++round) {
+    for (const char* esql : kEsqlCorpus) {
+      QueryOptions on, off;
+      on.exec_options.vectorized = true;
+      off.exec_options.vectorized = false;
+      auto vec = db.session.Query(esql, on);
+      auto row = db.session.Query(esql, off);
+      ASSERT_TRUE(vec.ok()) << esql << ": " << vec.status().ToString();
+      ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
+      ExpectSameSequence(vec->rows, row->rows,
+                         std::string(esql) + " after " +
+                             std::to_string(round) + " inserts");
+    }
+    if (round < inserts.size()) {
+      EDS_ASSERT_OK(db.session.InsertRow(inserts[round].first,
+                                         inserts[round].second));
+    }
+  }
+  auto beats = db.session.db().GetTable("BEATS");
+  ASSERT_TRUE(beats.ok());
+  EXPECT_EQ((*beats)->size(), 11u);
+  EXPECT_EQ((*beats)->batch().cols[0].lane(), vec::Lane::kGeneric);
+}
+
 TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(

@@ -49,7 +49,7 @@ TEST(VerifyEnvTest, SnapshotRoundTripsThroughMaterialize) {
   EDS_ASSERT_OK_RESULT(db);
   auto t = (*db)->GetTable("V0");
   EDS_ASSERT_OK_RESULT(t);
-  EXPECT_EQ((*t)->rows().size(), 3u);
+  EXPECT_EQ((*t)->size(), 3u);
   EXPECT_NE(VerifyEnv::Describe(snap, 8).find("V0:"), std::string::npos);
 }
 
