@@ -62,13 +62,13 @@
 #include "gov/governor.h"
 #include "lera/printer.h"
 #include "lint/lint.h"
-#include "magic/magic.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rules/extensions.h"
 #include "rules/fixpoint.h"
 #include "rules/merging.h"
+#include "rules/optimizer.h"
 #include "rules/permutation.h"
 #include "rules/semantic.h"
 #include "rules/simplify.h"
@@ -328,9 +328,7 @@ class Shell {
   // from this session's catalog, with catalog-aware ISA checks.
   void RunLint() {
     eds::rewrite::BuiltinRegistry builtins;
-    builtins.InstallStandard();
-    eds::magic::InstallMagicBuiltins(&builtins);
-    eds::rules::InstallSemanticBuiltins(&builtins);
+    eds::rules::InstallOptimizerBuiltins(&builtins);
     eds::lint::LintOptions opts;
     opts.catalog = &session_.catalog();
     const std::pair<const char*, std::string> sources[] = {
@@ -361,9 +359,7 @@ class Shell {
   // \lint covers: built-in libraries plus this session's constraint rules.
   void RunVerify() {
     eds::rewrite::BuiltinRegistry builtins;
-    builtins.InstallStandard();
-    eds::magic::InstallMagicBuiltins(&builtins);
-    eds::rules::InstallSemanticBuiltins(&builtins);
+    eds::rules::InstallOptimizerBuiltins(&builtins);
     const std::pair<const char*, std::string> sources[] = {
         {"merging", eds::rules::MergingRuleSource()},
         {"permutation", eds::rules::PermutationRuleSource()},

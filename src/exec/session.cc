@@ -11,9 +11,7 @@
 #include "lera/printer.h"
 #include "lera/schema.h"
 #include "lint/lint.h"
-#include "magic/magic.h"
 #include "obs/trace.h"
-#include "rules/semantic.h"
 #include "verify/verify.h"
 
 namespace eds::exec {
@@ -75,9 +73,7 @@ Status Session::AddConstraint(const std::string& name,
   if (options.run_lint || options.run_verify) {
     // The same registry the generated optimizer will run the rules under.
     rewrite::BuiltinRegistry builtins;
-    builtins.InstallStandard();
-    magic::InstallMagicBuiltins(&builtins);
-    rules::InstallSemanticBuiltins(&builtins);
+    rules::InstallOptimizerBuiltins(&builtins);
     auto surface = [&](const lint::LintReport& report) {
       for (const lint::Diagnostic& d : report.diagnostics()) {
         if (options.diagnostics != nullptr) {
@@ -140,9 +136,8 @@ Status Session::ApplyStatement(const esql::Statement& stmt) {
       return catalog_.CreateView(std::move(def));
     }
     case esql::StatementKind::kInsert: {
-      EDS_ASSIGN_OR_RETURN(Table* table, db_.GetTable(stmt.name));
-      EDS_ASSIGN_OR_RETURN(const catalog::TableDef* def,
-                           catalog_.FindTable(stmt.name));
+      EDS_ASSIGN_OR_RETURN(const InsertTarget* target,
+                           ResolveInsertTarget(stmt.name));
       EvalContext ctx;
       ctx.db = &db_;
       ctx.library = &catalog_.functions();
@@ -157,8 +152,8 @@ Status Session::ApplyStatement(const esql::Statement& stmt) {
         // §6.1: inserted data must satisfy the declared types (enumeration
         // domains included).
         EDS_RETURN_IF_ERROR(CheckRowAgainstSchema(
-            row, def->columns, &db_.heap(), &catalog_.types()));
-        EDS_RETURN_IF_ERROR(table->Insert(std::move(row)));
+            row, target->def->columns, &db_.heap(), &catalog_.types()));
+        EDS_RETURN_IF_ERROR(target->table->Insert(std::move(row)));
       }
       return Status::OK();
     }
@@ -337,13 +332,53 @@ Status FinishQuery(const term::TermRef& plan, const FinishOptions& options,
   return Status::OK();
 }
 
+namespace {
+
+// Entries per resolution cache; a loader alternating more names than this
+// starts over rather than searching a long list.
+constexpr size_t kMaxResolvedNames = 8;
+
+}  // namespace
+
+void Session::DropStaleResolutions() {
+  const uint64_t epoch = catalog_.epoch();
+  if (epoch == resolved_epoch_) return;
+  insert_targets_.clear();
+  object_types_.clear();
+  resolved_epoch_ = epoch;
+}
+
+Result<const Session::InsertTarget*> Session::ResolveInsertTarget(
+    const std::string& name) {
+  DropStaleResolutions();
+  for (const InsertTarget& t : insert_targets_) {
+    if (t.name == name) return &t;
+  }
+  EDS_ASSIGN_OR_RETURN(Table* table, db_.GetTable(name));
+  EDS_ASSIGN_OR_RETURN(const catalog::TableDef* def, catalog_.FindTable(name));
+  if (insert_targets_.size() == kMaxResolvedNames) insert_targets_.clear();
+  insert_targets_.push_back(InsertTarget{name, table, def});
+  return &insert_targets_.back();
+}
+
+Result<types::TypeRef> Session::ResolveObjectType(const std::string& name) {
+  DropStaleResolutions();
+  for (const auto& [spelling, type] : object_types_) {
+    if (spelling == name) return type;
+  }
+  EDS_ASSIGN_OR_RETURN(types::TypeRef type, catalog_.types().Find(name));
+  if (!type->is_object()) {
+    return Status::TypeError("'" + name + "' is not an object type");
+  }
+  if (object_types_.size() == kMaxResolvedNames) object_types_.clear();
+  object_types_.emplace_back(name, type);
+  return type;
+}
+
 Result<value::Value> Session::NewObject(
     const std::string& type_name,
     std::vector<std::pair<std::string, value::Value>> fields) {
-  EDS_ASSIGN_OR_RETURN(types::TypeRef type, catalog_.types().Find(type_name));
-  if (!type->is_object()) {
-    return Status::TypeError("'" + type_name + "' is not an object type");
-  }
+  EDS_ASSIGN_OR_RETURN(types::TypeRef type, ResolveObjectType(type_name));
   std::vector<std::string> names;
   std::vector<value::Value> values;
   names.reserve(fields.size());
@@ -353,20 +388,20 @@ Result<value::Value> Session::NewObject(
       return Status::TypeError("object type " + type_name +
                                " has no attribute '" + name + "'");
     }
-    names.push_back(name);
+    names.push_back(std::move(name));
     values.push_back(std::move(v));
   }
-  return db_.heap().New(type_name, value::Value::NamedTuple(
-                                       std::move(names), std::move(values)));
+  return db_.heap().New(
+      type_name, value::Value::NamedTuple(std::move(names), std::move(values)),
+      std::move(type));
 }
 
 Status Session::InsertRow(const std::string& table, Row row) {
-  EDS_ASSIGN_OR_RETURN(Table* t, db_.GetTable(table));
-  EDS_ASSIGN_OR_RETURN(const catalog::TableDef* def,
-                       catalog_.FindTable(table));
-  EDS_RETURN_IF_ERROR(CheckRowAgainstSchema(row, def->columns, &db_.heap(),
-                                            &catalog_.types()));
-  return t->Insert(std::move(row));
+  EDS_ASSIGN_OR_RETURN(const InsertTarget* target,
+                       ResolveInsertTarget(table));
+  EDS_RETURN_IF_ERROR(CheckRowAgainstSchema(row, target->def->columns,
+                                            &db_.heap(), &catalog_.types()));
+  return target->table->Insert(std::move(row));
 }
 
 namespace {

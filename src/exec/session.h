@@ -230,7 +230,23 @@ class Session {
   obs::TraceSink* trace_sink() const { return trace_sink_; }
 
  private:
+  // A stored table resolved for inserts.
+  struct InsertTarget {
+    std::string name;  // as the caller spelled it
+    Table* table;
+    const catalog::TableDef* def;
+  };
+
   Status ApplyStatement(const esql::Statement& stmt);
+
+  // Name resolution for InsertRow, INSERT statements and NewObject, cached
+  // per spelling: bulk loaders alternate a few names (FILM, APPEARS_IN), so
+  // each keeps its own entry. Both caches are dropped whenever
+  // catalog().epoch() moves. Tables are never dropped and types never
+  // redefined, so an entry stays valid until then.
+  Result<const InsertTarget*> ResolveInsertTarget(const std::string& name);
+  Result<types::TypeRef> ResolveObjectType(const std::string& name);
+  void DropStaleResolutions();
 
   catalog::Catalog catalog_;
   Database db_;
@@ -239,6 +255,9 @@ class Session {
   bool optimizer_dirty_ = true;
   std::atomic<uint64_t> rules_epoch_{0};
   obs::TraceSink* trace_sink_ = nullptr;
+  std::vector<InsertTarget> insert_targets_;
+  std::vector<std::pair<std::string, types::TypeRef>> object_types_;
+  uint64_t resolved_epoch_ = 0;
 };
 
 }  // namespace eds::exec

@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "exec/vec/column.h"
+#include "types/type.h"
 #include "value/value.h"
 
 namespace eds::exec {
@@ -44,9 +45,13 @@ class Table {
 
 // An object with identity: its dynamic type name and its tuple value (field
 // names included, so FIELD access works without consulting the catalog).
+// `type` is the resolved dynamic type when the creator had it at hand
+// (Session::NewObject always does); insert-time type checks read it instead
+// of looking `type_name` up again. Null means "resolve by name".
 struct StoredObject {
   std::string type_name;
   value::Value state;  // a named tuple
+  types::TypeRef type;
 };
 
 // The object heap: OIDs are dense and never reused; objects may be shared
@@ -54,8 +59,10 @@ struct StoredObject {
 // referentially shared using object identity").
 class ObjectHeap {
  public:
-  // Creates an object and returns its reference value.
-  value::Value New(std::string type_name, value::Value state);
+  // Creates an object and returns its reference value. `type`, when given,
+  // must be the type `type_name` names.
+  value::Value New(std::string type_name, value::Value state,
+                   types::TypeRef type = nullptr);
 
   Result<const StoredObject*> Get(uint64_t oid) const;
 

@@ -115,10 +115,18 @@ Status CheckValueAgainstType(const value::Value& v,
       if (heap == nullptr || registry == nullptr) return Status::OK();
       EDS_ASSIGN_OR_RETURN(const StoredObject* obj,
                            heap->Get(v.AsObjectRef()));
-      auto stored = registry->Find(obj->type_name);
-      if (!stored.ok()) {
-        return Mismatch(v, type, "object of unregistered type " +
-                                     obj->type_name);
+      // The type the object was created with; looked up by name only for
+      // objects created without one.
+      const TypeRef* stored = &obj->type;
+      TypeRef by_name;
+      if (*stored == nullptr) {
+        Result<TypeRef> found = registry->Find(obj->type_name);
+        if (!found.ok()) {
+          return Mismatch(v, type, "object of unregistered type " +
+                                       obj->type_name);
+        }
+        by_name = *std::move(found);
+        stored = &by_name;
       }
       if (!types::Isa(*stored, type)) {
         return Mismatch(v, type, "object of type " + obj->type_name +

@@ -19,9 +19,10 @@ namespace eds::exec {
 //     collection kind);
 //   * tuples check arity and each field (by name when the value carries
 //     names, positionally otherwise);
-//   * object references dereference through `heap`, their stored type name
-//     resolves through `registry`, and the dynamic type must be the
-//     declared object type or a subtype of it (Isa);
+//   * object references dereference through `heap`; the object's dynamic
+//     type is the one it was created with (StoredObject::type), or its
+//     stored type name resolved through `registry` when it carries none,
+//     and must be the declared object type or a subtype of it (Isa);
 //   * NULL is accepted for any type (1991-style unconstrained nulls).
 //
 // `heap` / `registry` may be null, in which case object references pass

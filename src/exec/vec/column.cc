@@ -1,5 +1,7 @@
 #include "exec/vec/column.h"
 
+#include <algorithm>
+
 namespace eds::exec::vec {
 
 using value::Value;
@@ -16,24 +18,50 @@ void ColumnVector::PushValidity(bool valid) {
 }
 
 void ColumnVector::Reserve(size_t n) {
+  reserved_ = n;
   switch (lane_) {
     case Lane::kInt64: ints_.reserve(n); break;
     case Lane::kFloat64: reals_.reserve(n); break;
     case Lane::kBool: bools_.reserve(n); break;
-    case Lane::kGeneric: generic_.reserve(n); break;
-    case Lane::kNullOnly: break;
+    case Lane::kObjectRef: oids_.reserve(n); break;
+    case Lane::kGeneric: generic_.reserve(n); return;
+    case Lane::kNullOnly: return;
   }
+  valid_.reserve((n + 63) >> 6);
+}
+
+bool ColumnVector::Admit(Lane lane) {
+  if (lane_ == Lane::kNullOnly) {
+    // Every NULL so far gets a placeholder cell in the new lane.
+    lane_ = lane;
+    switch (lane) {
+      case Lane::kInt64: ints_.assign(size_, 0); break;
+      case Lane::kFloat64: reals_.assign(size_, 0); break;
+      case Lane::kBool: bools_.assign(size_, 0); break;
+      case Lane::kObjectRef: oids_.assign(size_, 0); break;
+      default: break;
+    }
+    Reserve(reserved_);
+  }
+  if (lane_ == lane) {
+    PushValidity(true);
+    return true;
+  }
+  if (lane_ != Lane::kGeneric) DemoteToGeneric();
+  return false;
 }
 
 void ColumnVector::DemoteToGeneric() {
   std::vector<Value> boxed;
-  boxed.reserve(size_);
+  boxed.reserve(std::max(size_, reserved_));
   for (size_t i = 0; i < size_; ++i) boxed.push_back(ValueAt(i));
   generic_ = std::move(boxed);
-  ints_.clear();
-  reals_.clear();
-  bools_.clear();
-  valid_.clear();
+  // Release the typed vectors' storage: a demoted column never uses it.
+  std::vector<int64_t>().swap(ints_);
+  std::vector<double>().swap(reals_);
+  std::vector<uint8_t>().swap(bools_);
+  std::vector<uint64_t>().swap(oids_);
+  std::vector<uint64_t>().swap(valid_);
   lane_ = Lane::kGeneric;
 }
 
@@ -47,6 +75,7 @@ void ColumnVector::AppendNull() {
       case Lane::kInt64: ints_.push_back(0); break;
       case Lane::kFloat64: reals_.push_back(0); break;
       case Lane::kBool: bools_.push_back(0); break;
+      case Lane::kObjectRef: oids_.push_back(0); break;
       default: break;
     }
   }
@@ -54,52 +83,37 @@ void ColumnVector::AppendNull() {
 }
 
 void ColumnVector::AppendInt(int64_t v) {
-  if (lane_ == Lane::kNullOnly) {
-    lane_ = Lane::kInt64;
-    ints_.assign(size_, 0);
-  }
-  if (lane_ == Lane::kInt64) {
-    PushValidity(true);
+  if (Admit(Lane::kInt64)) {
     ints_.push_back(v);
-  } else if (lane_ == Lane::kGeneric) {
-    generic_.push_back(Value::Int(v));
   } else {
-    DemoteToGeneric();
     generic_.push_back(Value::Int(v));
   }
   ++size_;
 }
 
 void ColumnVector::AppendReal(double v) {
-  if (lane_ == Lane::kNullOnly) {
-    lane_ = Lane::kFloat64;
-    reals_.assign(size_, 0);
-  }
-  if (lane_ == Lane::kFloat64) {
-    PushValidity(true);
+  if (Admit(Lane::kFloat64)) {
     reals_.push_back(v);
-  } else if (lane_ == Lane::kGeneric) {
-    generic_.push_back(Value::Real(v));
   } else {
-    DemoteToGeneric();
     generic_.push_back(Value::Real(v));
   }
   ++size_;
 }
 
 void ColumnVector::AppendBool(bool v) {
-  if (lane_ == Lane::kNullOnly) {
-    lane_ = Lane::kBool;
-    bools_.assign(size_, 0);
-  }
-  if (lane_ == Lane::kBool) {
-    PushValidity(true);
+  if (Admit(Lane::kBool)) {
     bools_.push_back(v ? 1 : 0);
-  } else if (lane_ == Lane::kGeneric) {
-    generic_.push_back(Value::Bool(v));
   } else {
-    DemoteToGeneric();
     generic_.push_back(Value::Bool(v));
+  }
+  ++size_;
+}
+
+void ColumnVector::AppendObjectRef(uint64_t oid) {
+  if (Admit(Lane::kObjectRef)) {
+    oids_.push_back(oid);
+  } else {
+    generic_.push_back(Value::ObjectRef(oid));
   }
   ++size_;
 }
@@ -110,6 +124,7 @@ void ColumnVector::AppendValue(const Value& v) {
     case ValueKind::kInt: AppendInt(v.AsInt()); return;
     case ValueKind::kReal: AppendReal(v.AsReal()); return;
     case ValueKind::kBool: AppendBool(v.AsBool()); return;
+    case ValueKind::kObjectRef: AppendObjectRef(v.AsObjectRef()); return;
     default: break;
   }
   if (lane_ != Lane::kGeneric) DemoteToGeneric();
@@ -127,6 +142,8 @@ Value ColumnVector::ValueAt(size_t i) const {
       return IsNull(i) ? Value::Null() : Value::Real(reals_[i]);
     case Lane::kBool:
       return IsNull(i) ? Value::Null() : Value::Bool(bools_[i] != 0);
+    case Lane::kObjectRef:
+      return IsNull(i) ? Value::Null() : Value::ObjectRef(oids_[i]);
   }
   return Value::Null();
 }
@@ -160,6 +177,7 @@ ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
       case Lane::kInt64: out.ints_.push_back(ints_[i]); break;
       case Lane::kFloat64: out.reals_.push_back(reals_[i]); break;
       case Lane::kBool: out.bools_.push_back(bools_[i]); break;
+      case Lane::kObjectRef: out.oids_.push_back(oids_[i]); break;
       default: break;
     }
     if (!all_valid()) {
@@ -203,6 +221,11 @@ int ColumnVector::CompareCells(size_t i, const ColumnVector& other,
   if (is_numeric_lane() && other.is_numeric_lane() && !IsNull(i) &&
       !other.IsNull(j)) {
     double a = NumericAt(i), b = other.NumericAt(j);
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
+  if (lane_ == Lane::kObjectRef && other.lane_ == Lane::kObjectRef &&
+      !IsNull(i) && !other.IsNull(j)) {
+    uint64_t a = oids_[i], b = other.oids_[j];
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   return value::Compare(ValueAt(i), other.ValueAt(j));

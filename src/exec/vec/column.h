@@ -19,8 +19,16 @@ using SelectionVector = std::vector<uint32_t>;
 // other kind demotes the whole column to kGeneric (boxed Values, still O(1)
 // to copy). Int and Real deliberately do NOT share a lane: reconstructed
 // Values must match the row engine's exactly, and widening Int(2) to 2.0
-// would change the output representation.
-enum class Lane : uint8_t { kNullOnly, kInt64, kFloat64, kBool, kGeneric };
+// would change the output representation. kObjectRef keeps object
+// references as bare oids (8 bytes a cell instead of a 32-byte Value).
+enum class Lane : uint8_t {
+  kNullOnly,
+  kInt64,
+  kFloat64,
+  kBool,
+  kObjectRef,
+  kGeneric
+};
 
 // One column of a batch: a typed data vector plus a validity bitmap (bit
 // set = non-null). kGeneric columns carry nullness in the Values themselves
@@ -52,17 +60,21 @@ class ColumnVector {
     return lane_ == Lane::kInt64 ? static_cast<double>(ints_[i]) : reals_[i];
   }
   bool BoolAt(size_t i) const { return bools_[i] != 0; }
+  uint64_t ObjectRefAt(size_t i) const { return oids_[i]; }
   const value::Value& GenericAt(size_t i) const { return generic_[i]; }
 
   // Reconstructs the cell as a Value identical to what the row engine
   // would carry for it.
   value::Value ValueAt(size_t i) const;
 
+  // Capacity for n cells. On a kNullOnly column it is remembered and
+  // applied when the first non-null value commits the lane.
   void Reserve(size_t n);
   void AppendNull();
   void AppendInt(int64_t v);
   void AppendReal(double v);
   void AppendBool(bool v);
+  void AppendObjectRef(uint64_t oid);
   void AppendValue(const value::Value& v);
 
   // New column holding rows sel[0..k) of this one.
@@ -79,15 +91,22 @@ class ColumnVector {
   int CompareCells(size_t i, const ColumnVector& other, size_t j) const;
 
  private:
+  // Readies a non-null append of `lane`: commits a kNullOnly column to it
+  // and demotes a column of another typed lane to kGeneric. True when the
+  // cell belongs in the typed lane (its validity bit is then pushed), false
+  // when it belongs in generic_.
+  bool Admit(Lane lane);
   void DemoteToGeneric();
   void PushValidity(bool valid);
 
   Lane lane_ = Lane::kNullOnly;
   size_t size_ = 0;
   size_t null_count_ = 0;
+  size_t reserved_ = 0;  // the last Reserve, for a lane committed later
   std::vector<int64_t> ints_;
   std::vector<double> reals_;
   std::vector<uint8_t> bools_;
+  std::vector<uint64_t> oids_;
   std::vector<value::Value> generic_;
   std::vector<uint64_t> valid_;  // bit set = non-null (typed lanes only)
 };

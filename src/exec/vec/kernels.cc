@@ -275,6 +275,8 @@ HashClass ClassifyKey(const ColumnVector& col) {
       return HashClass::kNumeric;
     case Lane::kBool:
       return HashClass::kBool;
+    case Lane::kObjectRef:
+      return HashClass::kObjectRef;
     case Lane::kNullOnly:
       return HashClass::kAny;
     case Lane::kGeneric:
@@ -296,6 +298,9 @@ HashClass ClassifyKey(const ColumnVector& col) {
         break;
       case ValueKind::kString:
         want = HashClass::kString;
+        break;
+      case ValueKind::kObjectRef:
+        want = HashClass::kObjectRef;
         break;
       default:
         return HashClass::kNone;  // tuples/collections: residual compare
@@ -332,6 +337,10 @@ uint64_t HashCell(const ColumnVector& col, size_t i, HashClass cls) {
     }
     case HashClass::kString:
       return HashStringBytes(col.GenericAt(i).AsString());
+    case HashClass::kObjectRef:
+      return Mix64(col.lane() == Lane::kObjectRef
+                       ? col.ObjectRefAt(i)
+                       : col.GenericAt(i).AsObjectRef());
     default:
       return 0;  // kAny columns have no non-null cells; kNone never hashed
   }
@@ -456,6 +465,13 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
         for (size_t i = 0; i < n; ++i) {
           const uint64_t cell =
               c.IsNull(i) ? kNullCellHash : Mix64(c.BoolAt(i) ? 3 : 7);
+          h[i] = Mix64(h[i] ^ cell);
+        }
+        break;
+      case Lane::kObjectRef:
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t cell =
+              c.IsNull(i) ? kNullCellHash : Mix64(c.ObjectRefAt(i));
           h[i] = Mix64(h[i] ^ cell);
         }
         break;

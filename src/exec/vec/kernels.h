@@ -35,13 +35,13 @@ Result<ColumnVector> NotColumn(const ColumnVector& a);
 Result<SelectionVector> SelectTrue(const ColumnVector& pred);
 
 // Join-key hashability of a column: numeric lanes hash via the widened
-// double (consistent with Int(2) == Real(2.0)), bool lanes directly,
-// generic columns only when every non-null value is a string (resp. every
-// non-null value numeric). kNone keys force the conjunct into the residual
-// (nested-loop) filter.
+// double (consistent with Int(2) == Real(2.0)), bool and object-reference
+// lanes directly, generic columns only when every non-null value is of one
+// of those classes or every one a string. kNone keys force the conjunct
+// into the residual (nested-loop) filter.
 // kAny marks a column with no non-null values (kNullOnly): its keys never
 // match anything, so it is compatible with every class.
-enum class HashClass { kNone, kNumeric, kBool, kString, kAny };
+enum class HashClass { kNone, kNumeric, kBool, kString, kObjectRef, kAny };
 HashClass ClassifyKey(const ColumnVector& col);
 // Compatible when both sides can hash equal values to equal hashes.
 bool HashCompatible(HashClass a, HashClass b);

@@ -2,7 +2,9 @@
 #define EDS_RULES_OPTIMIZER_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
@@ -30,6 +32,20 @@ struct OptimizerOptions {
   // Include the semantic block (catalog constraints + CLOSE_PREDICATES).
   bool enable_semantic = true;
 };
+
+// Registers every builtin the default optimizer's rules call: the standard
+// set, the magic-sets methods and the semantic methods.
+void InstallOptimizerBuiltins(rewrite::BuiltinRegistry* reg);
+
+// The five built-in rule libraries (merging, permutation, fixpoint,
+// simplify, semantic methods), parsed and validated against the
+// InstallOptimizerBuiltins registry once per process. The paper generates
+// its optimizer from fixed rule libraries; they are immutable, so every
+// optimizer copies its rules from this one set instead of parsing the text
+// again. Keys are upper-cased rule names. Thread-safe; an error in the
+// library text is returned on every call.
+using RulesByName = std::map<std::string, rewrite::Rule>;
+Result<const RulesByName*> BuiltinRuleLibrary();
 
 // The generated optimizer: owns the builtin registry, the compiled program
 // and the engine. Keep it alive while rewriting (the engine holds pointers
@@ -71,6 +87,9 @@ class Optimizer {
 // paper's own observation that search merging "takes advantage of being
 // applied more than once ... before and after pushing selections through
 // fixpoints" (§5.3).
+//
+// The built-in rules come from BuiltinRuleLibrary(); only the catalog's
+// constraint text is parsed per call.
 Result<std::unique_ptr<Optimizer>> MakeDefaultOptimizer(
     const catalog::Catalog* cat, const OptimizerOptions& options = {});
 

@@ -1,6 +1,7 @@
 // Execution engine: storage, expression evaluation, operators.
 #include "exec/executor.h"
 
+#include "exec/vec/vec_eval.h"
 #include "gtest/gtest.h"
 #include "term/parser.h"
 #include "testutil.h"
@@ -54,7 +55,7 @@ TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
   EXPECT_EQ(t.batch().cols[1].lane(), vec::Lane::kGeneric);  // Int, then Real
   EXPECT_EQ(t.batch().cols[2].lane(), vec::Lane::kInt64);
   EXPECT_EQ(t.batch().cols[3].lane(), vec::Lane::kGeneric);  // sets
-  EXPECT_EQ(t.batch().cols[4].lane(), vec::Lane::kGeneric);  // object refs
+  EXPECT_EQ(t.batch().cols[4].lane(), vec::Lane::kObjectRef);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row got = t.RowAt(i);
     ASSERT_EQ(got.size(), rows[i].size());
@@ -62,6 +63,79 @@ TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
       EXPECT_EQ(got[c].kind(), rows[i][c].kind()) << i << "," << c;
       EXPECT_EQ(got[c], rows[i][c]) << i << "," << c;
     }
+  }
+}
+
+// Object references get an unboxed lane under the Int lane's rules: NULLs
+// before the first reference are kept, and any other kind demotes the
+// column to generic without changing a cell.
+TEST(StorageTest, ObjectRefLaneCommitsAndDemotes) {
+  vec::ColumnVector refs;
+  refs.AppendNull();
+  refs.AppendValue(Value::ObjectRef(7));
+  refs.AppendValue(Value::ObjectRef(3));
+  ASSERT_EQ(refs.lane(), vec::Lane::kObjectRef);
+  EXPECT_EQ(refs.size(), 3u);
+  EXPECT_EQ(refs.null_count(), 1u);
+  EXPECT_TRUE(refs.IsNull(0));
+  EXPECT_EQ(refs.ObjectRefAt(1), 7u);
+  EXPECT_EQ(refs.ValueAt(2).kind(), value::ValueKind::kObjectRef);
+  EXPECT_EQ(refs.ValueAt(2), Value::ObjectRef(3));
+  EXPECT_GT(refs.CompareCells(1, refs, 2), 0);
+  const vec::ColumnVector picked = refs.Gather({0, 2});
+  EXPECT_EQ(picked.lane(), vec::Lane::kObjectRef);
+  EXPECT_TRUE(picked.IsNull(0));
+  EXPECT_EQ(picked.ValueAt(1), Value::ObjectRef(3));
+
+  const std::vector<Value> mixed = {Value::ObjectRef(1), Value::Null(),
+                                    Value::Int(1), Value::ObjectRef(2),
+                                    Value::String("x")};
+  vec::ColumnVector col;
+  for (const Value& v : mixed) col.AppendValue(v);
+  EXPECT_EQ(col.lane(), vec::Lane::kGeneric);
+  EXPECT_EQ(col.null_count(), 1u);
+  ASSERT_EQ(col.size(), mixed.size());
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_EQ(col.ValueAt(i).kind(), mixed[i].kind()) << i;
+    EXPECT_EQ(value::Compare(col.ValueAt(i), mixed[i]), 0) << i;
+  }
+  // A Value of another kind arriving first demotes on the first reference.
+  vec::ColumnVector ints;
+  ints.AppendValue(Value::Int(5));
+  ints.AppendValue(Value::ObjectRef(5));
+  EXPECT_EQ(ints.lane(), vec::Lane::kGeneric);
+  EXPECT_EQ(ints.ValueAt(0), Value::Int(5));
+  EXPECT_EQ(ints.ValueAt(1).kind(), value::ValueKind::kObjectRef);
+}
+
+// A constant broadcast over a batch is one column of the constant's lane,
+// one cell per row.
+TEST(StorageTest, ConstantBroadcastFillsItsLane) {
+  constexpr size_t kRows = 8000;
+  vec::Batch batch;
+  batch.rows = kRows;
+  batch.cols.resize(1);
+  for (size_t i = 0; i < kRows; ++i) {
+    batch.cols[0].AppendInt(static_cast<int64_t>(i));
+  }
+  vec::ExprFrame frame;
+  frame.batch = &batch;
+  frame.offsets = {0, 1};
+  const std::pair<Value, vec::Lane> cases[] = {
+      {Value::Int(5), vec::Lane::kInt64},
+      {Value::Real(2.5), vec::Lane::kFloat64},
+      {Value::Bool(true), vec::Lane::kBool},
+      {Value::ObjectRef(9), vec::Lane::kObjectRef},
+      {Value::String("x"), vec::Lane::kGeneric},
+      {Value::Null(), vec::Lane::kNullOnly},
+  };
+  for (const auto& [v, lane] : cases) {
+    auto col = vec::EvalExprBatch(term::Term::Constant(v), frame);
+    ASSERT_TRUE(col.ok()) << v << ": " << col.status().ToString();
+    EXPECT_EQ((*col)->size(), kRows) << v;
+    EXPECT_EQ((*col)->lane(), lane) << v;
+    EXPECT_EQ((*col)->ValueAt(kRows - 1).kind(), v.kind()) << v;
+    EXPECT_EQ(value::Compare((*col)->ValueAt(kRows - 1), v), 0) << v;
   }
 }
 

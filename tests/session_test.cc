@@ -114,6 +114,94 @@ TEST(SessionTest, ObjectSharingAcrossRows) {
   }
 }
 
+// InsertRow and NewObject resolve their table or type through a per-session
+// cache keyed by the name as spelled. Every spelling reaches the same
+// table, DDL between inserts re-resolves, and failures read exactly as an
+// uncached lookup's.
+TEST(SessionTest, InsertTargetCacheResolvesEverySpelling) {
+  testutil::FilmDb db;
+  auto beats = db.session.db().GetTable("BEATS");
+  ASSERT_TRUE(beats.ok());
+  const size_t before = (*beats)->size();
+  for (const char* name : {"BEATS", "beats", "Beats", "BEATS", "bEaTs"}) {
+    EDS_ASSERT_OK(
+        db.session.InsertRow(name, {Value::Int(100), Value::Int(101)}));
+  }
+  EXPECT_EQ((*beats)->size(), before + 5);
+  // More spellings than the cache keeps still land in the one table.
+  const std::string many[] = {"BEATS", "BEATs", "BEAts", "BEaTS", "BeATS",
+                              "bEATS", "BEATS", "beats", "bEATs", "BEaTs"};
+  for (const std::string& name : many) {
+    EDS_ASSERT_OK(
+        db.session.InsertRow(name, {Value::Int(102), Value::Int(103)}));
+  }
+  EXPECT_EQ((*beats)->size(), before + 5 + std::size(many));
+}
+
+TEST(SessionTest, InsertTargetCacheFollowsDdl) {
+  testutil::FilmDb db;
+  EDS_ASSERT_OK(db.session.InsertRow("BEATS", {Value::Int(1), Value::Int(2)}));
+  Status missing = db.session.InsertRow("LATE", {Value::Int(1)});
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
+  const uint64_t epoch = db.session.catalog().epoch();
+  EDS_ASSERT_OK(db.session.ExecuteScript("CREATE TABLE LATE (A : INT);"));
+  ASSERT_NE(db.session.catalog().epoch(), epoch);
+  EDS_ASSERT_OK(db.session.InsertRow("LATE", {Value::Int(1)}));
+  EDS_ASSERT_OK(db.session.InsertRow("late", {Value::Int(2)}));
+  EDS_ASSERT_OK(db.session.InsertRow("BEATS", {Value::Int(3), Value::Int(4)}));
+  // A view and a constraint move the epoch too.
+  EDS_ASSERT_OK(db.session.ExecuteScript(
+      "CREATE VIEW LATE_V (A) AS SELECT A FROM LATE;"));
+  EDS_ASSERT_OK(db.session.InsertRow("late", {Value::Int(3)}));
+  EDS_ASSERT_OK(db.session.ExecuteScript("INSERT INTO late VALUES (4);"));
+  auto late = db.session.db().GetTable("LATE");
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ((*late)->size(), 4u);
+  auto rows = db.session.Query("SELECT A FROM LATE_V");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), 4u);
+  // A type declared after the type cache filled is found.
+  auto before = db.session.NewObject("Actor", {{"Name", Value::String("A")}});
+  EDS_ASSERT_OK(before.status());
+  EXPECT_EQ(db.session.NewObject("Critic", {}).status().code(),
+            StatusCode::kNotFound);
+  EDS_ASSERT_OK(
+      db.session.ExecuteScript("TYPE Critic OBJECT TUPLE (Name : CHAR);"));
+  auto critic =
+      db.session.NewObject("Critic", {{"Name", Value::String("C")}});
+  EDS_ASSERT_OK(critic.status());
+}
+
+TEST(SessionTest, InsertTargetCacheKeepsErrors) {
+  testutil::FilmDb db;
+  // The same failure on a cold lookup and on a cached one.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    Status unknown = db.session.InsertRow("NOPE", {Value::Int(1)});
+    EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+    EXPECT_EQ(unknown.message(), "no stored table 'NOPE'");
+    Status arity = db.session.InsertRow("BEATS", {Value::Int(1)});
+    EXPECT_EQ(arity.code(), StatusCode::kTypeError);
+    EXPECT_EQ(arity.message(), "row has 1 values, schema has 2 columns");
+    Status type = db.session.InsertRow(
+        "BEATS", {Value::String("x"), Value::Int(1)});
+    EXPECT_EQ(type.code(), StatusCode::kTypeError);
+    EXPECT_EQ(type.message(),
+              "column 'Winner': value 'x' does not conform to type NUMERIC");
+    Status object = db.session.InsertRow("APPEARS_IN",
+                                         {Value::Int(1), Value::Int(42)});
+    EXPECT_EQ(object.code(), StatusCode::kTypeError);
+    EXPECT_EQ(object.message(),
+              "column 'Refactor': value 42 does not conform to type Actor");
+    EXPECT_EQ(db.session.NewObject("Text", {}).status().message(),
+              "'Text' is not an object type");
+    EXPECT_EQ(db.session.NewObject("Actor", {{"Wrong", Value::Int(1)}})
+                  .status()
+                  .message(),
+              "object type Actor has no attribute 'Wrong'");
+  }
+}
+
 TEST(SessionTest, ConstraintInvalidatesOptimizer) {
   testutil::FilmDb db;
   auto opt1 = db.session.optimizer();

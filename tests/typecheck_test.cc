@@ -100,6 +100,67 @@ TEST_F(TypecheckTest, ObjectSubtypingThroughHeap) {
   EXPECT_FALSE(Check(Value::Int(1), Find("Actor")).ok());
 }
 
+// Session::NewObject stores each object with its resolved type, and the
+// check reads that type instead of looking the stored name up again. An
+// object created by name only (ObjectHeap::New without a type) still
+// resolves through the registry. Both give the same verdicts and the same
+// text.
+TEST_F(TypecheckTest, CarriedObjectTypeGivesTheSameVerdicts) {
+  ObjectHeap& heap = db_.session.db().heap();
+  auto carried_person = db_.session.NewObject(
+      "Person", {{"Name", Value::String("Somebody")}});
+  ASSERT_TRUE(carried_person.ok());
+  const Value named_person = heap.New(
+      "Person", Value::NamedTuple({"Name"}, {Value::String("Somebody")}));
+  const Value named_actor =
+      heap.New("Actor", Value::NamedTuple({"Name", "Salary"},
+                                          {Value::String("N"), Value::Int(1)}));
+  auto stored = heap.Get(carried_person->AsObjectRef());
+  ASSERT_TRUE(stored.ok());
+  ASSERT_NE((*stored)->type, nullptr);
+  EXPECT_EQ((*stored)->type, Find("Person"));
+  ASSERT_TRUE(heap.Get(named_person.AsObjectRef()).ok());
+  EXPECT_EQ((*heap.Get(named_person.AsObjectRef()))->type, nullptr);
+
+  // A Person into an Actor column is rejected, with one text either way.
+  for (const Value& person : {*carried_person, named_person}) {
+    Status bad = Check(person, Find("Actor"));
+    EXPECT_EQ(bad.code(), StatusCode::kTypeError);
+    EXPECT_EQ(bad.message(), "value " + person.ToString() +
+                                 " does not conform to type Actor (object "
+                                 "of type Person where Actor expected)");
+    EDS_ASSERT_OK(Check(person, Find("Person")));
+  }
+  // An Actor into a Person column is accepted.
+  EDS_ASSERT_OK(Check(db_.quinn, Find("Person")));
+  EDS_ASSERT_OK(Check(named_actor, Find("Person")));
+  EDS_ASSERT_OK(Check(named_actor, Find("Actor")));
+  // A dangling oid and a NULL reference behave as before.
+  Status dangling = Check(Value::ObjectRef(9999), Find("Actor"));
+  EXPECT_EQ(dangling.code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(dangling.message(), "dangling object reference <oid:9999>");
+  EDS_ASSERT_OK(Check(Value::Null(), Find("Actor")));
+
+  // The same verdicts through InsertRow, into both kinds of column.
+  EDS_ASSERT_OK(db_.session.ExecuteScript("TABLE FANS (Who : Person);"));
+  EDS_ASSERT_OK(db_.session.InsertRow("FANS", {db_.quinn}));
+  EDS_ASSERT_OK(db_.session.InsertRow("FANS", {*carried_person}));
+  EDS_ASSERT_OK(db_.session.InsertRow("FANS", {Value::Null()}));
+  Status person_as_actor =
+      db_.session.InsertRow("APPEARS_IN", {Value::Int(1), *carried_person});
+  EXPECT_EQ(person_as_actor.code(), StatusCode::kTypeError);
+  EXPECT_EQ(person_as_actor.message(),
+            "column 'Refactor': value " + carried_person->ToString() +
+                " does not conform to type Actor (object of type Person "
+                "where Actor expected)");
+  EXPECT_EQ(db_.session
+                .InsertRow("APPEARS_IN", {Value::Int(1), Value::ObjectRef(9999)})
+                .code(),
+            StatusCode::kTypeError);
+  EDS_ASSERT_OK(
+      db_.session.InsertRow("APPEARS_IN", {Value::Int(1), Value::Null()}));
+}
+
 TEST_F(TypecheckTest, InsertRowEnforcesSchema) {
   // Enum domain violation through the public API.
   Status bad = db_.session.InsertRow(

@@ -120,6 +120,60 @@ TEST(VecDiffTest, ScanAfterInsertMatchesRowEngine) {
   EXPECT_EQ((*beats)->batch().cols[0].lane(), vec::Lane::kGeneric);
 }
 
+// Object references are stored unboxed (the kObjectRef lane): joins on
+// object columns, method calls on them and NULL references must read back
+// exactly what the row engine sees, before and after a NULL reference
+// lands in the column.
+TEST(VecDiffTest, ObjectColumnsMatchRowEngine) {
+  testutil::FilmDb db;
+  using value::Value;
+  const char* queries[] = {
+      "SELECT A.Numf, B.Numf FROM APPEARS_IN A, APPEARS_IN B "
+      "WHERE A.Refactor = B.Refactor",
+      "SELECT A.Numf, D.Numf FROM APPEARS_IN A, DOMINATE D "
+      "WHERE A.Refactor = D.Refactor2 AND A.Numf = D.Numf",
+      "SELECT D1.Numf FROM DOMINATE D1, DOMINATE D2 "
+      "WHERE D1.Refactor2 = D2.Refactor1",
+      "SELECT Numf, Salary(Refactor) FROM APPEARS_IN",
+      "SELECT A.Numf, Name(A.Refactor) FROM APPEARS_IN A "
+      "WHERE Salary(A.Refactor) > 10000",
+      "SELECT Numf, Refactor FROM APPEARS_IN",
+      "SELECT DISTINCT Refactor FROM APPEARS_IN",
+  };
+  auto check = [&](const std::string& when) {
+    for (const char* esql : queries) {
+      for (bool rewrite : {true, false}) {
+        QueryOptions on, off;
+        on.rewrite = off.rewrite = rewrite;
+        on.exec_options.vectorized = true;
+        off.exec_options.vectorized = false;
+        auto vec = db.session.Query(esql, on);
+        auto row = db.session.Query(esql, off);
+        ASSERT_EQ(vec.ok(), row.ok())
+            << esql << ": "
+            << (vec.ok() ? row.status() : vec.status()).ToString();
+        ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
+        ExpectSameSequence(vec->rows, row->rows,
+                           std::string(esql) + " " + when +
+                               (rewrite ? " [rewrite]" : " [raw]"));
+      }
+    }
+  };
+  auto appears_in = db.session.db().GetTable("APPEARS_IN");
+  ASSERT_TRUE(appears_in.ok());
+  EXPECT_EQ((*appears_in)->batch().cols[1].lane(), vec::Lane::kObjectRef);
+  check("with refs only");
+  EDS_ASSERT_OK(db.session.InsertRow("APPEARS_IN",
+                                     {Value::Int(4), Value::Null()}));
+  EDS_ASSERT_OK(
+      db.session.InsertRow("APPEARS_IN", {Value::Int(4), db.quinn}));
+  EDS_ASSERT_OK(db.session.InsertRow("DOMINATE",
+                                     {Value::Int(4), Value::Null(), db.eva}));
+  EXPECT_EQ((*appears_in)->batch().cols[1].lane(), vec::Lane::kObjectRef);
+  EXPECT_EQ((*appears_in)->batch().cols[1].null_count(), 1u);
+  check("with a NULL ref");
+}
+
 TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(

@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "lint/lint.h"
-#include "magic/magic.h"
 #include "rules/extensions.h"
 #include "rules/fixpoint.h"
 #include "rules/merging.h"
+#include "rules/optimizer.h"
 #include "rules/permutation.h"
 #include "rules/semantic.h"
 #include "rules/simplify.h"
@@ -118,9 +118,7 @@ int main(int argc, char** argv) {
   }
 
   eds::rewrite::BuiltinRegistry builtins;
-  builtins.InstallStandard();
-  eds::magic::InstallMagicBuiltins(&builtins);
-  eds::rules::InstallSemanticBuiltins(&builtins);
+  eds::rules::InstallOptimizerBuiltins(&builtins);
 
   size_t errors = 0, warnings = 0;
   for (const NamedSource& src : sources) {
