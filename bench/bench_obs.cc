@@ -96,7 +96,7 @@ BENCHMARK(BM_Query_Profiled);
 BENCHMARK(BM_Query_Traced);
 
 // Serving-telemetry cost on the hottest serve path (the same query
-// repeated: L0 hits after the first). Telemetry is always on: On prices
+// repeated: L0 hits from the third). Telemetry is always on: On prices
 // the histogram records + flight-recorder append, and OnSlowCapture adds
 // the per-worker span tracing that slow-query capture arms (threshold set
 // to never fire, so this is the steady-state cost, not JSON

@@ -436,12 +436,12 @@ class Shell {
     }
     eds::srv::PlanCache::Stats s = service_->cache().GetStats();
     std::cout << "entries:         " << s.entries << " (" << s.nodes
-              << " nodes, " << s.probation_nodes << " in probation)\n"
+              << " nodes)\n"
               << "hits / misses:   " << s.hits << " / " << s.misses << "\n"
-              << "inserts:         " << s.inserts << " ("
-              << service_->admission_deferrals()
-              << " first sightings deferred)\n"
-              << "promotions:      " << s.promotions << "\n"
+              << "inserts:         " << s.inserts << "\n"
+              << "deferrals:       " << service_->admission_deferrals()
+              << " templates, " << service_->l0_admission_deferrals()
+              << " texts (first sightings, not stored)\n"
               << "evictions:       " << s.evictions << "\n"
               << "insert failures: " << s.insert_failures << "\n"
               << "invalidations:   " << s.invalidations << "\n";

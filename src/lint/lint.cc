@@ -599,7 +599,7 @@ LintReport LintSource(std::string_view text,
         offset = offset * 10 + static_cast<size_t>(m[i] - '0');
         ++i;
       }
-      d.loc = ruledsl::LocateOffset(text, offset);
+      d.loc = ruledsl::LineIndex(text).Locate(offset);
     }
     report.Add(std::move(d));
     return report;

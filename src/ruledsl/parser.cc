@@ -1,5 +1,8 @@
 #include "ruledsl/parser.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/strings.h"
 #include "rewrite/engine.h"
 #include "ruledsl/lexer.h"
@@ -211,19 +214,21 @@ class DslParser {
 
 }  // namespace
 
-rewrite::SourceLoc LocateOffset(std::string_view text, size_t offset) {
+LineIndex::LineIndex(std::string_view text)
+    : size_(text.size()), line_starts_{0} {
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') line_starts_.push_back(i + 1);
+  }
+}
+
+rewrite::SourceLoc LineIndex::Locate(size_t offset) const {
+  const size_t at = std::min(offset, size_);
+  // The last line starting at or before `at`.
+  auto line = std::upper_bound(line_starts_.begin(), line_starts_.end(), at);
   rewrite::SourceLoc loc;
   loc.offset = offset;
-  loc.line = 1;
-  loc.column = 1;
-  for (size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      ++loc.line;
-      loc.column = 1;
-    } else {
-      ++loc.column;
-    }
-  }
+  loc.line = static_cast<int>(line - line_starts_.begin());
+  loc.column = static_cast<int>(at - *std::prev(line)) + 1;
   return loc;
 }
 
@@ -232,10 +237,11 @@ Result<CompiledUnit> ParseRuleSource(std::string_view text) {
   DslParser parser(&tokens);
   Result<CompiledUnit> unit = parser.ParseUnit();
   if (!unit.ok()) return unit;
-  for (rewrite::Rule& r : unit->rules) r.loc = LocateOffset(text, r.loc.offset);
-  for (BlockDecl& b : unit->blocks) b.loc = LocateOffset(text, b.loc.offset);
+  const LineIndex lines(text);
+  for (rewrite::Rule& r : unit->rules) r.loc = lines.Locate(r.loc.offset);
+  for (BlockDecl& b : unit->blocks) b.loc = lines.Locate(b.loc.offset);
   if (unit->seq.has_value()) {
-    unit->seq->loc = LocateOffset(text, unit->seq->loc.offset);
+    unit->seq->loc = lines.Locate(unit->seq->loc.offset);
   }
   return unit;
 }

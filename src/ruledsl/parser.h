@@ -59,10 +59,22 @@ struct CompiledUnit {
 // token) so downstream validation and lint diagnostics can point at it.
 Result<CompiledUnit> ParseRuleSource(std::string_view text);
 
-// Converts a byte offset into `text` to a 1-based line:column SourceLoc.
+// Converts byte offsets into one text to 1-based line:column SourceLocs.
+// The table of line starts is built in one pass and each Locate is a
+// binary search, so locating every rule of a unit never rescans the text.
 // Token positions index into the original source (comment stripping
 // preserves offsets), so this also locates parse-error offsets.
-rewrite::SourceLoc LocateOffset(std::string_view text, size_t offset);
+class LineIndex {
+ public:
+  explicit LineIndex(std::string_view text);
+
+  // An offset past the end locates the end of the text.
+  rewrite::SourceLoc Locate(size_t offset) const;
+
+ private:
+  size_t size_;
+  std::vector<size_t> line_starts_;  // ascending; line_starts_[0] == 0
+};
 
 }  // namespace eds::ruledsl
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <utility>
 
 namespace eds::srv {
@@ -21,22 +20,21 @@ std::optional<L0Cache::Entry> L0Cache::Lookup(const std::string& normalized,
     ++stats_.misses;
     return std::nullopt;
   }
-  Segments::iterator node = it->second;
-  if (node->value.entry.catalog_epoch != catalog_epoch ||
-      node->value.entry.rules_epoch != rules_epoch) {
+  List::iterator node = it->second;
+  if (node->entry.catalog_epoch != catalog_epoch ||
+      node->entry.rules_epoch != rules_epoch) {
     // DDL or a rule-library change happened since this entry was built;
     // drop it so the slot is free for the rebuilt plan.
-    lru_.Erase(node);
     index_.erase(it);
+    lru_.erase(node);
     ++stats_.invalidations;
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  ++node->value.hits;
-  lru_.Promote(node);
-  EnforceCapsLocked();
-  return node->value.entry;
+  ++node->hits;
+  lru_.splice(lru_.begin(), lru_, node);
+  return node->entry;
 }
 
 void L0Cache::Insert(const std::string& normalized, Entry entry,
@@ -49,62 +47,42 @@ void L0Cache::Insert(const std::string& normalized, Entry entry,
     return;
   }
   auto it = index_.find(normalized);
-  Segments::iterator node;
-  bool hot = seed_hits > 0;
   if (it != index_.end()) {
-    node = it->second;
-    node->value.entry = std::move(entry);
-    node->value.hits += seed_hits;
-  } else {
-    node = lru_.Insert(Node{normalized, std::move(entry), seed_hits},
-                       /*charge=*/1);
-    index_.emplace(normalized, node);
-    // A text evicted from probation not long ago is back: it repeats, just
-    // further apart than the probation window.
-    if (!hot && evicted_.Contains(KeyHash(normalized))) {
-      hot = true;
-      ++stats_.readmissions;
-    }
+    it->second->entry = std::move(entry);
+    it->second->hits += seed_hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
   }
-  lru_.Touch(node, hot);
-  EnforceCapsLocked();
-}
-
-uint64_t L0Cache::KeyHash(const std::string& normalized) {
-  return std::hash<std::string>{}(normalized);
-}
-
-void L0Cache::EnforceCapsLocked() {
-  lru_.EnforceCaps([this](const Node& n) {
-    evicted_.Remember(KeyHash(n.key));
-    index_.erase(n.key);
-  });
+  lru_.push_front(Node{normalized, std::move(entry), seed_hits});
+  index_.emplace(normalized, lru_.begin());
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
 }
 
 std::vector<L0Cache::SnapshotEntry> L0Cache::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotEntry> out;
   out.reserve(lru_.size());
-  lru_.ForEach([&](const Node& n) {
+  for (const Node& n : lru_) {
     out.push_back(SnapshotEntry{n.key, n.entry, n.hits});
-  });
+  }
   return out;
 }
 
 void L0Cache::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.invalidations += lru_.size();
-  lru_.Clear();
+  lru_.clear();
   index_.clear();
 }
 
 L0Cache::Stats L0Cache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out = stats_;
-  out.evictions = lru_.evictions();
   out.entries = lru_.size();
-  out.promotions = lru_.promotions();
-  out.probation_entries = lru_.probation_size();
   return out;
 }
 
@@ -160,11 +138,7 @@ void ExportL0Stats(const L0Cache::Stats& stats,
   registry->Counter("srv.l0.evictions", stats.evictions);
   registry->Counter("srv.l0.invalidations", stats.invalidations);
   registry->Counter("srv.l0.oversize_rejects", stats.oversize_rejects);
-  registry->Counter("srv.l0.promotions", stats.promotions);
-  registry->Counter("srv.l0.readmissions", stats.readmissions);
   registry->Gauge("srv.l0.entries", static_cast<double>(stats.entries));
-  registry->Gauge("srv.l0.probation_entries",
-                  static_cast<double>(stats.probation_entries));
 }
 
 }  // namespace eds::srv

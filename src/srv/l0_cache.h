@@ -2,6 +2,7 @@
 #define EDS_SRV_L0_CACHE_H_
 
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "srv/segmented_lru.h"
 #include "term/term.h"
 
 namespace eds::srv {
@@ -29,22 +29,16 @@ namespace eds::srv {
 // and rule-library epochs it was built under, and a lookup that finds a
 // stale entry drops it (counted as an invalidation) and reports a miss.
 //
-// Eviction: the plan cache's segment policy (srv/segmented_lru.h), charged
-// one per entry. A new text enters a probation window of
-// max(1, capacity / 16) entries; its first hit (the second sighting)
-// promotes it to protected, and only the probation tail is evicted. So a
-// stream of one-shot texts churns through 16 slots instead of pinning all
-// 256 raw and optimized plans, and cannot evict a text that repeats. The
-// cache also remembers the hashes of the last `capacity` texts it evicted:
-// one that comes back is admitted straight to protected. A text whose
-// repeats are further apart than the window (say a cycle of 20 to 256
-// texts) therefore misses twice, not once, and then hits as it would under
-// a plain LRU. An Insert with seed_hits > 0 (a warm restore) goes straight
-// to protected too.
+// Eviction: a plain LRU bounded by entry count; a hit or a refresh moves
+// the entry to the head, and an insert past `capacity` drops the tail.
+// Admission is not the cache's business: QueryService stores a text only
+// on its second cacheable miss (the same rule as the plan cache's), so a
+// stream of one-shot texts never reaches this cache at all. Warm restores
+// call Insert directly and so bypass that rule.
 //
-// Concurrency: one mutex around the segment lists and their index. The
-// critical section is a string hash and a list splice — contention is
-// negligible next to query execution, so sharding would be ceremony.
+// Concurrency: one mutex around the list and its index. The critical
+// section is a string hash and a list splice — contention is negligible
+// next to query execution, so sharding would be ceremony.
 class L0Cache {
  public:
   struct Entry {
@@ -59,14 +53,10 @@ class L0Cache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t inserts = 0;
-    uint64_t evictions = 0;      // capacity evictions (probation tail)
+    uint64_t evictions = 0;      // capacity evictions (LRU tail)
     uint64_t invalidations = 0;  // stale-epoch entries dropped at lookup
     uint64_t oversize_rejects = 0;  // keys past the length cap, not cached
     uint64_t entries = 0;        // live entries
-    uint64_t promotions = 0;     // probation -> protected on a first hit
-    uint64_t readmissions = 0;   // recently evicted texts inserted again,
-                                 // straight into protected
-    uint64_t probation_entries = 0;  // the part of `entries` in probation
   };
 
   // One live entry plus its bookkeeping, as Snapshot() reports it; `hits`
@@ -86,28 +76,22 @@ class L0Cache {
 
   explicit L0Cache(size_t capacity,
                    size_t max_key_bytes = kDefaultMaxKeyBytes)
-      : capacity_(capacity),
-        max_key_bytes_(max_key_bytes),
-        lru_(capacity),
-        evicted_(capacity) {}
+      : capacity_(capacity), max_key_bytes_(max_key_bytes) {}
 
   L0Cache(const L0Cache&) = delete;
   L0Cache& operator=(const L0Cache&) = delete;
 
   // Returns a copy of the entry for `normalized` and moves it to the head
-  // of the protected segment (promoting it out of probation on its first
-  // hit), or nullopt. An entry whose epochs do not match the current ones
-  // is erased (invalidation) and reported as a miss.
+  // of the LRU, or nullopt. An entry whose epochs do not match the current
+  // ones is erased (invalidation) and reported as a miss.
   std::optional<Entry> Lookup(const std::string& normalized,
                               uint64_t catalog_epoch, uint64_t rules_epoch);
 
-  // Inserts (or refreshes) the entry at the head of its segment —
-  // probation for a new text; protected for a refreshed protected one, a
-  // recently evicted text, or when `seed_hits` > 0 — then demotes
-  // protected overflow and evicts from the probation tail. A
-  // zero-capacity cache is a counted no-op, as is an oversize key.
-  // `seed_hits` pre-charges the entry's hit counter (warm restore keeps
-  // persisted hotness so the next snapshot ranks it correctly).
+  // Inserts (or refreshes) the entry at the head of the LRU, then evicts
+  // from the tail while over capacity. A zero-capacity cache is a counted
+  // no-op, as is an oversize key. `seed_hits` pre-charges the entry's hit
+  // counter (warm restore keeps persisted hotness so the next snapshot
+  // ranks it correctly).
   void Insert(const std::string& normalized, Entry entry,
               uint64_t seed_hits = 0);
 
@@ -116,9 +100,8 @@ class L0Cache {
 
   Stats GetStats() const;
 
-  // Copies every live entry with its hit count: the protected segment,
-  // then probation, each most-recently-used first. The persistence
-  // snapshot thread calls this off the serve path.
+  // Copies every live entry with its hit count, most recently used first.
+  // The persistence snapshot thread calls this off the serve path.
   std::vector<SnapshotEntry> Snapshot() const;
 
   size_t max_key_bytes() const { return max_key_bytes_; }
@@ -129,20 +112,14 @@ class L0Cache {
     Entry entry;
     uint64_t hits = 0;
   };
-  using Segments = SegmentedLru<Node>;
-
-  static uint64_t KeyHash(const std::string& normalized);
-  // Demotes protected overflow and evicts the probation tail, unindexing
-  // each evicted key and remembering its hash in evicted_.
-  void EnforceCapsLocked();
+  using List = std::list<Node>;  // most recently used first
 
   mutable std::mutex mu_;
   size_t capacity_;
   size_t max_key_bytes_;
-  Segments lru_;
-  std::unordered_map<std::string, Segments::iterator> index_;
-  EvictedKeys evicted_;
-  // Counters kept here; the size figures are read off lru_.
+  List lru_;
+  std::unordered_map<std::string, List::iterator> index_;
+  // Counters kept here; `entries` is read off lru_.
   Stats stats_;
 };
 

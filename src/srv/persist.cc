@@ -432,7 +432,10 @@ size_t WarmServiceCaches(const CacheImage& image, exec::Session* session,
   }
   size_t installed = 0;
 
-  for (const PersistedPlan& plan : image.plans) {
+  // Records are stored hottest first; installing them in reverse leaves
+  // the hottest at the head of each cache's LRU.
+  for (auto rec = image.plans.rbegin(); rec != image.plans.rend(); ++rec) {
+    const PersistedPlan& plan = *rec;
     Result<term::TermRef> tmpl = ParseBounded(plan.tmpl_text, options);
     Result<term::TermRef> nf = ParseBounded(plan.nf_text, options);
     if (!tmpl.ok() || !nf.ok()) {
@@ -472,7 +475,8 @@ size_t WarmServiceCaches(const CacheImage& image, exec::Session* session,
     ++installed;
   }
 
-  for (const PersistedL0& entry : image.l0) {
+  for (auto rec = image.l0.rbegin(); rec != image.l0.rend(); ++rec) {
+    const PersistedL0& entry = *rec;
     if (entry.key.empty() || entry.key.size() > l0->max_key_bytes()) {
       ++s->skipped;
       continue;

@@ -161,7 +161,9 @@ Result<CacheImage> LoadPersistFile(const std::string& path,
                                    LoadStats* stats = nullptr);
 
 // Parses a loaded image's terms and installs the entries that survive into
-// the caches, seeding each with its persisted hit count. Records whose
+// the caches, coldest first, seeding each with its persisted hit count.
+// It inserts directly, so restored entries bypass QueryService's admission
+// rule and hit on their first sighting. Records whose
 // epochs (image header) differ from `catalog_epoch`/`rules_epoch` are
 // counted stale and nothing is installed from them. With
 // options.verify_load set, each plan additionally passes ground

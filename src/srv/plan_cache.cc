@@ -1,6 +1,6 @@
 #include "srv/plan_cache.h"
 
-#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "gov/failpoint.h"
@@ -20,15 +20,14 @@ uint64_t Mix(uint64_t x) {
 
 }  // namespace
 
-PlanCache::PlanCache(const Config& config) : lru_(config.max_nodes) {}
+PlanCache::PlanCache(const Config& config) : max_nodes_(config.max_nodes) {}
 
-uint64_t PlanCache::KeyHash(const Key& key) {
+size_t PlanCache::KeyHasher::operator()(const Key& key) const {
   uint64_t h = key.tmpl != nullptr ? key.tmpl->structural_hash() : 0;
-  h = Mix(h ^ Mix(key.catalog_epoch) ^ (Mix(key.rules_epoch) << 1));
-  return h;
+  return Mix(h ^ Mix(key.catalog_epoch) ^ (Mix(key.rules_epoch) << 1));
 }
 
-bool PlanCache::KeyEquals(const Key& a, const Key& b) {
+bool PlanCache::KeyEqual::operator()(const Key& a, const Key& b) const {
   if (a.catalog_epoch != b.catalog_epoch || a.rules_epoch != b.rules_epoch) {
     return false;
   }
@@ -38,54 +37,30 @@ bool PlanCache::KeyEquals(const Key& a, const Key& b) {
   return term::Equals(a.tmpl, b.tmpl);
 }
 
-std::optional<PlanCache::Segments::iterator> PlanCache::FindLocked(
-    const Key& key, uint64_t hash) {
-  auto it = index_.find(hash);
-  if (it != index_.end()) {
-    for (Segments::iterator eit : it->second) {
-      if (KeyEquals(eit->value.key, key)) return eit;
-    }
-  }
-  return std::nullopt;
-}
-
-void PlanCache::UnindexLocked(const Entry& entry) {
-  auto idx = index_.find(KeyHash(entry.key));
-  if (idx == index_.end()) return;
-  auto& vec = idx->second;
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](Segments::iterator it) {
-                             return &it->value == &entry;
-                           }),
-            vec.end());
-  if (vec.empty()) index_.erase(idx);
-}
-
-void PlanCache::EnforceCapsLocked() {
-  lru_.EnforceCaps([this](const Entry& e) { UnindexLocked(e); });
+void PlanCache::EraseLocked(List::iterator it) {
+  nodes_ -= it->charge;
+  index_.erase(it->key);
+  lru_.erase(it);
 }
 
 std::optional<term::TermRef> PlanCache::Lookup(const Key& key) {
-  const uint64_t hash = KeyHash(key);
   std::lock_guard<std::mutex> lock(mu_);
-  std::optional<Segments::iterator> found = FindLocked(key, hash);
-  if (!found.has_value()) {
+  auto found = index_.find(key);
+  if (found == index_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
-  Segments::iterator it = *found;
+  List::iterator it = found->second;
   ++stats_.hits;
-  ++it->value.hits;
-  lru_.Promote(it);
-  EnforceCapsLocked();
-  return it->value.normal_form;
+  ++it->hits;
+  lru_.splice(lru_.begin(), lru_, it);
+  return it->normal_form;
 }
 
 void PlanCache::Insert(const Key& key, term::TermRef normal_form,
                        uint64_t rewrite_ns, term::TermList sample_params,
                        uint64_t seed_hits) {
   if (key.tmpl == nullptr || normal_form == nullptr) return;
-  const uint64_t hash = KeyHash(key);
   std::lock_guard<std::mutex> lock(mu_);
   // Chaos: a failed insert is a skipped insert — the entry simply is not
   // cached, so the next lookup misses and pays a normal rewrite. Inside
@@ -99,70 +74,72 @@ void PlanCache::Insert(const Key& key, term::TermRef normal_form,
     ++stats_.insert_failures;
     return;
   }
-  const uint64_t charge =
-      key.tmpl->node_count() + normal_form->node_count();
   // A refresh (same key rewritten again, e.g. after a racing double-miss)
-  // updates the entry in place and keeps its segment.
-  std::optional<Segments::iterator> found = FindLocked(key, hash);
-  Segments::iterator it;
-  if (found.has_value()) {
-    it = *found;
-    lru_.Charge(it, charge);
+  // updates the entry in place.
+  auto found = index_.find(key);
+  if (found != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, found->second);
+    nodes_ -= lru_.front().charge;
   } else {
-    Entry fresh;
-    fresh.key = key;
-    it = lru_.Insert(std::move(fresh), charge);
-    index_[hash].push_back(it);
+    lru_.emplace_front();
+    lru_.front().key = key;
+    index_.emplace(key, lru_.begin());
     ++stats_.inserts;
   }
-  Entry& e = it->value;
+  Entry& e = lru_.front();
+  e.charge = key.tmpl->node_count() + normal_form->node_count();
   e.normal_form = std::move(normal_form);
   e.hits += seed_hits;
   e.rewrite_ns = rewrite_ns;
   e.sample_params = std::move(sample_params);
-  lru_.Touch(it, /*hot=*/seed_hits > 0);
-  EnforceCapsLocked();
+  nodes_ += e.charge;
+  // The entry just written survives even when it alone exceeds the
+  // ceiling: a cache that cannot hold the working entry is useless, not
+  // wrong.
+  while (nodes_ > max_nodes_ && lru_.size() > 1) {
+    EraseLocked(std::prev(lru_.end()));
+    ++stats_.evictions;
+  }
 }
 
 std::vector<PlanCache::SnapshotEntry> PlanCache::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotEntry> out;
   out.reserve(lru_.size());
-  lru_.ForEach([&](const Entry& e) {
+  for (const Entry& e : lru_) {
     out.push_back(SnapshotEntry{e.key.tmpl, e.normal_form,
                                 e.key.catalog_epoch, e.key.rules_epoch,
                                 e.hits, e.rewrite_ns, e.sample_params});
-  });
+  }
   return out;
 }
 
 void PlanCache::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.invalidations += lru_.size();
-  lru_.Clear();
+  lru_.clear();
   index_.clear();
+  nodes_ = 0;
 }
 
 void PlanCache::DropStale(uint64_t catalog_epoch, uint64_t rules_epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.invalidations += lru_.EraseIf([&](const Entry& e) {
-    if (e.key.catalog_epoch == catalog_epoch &&
-        e.key.rules_epoch == rules_epoch) {
-      return false;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.catalog_epoch == catalog_epoch &&
+        it->key.rules_epoch == rules_epoch) {
+      ++it;
+    } else {
+      EraseLocked(it++);
+      ++stats_.invalidations;
     }
-    UnindexLocked(e);
-    return true;
-  });
+  }
 }
 
 PlanCache::Stats PlanCache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out = stats_;
-  out.evictions = lru_.evictions();
   out.entries = lru_.size();
-  out.nodes = lru_.charge();
-  out.promotions = lru_.promotions();
-  out.probation_nodes = lru_.probation_charge();
+  out.nodes = nodes_;
   return out;
 }
 

@@ -1,20 +1,21 @@
 #ifndef EDS_SRV_PLAN_CACHE_H_
 #define EDS_SRV_PLAN_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "srv/segmented_lru.h"
 #include "term/term.h"
 
 namespace eds::srv {
 
-// Segmented-LRU cache of rewritten plans, keyed on the query's canonical
-// template (srv/fingerprint.h) plus the catalog and rule-library epochs it
-// was rewritten under. A hit skips the entire rewrite phase: the cached
+// LRU cache of rewritten plans, keyed on the query's canonical template
+// (srv/fingerprint.h) plus the catalog and rule-library epochs it was
+// rewritten under. A hit skips the entire rewrite phase: the cached
 // normal form is instantiated with the query's literals and goes straight
 // to schema inference/execution.
 //
@@ -29,19 +30,19 @@ namespace eds::srv {
 //     through the LRU — invalidation is lazy and O(1). InvalidateAll()
 //     drops everything eagerly (the shell's \cache clear).
 //
-// Concurrency: one mutex around the two LRU lists and their shared hash
-// index, as in L0Cache. The critical section is a hash probe and a list
-// splice, small next to the query execution around it.
+// Concurrency: one mutex around the LRU list and its hash index, as in
+// L0Cache. The critical section is a hash probe and a list splice, small
+// next to the query execution around it.
 //
 // Memory: each entry is charged its template + normal-form node counts,
 // the same currency as the governor's interner-node budget, so operators
-// reason about one unit ("term nodes") for both. The node ceiling is split
-// into the probation and protected segments of the shared segment policy
-// (srv/segmented_lru.h): new templates enter probation, a first Lookup hit
-// promotes to protected, and only the probation tail is evicted, so a flood
-// of one-shot templates cannot push out a plan that has been reused. An
-// Insert with seed_hits > 0 (a warm restore of a persisted hot entry) goes
-// straight to protected.
+// reason about one unit ("term nodes") for both. A hit or a refresh moves
+// the entry to the head; an insert or a refresh that puts the cache over
+// its ceiling evicts from the tail until it is back under, or until the
+// entry just written is all that is left. Admission is QueryService's: a
+// template is stored only on its second cacheable miss, so one-shot
+// templates never reach the cache. Warm restores call Insert directly and
+// so bypass that rule.
 class PlanCache {
  public:
   struct Config {
@@ -58,13 +59,11 @@ class PlanCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t inserts = 0;
-    uint64_t evictions = 0;       // probation-tail evictions
+    uint64_t evictions = 0;       // LRU-tail evictions
     uint64_t insert_failures = 0; // chaos-injected insert skips
     uint64_t invalidations = 0;   // dropped by InvalidateAll/DropStale
     uint64_t entries = 0;         // live entries
     uint64_t nodes = 0;           // charged node count of live entries
-    uint64_t promotions = 0;      // probation -> protected on a first hit
-    uint64_t probation_nodes = 0; // the part of `nodes` in probation
   };
 
   // Nested-class NSDMIs are not parseable in a default argument here, so
@@ -92,17 +91,14 @@ class PlanCache {
   };
 
   // Returns the cached normal form and moves the entry to the head of the
-  // protected segment (promoting it out of probation on its first hit), or
-  // nullopt (counted as a miss).
+  // LRU, or nullopt (counted as a miss).
   std::optional<term::TermRef> Lookup(const Key& key);
 
-  // Inserts (or refreshes) the normal form for `key` at the head of its
-  // segment — probation for a new entry, protected for a refreshed
-  // protected one or when `seed_hits` > 0 — then demotes protected
-  // overflow to probation and evicts from the probation tail until both
-  // segments are back under their caps. The chaos site
-  // "srv.cache.insert" (EDS_FAIL_POINT) turns the insert into a counted
-  // no-op — a degraded miss on the next lookup, never a wrong plan.
+  // Inserts (or refreshes) the normal form for `key` at the head of the
+  // LRU, then evicts from the tail until the cache is back under its node
+  // ceiling. The chaos site "srv.cache.insert" (EDS_FAIL_POINT) turns the
+  // insert into a counted no-op — a degraded miss on the next lookup,
+  // never a wrong plan.
   // `rewrite_ns` records what the rewrite that produced `normal_form`
   // cost, `sample_params` the literals it ran under, and `seed_hits`
   // pre-charges the hit counter (warm restore keeps persisted hotness).
@@ -110,9 +106,8 @@ class PlanCache {
               uint64_t rewrite_ns = 0, term::TermList sample_params = {},
               uint64_t seed_hits = 0);
 
-  // Copies every live entry with its stats: the protected segment, then
-  // probation, each most-recently-used first. The persistence snapshot
-  // calls this off the serve path.
+  // Copies every live entry with its stats, most recently used first. The
+  // persistence snapshot calls this off the serve path.
   std::vector<SnapshotEntry> Snapshot() const;
 
   // Eagerly drops every entry (epoch bumps make stale entries unreachable
@@ -134,25 +129,31 @@ class PlanCache {
   struct Entry {
     Key key;
     term::TermRef normal_form;
+    uint64_t charge = 0;  // template + normal-form node counts
     uint64_t hits = 0;
     uint64_t rewrite_ns = 0;
     term::TermList sample_params;
   };
-  using Segments = SegmentedLru<Entry>;
+  using List = std::list<Entry>;  // most recently used first
 
-  static uint64_t KeyHash(const Key& key);
-  static bool KeyEquals(const Key& a, const Key& b);
-  // The entry for `key` under `hash`, if cached.
-  std::optional<Segments::iterator> FindLocked(const Key& key, uint64_t hash);
-  // Drops `entry` from the hash index (the segments still hold it).
-  void UnindexLocked(const Entry& entry);
-  // Applies the segment caps, unindexing each evicted entry.
-  void EnforceCapsLocked();
+  // The template's structural hash mixed with both epochs.
+  struct KeyHasher {
+    size_t operator()(const Key& key) const;
+  };
+  // Equal epochs, then a pointer compare with a term::Equals fallback.
+  struct KeyEqual {
+    bool operator()(const Key& a, const Key& b) const;
+  };
+
+  // Unlinks `it` from the list and the index and drops its charge.
+  void EraseLocked(List::iterator it);
 
   mutable std::mutex mu_;
-  Segments lru_;
-  std::unordered_map<uint64_t, std::vector<Segments::iterator>> index_;
-  // Counters kept here; the size figures are read off lru_.
+  const uint64_t max_nodes_;
+  List lru_;
+  std::unordered_map<Key, List::iterator, KeyHasher, KeyEqual> index_;
+  uint64_t nodes_ = 0;  // charge of the live entries
+  // Counters kept here; the size figures are read off lru_ and nodes_.
   Stats stats_;
 };
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -92,7 +93,8 @@ QueryService::QueryService(exec::Session* session,
       options_(options),
       cache_(options.cache),
       l0_(options.l0_capacity),
-      first_sightings_(kAdmissionGhostCapacity),
+      template_sightings_(kAdmissionGhostCapacity),
+      text_sightings_(options.l0_capacity),
       recorder_(kFlightRecorderCapacity),
       slow_log_(options.slow_query_log_path.empty()
                     ? nullptr
@@ -546,10 +548,13 @@ Result<ServedQuery> QueryService::ServeNow(const std::string& esql,
   // Populate L0 once the columns are known (an execution failure does not
   // make the plan wrong), and only with full-fidelity plans: a
   // governor-degraded or safety-stopped rewrite is correct but
-  // under-optimized, and an L0 hit would replay it verbatim forever.
+  // under-optimized, and an L0 hit would replay it verbatim forever. Like
+  // a template, a text is stored on its second such miss.
   if (use_l0 && !served.l0_hit && !result.columns.empty() &&
       !result.rewrite_stats.trip.tripped() &&
-      !result.rewrite_stats.safety_stop) {
+      !result.rewrite_stats.safety_stop &&
+      l0_key.size() <= l0_.max_key_bytes() &&
+      text_sightings_.Admit(std::hash<std::string>{}(l0_key))) {
     l0_.Insert(l0_key, {result.raw_plan, plan, result.columns,
                         snap.catalog_epoch, snap.rules_epoch});
   }
@@ -614,7 +619,7 @@ Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
     // what this rewrite cost and the literals it ran under: persistence
     // ranks hotness by hits and re-verifies loaded entries by re-executing
     // with these sample literals.
-    if (AdmitTemplate(served->template_hash)) {
+    if (template_sightings_.Admit(served->template_hash)) {
       cache_.Insert(key, outcome.term, obs::NowNs() - rw0, fp.params);
       served->cache_stored = true;
     }
@@ -628,22 +633,27 @@ Result<term::TermRef> QueryService::PlanQuery(const std::string& esql,
   return plan;
 }
 
-bool QueryService::AdmitTemplate(uint64_t hash) {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  if (first_sightings_.Contains(hash)) return true;
-  first_sightings_.Remember(hash);
-  ++admission_deferrals_;
+bool FirstSightings::Admit(uint64_t hash) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (remembered_.count(hash) != 0) return true;
+  ++deferrals_;
+  order_.push_back(hash);
+  remembered_.insert(hash);
+  if (order_.size() > capacity_) {
+    remembered_.erase(order_.front());
+    order_.pop_front();
+  }
   return false;
+}
+
+uint64_t FirstSightings::deferrals() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return deferrals_;
 }
 
 ServiceStats QueryService::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-uint64_t QueryService::admission_deferrals() const {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  return admission_deferrals_;
 }
 
 std::vector<const obs::TraceSink*> QueryService::worker_sinks() const {
@@ -675,6 +685,7 @@ void QueryService::ExportMetrics(obs::MetricsRegistry* registry) const {
   ExportCacheStats(cache_.GetStats(), registry);
   registry->Counter("cache.admission_deferrals", admission_deferrals());
   ExportL0Stats(l0_.GetStats(), registry);
+  registry->Counter("srv.l0.admission_deferrals", l0_admission_deferrals());
   obs::ExportGovStats(gov::CumulativeTripCounters(), registry);
   ExportLatencyMetrics(latency_, registry);
   registry->Counter("srv.flight_recorder.total", recorder_.total_added());
@@ -817,13 +828,10 @@ void ExportCacheStats(const PlanCache::Stats& stats,
   registry->Counter("cache.evictions", stats.evictions);
   registry->Counter("cache.insert_failures", stats.insert_failures);
   registry->Counter("cache.invalidations", stats.invalidations);
-  registry->Counter("cache.promotions", stats.promotions);
   // Levels that fall on eviction: gauges, so rate() never reads a drop as
   // a counter reset.
   registry->Gauge("cache.entries", static_cast<double>(stats.entries));
   registry->Gauge("cache.nodes", static_cast<double>(stats.nodes));
-  registry->Gauge("cache.probation_nodes",
-                  static_cast<double>(stats.probation_nodes));
 }
 
 void ExportServiceStats(const ServiceStats& stats,

@@ -12,6 +12,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "exec/session.h"
@@ -80,13 +81,34 @@ struct ServedQuery {
 // metrics export — without limit.
 inline constexpr size_t kMaxTrackedTenants = 64;
 
-// Plan-cache admission on a template's second sighting (the doorkeeper of
-// TinyLFU): a template's first rewrite is served but not stored, and only
-// its structural hash is remembered, in a ghost list of the last
-// kAdmissionGhostCapacity deferred templates (srv::EvictedKeys, ~60 bytes
-// a hash). A miss whose template is remembered stores its plan. The hash
-// leaves the catalog/rule epochs out, so a DDL between two sightings does
-// not reset admission. Warm restores from the persist file bypass it.
+// The admission rule both serving cache tiers share: store on the second
+// cacheable miss (the doorkeeper of TinyLFU). A first miss is served but
+// not stored, and only its key's hash is remembered, in a ghost list of the
+// last `capacity` deferred keys (a hash and a set node each, ~60 bytes);
+// a miss whose hash is remembered is stored. The hash leaves out the
+// catalog and rule epochs, so a DDL between two sightings does not reset
+// admission. Warm restores insert into the caches directly and bypass it.
+class FirstSightings {
+ public:
+  explicit FirstSightings(size_t capacity) : capacity_(capacity) {}
+
+  // True when `hash` is remembered (this is at least its second
+  // sighting); otherwise remembers it, forgetting the oldest hash past
+  // `capacity`, counts a deferral and returns false.
+  bool Admit(uint64_t hash);
+  uint64_t deferrals() const;
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::deque<uint64_t> order_;  // oldest first
+  std::unordered_set<uint64_t> remembered_;
+  uint64_t deferrals_ = 0;
+};
+
+// The template tier's ghost list holds the last kAdmissionGhostCapacity
+// deferred templates; the L0 tier's holds the last `l0_capacity` deferred
+// texts.
 inline constexpr size_t kAdmissionGhostCapacity = 1024;
 
 // Cumulative service tallies, exported as srv.* metrics.
@@ -252,9 +274,14 @@ class QueryService {
   bool ServeQueuedForTesting();
 
   ServiceStats GetStats() const;
-  // Template misses whose plan was not stored because it was the
-  // template's first sighting (kAdmissionGhostCapacity).
-  uint64_t admission_deferrals() const;
+  // Cacheable misses not stored because they were the first sighting of
+  // their template (plan cache) or of their exact text (L0).
+  uint64_t admission_deferrals() const {
+    return template_sightings_.deferrals();
+  }
+  uint64_t l0_admission_deferrals() const {
+    return text_sightings_.deferrals();
+  }
   PlanCache& cache() { return cache_; }
   const PlanCache& cache() const { return cache_; }
   L0Cache& l0_cache() { return l0_; }
@@ -347,10 +374,6 @@ class QueryService {
                                   const ServingSnapshot& snap,
                                   gov::QueryGuard* guard, obs::TraceSink* sink,
                                   ServedQuery* served);
-  // The admission decision for a cacheable miss of the template with
-  // structural hash `hash`: true on its second sighting, else remembers
-  // the hash and counts a deferral.
-  bool AdmitTemplate(uint64_t hash);
   // Rebuilds + publishes the snapshot if the session's epochs moved (the
   // direct-session-DDL-while-idle compatibility path). Cheap no-op when
   // clean: two relaxed loads + one shared_ptr copy.
@@ -363,10 +386,10 @@ class QueryService {
   ServiceOptions options_;
   PlanCache cache_;
   L0Cache l0_;
-  // First sightings of templates not yet stored (AdmitTemplate).
-  mutable std::mutex admission_mu_;
-  EvictedKeys first_sightings_;
-  uint64_t admission_deferrals_ = 0;
+  // Admission for each tier, keyed by template hash and by the hash of the
+  // normalized text.
+  FirstSightings template_sightings_;
+  FirstSightings text_sightings_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -47,9 +47,10 @@ std::string PersistedWorkloadBytes(const std::string& path) {
   options.persist_path = path;
   QueryService service(&db.session, options);
   EXPECT_TRUE(service.Start().ok());
-  for (int k = 1; k <= 3; ++k) {
+  // Two rounds: L0 stores a text on its second sighting.
+  for (int i = 0; i < 6; ++i) {
     auto future = service.Submit("SELECT Winner FROM BEATS WHERE Winner > " +
-                                 std::to_string(k));
+                                 std::to_string(1 + i % 3));
     EXPECT_TRUE(service.ServeQueuedForTesting());
     auto served = future.get();
     EXPECT_TRUE(served.ok()) << served.status().ToString();
@@ -339,9 +340,12 @@ TEST_F(PersistChaosTest, FailingBackgroundSavesNeverWedgeTheService) {
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(gov::FailPoints::Global().Configure("persist.save=error"));
   EDS_ASSERT_OK(service.Start());
-  auto served =
-      service.Submit("SELECT Winner FROM BEATS WHERE Winner > 1").get();
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  // Twice: both tiers store on the second sighting.
+  for (int i = 0; i < 2; ++i) {
+    auto served =
+        service.Submit("SELECT Winner FROM BEATS WHERE Winner > 1").get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+  }
   // Let at least one background tick fire into the fail point.
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   gov::FailPoints::Global().Clear();

@@ -163,11 +163,15 @@ TEST(PersistTest, SaveLoadRoundTripPreservesRecords) {
   testutil::FilmDb db;
   QueryService service(&db.session, PersistOptionsFor(path));
   EDS_ASSERT_OK(service.Start());
-  for (int k = 1; k <= 4; ++k) {
-    auto served = PumpOne(
-        &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > " +
-                                 std::to_string(k)));
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
+  // Two rounds: L0 stores a text on its second sighting.
+  for (int round = 0; round < 2; ++round) {
+    for (int k = 1; k <= 4; ++k) {
+      auto served = PumpOne(
+          &service,
+          service.Submit("SELECT Winner FROM BEATS WHERE Winner > " +
+                         std::to_string(k)));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+    }
   }
   EDS_ASSERT_OK(service.SavePersistNow());
   service.Stop();
@@ -184,10 +188,10 @@ TEST(PersistTest, SaveLoadRoundTripPreservesRecords) {
   EXPECT_EQ(image->l0.size(), 4u);
   EXPECT_EQ(image->header.catalog_epoch, db.session.catalog().epoch());
   EXPECT_EQ(image->header.rules_epoch, db.session.rules_epoch());
-  // Hit counts survived: the shared template was hit twice after its
-  // insert (4 queries: the first sighting defers admission, the second
-  // stores the plan).
-  EXPECT_EQ(image->plans[0].hits, 2u);
+  // Hit counts survived: the shared template was hit six times after its
+  // insert (8 L0 misses: the first defers admission, the second stores
+  // the plan).
+  EXPECT_EQ(image->plans[0].hits, 6u);
   std::remove(path.c_str());
 }
 
@@ -227,9 +231,12 @@ TEST(PersistTest, StaleEpochsLoadNothing) {
   testutil::FilmDb db;
   QueryService service(&db.session, PersistOptionsFor(path));
   EDS_ASSERT_OK(service.Start());
-  auto served = PumpOne(
-      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5"));
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  // Twice: both tiers store on the second sighting.
+  for (int i = 0; i < 2; ++i) {
+    auto served = PumpOne(
+        &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5"));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+  }
   service.Stop();  // writes the final snapshot
 
   PersistOptions opts;
@@ -287,93 +294,6 @@ TEST(PersistTest, VerifyLoadRejectsDivergentPlans) {
   EXPECT_FALSE(l0.Lookup("BAD", db.session.catalog().epoch(),
                          db.session.rules_epoch())
                    .has_value());
-}
-
-TEST(PersistTest, WarmRestoredHotEntrySurvivesOneShotFlood) {
-  // A restored entry with persisted hits lands in the protected segment,
-  // so a burst of one-shot templates after the restart cannot evict it; a
-  // restored entry that was never hit starts in probation like any insert.
-  CacheImage image;
-  PersistedPlan hot;
-  hot.tmpl_text = "FILTER(RELATION('HOT'), ($1.1 > 1))";
-  hot.nf_text = hot.tmpl_text;
-  hot.hits = 7;
-  PersistedPlan cold = hot;
-  cold.tmpl_text = "FILTER(RELATION('COLD'), ($1.1 > 1))";
-  cold.nf_text = cold.tmpl_text;
-  cold.hits = 0;
-  image.plans = {hot, cold};
-  PlanCache::Config config;
-  config.max_nodes = 1024;  // probation cap 64
-  PlanCache cache(config);
-  L0Cache l0(16);
-  PersistOptions opts;
-  LoadStats stats;
-  ASSERT_EQ(WarmServiceCaches(image, nullptr, &cache, &l0, 0, 0, opts,
-                              &stats),
-            2u);
-  // The two entries have the same shape, so each charges half the nodes:
-  // hot in protected, cold in probation, and no hit promoted either.
-  PlanCache::Stats restored = cache.GetStats();
-  EXPECT_EQ(restored.probation_nodes * 2, restored.nodes);
-  EXPECT_EQ(restored.promotions, 0u);
-  for (int i = 0; i < 1000; ++i) {
-    auto t = term::ParseTerm("FILTER(RELATION('ONCE'), ($1.1 > " +
-                             std::to_string(i) + "))");
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-    cache.Insert({*t, 0, 0}, *t);
-  }
-  EXPECT_GT(cache.GetStats().evictions, 0u);
-  auto reparse = [](const std::string& text) {
-    auto t = term::ParseTerm(text);
-    EXPECT_TRUE(t.ok()) << t.status().ToString();
-    return *t;
-  };
-  EXPECT_TRUE(cache.Lookup({reparse(hot.tmpl_text), 0, 0}).has_value());
-  EXPECT_FALSE(cache.Lookup({reparse(cold.tmpl_text), 0, 0}).has_value());
-}
-
-TEST(PersistTest, WarmRestoredHotL0EntrySurvivesOneShotFlood) {
-  // The L0 tier shares the plan cache's segment policy: a restored text
-  // with persisted hits lands in protected and outlives a post-restart
-  // burst of one-shot texts; one that was never hit starts in probation.
-  CacheImage image;
-  PersistedL0 hot;
-  hot.key = "HOT";
-  hot.raw_text = "RELATION('BEATS')";
-  hot.plan_text = hot.raw_text;
-  hot.columns = {"Winner", "Loser"};
-  hot.hits = 3;
-  PersistedL0 cold = hot;
-  cold.key = "COLD";
-  cold.hits = 0;
-  image.l0 = {cold, hot};
-  PlanCache cache;
-  L0Cache l0(256);  // probation window: 16 entries
-  PersistOptions opts;
-  LoadStats stats;
-  ASSERT_EQ(WarmServiceCaches(image, nullptr, &cache, &l0, 0, 0, opts,
-                              &stats),
-            2u);
-  L0Cache::Stats restored = l0.GetStats();
-  EXPECT_EQ(restored.entries, 2u);
-  EXPECT_EQ(restored.probation_entries, 1u);
-  EXPECT_EQ(restored.promotions, 0u);
-  // Snapshot lists protected first, as PlanCache::Snapshot does, although
-  // the cold text was restored first.
-  std::vector<L0Cache::SnapshotEntry> snap = l0.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].key, "HOT");
-  EXPECT_EQ(snap[0].hits, 3u);
-  EXPECT_EQ(snap[1].key, "COLD");
-  for (int i = 0; i < 1000; ++i) {
-    l0.Insert("ONCE " + std::to_string(i), L0Cache::Entry{});
-  }
-  EXPECT_GT(l0.GetStats().evictions, 0u);
-  std::optional<L0Cache::Entry> hit = l0.Lookup("HOT", 0, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->columns, hot.columns);
-  EXPECT_FALSE(l0.Lookup("COLD", 0, 0).has_value());
 }
 
 TEST(PersistTest, OversizeL0KeysAreNeverPersisted) {
@@ -470,6 +390,8 @@ TEST(PersistRestartTest, WarmRestartServesL0HitsBeforeTheParser) {
     testutil::FilmDb db;
     QueryService service(&db.session, PersistOptionsFor(path));
     EDS_ASSERT_OK(service.Start());
+    // The text's first sighting, so that the second stores it.
+    ASSERT_TRUE(PumpOne(&service, service.Submit(q)).ok());
     auto served = PumpOne(&service, service.Submit(q));
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     cold = served->result.rows;
@@ -526,15 +448,77 @@ TEST(PersistRestartTest, WarmRestoredTemplateHitsOnItsFirstSighting) {
   std::remove(path.c_str());
 }
 
+// "SELECT <cols> FROM BEATS" with a projection list of its own for each
+// i: a distinct text and a distinct template per i.
+std::string OneShotQuery(int i) {
+  std::string cols;
+  for (int bit = 31 - __builtin_clz(static_cast<unsigned>(i + 2)) - 1;
+       bit >= 0; --bit) {
+    if (!cols.empty()) cols += ", ";
+    cols += ((i + 2) >> bit) & 1 ? "Loser" : "Winner";
+  }
+  return "SELECT " + cols + " FROM BEATS";
+}
+
+// Warm-restored entries of both tiers outlive a post-restart flood of
+// one-shot queries many times either cache's size: the flood's first
+// sightings are served but stored in neither tier.
+TEST(PersistRestartTest, WarmRestoredEntriesSurviveOneShotFlood) {
+  const std::string path = TempPath("flood.eds");
+  std::remove(path.c_str());
+  const std::string q = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  ServiceOptions options = PersistOptionsFor(path, /*l0_capacity=*/16);
+  options.cache.max_nodes = 1024;
+  {
+    testutil::FilmDb db;
+    QueryService service(&db.session, options);
+    EDS_ASSERT_OK(service.Start());
+    // Twice: both tiers store `q` on its second sighting.
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(PumpOne(&service, service.Submit(q)).ok());
+    }
+    service.Stop();
+  }
+  testutil::FilmDb db;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  ASSERT_EQ(service.persist_load_stats().ok, 2u);
+  constexpr int kFlood = 500;
+  for (int i = 0; i < kFlood; ++i) {
+    auto served = PumpOne(&service, service.Submit(OneShotQuery(i)));
+    ASSERT_TRUE(served.ok()) << i << ": " << served.status().ToString();
+  }
+  EXPECT_EQ(service.admission_deferrals(), static_cast<uint64_t>(kFlood));
+  EXPECT_EQ(service.l0_admission_deferrals(), static_cast<uint64_t>(kFlood));
+  EXPECT_EQ(service.l0_cache().GetStats().evictions, 0u);
+  EXPECT_EQ(service.cache().GetStats().evictions, 0u);
+
+  auto exact = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_TRUE(exact->l0_hit);
+  const std::string variant = "SELECT Winner FROM BEATS WHERE Winner > 5";
+  auto templ = PumpOne(&service, service.Submit(variant));
+  ASSERT_TRUE(templ.ok()) << templ.status().ToString();
+  EXPECT_TRUE(templ->cache_hit);
+  auto direct = db.session.Query(variant);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(templ->result.rows, direct->rows);
+  service.Stop();
+  std::remove(path.c_str());
+}
+
 TEST(PersistRestartTest, PersistMetricsAreExported) {
   const std::string path = TempPath("metrics.eds");
   std::remove(path.c_str());
   testutil::FilmDb db;
   QueryService service(&db.session, PersistOptionsFor(path));
   EDS_ASSERT_OK(service.Start());
-  auto served = PumpOne(
-      &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 1"));
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  // Twice: both tiers store on the second sighting.
+  for (int i = 0; i < 2; ++i) {
+    auto served = PumpOne(
+        &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > 1"));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+  }
   EDS_ASSERT_OK(service.SavePersistNow());
   obs::MetricsRegistry registry;
   service.ExportMetrics(&registry);

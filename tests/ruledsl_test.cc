@@ -2,6 +2,9 @@
 #include "ruledsl/lexer.h"
 #include "ruledsl/parser.h"
 
+#include <string>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "rewrite/engine.h"
 #include "term/parser.h"
@@ -98,6 +101,51 @@ TEST(ParserTest, PaperFig6ExampleRule) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   EXPECT_TRUE(
       rewrite::ValidateRule(unit->rules[0], Registry()).ok());
+}
+
+// Line and column of `offset` by a plain scan from the start of `text`.
+std::pair<int, int> ScanLineColumn(const std::string& text, size_t offset) {
+  int line = 1;
+  int column = 1;
+  for (size_t i = 0; i < offset; ++i) {
+    if (text[i] == '\n') {
+      ++line;
+      column = 1;
+    } else {
+      ++column;
+    }
+  }
+  return {line, column};
+}
+
+// Locating uses one table of line starts for the whole unit; on a large
+// generated unit it must agree with a plain scan.
+TEST(ParserTest, LocatesRulesInALargeUnitLikeAPlainScan) {
+  constexpr int kRules = 5000;
+  std::string text;
+  for (int i = 0; i < kRules; ++i) {
+    // Varying indentation and line counts per rule.
+    text += std::string(i % 7, ' ') + "r" + std::to_string(i) +
+            " : UNION(SET(x)) /" + (i % 3 == 0 ? "\n  " : " ") +
+            "--> x / ;\n";
+  }
+  auto unit = ParseRuleSource(text);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  ASSERT_EQ(unit->rules.size(), static_cast<size_t>(kRules));
+  for (int i : {0, kRules / 2, kRules - 1}) {
+    const rewrite::Rule& r = unit->rules[i];
+    const std::string name = "r" + std::to_string(i);
+    EXPECT_EQ(r.name, name);
+    const size_t offset = text.find(name + " :");
+    EXPECT_EQ(r.loc.offset, offset) << name;
+    auto [line, column] = ScanLineColumn(text, offset);
+    EXPECT_EQ(r.loc.line, line) << name;
+    EXPECT_EQ(r.loc.column, column) << name;
+  }
+  // Past the end: the end of the text.
+  rewrite::SourceLoc end = LineIndex(text).Locate(text.size() + 10);
+  EXPECT_EQ(end.line, ScanLineColumn(text, text.size()).first);
+  EXPECT_EQ(end.column, 1);
 }
 
 TEST(CompilerTest, ImplicitSingleBlock) {

@@ -173,9 +173,11 @@ TEST(SnapshotTest, BothCacheTiersInvalidateExactlyOnceAcrossDdl) {
   const std::string q = "SELECT Winner FROM BEATS WHERE Winner > 4";
 
   // Populate both tiers, then prove hits. The template's first sighting
-  // (another literal) makes `q` its second, which the plan cache stores.
+  // (another literal) makes `q` its second, which the plan cache stores;
+  // L0 stores the text on its second sighting.
   ASSERT_TRUE(
       service.Submit("SELECT Winner FROM BEATS WHERE Winner > 5").get().ok());
+  ASSERT_TRUE(service.Submit(q).get().ok());
   ASSERT_TRUE(service.Submit(q).get().ok());
   auto warm = service.Submit(q).get();
   ASSERT_TRUE(warm.ok());

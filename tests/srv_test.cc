@@ -156,55 +156,27 @@ TEST(PlanCacheTest, EpochMismatchMisses) {
 
 TEST(PlanCacheTest, LruEvictionUnderNodeCeiling) {
   PlanCache::Config config;
-  config.max_nodes = 128;  // probation cap 128 / 16 = 8: two 4-node entries
+  config.max_nodes = 12;  // three 4-node entries
   PlanCache cache(config);
   cache.Insert(MakeKey(T(1)), T(101));
   cache.Insert(MakeKey(T(2)), T(102));
-  // T(1)'s first hit promotes it out of probation.
-  EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
   cache.Insert(MakeKey(T(3)), T(103));
+  // T(1)'s hit moves it to the head, so T(2) is now least recently used.
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
   cache.Insert(MakeKey(T(4)), T(104));
-  // Probation held T(4), T(3), T(2) = 12 nodes over its cap of 8: its
-  // least recently used entry went, although the cache has room to spare.
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.nodes, 12u);
-  EXPECT_EQ(stats.probation_nodes, 8u);
   EXPECT_FALSE(cache.Lookup(MakeKey(T(2))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(3))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(4))).has_value());
-  EXPECT_EQ(cache.GetStats().promotions, 3u);
 }
 
-TEST(PlanCacheTest, HitEntrySurvivesOneShotFloodLargerThanTheCache) {
+TEST(PlanCacheTest, NodesStayUnderTheCeilingUnlessOneEntryExceedsIt) {
   PlanCache::Config config;
-  config.max_nodes = 1024;  // probation cap 64: sixteen 4-node entries
-  PlanCache cache(config);
-  cache.Insert(MakeKey(T(0)), T(100));
-  ASSERT_TRUE(cache.Lookup(MakeKey(T(0))).has_value());
-  // 2000 one-shot templates charge 8000 nodes, nearly 8x the ceiling; a
-  // plain LRU would have pushed the reused plan out long ago.
-  constexpr int kFlood = 2000;
-  for (int i = 1; i <= kFlood; ++i) cache.Insert(MakeKey(T(i)), T(100000 + i));
-  PlanCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.evictions, static_cast<uint64_t>(kFlood - 16));
-  EXPECT_EQ(stats.entries, 17u);
-  EXPECT_EQ(stats.probation_nodes, 64u);
-  EXPECT_EQ(stats.nodes, 68u);
-  auto hit = cache.Lookup(MakeKey(T(0)));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->get(), T(100).get());
-  // The flood's survivors are its newest sixteen.
-  EXPECT_TRUE(cache.Lookup(MakeKey(T(kFlood - 15))).has_value());
-  EXPECT_FALSE(cache.Lookup(MakeKey(T(kFlood - 16))).has_value());
-}
-
-TEST(PlanCacheTest, ProbationNeverExceedsItsCap) {
-  PlanCache::Config config;
-  config.max_nodes = 1024;  // probation cap 64
+  config.max_nodes = 64;
   PlanCache cache(config);
   for (int i = 1; i <= 100; ++i) {
     // Entries of varying size: i % 7 extra constants charge 4 + i % 7.
@@ -213,10 +185,10 @@ TEST(PlanCacheTest, ProbationNeverExceedsItsCap) {
       args.push_back(term::Term::Constant(Value::Int(k)));
     }
     cache.Insert(MakeKey(T(i)), term::Term::Apply("PLAN", args));
-    ASSERT_LE(cache.GetStats().probation_nodes, 64u) << "after insert " << i;
+    ASSERT_LE(cache.GetStats().nodes, 64u) << "after insert " << i;
   }
-  // One entry that alone exceeds the cap is still cached; probation then
-  // holds it and nothing else.
+  // One entry that alone exceeds the ceiling is still cached, and the
+  // cache then holds it and nothing else.
   term::TermList wide;
   for (int k = 0; k < 100; ++k) {
     wide.push_back(term::Term::Constant(Value::Int(k)));
@@ -225,19 +197,15 @@ TEST(PlanCacheTest, ProbationNeverExceedsItsCap) {
   cache.Insert(MakeKey(T(1000)), big);
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.probation_nodes, 2 + big->node_count());
-  EXPECT_GT(stats.probation_nodes, 64u);
+  EXPECT_EQ(stats.nodes, 2 + big->node_count());
   auto hit = cache.Lookup(MakeKey(T(1000)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->get(), big.get());
-  // Promoted: probation is empty again.
-  EXPECT_EQ(cache.GetStats().probation_nodes, 0u);
 }
 
-TEST(PlanCacheTest, DropStaleAndInvalidateAllClearBothSegments) {
+TEST(PlanCacheTest, DropStaleAndInvalidateAllReclaimEveryNode) {
   PlanCache cache;
-  // A and B under epochs (1, 1), C and D under (2, 1); A and C are hit,
-  // so each segment holds one entry of each epoch pair.
+  // A and B under epochs (1, 1), C and D under (2, 1); A and C are hit.
   cache.Insert(MakeKey(T(1), 1, 1), T(101));
   cache.Insert(MakeKey(T(2), 1, 1), T(102));
   cache.Insert(MakeKey(T(3), 2, 1), T(103));
@@ -247,28 +215,41 @@ TEST(PlanCacheTest, DropStaleAndInvalidateAllClearBothSegments) {
   PlanCache::Stats stats = cache.GetStats();
   ASSERT_EQ(stats.entries, 4u);
   ASSERT_EQ(stats.nodes, 16u);
-  ASSERT_EQ(stats.probation_nodes, 8u);
 
-  cache.DropStale(2, 1);  // drops protected A and probation B
+  cache.DropStale(2, 1);  // drops A and B
   stats = cache.GetStats();
   EXPECT_EQ(stats.invalidations, 2u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.nodes, 8u);            // protected C + probation D
-  EXPECT_EQ(stats.probation_nodes, 4u);  // D
+  EXPECT_EQ(stats.nodes, 8u);  // C + D
   EXPECT_EQ(cache.Snapshot().size(), 2u);
   EXPECT_FALSE(cache.Lookup(MakeKey(T(1), 1, 1)).has_value());
   EXPECT_FALSE(cache.Lookup(MakeKey(T(2), 1, 1)).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(3), 2, 1)).has_value());
 
-  cache.InvalidateAll();  // protected C, probation D
+  cache.InvalidateAll();  // C and D
   stats = cache.GetStats();
   EXPECT_EQ(stats.invalidations, 4u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.nodes, 0u);
-  EXPECT_EQ(stats.probation_nodes, 0u);
   EXPECT_TRUE(cache.Snapshot().empty());
   EXPECT_FALSE(cache.Lookup(MakeKey(T(3), 2, 1)).has_value());
   EXPECT_FALSE(cache.Lookup(MakeKey(T(4), 2, 1)).has_value());
+}
+
+// Hits and refreshes both move an entry to the head; a snapshot lists
+// the entries most recently used first.
+TEST(PlanCacheTest, SnapshotListsMostRecentlyUsedFirst) {
+  PlanCache cache;
+  for (int i = 1; i <= 3; ++i) cache.Insert(MakeKey(T(i)), T(100 + i));
+  ASSERT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
+  cache.Insert(MakeKey(T(2)), T(202));
+  std::vector<PlanCache::SnapshotEntry> snap = cache.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].tmpl.get(), T(2).get());
+  EXPECT_EQ(snap[0].normal_form.get(), T(202).get());
+  EXPECT_EQ(snap[1].tmpl.get(), T(1).get());
+  EXPECT_EQ(snap[1].hits, 1u);
+  EXPECT_EQ(snap[2].tmpl.get(), T(3).get());
 }
 
 TEST(PlanCacheTest, OversizedEntryStillCached) {
@@ -280,9 +261,8 @@ TEST(PlanCacheTest, OversizedEntryStillCached) {
   EXPECT_TRUE(cache.Lookup(MakeKey(T(1))).has_value());
 }
 
-// A one-node ceiling is no larger than probation's minimum of one, so
-// protected gets no share: a hit entry is demoted straight back, the next
-// insert evicts it, and the cache holds one entry, not one per segment.
+// Every entry exceeds a one-node ceiling, so the cache holds exactly one:
+// the next insert evicts even an entry that has been hit.
 TEST(PlanCacheTest, OneNodeCeilingHoldsOneEntry) {
   PlanCache::Config config;
   config.max_nodes = 1;
@@ -293,8 +273,6 @@ TEST(PlanCacheTest, OneNodeCeilingHoldsOneEntry) {
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_EQ(stats.probation_nodes, stats.nodes);
   EXPECT_FALSE(cache.Lookup(MakeKey(T(1))).has_value());
   EXPECT_TRUE(cache.Lookup(MakeKey(T(2))).has_value());
 }
@@ -323,35 +301,28 @@ TEST(PlanCacheTest, InvalidateAllDropsEverything) {
 
 TEST(PlanCacheTest, RefreshThatGrowsAnEntryEvictsBackUnderTheCeiling) {
   PlanCache::Config config;
-  config.max_nodes = 64;  // probation cap 4 (one entry), protected 60
+  config.max_nodes = 64;  // sixteen 4-node entries
   PlanCache cache(config);
-  // Fifteen hit entries fill protected exactly; T(16) waits in probation.
-  for (int i = 1; i <= 15; ++i) {
-    cache.Insert(MakeKey(T(i)), T(100 + i));
-    ASSERT_TRUE(cache.Lookup(MakeKey(T(i))).has_value());
-  }
-  cache.Insert(MakeKey(T(16)), T(116));
+  for (int i = 1; i <= 16; ++i) cache.Insert(MakeKey(T(i)), T(100 + i));
   ASSERT_EQ(cache.GetStats().nodes, 64u);
   ASSERT_EQ(cache.GetStats().evictions, 0u);
-  // Refresh T(1) with a 4-node normal form: its charge grows 4 -> 6.
+  // Refresh T(1) with a 4-node normal form: its charge grows 4 -> 6, and
+  // the refresh moves it to the head.
   term::TermRef bigger =
       term::Term::Apply("PLAN", {T(201), term::Term::Constant(Value::Int(7))});
   ASSERT_EQ(bigger->node_count(), 4u);
   cache.Insert(MakeKey(T(1)), bigger);
-  // Protected went over its 60 nodes, so its least recently used entry
-  // T(2) was demoted to the probation head; probation went over its cap
-  // and evicted T(16), its tail.
+  // The cache went over its 64 nodes, so its least recently used entry,
+  // T(2), was evicted.
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 15u);
   EXPECT_EQ(stats.nodes, 62u);
-  EXPECT_EQ(stats.probation_nodes, 4u);
   auto hit = cache.Lookup(MakeKey(T(1)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->get(), bigger.get());
-  EXPECT_FALSE(cache.Lookup(MakeKey(T(16))).has_value());
-  // The demoted entry had its second chance: a hit promotes it back.
-  EXPECT_TRUE(cache.Lookup(MakeKey(T(2))).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeKey(T(2))).has_value());
+  EXPECT_TRUE(cache.Lookup(MakeKey(T(3))).has_value());
 }
 
 // ---------------- admission policy ----------------
@@ -725,8 +696,8 @@ TEST(QueryServiceTest, DegradationWarningsMatchSessionQuery) {
   EXPECT_EQ(served->result.rows, direct->rows);
 }
 
-// The governor budget binds the L0 replay too: both the first serve and
-// the second (an L0 hit) fail on the row ceiling.
+// The governor budget binds the L0 replay too: the first serves and the
+// third (an L0 hit) all fail on the row ceiling.
 TEST(QueryServiceTest, RowBudgetGovernsTheL0Replay) {
   testutil::FilmDb db;
   ServiceOptions options = PumpedOptions();
@@ -734,14 +705,15 @@ TEST(QueryServiceTest, RowBudgetGovernsTheL0Replay) {
   QueryService service(&db.session, options);
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner, Loser FROM BEATS";
-  for (int i = 0; i < 2; ++i) {
+  // The text's first sighting, then its second (stored), then the hit.
+  for (int i = 0; i < 3; ++i) {
     auto r = PumpOne(&service, service.Submit(q));
     ASSERT_FALSE(r.ok()) << "serve " << i;
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
   L0Cache::Stats ls = service.l0_cache().GetStats();
   EXPECT_EQ(ls.inserts, 1u);
-  EXPECT_EQ(ls.hits, 1u);  // the second serve replayed the L0 plan
+  EXPECT_EQ(ls.hits, 1u);  // the last serve replayed the L0 plan
 }
 
 // ---------------- the L0 exact-text cache ----------------
@@ -764,62 +736,8 @@ TEST(L0CacheTest, NormalizeCollapsesLexicalNoise) {
             NormalizeQueryText("SELECT w FROM b WHERE w > 3"));
 }
 
-// At the default capacity of 256 the probation window is 16 entries. A
-// text that has hit once sits in protected, where 10k one-shot texts (39x
-// the capacity) cannot reach it; the one-shots churn through probation.
-TEST(L0CacheTest, OneShotFloodCannotEvictARepeatedText) {
-  L0Cache l0(256);
-  l0.Insert("REPEATED", L0Cache::Entry{});
-  ASSERT_TRUE(l0.Lookup("REPEATED", 0, 0).has_value());  // promoted
-  constexpr int kFlood = 10000;
-  for (int i = 0; i < kFlood; ++i) {
-    l0.Insert("ONCE " + std::to_string(i), L0Cache::Entry{});
-    L0Cache::Stats s = l0.GetStats();
-    const uint64_t protected_entries = s.entries - s.probation_entries;
-    ASSERT_LE(s.entries, protected_entries + 16) << "after insert " << i;
-  }
-  L0Cache::Stats stats = l0.GetStats();
-  EXPECT_EQ(stats.entries, 17u);
-  EXPECT_EQ(stats.probation_entries, 16u);
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_EQ(stats.evictions, static_cast<uint64_t>(kFlood - 16));
-  EXPECT_TRUE(l0.Lookup("REPEATED", 0, 0).has_value());
-  // The flood's survivors are its newest sixteen.
-  EXPECT_TRUE(
-      l0.Lookup("ONCE " + std::to_string(kFlood - 16), 0, 0).has_value());
-  EXPECT_FALSE(
-      l0.Lookup("ONCE " + std::to_string(kFlood - 17), 0, 0).has_value());
-}
-
-// The serve path inserts a text on its first sighting (a miss); the second
-// sighting hits as long as fewer than capacity / 16 other new texts
-// arrived in between. The service tests' "second serve is an L0 hit"
-// expectations rest on this window.
-TEST(L0CacheTest, RepeatWithinTheProbationWindowHits) {
-  L0Cache l0(256);  // probation window: 16 entries
-  l0.Insert("A", L0Cache::Entry{});
-  for (int i = 0; i < 15; ++i) {
-    l0.Insert("X " + std::to_string(i), L0Cache::Entry{});
-  }
-  EXPECT_TRUE(l0.Lookup("A", 0, 0).has_value());  // 15 newer texts: kept
-  EXPECT_EQ(l0.GetStats().evictions, 0u);
-  l0.Insert("B", L0Cache::Entry{});
-  for (int i = 0; i < 16; ++i) {
-    l0.Insert("Y " + std::to_string(i), L0Cache::Entry{});
-  }
-  // 16 newer texts filled the window: B left through the probation tail,
-  // after the 15 X texts, while A, promoted by its hit, stayed.
-  EXPECT_FALSE(l0.Lookup("B", 0, 0).has_value());
-  EXPECT_TRUE(l0.Lookup("A", 0, 0).has_value());
-  L0Cache::Stats stats = l0.GetStats();
-  EXPECT_EQ(stats.evictions, 16u);
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
-// At capacity 1 protected has no share of the ceiling, so a hit entry is
-// demoted straight back and L0 stays a one-entry LRU.
+// A one-entry L0 is a one-entry LRU: an insert evicts even an entry that
+// has been hit.
 TEST(L0CacheTest, CapacityBoundsEntriesAfterAHit) {
   L0Cache l0(1);
   l0.Insert("A", L0Cache::Entry{});
@@ -832,73 +750,126 @@ TEST(L0CacheTest, CapacityBoundsEntriesAfterAHit) {
   EXPECT_TRUE(l0.Lookup("B", 0, 0).has_value());
 }
 
-// Serves `text` the way the serve path does: a lookup, then an insert on
-// a miss. Returns whether it hit.
-bool ServeL0(L0Cache& l0, const std::string& text) {
-  if (l0.Lookup(text, 0, 0).has_value()) return true;
-  l0.Insert(text, L0Cache::Entry{});
-  return false;
+TEST(L0CacheTest, EvictsLeastRecentlyUsedAndSnapshotsMostRecentFirst) {
+  L0Cache l0(3);
+  for (const char* text : {"A", "B", "C"}) l0.Insert(text, L0Cache::Entry{});
+  ASSERT_TRUE(l0.Lookup("A", 0, 0).has_value());  // B is now the tail
+  l0.Insert("D", L0Cache::Entry{});
+  EXPECT_EQ(l0.GetStats().evictions, 1u);
+  std::vector<L0Cache::SnapshotEntry> snap = l0.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].key, "D");
+  EXPECT_EQ(snap[1].key, "A");
+  EXPECT_EQ(snap[1].hits, 1u);
+  EXPECT_EQ(snap[2].key, "C");
 }
 
-// Below 32 entries the probation window is a single entry, so two texts
-// that alternate evict each other from it. Each is then remembered as
-// evicted, its next insert lands in protected, and from there both hit: one
-// miss more per text than a plain LRU takes, not a miss on every request.
-TEST(L0CacheTest, AlternatingPairHitsAtSmallCapacity) {
-  L0Cache l0(16);  // probation window: 1 entry
-  std::vector<bool> hits;
-  for (int i = 0; i < 8; ++i) hits.push_back(ServeL0(l0, i % 2 ? "B" : "A"));
-  EXPECT_EQ(hits, (std::vector<bool>{false, false, false, true, true, true,
-                                     true, true}));
-  L0Cache::Stats stats = l0.GetStats();
-  EXPECT_EQ(stats.readmissions, 1u);  // A, after B pushed it out
-  EXPECT_EQ(stats.promotions, 1u);    // B, hit in probation
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.probation_entries, 0u);
-}
+// ---------------- L0 admission on a text's second sighting ------------
 
-// A cycle of 20 texts at the default capacity repeats further apart than
-// the 16-entry window. Round one misses throughout; in round two the four
-// texts the window lost are readmitted into protected (missing once more)
-// and the sixteen it kept hit; from round three every text hits.
-TEST(L0CacheTest, CycleLongerThanTheWindowHitsFromTheThirdRound) {
-  L0Cache l0(256);
-  constexpr int kCycle = 20;
-  std::vector<int> hits_per_round;
-  for (int round = 0; round < 4; ++round) {
-    int hits = 0;
-    for (int i = 0; i < kCycle; ++i) {
-      hits += ServeL0(l0, "CYCLE " + std::to_string(i)) ? 1 : 0;
-    }
-    hits_per_round.push_back(hits);
+// 10k distinct texts, each seen once, leave L0 empty: every one is a
+// deferred first sighting. They share one template, which the plan cache
+// stores on its second sighting as usual.
+TEST(QueryServiceTest, OneShotTextFloodStoresNothingInL0) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  constexpr int kTexts = 10000;
+  for (int i = 0; i < kTexts; ++i) {
+    auto served = PumpOne(
+        &service, service.Submit("SELECT Winner FROM BEATS WHERE Winner > " +
+                                 std::to_string(i)));
+    ASSERT_TRUE(served.ok()) << i << ": " << served.status().ToString();
+    ASSERT_FALSE(served->l0_hit) << i;
   }
-  EXPECT_EQ(hits_per_round, (std::vector<int>{0, 16, 20, 20}));
-  L0Cache::Stats stats = l0.GetStats();
-  EXPECT_EQ(stats.readmissions, 4u);
-  EXPECT_EQ(stats.promotions, 16u);
-  EXPECT_EQ(stats.evictions, 4u);
-  EXPECT_EQ(stats.entries, 20u);
-  EXPECT_EQ(stats.probation_entries, 0u);
+  obs::MetricsRegistry registry;
+  service.ExportMetrics(&registry);
+  EXPECT_EQ(registry.Get("srv.l0.entries"), 0.0);
+  EXPECT_EQ(registry.Get("srv.l0.inserts"), 0.0);
+  EXPECT_EQ(registry.Get("srv.l0.admission_deferrals"),
+            static_cast<double>(kTexts));
+  EXPECT_EQ(service.l0_admission_deferrals(), static_cast<uint64_t>(kTexts));
+  EXPECT_EQ(registry.Get("cache.entries"), 1.0);
 }
 
-// The evicted-text memory holds `capacity` hashes: a text that comes back
-// after more than that many other evictions starts over in probation.
-TEST(L0CacheTest, ReadmissionMemoryIsBoundedByCapacity) {
-  L0Cache l0(32);  // probation window: 2 entries; remembers 32 evictions
-  ServeL0(l0, "OLD");
-  for (int i = 0; i < 34; ++i) ServeL0(l0, "ONCE " + std::to_string(i));
-  // OLD was the first of 33 evictions, so it has been forgotten.
-  EXPECT_EQ(l0.GetStats().evictions, 33u);
-  EXPECT_FALSE(ServeL0(l0, "OLD"));
-  EXPECT_EQ(l0.GetStats().readmissions, 0u);
-  EXPECT_EQ(l0.GetStats().probation_entries, 2u);
-  // OLD's insert evicted ONCE 32, which pushed ONCE 0 out of the memory;
-  // ONCE 1 is now the oldest text remembered, and comes back protected.
-  EXPECT_FALSE(ServeL0(l0, "ONCE 1"));
-  L0Cache::Stats stats = l0.GetStats();
-  EXPECT_EQ(stats.readmissions, 1u);
-  EXPECT_EQ(stats.entries - stats.probation_entries, 1u);
+// First sighting: served, not stored. Second: stored. Third: an L0 hit.
+TEST(QueryServiceTest, TextHitsL0FromItsThirdSighting) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  auto first = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->l0_hit);
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 0u);
+  EXPECT_EQ(service.l0_admission_deferrals(), 1u);
+
+  auto second = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->l0_hit);
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 1u);
+
+  auto third = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->l0_hit);
+  EXPECT_EQ(third->result.rows, first->result.rows);
+  EXPECT_EQ(service.l0_admission_deferrals(), 1u);
+}
+
+// The text ghost list keys on the normalized text alone, not the epochs:
+// a DDL between a text's two sightings does not make the second a first.
+TEST(QueryServiceTest, DdlBetweenTextSightingsStillAdmits) {
+  testutil::FilmDb db;
+  QueryService service(&db.session, PumpedOptions());
+  EDS_ASSERT_OK(service.Start());
+  const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  auto first = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(first.ok());
+  EDS_ASSERT_OK(db.session.ExecuteScript("CREATE TABLE ADMIT_L0 (A : INT);"));
+
+  auto second = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(second->catalog_epoch, first->catalog_epoch);
+  EXPECT_FALSE(second->l0_hit);
+  EXPECT_EQ(service.l0_cache().GetStats().inserts, 1u);
+  auto third = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->l0_hit);
+  EXPECT_EQ(service.l0_admission_deferrals(), 1u);
+}
+
+// The text ghost list holds the last `l0_capacity` deferred texts: a text
+// whose second sighting comes after that many other first sightings is
+// deferred again.
+TEST(QueryServiceTest, TextGhostListIsBoundedByL0Capacity) {
+  testutil::FilmDb db;
+  ServiceOptions options = PumpedOptions();
+  options.l0_capacity = 4;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  auto serve = [&](const std::string& text) {
+    auto served = PumpOne(&service, service.Submit(text));
+    EXPECT_TRUE(served.ok()) << text << ": " << served.status().ToString();
+  };
+  auto other = [](int i) {
+    return "SELECT Loser FROM BEATS WHERE Loser > " + std::to_string(i);
+  };
+  const std::string old = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  serve(old);
+  for (int i = 0; i < 4; ++i) serve(other(i));
+  // Four later first sightings pushed OLD out of the ghost list.
+  serve(old);
+  EXPECT_EQ(service.l0_admission_deferrals(), 6u);
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 0u);
+  // Its third sighting finds it remembered again.
+  serve(old);
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 1u);
+  // other(0) has been forgotten too, so it is deferred again; other(3) is
+  // still remembered, so its second sighting is stored.
+  serve(other(0));
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 1u);
+  serve(other(3));
+  EXPECT_EQ(service.l0_cache().GetStats().entries, 2u);
+  EXPECT_EQ(service.l0_admission_deferrals(), 7u);
 }
 
 TEST(QueryServiceTest, L0HitSkipsFrontHalfOfPipeline) {
@@ -906,6 +877,8 @@ TEST(QueryServiceTest, L0HitSkipsFrontHalfOfPipeline) {
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner, Loser FROM BEATS WHERE Winner > 7";
+  // The text's first sighting, so that `first` is its second and stored.
+  ASSERT_TRUE(PumpOne(&service, service.Submit(q)).ok());
   auto first = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->l0_hit);
@@ -929,7 +902,7 @@ TEST(QueryServiceTest, L0HitSkipsFrontHalfOfPipeline) {
 
   L0Cache::Stats ls = service.l0_cache().GetStats();
   EXPECT_EQ(ls.hits, 1u);
-  EXPECT_EQ(ls.misses, 1u);
+  EXPECT_EQ(ls.misses, 2u);
   EXPECT_EQ(ls.inserts, 1u);
   EXPECT_EQ(ls.entries, 1u);
 }
@@ -939,6 +912,8 @@ TEST(QueryServiceTest, L0EntriesDieOnEpochBump) {
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
+  // The text's first sighting, so that the next one stores it.
+  ASSERT_TRUE(PumpOne(&service, service.Submit(q)).ok());
   ASSERT_TRUE(PumpOne(&service, service.Submit(q)).ok());
   // DDL bumps the catalog epoch (safe here: workers=0, nothing in flight).
   EDS_ASSERT_OK(db.session.ExecuteScript("CREATE TABLE L0T (X:INT);"));
@@ -962,7 +937,10 @@ TEST(QueryServiceTest, L0EvictsLeastRecentlyUsedAtCapacity) {
   EDS_ASSERT_OK(service.Start());
   const char* a = "SELECT Winner FROM BEATS WHERE Winner > 7";
   const char* b = "SELECT Loser FROM BEATS WHERE Loser > 2";
+  // Each text's first sighting, so that its second is stored.
   ASSERT_TRUE(PumpOne(&service, service.Submit(a)).ok());
+  ASSERT_TRUE(PumpOne(&service, service.Submit(a)).ok());
+  ASSERT_TRUE(PumpOne(&service, service.Submit(b)).ok());
   ASSERT_TRUE(PumpOne(&service, service.Submit(b)).ok());  // evicts `a`
   auto again = PumpOne(&service, service.Submit(a));
   ASSERT_TRUE(again.ok());
@@ -1110,15 +1088,13 @@ TEST(QueryServiceTest, LevelMetricsExportAsGauges) {
   ExportL0Stats(L0Cache::Stats{}, &registry);
   obs::ExportInternerStats(term::Interner::Stats{}, &registry);
   const std::string prom = registry.ToPrometheus();
-  for (const char* gauge : {"cache_entries", "cache_nodes",
-                            "cache_probation_nodes", "srv_l0_entries",
-                            "srv_l0_probation_entries", "interner_entries"}) {
+  for (const char* gauge :
+       {"cache_entries", "cache_nodes", "srv_l0_entries", "interner_entries"}) {
     EXPECT_NE(prom.find(std::string("# TYPE ") + gauge + " gauge\n"),
               std::string::npos)
         << gauge << "\n" << prom;
   }
-  for (const char* counter : {"cache_promotions", "cache_evictions",
-                              "srv_l0_promotions", "srv_l0_readmissions"}) {
+  for (const char* counter : {"cache_evictions", "srv_l0_evictions"}) {
     EXPECT_NE(prom.find(std::string("# TYPE ") + counter + " counter\n"),
               std::string::npos)
         << counter << "\n" << prom;

@@ -362,15 +362,17 @@ TEST(ServiceTelemetryTest, RecorderTracksOutcomesNewestFirst) {
   EDS_ASSERT_OK(service.Start());
 
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
-  EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
-  EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
+  // Three sightings: L0 stores the text on the second.
+  for (int i = 0; i < 3; ++i) {
+    EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
+  }
 
   std::vector<QueryRecord> recent = service.RecentQueries();
-  ASSERT_EQ(recent.size(), 2u);
+  ASSERT_EQ(recent.size(), 3u);
   EXPECT_STREQ(CacheOutcomeName(recent[0]), "l0");   // newest: exact repeat
-  EXPECT_STREQ(CacheOutcomeName(recent[1]), "miss");  // first sighting
-  EXPECT_EQ(recent[1].seq, 1u);
-  EXPECT_EQ(recent[0].seq, 2u);
+  EXPECT_STREQ(CacheOutcomeName(recent[1]), "miss");  // second sighting
+  EXPECT_EQ(recent[1].seq, 2u);
+  EXPECT_EQ(recent[0].seq, 3u);
   EXPECT_NE(recent[1].template_hash, 0u);  // miss path fingerprints
   EXPECT_EQ(recent[0].template_hash, 0u);  // L0 path never fingerprints
   EXPECT_EQ(recent[1].text, q);
@@ -519,8 +521,10 @@ TEST(ServiceTelemetryTest, ExportMetricsCoversEverySurface) {
   QueryService service(&db.session, PumpedOptions());
   EDS_ASSERT_OK(service.Start());
   const char* q = "SELECT Winner FROM BEATS WHERE Winner > 7";
-  EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
-  EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
+  // Three sightings: L0 stores the text on the second.
+  for (int i = 0; i < 3; ++i) {
+    EDS_ASSERT_OK_RESULT(PumpOne(&service, service.Submit(q)));
+  }
 
   MetricsRegistry registry;
   service.ExportMetrics(&registry);
@@ -528,22 +532,25 @@ TEST(ServiceTelemetryTest, ExportMetricsCoversEverySurface) {
        {"srv.submitted", "srv.admitted", "srv.completed", "srv.failed",
         "srv.queue_depth", "srv.max_queue_depth", "srv.flight_recorder.total",
         "srv.slow_queries.logged", "cache.hits", "cache.misses",
-        "srv.l0.hits", "srv.l0.misses", "gov.deadline_trips",
+        "cache.admission_deferrals", "srv.l0.hits", "srv.l0.misses",
+        "srv.l0.admission_deferrals", "gov.deadline_trips",
         "srv.latency.queue.count", "srv.latency.serve.p50",
         "srv.latency.serve.p90", "srv.latency.serve.p99",
         "srv.latency.serve.max", "srv.latency.serve.l0_hit.count",
         "srv.latency.execute.count"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
-  EXPECT_EQ(registry.Get("srv.completed"), 2.0);
+  EXPECT_EQ(registry.Get("srv.completed"), 3.0);
   EXPECT_EQ(registry.Get("srv.queue_depth"), 0.0);
-  EXPECT_EQ(registry.Get("srv.flight_recorder.total"), 2.0);
+  EXPECT_EQ(registry.Get("srv.flight_recorder.total"), 3.0);
   EXPECT_EQ(registry.Get("srv.l0.hits"), 1.0);
-  // One L0 hit, one miss: the serve split buckets each exactly once.
+  EXPECT_EQ(registry.Get("srv.l0.admission_deferrals"), 1.0);
+  // One L0 hit, two misses (the template's first and second sightings):
+  // the serve split buckets each accordingly.
   EXPECT_EQ(registry.Get("srv.latency.serve.l0_hit.count"), 1.0);
-  EXPECT_EQ(registry.Get("srv.latency.serve.miss.count"), 1.0);
-  // The L0 hit skipped the parser, so parse has one sample, not two.
-  EXPECT_EQ(registry.Get("srv.latency.parse.count"), 1.0);
+  EXPECT_EQ(registry.Get("srv.latency.serve.miss.count"), 2.0);
+  // The L0 hit skipped the parser, so parse has two samples, not three.
+  EXPECT_EQ(registry.Get("srv.latency.parse.count"), 2.0);
   service.Stop();
 }
 
