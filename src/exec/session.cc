@@ -379,17 +379,27 @@ Result<value::Value> Session::NewObject(
     const std::string& type_name,
     std::vector<std::pair<std::string, value::Value>> fields) {
   EDS_ASSIGN_OR_RETURN(types::TypeRef type, ResolveObjectType(type_name));
-  std::vector<std::string> names;
+  // Fields given exactly as the type lists them share the type's name
+  // list; any other order, subset or spelling gets a list of its own.
+  const value::FieldNames& declared = type->object_field_names();
+  bool as_declared = declared != nullptr && declared->size() == fields.size();
   std::vector<value::Value> values;
-  names.reserve(fields.size());
   values.reserve(fields.size());
-  for (auto& [name, v] : fields) {
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const std::string& name = fields[i].first;
     if (type->FindField(name) == nullptr) {
       return Status::TypeError("object type " + type_name +
                                " has no attribute '" + name + "'");
     }
-    names.push_back(std::move(name));
-    values.push_back(std::move(v));
+    as_declared = as_declared && (*declared)[i] == name;
+    values.push_back(std::move(fields[i].second));
+  }
+  value::FieldNames names = declared;
+  if (!as_declared) {
+    std::vector<std::string> own;
+    own.reserve(fields.size());
+    for (auto& field : fields) own.push_back(std::move(field.first));
+    names = std::make_shared<const std::vector<std::string>>(std::move(own));
   }
   return db_.heap().New(
       type_name, value::Value::NamedTuple(std::move(names), std::move(values)),

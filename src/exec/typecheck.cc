@@ -79,7 +79,7 @@ Status CheckValueAgainstType(const value::Value& v,
       }
       for (size_t i = 0; i < fields.size(); ++i) {
         const Value* field_value = nullptr;
-        if (!data.names.empty()) {
+        if (data.names != nullptr) {
           field_value = v.FindField(fields[i].name);
           if (field_value == nullptr) {
             return Mismatch(v, type,

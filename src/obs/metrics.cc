@@ -185,7 +185,6 @@ void ExportInternerStats(const term::Interner::Stats& stats,
   registry->Counter("interner.hits", stats.hits);
   registry->Counter("interner.misses", stats.misses);
   registry->Gauge("interner.entries", static_cast<double>(stats.entries));
-  registry->Counter("interner.sweeps", stats.sweeps);
 }
 
 void ExportGovStats(const gov::TripCounters& counters,

@@ -1,31 +1,16 @@
 #include "term/interner.h"
 
 #include <algorithm>
-#include <limits>
-#include <utility>
+#include <new>
 
 #include "gov/failpoint.h"
 
 namespace eds::term {
 
-namespace {
-
-// Gives interner.cc access to Term's protected default constructor, the
-// same way term.cc used to build nodes before construction moved here.
-struct TermBuilder : Term {};
-
-// Smallest per-shard table ever allocated. Power of two; sized so
-// steady-state programs (parser operator tables, built-in rule libraries, a
-// live query) rarely rehash. 512 × 16 shards matches the footprint of the
-// old single 4096-slot table within a factor of two.
-constexpr size_t kMinCapacity = 512;
-
-}  // namespace
-
 std::atomic<bool> Interner::degenerate_buckets_{false};
 
 Interner& Interner::Global() {
-  // Leaky: never destroyed, so factories stay valid during static teardown.
+  // Leaky: never destroyed, so releases stay valid during static teardown.
   static Interner* global = new Interner();
   return *global;
 }
@@ -60,6 +45,18 @@ bool ShallowEquals(const Term& cand, TermKind kind, const value::Value& value,
   return false;
 }
 
+// Increment-if-nonzero: a count of zero means the node's last reference is
+// gone and its releaser is waiting for the shard lock to unlink it.
+bool TryAcquire(std::atomic<uint32_t>& refs) {
+  uint32_t n = refs.load(std::memory_order_relaxed);
+  while (n != 0) {
+    if (refs.compare_exchange_weak(n, n + 1, std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 TermRef Interner::Intern(TermKind kind, value::Value value, std::string name,
@@ -87,36 +84,36 @@ TermRef Interner::Intern(TermKind kind, value::Value value, std::string name,
   Shard& shard = shards_[degenerate ? 0 : ShardIndex(hash)];
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.slots.empty()) shard.slots.assign(kMinCapacity, Slot{});
-  const size_t mask = shard.slots.size() - 1;
+  if (shard.slots.empty()) RehashLocked(shard, kMinCapacity);
+  size_t mask = shard.slots.size() - 1;
   size_t idx = home & mask;
-  size_t reuse = std::numeric_limits<size_t>::max();
-  for (;;) {
-    Slot& s = shard.slots[idx];
-    if (!s.used) break;  // end of this probe chain: the term is not interned
-    if (s.hash == hash) {
-      if (TermRef cand = s.term.lock()) {
-        if (ShallowEquals(*cand, kind, value, name, args)) {
-          ++shard.stats.hits;
-          return cand;
-        }
-      } else if (reuse == std::numeric_limits<size_t>::max()) {
-        // A hash-equal entry whose term died: remember it so the newcomer
-        // can take its slot. (Expiry of hash-unequal slots is deliberately
-        // not checked here — that would cost an atomic per probe step on
-        // the hottest path; the sweep reclaims those.)
-        reuse = idx;
-      }
+  for (;; idx = (idx + 1) & mask) {
+    const Slot& s = shard.slots[idx];
+    if (s.term == nullptr) break;  // end of the probe chain: not interned
+    if (s.home != home || s.term->hash_ != hash) continue;
+    if (ShallowEquals(*s.term, kind, value, name, args) &&
+        TryAcquire(s.term->refs_)) {
+      ++shard.stats.hits;
+      return TermRef::Adopt(s.term);
     }
-    idx = (idx + 1) & mask;
   }
 
-  // Not make_shared: that would put the node and its control block in one
-  // allocation, so the table's weak_ptr would pin the whole dead node until
-  // the next sweep. Separate, the node is freed with its last TermRef and
-  // a tombstone holds only the control block.
-  std::shared_ptr<TermBuilder> t(new TermBuilder());
-  t->kind_ = kind;
+  // Make room before allocating, so nothing below can throw once the node
+  // is in the table. Chaos hook: "term.interner.rehash" moves every entry
+  // of the shard on every allocation. The interner has no error path, so
+  // injection here is a behavior stress, not a Status — dedup and
+  // canonicality must survive it.
+  const bool grow = (shard.stats.entries + 1) * 4 > shard.slots.size() * 3;
+  if (grow || (gov::FailPoints::AnyArmed() &&
+               !gov::FailPoints::Global().Hit("term.interner.rehash").ok())) {
+    RehashLocked(shard, grow ? shard.slots.size() * 2 : shard.slots.size());
+    mask = shard.slots.size() - 1;
+    idx = home & mask;
+    while (shard.slots[idx].term != nullptr) idx = (idx + 1) & mask;
+  }
+
+  Term* t = new Term();
+  t->kind_ = static_cast<uint32_t>(kind);
   t->value_ = std::move(value);
   t->name_ = std::move(name);
   t->args_ = std::move(args);
@@ -137,69 +134,61 @@ TermRef Interner::Intern(TermKind kind, value::Value value, std::string name,
   t->ground_ = ground ? 1 : 0;
   t->pattern_free_ = pattern_free ? 1 : 0;
   t->interned_ = 1;
-  if (reuse != std::numeric_limits<size_t>::max()) {
-    // Overwriting a dead slot keeps it `used`, so probe chains that pass
-    // through it stay intact; the entry count is unchanged.
-    shard.slots[reuse] = Slot{hash, t, true};
-  } else {
-    shard.slots[idx] = Slot{hash, t, true};
-    ++shard.stats.entries;
-  }
+  t->degenerate_ = degenerate ? 1 : 0;
+  shard.slots[idx] = Slot{home, t};
+  ++shard.stats.entries;
   ++shard.stats.misses;
   approx_allocated_.fetch_add(1, std::memory_order_relaxed);
-  // Chaos hook: "term.interner.sweep" simulates constant reclamation
-  // pressure by forcing a compacting sweep on every allocation. The
-  // interner has no error path, so injection here is a behavior stress,
-  // not a Status — dedup and canonicality must survive it.
-  if (gov::FailPoints::AnyArmed() &&
-      !gov::FailPoints::Global().Hit("term.interner.sweep").ok()) {
-    SweepShardLocked(shard);
-  }
-  // Compact once used slots outgrow the live population (amortized O(1)
-  // per insert), or before the load factor can degrade probe chains.
-  if (shard.stats.entries >= shard.next_sweep ||
-      (shard.stats.entries + 1) * 4 >= shard.slots.size() * 3) {
-    SweepShardLocked(shard);
-  }
-  return t;
+  return TermRef::Adopt(t);
 }
 
-size_t Interner::SweepShardLocked(Shard& shard) {
-  std::vector<Slot> old = std::move(shard.slots);
-  size_t live = 0;
-  for (const Slot& s : old) {
-    if (s.used && !s.term.expired()) ++live;
+void Interner::Unlink(const Term* node) {
+  Shard& shard = shards_[node->degenerate_ ? 0 : ShardIndex(node->hash_)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  std::vector<Slot>& slots = shard.slots;
+  const size_t mask = slots.size() - 1;
+  // The node is still in its probe chain: only this release removes it.
+  size_t hole = (node->degenerate_ ? 0 : node->hash_) & mask;
+  while (slots[hole].term != node) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the chain into the
+  // hole unless its home lies cyclically in (hole, j], where moving it
+  // would put it before its home.
+  for (size_t j = (hole + 1) & mask; slots[j].term != nullptr;
+       j = (j + 1) & mask) {
+    const size_t want = slots[j].home & mask;
+    const bool stays = hole <= j ? (hole < want && want <= j)
+                                 : (hole < want || want <= j);
+    if (stays) continue;
+    slots[hole] = slots[j];
+    hole = j;
   }
-  size_t capacity = kMinCapacity;
-  while (capacity < live * 2) capacity <<= 1;
-  shard.slots.assign(capacity, Slot{});
+  slots[hole] = Slot{};
+  --shard.stats.entries;
+  if (slots.size() > kMinCapacity && shard.stats.entries * 4 < slots.size()) {
+    try {
+      RehashLocked(shard, slots.size() / 2);
+    } catch (const std::bad_alloc&) {
+      // A release cannot fail: keep the larger table.
+    }
+  }
+}
+
+void Interner::RehashLocked(Shard& shard, size_t capacity) {
+  std::vector<Slot> slots(capacity);
   const size_t mask = capacity - 1;
-  for (Slot& s : old) {
-    if (!s.used) continue;
-    std::weak_ptr<const Term> w = std::move(s.term);
-    if (w.expired()) continue;
-    // Reinsert at the real home index even for entries created in
-    // degenerate test mode: a degenerate-mode lookup may then miss them
-    // and create a duplicate, which is safe (imperfect dedup always is).
-    size_t idx = s.hash & mask;
-    while (shard.slots[idx].used) idx = (idx + 1) & mask;
-    shard.slots[idx] = Slot{s.hash, std::move(w), true};
+  for (const Slot& s : shard.slots) {
+    if (s.term == nullptr) continue;
+    size_t idx = s.home & mask;
+    while (slots[idx].term != nullptr) idx = (idx + 1) & mask;
+    slots[idx] = s;
   }
-  size_t erased = shard.stats.entries - live;
-  shard.stats.entries = live;
-  ++shard.stats.sweeps;
-  // Re-arm so sweeping stays amortized O(1) per insert.
-  shard.next_sweep = std::max<size_t>(1024, shard.stats.entries * 2);
-  return erased;
+  shard.slots.swap(slots);
+  shard.stats.capacity = capacity;
 }
 
-size_t Interner::Sweep() {
-  size_t erased = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    erased += SweepShardLocked(shard);
-  }
-  return erased;
+void Term::Destroy(const Term* node) noexcept {
+  if (node->interned_) Interner::Global().Unlink(node);
+  delete node;
 }
 
 Interner::Stats Interner::GetStats() {
@@ -209,14 +198,14 @@ Interner::Stats Interner::GetStats() {
     total.hits += shard.stats.hits;
     total.misses += shard.stats.misses;
     total.entries += shard.stats.entries;
-    total.sweeps += shard.stats.sweeps;
+    total.capacity += shard.stats.capacity;
   }
   return total;
 }
 
 TermRef Interner::CloneWithHashForTesting(const TermRef& t,
                                           uint64_t forced_hash) {
-  auto clone = std::make_shared<TermBuilder>();
+  Term* clone = new Term();
   clone->kind_ = t->kind_;
   clone->value_ = t->value_;
   clone->name_ = t->name_;
@@ -225,8 +214,8 @@ TermRef Interner::CloneWithHashForTesting(const TermRef& t,
   clone->node_count_ = t->node_count_;
   clone->ground_ = t->ground_;
   clone->pattern_free_ = t->pattern_free_;
-  clone->interned_ = false;
-  return clone;
+  clone->interned_ = 0;
+  return TermRef::Adopt(clone);
 }
 
 }  // namespace eds::term

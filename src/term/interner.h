@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -18,16 +17,16 @@ namespace eds::term {
 // the rewrite engine replace deep hashing/equality with pointer reads.
 //
 // Design notes:
-//   - The table holds weak_ptrs, so it never extends a term's lifetime;
-//     dead entries linger as tombstones (occasionally reused in place by a
-//     hash-equal newcomer) until an amortized compacting sweep reclaims
-//     them once inserts outgrow the live population. Each node is
-//     allocated apart from its shared_ptr control block (no make_shared),
-//     so a dead node is freed with its last TermRef and a tombstone pins
-//     only the ~32-byte control block, not the whole ~128-byte node. The
-//     price is one extra allocation per fresh intern, small next to the
-//     work around it: bench_e2e's rewrite_cold makes ~220 interner misses
-//     per request, whose rewrite alone takes ~1 ms.
+//   - The table holds plain node pointers and never extends a term's
+//     lifetime. A node's reference count lives in the node (TermRef is an
+//     intrusive handle), so a fresh intern costs one allocation. A lookup
+//     takes its reference by incrementing the count only if it is not
+//     zero, under the shard lock; a node whose count reached zero is dead
+//     and is skipped. The release that takes the count to zero locks the
+//     node's shard, unlinks its slot by backward-shift deletion, unlocks,
+//     and only then frees the node, so its children are released outside
+//     any table lock. There are no tombstones and nothing to sweep: a dead
+//     term's memory returns at once, in whatever drops its last reference.
 //   - Candidate comparison is *shallow*: kind, payload, and child
 //     POINTERS. Children were interned first (construction is bottom-up),
 //     so shallow identity implies deep structural identity.
@@ -39,9 +38,8 @@ namespace eds::term {
 //     device: term::Equals keeps a deep fallback for exactly this case,
 //     and imperfect dedup is always safe.
 //   - Global() is a leaky singleton (like the parser's operator tables):
-//     terms may be destroyed during static teardown, and destroying a
-//     Term never touches the table, so there is no order-of-destruction
-//     hazard.
+//     terms may be destroyed during static teardown, and their releases
+//     still find the table.
 //   - The table is sharded by structural hash (kShardCount bucket groups,
 //     each behind its own mutex) so concurrent term construction from the
 //     query-service worker pool does not serialize on one lock. Children
@@ -54,7 +52,6 @@ class Interner {
  public:
   static Interner& Global();
 
-  Interner() = default;
   Interner(const Interner&) = delete;
   Interner& operator=(const Interner&) = delete;
 
@@ -65,10 +62,10 @@ class Interner {
                  TermList args);
 
   struct Stats {
-    size_t hits = 0;     // constructions answered by an existing node
-    size_t misses = 0;   // constructions that allocated a new node
-    size_t entries = 0;  // table entries (live + not-yet-swept dead)
-    size_t sweeps = 0;   // bulk sweeps performed
+    size_t hits = 0;      // constructions answered by an existing node
+    size_t misses = 0;    // constructions that allocated a new node
+    size_t entries = 0;   // table entries == live interned terms
+    size_t capacity = 0;  // slots allocated across the shard tables
   };
   Stats GetStats();
 
@@ -79,9 +76,6 @@ class Interner {
   uint64_t ApproxAllocated() const {
     return approx_allocated_.load(std::memory_order_relaxed);
   }
-
-  // Drops every expired entry now; returns how many were erased.
-  size_t Sweep();
 
   // Testing hook: force every lookup into one bucket, simulating total
   // hash collision. Dedup stays exact (candidates are compared
@@ -94,39 +88,46 @@ class Interner {
                                          uint64_t forced_hash);
 
  private:
-  // One slot of the flat linear-probe table. Each shard's table is
-  // open-addressed (power-of-two capacity, home index = structural hash &
-  // mask) rather than a node-based map: term construction is the hottest
-  // path in the whole system — the executor churns through millions of
-  // short-lived terms — and a flat table makes a fresh intern cost no
-  // allocation beyond the term node and its control block.
+  friend class Term;  // Term::Destroy unlinks through Unlink()
+
+  Interner() = default;
+
+  // One slot of a shard's flat linear-probe table (power-of-two capacity,
+  // home index = home hash & mask). `home` is the node's structural hash,
+  // or 0 for a node placed in degenerate test mode; a null `term` is an
+  // empty slot. 16 bytes, so a probe step reads no node memory until the
+  // home hash matches.
   struct Slot {
-    uint64_t hash = 0;
-    std::weak_ptr<const Term> term;
-    bool used = false;  // distinguishes never-used from expired slots
+    uint64_t home = 0;
+    const Term* term = nullptr;
   };
 
   // A bucket group: one mutex guarding one open-addressed table. Terms are
   // assigned to shards by the *top* bits of their structural hash so the
-  // in-shard home index (low bits) stays well distributed.
+  // in-shard home index (low bits) stays well distributed. A table is
+  // allocated at kMinCapacity slots on the shard's first intern, doubles
+  // when more than 3/4 full and halves when less than 1/4 full, never
+  // below kMinCapacity.
   static constexpr size_t kShardBits = 4;
   static constexpr size_t kShardCount = 1u << kShardBits;
+  static constexpr size_t kMinCapacity = 16;
   struct Shard {
     std::mutex mu;
-    std::vector<Slot> slots;  // empty until the first Intern() in the shard
-    Stats stats;              // entries == used slots (live + unswept dead)
-    size_t next_sweep = 1024;
+    std::vector<Slot> slots;
+    Stats stats;  // entries == non-empty slots, capacity == slots.size()
   };
 
   static size_t ShardIndex(uint64_t hash) {
     return static_cast<size_t>(hash >> (64 - kShardBits));
   }
 
-  // Compacting rehash of one shard: drops every expired entry, resizes to
-  // fit the live population, and reinserts. Doubles as both the amortized
-  // sweep and the load-factor growth path. Returns how many dead entries
-  // were erased. Requires the shard's mutex to be held.
-  static size_t SweepShardLocked(Shard& shard);
+  // Removes a dead node's slot. Called once per interned node, by the
+  // release that took its count to zero.
+  void Unlink(const Term* node);
+
+  // Rebuilds one shard's table at `capacity` slots. Requires the shard's
+  // mutex to be held.
+  static void RehashLocked(Shard& shard, size_t capacity);
 
   Shard shards_[kShardCount];
   std::atomic<uint64_t> approx_allocated_{0};  // == sum of shard misses

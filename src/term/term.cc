@@ -409,21 +409,21 @@ void PrintConstant(std::ostream& os, const value::Value& v) {
   }
 }
 
-void Print(std::ostream& os, const TermRef& t) {
-  switch (t->kind()) {
+void Print(std::ostream& os, const Term& t) {
+  switch (t.kind()) {
     case TermKind::kConstant:
-      PrintConstant(os, t->constant());
+      PrintConstant(os, t.constant());
       return;
     case TermKind::kVariable:
-      os << t->var_name();
+      os << t.var_name();
       return;
     case TermKind::kCollectionVariable:
-      os << t->var_name() << '*';
+      os << t.var_name() << '*';
       return;
     case TermKind::kApply:
       break;
   }
-  const std::string& f = t->functor();
+  const std::string& f = t.functor();
   // ATTR(i, j) prints as $i.j ('$'-prefixed so the parser can reread it;
   // the paper writes the same references as i.j). Only for non-negative
   // integer indices — the lexer reads nothing else after '$', so malformed
@@ -433,24 +433,24 @@ void Print(std::ostream& os, const TermRef& t) {
            a->constant().kind() == value::ValueKind::kInt &&
            a->constant().AsInt() >= 0;
   };
-  if (f == kAttr && t->arity() == 2 && attr_index(t->arg(0)) &&
-      attr_index(t->arg(1))) {
-    os << '$' << t->arg(0)->constant() << '.' << t->arg(1)->constant();
+  if (f == kAttr && t.arity() == 2 && attr_index(t.arg(0)) &&
+      attr_index(t.arg(1))) {
+    os << '$' << t.arg(0)->constant() << '.' << t.arg(1)->constant();
     return;
   }
   auto infix = InfixOps().find(f);
-  if (infix != InfixOps().end() && t->arity() == 2) {
+  if (infix != InfixOps().end() && t.arity() == 2) {
     os << '(';
-    Print(os, t->arg(0));
+    Print(os, *t.arg(0));
     os << ' ' << infix->second << ' ';
-    Print(os, t->arg(1));
+    Print(os, *t.arg(1));
     os << ')';
     return;
   }
   os << f << '(';
-  for (size_t i = 0; i < t->arity(); ++i) {
+  for (size_t i = 0; i < t.arity(); ++i) {
     if (i > 0) os << ", ";
-    Print(os, t->arg(i));
+    Print(os, *t.arg(i));
   }
   os << ')';
 }
@@ -459,15 +459,13 @@ void Print(std::ostream& os, const TermRef& t) {
 
 std::string Term::ToString() const {
   std::ostringstream os;
-  // Wrap `this` in a non-owning shared_ptr for the recursive printer.
-  TermRef self(this, [](const Term*) {});
-  Print(os, self);
+  Print(os, *this);
   return os.str();
 }
 
 std::ostream& operator<<(std::ostream& os, const TermRef& t) {
   if (t == nullptr) return os << "<null>";
-  Print(os, t);
+  Print(os, *t);
   return os;
 }
 

@@ -1,9 +1,11 @@
 #ifndef EDS_TERM_TERM_H_
 #define EDS_TERM_TERM_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "value/value.h"
@@ -11,7 +13,58 @@
 namespace eds::term {
 
 class Term;
-using TermRef = std::shared_ptr<const Term>;
+
+// Owning handle to an immutable Term node. The reference count lives in
+// the node (intrusive), so a node is one allocation with no separate
+// control block, and copying a TermRef is one atomic increment. The
+// surface is the shared_ptr subset the engine uses: get/->/*, bool,
+// pointer ==, reset. Only the hash-cons table (term/interner.h) makes a
+// TermRef from a raw node.
+class TermRef {
+ public:
+  constexpr TermRef() noexcept = default;
+  // Implicit, like shared_ptr's, so `return nullptr;` reads as before.
+  constexpr TermRef(std::nullptr_t) noexcept {}  // NOLINT
+  TermRef(const TermRef& other) noexcept;
+  TermRef(TermRef&& other) noexcept
+      : node_(std::exchange(other.node_, nullptr)) {}
+  TermRef& operator=(const TermRef& other) noexcept {
+    TermRef(other).swap(*this);
+    return *this;
+  }
+  TermRef& operator=(TermRef&& other) noexcept {
+    TermRef(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~TermRef();
+
+  const Term* get() const noexcept { return node_; }
+  const Term& operator*() const noexcept { return *node_; }
+  const Term* operator->() const noexcept { return node_; }
+  explicit operator bool() const noexcept { return node_ != nullptr; }
+
+  void reset() noexcept { TermRef().swap(*this); }
+  void swap(TermRef& other) noexcept { std::swap(node_, other.node_); }
+
+  friend bool operator==(const TermRef& a, const TermRef& b) noexcept {
+    return a.node_ == b.node_;
+  }
+  friend bool operator==(const TermRef& a, std::nullptr_t) noexcept {
+    return a.node_ == nullptr;
+  }
+
+ private:
+  friend class Interner;
+  // Takes over a reference already counted for the caller.
+  static TermRef Adopt(const Term* node) noexcept {
+    TermRef ref;
+    ref.node_ = node;
+    return ref;
+  }
+
+  const Term* node_ = nullptr;
+};
+
 using TermList = std::vector<TermRef>;
 
 // The paper's central idea is a *uniform* term formalism: LERA operators,
@@ -50,7 +103,9 @@ inline constexpr const char* kRelation = "RELATION";  // RELATION('FILM')
 
 // An immutable node of a term tree. Construct through the factories; nodes
 // are shared via TermRef and never mutated, so rewritten terms share
-// untouched subtrees with their originals.
+// untouched subtrees with their originals. A node lives exactly as long as
+// some TermRef holds it: the last release unlinks it from the hash-cons
+// table and frees it.
 //
 // The factories canonicalize through the hash-cons table in
 // term/interner.h: structurally equal terms built while an equal term is
@@ -60,14 +115,14 @@ inline constexpr const char* kRelation = "RELATION";  // RELATION('FILM')
 // O(1) field reads instead of tree walks.
 class Term {
  public:
-  TermKind kind() const { return kind_; }
+  TermKind kind() const { return static_cast<TermKind>(kind_); }
 
-  bool is_constant() const { return kind_ == TermKind::kConstant; }
-  bool is_variable() const { return kind_ == TermKind::kVariable; }
+  bool is_constant() const { return kind() == TermKind::kConstant; }
+  bool is_variable() const { return kind() == TermKind::kVariable; }
   bool is_collection_variable() const {
-    return kind_ == TermKind::kCollectionVariable;
+    return kind() == TermKind::kCollectionVariable;
   }
-  bool is_apply() const { return kind_ == TermKind::kApply; }
+  bool is_apply() const { return kind() == TermKind::kApply; }
 
   // kConstant payload.
   const value::Value& constant() const { return value_; }
@@ -83,7 +138,7 @@ class Term {
 
   // True if the functor equals `name` (which must be upper case).
   bool IsApply(const std::string& name) const {
-    return kind_ == TermKind::kApply && name_ == name;
+    return is_apply() && name_ == name;
   }
   bool IsApply(const std::string& name, size_t n) const {
     return IsApply(name) && args_.size() == n;
@@ -138,30 +193,55 @@ class Term {
   static TermRef Attr(int64_t rel, int64_t attr);
   static TermRef Relation(std::string name);
 
- protected:
-  // Construction goes through the factories (which build a derived
-  // TermBuilder internally); protected so the builder can default-construct.
-  Term() = default;
-
  private:
   friend class Interner;
+  friend class TermRef;
 
-  static constexpr uint32_t kMaxNodeCount = (1u << 29) - 1;
+  // Construction goes through the factories, which allocate in the
+  // hash-cons table.
+  Term() = default;
 
-  TermKind kind_ = TermKind::kConstant;
-  // The cached subtree facts share kind_'s alignment hole: node counts are
-  // clamped to 29 bits (half a billion nodes dwarfs any real plan) so the
-  // three flags ride along without growing the node — executors walk terms
-  // by the million, and every extra cache line is paid per row.
-  uint32_t node_count_ : 29 = 1;
+  // Drops one reference; the last one hands the node to the interner.
+  void Release() const noexcept {
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) Destroy(this);
+  }
+  // Unlinks a dead node from the hash-cons table (if it is in one), then
+  // frees it; its children are released after the table lock is dropped.
+  static void Destroy(const Term* node) noexcept;
+
+  static constexpr uint32_t kMaxNodeCount = (1u << 26) - 1;
+
+  // The count starts at the one reference the creating factory returns.
+  mutable std::atomic<uint32_t> refs_{1};
+  // The kind and the cached subtree facts fill the word beside the count:
+  // node counts are clamped to 26 bits (67 million nodes dwarfs any real
+  // plan) so the flags ride along without growing the node — executors
+  // walk terms by the million, and every extra cache line is paid per row.
+  // `degenerate_` records that the node was placed while the test-only
+  // one-bucket mode was on, so its release looks for it there.
+  uint32_t kind_ : 2 = static_cast<uint32_t>(TermKind::kConstant);
+  uint32_t node_count_ : 26 = 1;
   uint32_t ground_ : 1 = 1;
   uint32_t pattern_free_ : 1 = 1;
   uint32_t interned_ : 1 = 0;
+  uint32_t degenerate_ : 1 = 0;
   value::Value value_;
   std::string name_;
   TermList args_;
   uint64_t hash_ = 0;
 };
+
+static_assert(sizeof(Term) <= 104,
+              "a term node is its count and flags, a Value, a name, its "
+              "arguments and its hash");
+
+inline TermRef::TermRef(const TermRef& other) noexcept : node_(other.node_) {
+  if (node_ != nullptr) node_->refs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline TermRef::~TermRef() {
+  if (node_ != nullptr) node_->Release();
+}
 
 // Structural equality. Canonical construction makes this O(1) in practice:
 // pointer-identical terms are equal, terms with different cached hashes are

@@ -135,6 +135,13 @@ TypeRef Type::MakeObject(std::string name, std::vector<Field> fields,
   t->name_ = std::move(name);
   t->fields_ = std::move(fields);
   t->supertype_ = std::move(supertype);
+  std::vector<std::string> names;
+  if (t->supertype_ != nullptr && t->supertype_->object_field_names_) {
+    names = *t->supertype_->object_field_names_;
+  }
+  for (const Field& f : t->fields_) names.push_back(f.name);
+  t->object_field_names_ =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
   return t;
 }
 
@@ -146,6 +153,7 @@ TypeRef Type::MakeNamed(std::string name, const TypeRef& aliased) {
   t->fields_ = aliased->fields_;
   t->enum_values_ = aliased->enum_values_;
   t->supertype_ = aliased->supertype_;
+  t->object_field_names_ = aliased->object_field_names_;
   return t;
 }
 

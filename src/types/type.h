@@ -61,6 +61,15 @@ class Type {
   // Object types: the declared supertype (null for roots).
   const TypeRef& supertype() const { return supertype_; }
 
+  // Object types: the names of every attribute an object of this type
+  // carries, the supertype chain's first, as declared. Built once with the
+  // type; Session::NewObject shares it with each object whose fields are
+  // given in this order and spelling (value::FieldNames). Null otherwise.
+  const std::shared_ptr<const std::vector<std::string>>& object_field_names()
+      const {
+    return object_field_names_;
+  }
+
   bool is_collection() const;
   bool is_numeric() const;
   bool is_object() const { return kind_ == TypeKind::kObject; }
@@ -97,6 +106,7 @@ class Type {
   std::vector<Field> fields_;
   std::vector<std::string> enum_values_;
   TypeRef supertype_;
+  std::shared_ptr<const std::vector<std::string>> object_field_names_;
 };
 
 // The ISA relation of the paper: true when `sub` is the same type as `super`

@@ -78,11 +78,20 @@ Value Value::Tuple(std::vector<Value> values) {
 
 Value Value::NamedTuple(std::vector<std::string> names,
                         std::vector<Value> values) {
-  assert(names.size() == values.size());
+  return NamedTuple(
+      names.empty() ? FieldNames()
+                    : std::make_shared<const std::vector<std::string>>(
+                          std::move(names)),
+      std::move(values));
+}
+
+Value Value::NamedTuple(FieldNames names, std::vector<Value> values) {
+  assert(names == nullptr || names->size() == values.size());
   Value v;
   v.kind_ = ValueKind::kTuple;
   auto data = std::make_shared<TupleData>();
-  data->names = std::move(names);
+  // An empty list is a positional tuple, so only a non-empty one is kept.
+  if (names != nullptr && !names->empty()) data->names = std::move(names);
   data->values = std::move(values);
   v.payload_ = std::move(data);
   return v;
@@ -154,8 +163,10 @@ const TupleData& Value::tuple() const {
 const Value* Value::FindField(const std::string& name) const {
   if (kind_ != ValueKind::kTuple) return nullptr;
   const TupleData& t = payload<TupleData>();
-  for (size_t i = 0; i < t.names.size(); ++i) {
-    if (EqualsIgnoreCase(t.names[i], name)) return &t.values[i];
+  if (t.names == nullptr) return nullptr;
+  const std::vector<std::string>& names = *t.names;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (EqualsIgnoreCase(names[i], name)) return &t.values[i];
   }
   return nullptr;
 }
@@ -262,7 +273,7 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
       os << '(';
       for (size_t i = 0; i < t.values.size(); ++i) {
         if (i > 0) os << ", ";
-        if (!t.names.empty()) os << t.names[i] << ": ";
+        if (t.names != nullptr) os << (*t.names)[i] << ": ";
         os << t.values[i];
       }
       return os << ')';

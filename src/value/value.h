@@ -30,11 +30,16 @@ const char* ValueKindName(ValueKind kind);
 
 class Value;
 
-// Payload of a tuple value. `names` is either empty (positional tuple, the
-// common case for relation rows) or parallel to `values` (nested tuples whose
-// attributes are accessed by name, e.g. object state).
+// Attribute names of a named tuple, shared and immutable: every object of
+// one type points at its type's list (types::Type::object_field_names)
+// rather than carrying its own copy.
+using FieldNames = std::shared_ptr<const std::vector<std::string>>;
+
+// Payload of a tuple value. `names` is either null (positional tuple, the
+// common case for relation rows) or a non-empty list parallel to `values`
+// (nested tuples whose attributes are accessed by name, e.g. object state).
 struct TupleData {
-  std::vector<std::string> names;
+  FieldNames names;
   std::vector<Value> values;
 };
 
@@ -81,9 +86,11 @@ class Value {
 
   // Positional tuple.
   static Value Tuple(std::vector<Value> values);
-  // Named tuple; `names` must be parallel to `values`.
+  // Named tuple; `names` must be parallel to `values`. The second form
+  // shares an existing name list instead of allocating one.
   static Value NamedTuple(std::vector<std::string> names,
                           std::vector<Value> values);
+  static Value NamedTuple(FieldNames names, std::vector<Value> values);
 
   // Builds a set from arbitrary elements: sorts and deduplicates.
   static Value Set(std::vector<Value> elements);

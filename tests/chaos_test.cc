@@ -353,16 +353,17 @@ TEST_F(ChaosRewriteTest, IntermittentMethodFailureIsAlsoSafe) {
   testutil::ExpectSameRows(baseline, degraded->rows);
 }
 
-TEST_F(ChaosRewriteTest, InternerSweepPressureKeepsCanonicality) {
+TEST_F(ChaosRewriteTest, InternerRehashPressureKeepsCanonicality) {
   Rows baseline = Baseline();
   auto& fp = gov::FailPoints::Global();
-  // Force a compacting sweep on every fresh-term allocation: reclamation
-  // at maximum pressure. Results and hash-consing must both survive.
-  EDS_ASSERT_OK(fp.Configure("term.interner.sweep=error"));
+  // Force a same-size rehash on every fresh-term allocation: every entry
+  // moves while lookups and releases run. Results and hash-consing must
+  // both survive.
+  EDS_ASSERT_OK(fp.Configure("term.interner.rehash=error"));
   auto stressed = db_.session.Query(kQuery);
   ASSERT_TRUE(stressed.ok()) << stressed.status().ToString();
   testutil::ExpectSameRows(baseline, stressed->rows);
-  EXPECT_GT(fp.hits("term.interner.sweep"), 0u);
+  EXPECT_GT(fp.hits("term.interner.rehash"), 0u);
   // Canonicality: equal structure still interns to the same node.
   TermRef a = P("SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.1))");
   TermRef b = P("SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.1))");

@@ -87,6 +87,53 @@ TEST(SessionTest, NewObjectChecksTypeAndFields) {
   EXPECT_TRUE(obj.ok());
 }
 
+// Objects whose fields are given as their type declares them (supertype's
+// first) share the type's one name list instead of each carrying a copy;
+// fields given in another order get a list of their own. FIELD access and
+// the printed state read the same either way.
+TEST(SessionTest, ObjectsOfOneTypeShareTheirFieldNames) {
+  Session s;
+  EDS_ASSERT_OK(s.ExecuteScript(R"(
+    TYPE Person OBJECT TUPLE (Name : CHAR);
+    TYPE Actor SUBTYPE OF Person OBJECT TUPLE (Salary : NUMERIC);
+    CREATE TABLE CAST1 (Ref : Actor);
+  )"));
+  auto a = s.NewObject("Actor", {{"Name", Value::String("A")},
+                                 {"Salary", Value::Int(1)}});
+  auto b = s.NewObject("Actor", {{"Name", Value::String("B")},
+                                 {"Salary", Value::Int(2)}});
+  auto c = s.NewObject("Actor", {{"Salary", Value::Int(3)},
+                                 {"Name", Value::String("C")}});
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  auto state = [&s](const Value& ref) {
+    auto stored = s.db().heap().Get(ref.AsObjectRef());
+    EXPECT_TRUE(stored.ok());
+    return (*stored)->state;
+  };
+  const value::FieldNames& shared = state(*a).tuple().names;
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared.get(), state(*b).tuple().names.get());
+  auto actor = s.catalog().types().Find("Actor");
+  ASSERT_TRUE(actor.ok());
+  EXPECT_EQ(shared.get(), (*actor)->object_field_names().get());
+  EXPECT_NE(shared.get(), state(*c).tuple().names.get());
+
+  EXPECT_EQ(state(*a).ToString(), "(Name: 'A', Salary: 1)");
+  EXPECT_EQ(state(*c).ToString(), "(Salary: 3, Name: 'C')");
+  ASSERT_NE(state(*b).FindField("salary"), nullptr);
+  EXPECT_EQ(*state(*b).FindField("salary"), Value::Int(2));
+  for (const Value& obj : {*a, *b, *c}) {
+    EDS_ASSERT_OK(s.InsertRow("CAST1", {obj}));
+  }
+  auto r = s.Query("SELECT Name(Ref), Salary(Ref) FROM CAST1");
+  ASSERT_TRUE(r.ok()) << r.status();
+  testutil::ExpectSameRows(
+      {{Value::String("A"), Value::Int(1)},
+       {Value::String("B"), Value::Int(2)},
+       {Value::String("C"), Value::Int(3)}},
+      r->rows);
+}
+
 TEST(SessionTest, ObjectSharingAcrossRows) {
   // The same actor object appears in two rows; updating it through the
   // heap is visible from both (object identity, §2.1).

@@ -1,5 +1,9 @@
 #include "term/term.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "term/interner.h"
 #include "term/parser.h"
@@ -266,19 +270,87 @@ TEST(InternerTest, HitsAndMissesAreCounted) {
   EXPECT_GT(after_again.hits, after_fresh.hits);
 }
 
-TEST(InternerTest, SweepReclaimsDeadEntries) {
+TEST(InternerTest, DeadTermLeavesTheTableAtOnce) {
   Interner& interner = Interner::Global();
-  interner.Sweep();  // start from a clean table
-  size_t live = interner.GetStats().entries;
+  const size_t live = interner.GetStats().entries;
   {
-    TermRef doomed = Term::Apply("SWEEPTESTONLY", {Term::Int(1), P("G(2)")});
+    TermRef doomed =
+        Term::Apply("DEADTERMTESTONLY", {Term::Int(1), P("G(2)")});
     EXPECT_GE(interner.GetStats().entries, live + 1);
   }
-  interner.Sweep();
-  // The SWEEPTESTONLY node died with its last reference; G(2)/2 may
-  // survive via other live terms, but the table cannot have grown.
-  TermRef recreated = Term::Apply("SWEEPTESTONLY", {Term::Int(1), P("G(2)")});
+  // The last reference took DEADTERMTESTONLY and every child that nothing
+  // else holds out of the table: no sweep is needed to get back.
+  EXPECT_EQ(interner.GetStats().entries, live);
+  TermRef recreated =
+      Term::Apply("DEADTERMTESTONLY", {Term::Int(1), P("G(2)")});
   EXPECT_TRUE(recreated->interned());
+}
+
+TEST(InternerTest, TableShrinksAfterAFlood) {
+  Interner& interner = Interner::Global();
+  const Interner::Stats baseline = interner.GetStats();
+  {
+    TermList flood;
+    flood.reserve(100000);
+    for (int64_t i = 0; i < 100000; ++i) {
+      flood.push_back(Term::Apply("FLOODTESTONLY", {Term::Int(i)}));
+    }
+    Interner::Stats full = interner.GetStats();
+    EXPECT_GE(full.entries, baseline.entries + 100000);
+    EXPECT_GT(full.capacity, full.entries);
+  }
+  const Interner::Stats after = interner.GetStats();
+  EXPECT_EQ(after.entries, baseline.entries);
+  EXPECT_LE(after.capacity, 2 * baseline.capacity);
+  EXPECT_GT(after.capacity, after.entries);
+}
+
+// Four threads intern and drop overlapping nested terms, so lookups race
+// the release that takes a twin's count to zero. Whenever two equal terms
+// are alive at once they must be one node, and once every thread is done
+// the table holds exactly what it held before.
+TEST(InternerTest, ConcurrentInternAndReleaseStayCanonical) {
+  Interner& interner = Interner::Global();
+  const size_t live = interner.GetStats().entries;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  constexpr int kShapes = 24;
+  auto build = [](int shape) {
+    TermRef leaf = Term::Apply("RACETESTONLY", {Term::Int(shape % 8)});
+    return Term::Apply("RACETESTONLY",
+                       {leaf, Term::Apply("RACETESTONLY",
+                                          {Term::Int(shape), leaf})});
+  };
+  // A handful of terms every thread holds throughout: their twins built by
+  // any thread must be them.
+  TermList pinned;
+  for (int s = 0; s < 4; ++s) pinned.push_back(build(s));
+  const size_t with_pinned = interner.GetStats().entries;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TermList held;
+      for (int r = 0; r < kRounds; ++r) {
+        const int shape = (r * 7 + t) % kShapes;
+        TermRef a = build(shape);
+        TermRef b = build(shape);
+        if (a.get() != b.get()) mismatches.fetch_add(1);
+        if (shape < 4 && a.get() != pinned[static_cast<size_t>(shape)].get()) {
+          mismatches.fetch_add(1);
+        }
+        // Keep a few alive across rounds so some releases are the last
+        // one and others are not.
+        if (r % 3 == 0) held.push_back(std::move(a));
+        if (held.size() > 5) held.erase(held.begin());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(interner.GetStats().entries, with_pinned);
+  pinned.clear();
+  EXPECT_EQ(interner.GetStats().entries, live);
 }
 
 TEST(InternerTest, DegenerateBucketsStayCorrect) {
