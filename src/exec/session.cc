@@ -382,7 +382,7 @@ Result<value::Value> Session::NewObject(
   // Fields given exactly as the type lists them share the type's name
   // list; any other order, subset or spelling gets a list of its own.
   const value::FieldNames& declared = type->object_field_names();
-  bool as_declared = declared != nullptr && declared->size() == fields.size();
+  bool as_declared = declared->size() == fields.size();
   std::vector<value::Value> values;
   values.reserve(fields.size());
   for (size_t i = 0; i < fields.size(); ++i) {
