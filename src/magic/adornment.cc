@@ -14,6 +14,10 @@ std::string Adornment::Signature(size_t arity) const {
   return sig;
 }
 
+bool IsBindingOperand(const term::TermRef& t) {
+  return t->is_constant() || t->is_variable();
+}
+
 Adornment ComputeAdornment(const term::TermRef& qual, int64_t pos) {
   Adornment out;
   for (const term::TermRef& conj : term::Conjuncts(qual)) {
@@ -21,19 +25,19 @@ Adornment ComputeAdornment(const term::TermRef& qual, int64_t pos) {
     const term::TermRef& a = conj->arg(0);
     const term::TermRef& b = conj->arg(1);
     const term::TermRef* attr = nullptr;
-    const term::TermRef* constant = nullptr;
-    if (lera::IsAttr(a) && b->is_constant()) {
+    const term::TermRef* operand = nullptr;
+    if (lera::IsAttr(a) && IsBindingOperand(b)) {
       attr = &a;
-      constant = &b;
-    } else if (lera::IsAttr(b) && a->is_constant()) {
+      operand = &b;
+    } else if (lera::IsAttr(b) && IsBindingOperand(a)) {
       attr = &b;
-      constant = &a;
+      operand = &a;
     } else {
       continue;
     }
     auto ref = lera::GetAttr(*attr);
     if (!ref.ok() || ref->input != pos) continue;
-    out.bound.push_back(BoundColumn{ref->column, (*constant)->constant()});
+    out.bound.push_back(BoundColumn{ref->column, *operand});
   }
   return out;
 }

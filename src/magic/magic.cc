@@ -70,7 +70,7 @@ Result<term::TermRef> AlexanderTransform(const std::string& rel_name,
   }
   // Already-focused fixpoints carry the "#M" suffix; transforming them
   // again would regress forever (the caller's qualification still mentions
-  // the bound constant).
+  // the bound operand).
   if (rel_name.find("#M") != std::string::npos) {
     return Status::Unsupported("fixpoint is already focused");
   }
@@ -125,8 +125,7 @@ Result<term::TermRef> AlexanderTransform(const std::string& rel_name,
   auto seed_base = [&](const std::vector<const BoundColumn*>& bound) {
     TermList conjuncts;
     for (const BoundColumn* b : bound) {
-      conjuncts.push_back(Term::Eq(Term::Attr(1, b->column),
-                                   Term::Constant(b->constant)));
+      conjuncts.push_back(Term::Eq(Term::Attr(1, b->column), b->operand));
     }
     TermList identity;
     for (size_t j = 1; j <= projs.size(); ++j) {
@@ -212,8 +211,7 @@ Status MethodAdornment(const TermList& args, term::Bindings* env,
   }
   TermList entries;
   for (const BoundColumn& b : a.bound) {
-    entries.push_back(Term::MakeTuple(
-        {Term::Int(b.column), Term::Constant(b.constant)}));
+    entries.push_back(Term::MakeTuple({Term::Int(b.column), b.operand}));
   }
   env->SetVar(args[2]->var_name(), Term::List(std::move(entries)));
   return Status::OK();
@@ -237,11 +235,12 @@ Status MethodAlexander(const TermList& args, term::Bindings* env,
   Adornment adornment;
   for (const TermRef& entry : sig->args()) {
     if (!entry->IsApply(term::kTuple, 2) || !entry->arg(0)->is_constant() ||
-        !entry->arg(1)->is_constant()) {
+        entry->arg(0)->constant().kind() != value::ValueKind::kInt ||
+        !IsBindingOperand(entry->arg(1))) {
       return Status::InvalidArgument("ALEXANDER: malformed sig entry");
     }
-    adornment.bound.push_back(BoundColumn{entry->arg(0)->constant().AsInt(),
-                                          entry->arg(1)->constant()});
+    adornment.bound.push_back(
+        BoundColumn{entry->arg(0)->constant().AsInt(), entry->arg(1)});
   }
   EDS_ASSIGN_OR_RETURN(TermRef focused,
                        AlexanderTransform(rel_name, body, adornment));

@@ -47,7 +47,8 @@ bool ReferencesRelation(const term::TermRef& t, const std::string& rel_name);
 // Registers the rule methods of Fig. 9 into `reg`:
 //   ADORNMENT(f, pos, sig)  computes the adornment of FIX input `pos` from
 //                           qualification f; binds sig to
-//                           LIST(TUPLE(col, const), ...). Fails when no
+//                           LIST(TUPLE(col, operand), ...), each operand a
+//                           constant or a query parameter. Fails when no
 //                           column is bound (no selection to push).
 //   ALEXANDER(r, e, sig, u) binds u to the focused fixpoint built from
 //                           FIX(r, e) under adornment sig. Fails on

@@ -62,27 +62,11 @@ term::TermRef Parameterize(const term::TermRef& t, term::TermList* params) {
   return term::WithArgs(t, std::move(args));
 }
 
-// True when the plan contains a FIX anywhere (recursive view expansion).
-bool ContainsFix(const term::TermRef& t) {
-  if (t->IsApply(lera::kFix)) return true;
-  if (!t->is_apply()) return false;
-  for (const term::TermRef& a : t->args()) {
-    if (ContainsFix(a)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Fingerprint FingerprintPlan(const term::TermRef& raw) {
   Fingerprint fp;
-  if (ContainsFix(raw)) {
-    fp.tmpl = raw;
-    fp.parameterized = false;
-    return fp;
-  }
   fp.tmpl = Parameterize(raw, &fp.params);
-  fp.parameterized = !fp.params.empty();
   return fp;
 }
 

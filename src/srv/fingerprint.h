@@ -24,27 +24,23 @@ namespace eds::srv {
 //   * structural constants — RELATION names, ATTR indices, FIELD names,
 //     NEST/UNNEST column indices — which select schema objects, not values;
 //   * booleans — TRUE/FALSE in a qualification is plan shape (the
-//     translator emits TRUE quals that simplify away), not a parameter;
-//   * every literal of a plan containing FIX — recursive plans feed the
-//     magic-set rules, whose adornment choices depend on *which* constants
-//     bind which attributes, so their rewrite is literal-sensitive and the
-//     template keeps literals inline (the cache then only hits on exact
-//     repeats, which is still sound).
+//     translator emits TRUE quals that simplify away), not a parameter.
 //
 // Soundness of replaying a template rewrite under different literals rests
-// on parameter variables being opaque: no rule method can evaluate them
-// (EVALUATE and friends fail on non-ground terms, which makes the rule not
-// fire), so every rule that *does* fire on the template fired for
-// structural/catalog reasons and its application is valid under any
-// substitution of the parameters. Positional parameters keep distinct
-// literal occurrences distinct even when their values coincide, so no rule
-// can fire off an accidental value alias. See docs/server.md.
+// on parameter variables being opaque: a rule whose firing depends on a
+// literal's value fails on a parameter (EVALUATE and friends fail on
+// non-ground terms, which makes the rule not fire), so every rule that
+// *does* fire on the template fired for structural/catalog reasons and its
+// application is valid under any substitution of the parameters. Recursive
+// plans are no exception: ADORNMENT binds a column because a constant or a
+// parameter is equated with it, never because of the value, and ALEXANDER
+// copies that operand into the focused fixpoint's seed as it is.
+// Positional parameters keep distinct literal occurrences distinct even
+// when their values coincide, so no rule can fire off an accidental value
+// alias. See docs/server.md.
 struct Fingerprint {
   term::TermRef tmpl;     // canonical parameterized plan (the cache key)
   term::TermList params;  // literal constants, index i <-> $CQi
-  // False when the plan was literal-sensitive (contains FIX): tmpl is the
-  // raw plan itself and params is empty.
-  bool parameterized = false;
 };
 
 // Builds the fingerprint of a raw (pre-rewrite) LERA plan. Total, never

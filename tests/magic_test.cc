@@ -32,7 +32,7 @@ TEST(AdornmentTest, DetectsBoundColumns) {
       P("(($1.2 = 10) AND ($2.1 = 'x')) AND ($1.1 = $2.2)"), 1);
   ASSERT_EQ(a.bound.size(), 1u);
   EXPECT_EQ(a.bound[0].column, 2);
-  EXPECT_EQ(a.bound[0].constant, value::Value::Int(10));
+  EXPECT_EQ(a.bound[0].operand->constant(), value::Value::Int(10));
   EXPECT_EQ(a.Signature(2), "fb");
 }
 
@@ -63,7 +63,7 @@ TEST(MagicTest, ReferencesRelation) {
 
 TEST(MagicTest, BilinearTcForward) {
   Adornment a;
-  a.bound.push_back(BoundColumn{1, value::Value::Int(3)});
+  a.bound.push_back(BoundColumn{1, term::Term::Int(3)});
   auto out = AlexanderTransform("TC", P(kTcBody), a);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_TRUE(term::Equals(
@@ -77,7 +77,7 @@ TEST(MagicTest, BilinearTcForward) {
 
 TEST(MagicTest, BilinearTcBackward) {
   Adornment a;
-  a.bound.push_back(BoundColumn{2, value::Value::Int(10)});
+  a.bound.push_back(BoundColumn{2, term::Term::Int(10)});
   auto out = AlexanderTransform("TC", P(kTcBody), a);
   ASSERT_TRUE(out.ok()) << out.status();
   // Backward: the base relation extends on the left of the magic set.
@@ -104,8 +104,8 @@ TEST(MagicTest, RightLinearNeedsColumn1) {
       "SEARCH(LIST(RELATION('R'), RELATION('EDGE')), ($1.2 = $2.1), "
       "LIST($1.1, $2.2))))";
   Adornment bound1, bound2;
-  bound1.bound.push_back(BoundColumn{1, value::Value::Int(1)});
-  bound2.bound.push_back(BoundColumn{2, value::Value::Int(1)});
+  bound1.bound.push_back(BoundColumn{1, term::Term::Int(1)});
+  bound2.bound.push_back(BoundColumn{2, term::Term::Int(1)});
   EXPECT_TRUE(AlexanderTransform("R", P(body), bound1).ok());
   EXPECT_EQ(AlexanderTransform("R", P(body), bound2).status().code(),
             StatusCode::kUnsupported);
@@ -117,8 +117,8 @@ TEST(MagicTest, LeftLinearNeedsColumn2) {
       "SEARCH(LIST(RELATION('EDGE'), RELATION('R')), ($1.2 = $2.1), "
       "LIST($1.1, $2.2))))";
   Adornment bound1, bound2;
-  bound1.bound.push_back(BoundColumn{1, value::Value::Int(1)});
-  bound2.bound.push_back(BoundColumn{2, value::Value::Int(1)});
+  bound1.bound.push_back(BoundColumn{1, term::Term::Int(1)});
+  bound2.bound.push_back(BoundColumn{2, term::Term::Int(1)});
   EXPECT_EQ(AlexanderTransform("R", P(body), bound1).status().code(),
             StatusCode::kUnsupported);
   EXPECT_TRUE(AlexanderTransform("R", P(body), bound2).ok());
@@ -133,9 +133,9 @@ TEST(MagicTest, GeneralLinearArbitraryArity) {
       "SEARCH(LIST(RELATION('R'), RELATION('LEDGE')), "
       "(($1.2 = $2.1) AND ($1.3 = $2.3)), LIST($1.1, $2.2, $1.3))))";
   Adornment bound1, bound2, bound3;
-  bound1.bound.push_back(BoundColumn{1, value::Value::Int(5)});
-  bound2.bound.push_back(BoundColumn{2, value::Value::Int(5)});
-  bound3.bound.push_back(BoundColumn{3, value::Value::String("x")});
+  bound1.bound.push_back(BoundColumn{1, term::Term::Int(5)});
+  bound2.bound.push_back(BoundColumn{2, term::Term::Int(5)});
+  bound3.bound.push_back(BoundColumn{3, term::Term::Str("x")});
   // Column 1 passes through (projs[0] = $1.1): focusable.
   auto out1 = AlexanderTransform("R", P(body), bound1);
   ASSERT_TRUE(out1.ok()) << out1.status();
@@ -162,8 +162,8 @@ TEST(MagicTest, MultipleBoundColumnsSeedTogether) {
       "SEARCH(LIST(RELATION('R'), RELATION('LEDGE')), "
       "(($1.2 = $2.1) AND ($1.3 = $2.3)), LIST($1.1, $2.2, $1.3))))";
   Adornment both;
-  both.bound.push_back(BoundColumn{1, value::Value::Int(5)});
-  both.bound.push_back(BoundColumn{3, value::Value::String("x")});
+  both.bound.push_back(BoundColumn{1, term::Term::Int(5)});
+  both.bound.push_back(BoundColumn{3, term::Term::Str("x")});
   auto out = AlexanderTransform("R", P(body), both);
   ASSERT_TRUE(out.ok()) << out.status();
   // The base seed carries both selections.
@@ -179,7 +179,7 @@ TEST(MagicTest, LinearWithExtraInputs) {
       "SEARCH(LIST(RELATION('R'), RELATION('E1'), RELATION('E2')), "
       "(($1.2 = $2.1) AND ($2.2 = $3.1)), LIST($1.1, $3.2))))";
   Adornment bound1;
-  bound1.bound.push_back(BoundColumn{1, value::Value::Int(1)});
+  bound1.bound.push_back(BoundColumn{1, term::Term::Int(1)});
   auto out = AlexanderTransform("R", P(body), bound1);
   ASSERT_TRUE(out.ok()) << out.status();
   std::string s = (*out)->ToString();
@@ -232,7 +232,7 @@ TEST(MagicTest, GeneralLinearExecutesCorrectly) {
 
 TEST(MagicTest, UnsupportedShapesRejected) {
   Adornment a;
-  a.bound.push_back(BoundColumn{1, value::Value::Int(1)});
+  a.bound.push_back(BoundColumn{1, term::Term::Int(1)});
   // Not a union.
   EXPECT_FALSE(AlexanderTransform("R", P("RELATION('R')"), a).ok());
   // Three branches.
@@ -255,9 +255,25 @@ TEST(MagicTest, UnsupportedShapesRejected) {
       StatusCode::kUnsupported);
 }
 
+// A sig entry whose column is not an Int (a user rule can pass anything)
+// is rejected, never read as an integer.
+TEST(MagicTest, AlexanderRejectsNonIntSigColumn) {
+  rewrite::BuiltinRegistry registry;
+  InstallMagicBuiltins(&registry);
+  term::Bindings env;
+  for (const char* column : {"'x'", "1.5", "TRUE"}) {
+    std::string sig = std::string("LIST(TUPLE(") + column + ", 10))";
+    Status s = registry.InvokeMethod(
+        "ALEXANDER",
+        {P("RELATION('TC')"), P(kTcBody), P(sig.c_str()), term::Term::Var("u")},
+        &env, rewrite::RewriteContext{});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sig << ": " << s;
+  }
+}
+
 TEST(MagicTest, AlreadyFocusedFixpointNotRefocused) {
   Adornment a;
-  a.bound.push_back(BoundColumn{1, value::Value::Int(1)});
+  a.bound.push_back(BoundColumn{1, term::Term::Int(1)});
   EXPECT_EQ(AlexanderTransform("TC#M", P(kTcBody), a).status().code(),
             StatusCode::kUnsupported);
 }

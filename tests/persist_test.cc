@@ -448,6 +448,69 @@ TEST(PersistRestartTest, WarmRestoredTemplateHitsOnItsFirstSighting) {
   std::remove(path.c_str());
 }
 
+// A recursive plan's template persists like any other: a BETTER_THAN
+// template restored under load-time verification serves a literal it was
+// never rewritten for with the rows a cold service computes.
+TEST(PersistRestartTest, WarmRecursiveTemplateMatchesCold) {
+  const std::string path = TempPath("recursive.eds");
+  std::remove(path.c_str());
+  const char* view = R"(
+    CREATE VIEW BETTER_THAN (W, L) AS (
+      SELECT Winner, Loser FROM BEATS
+      UNION
+      SELECT B1.W, B2.L FROM BETTER_THAN B1, BETTER_THAN B2
+      WHERE B1.L = B2.W );
+  )";
+  const std::string q = "SELECT W, L FROM BETTER_THAN WHERE W = 3";
+  {
+    testutil::FilmDb db;
+    EDS_ASSERT_OK(db.session.ExecuteScript(view));
+    QueryService service(&db.session,
+                         PersistOptionsFor(path, /*l0_capacity=*/0));
+    EDS_ASSERT_OK(service.Start());
+    // Two sightings with other literals: the second stores the template.
+    for (int w = 1; w <= 2; ++w) {
+      auto served = PumpOne(
+          &service, service.Submit("SELECT W, L FROM BETTER_THAN WHERE W = " +
+                                   std::to_string(w)));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_EQ(served->cache_stored, w == 2) << w;
+    }
+    service.Stop();
+  }
+  exec::Rows cold;
+  {
+    testutil::FilmDb db;
+    EDS_ASSERT_OK(db.session.ExecuteScript(view));
+    QueryService service(&db.session,
+                         PersistOptionsFor("", /*l0_capacity=*/0));
+    EDS_ASSERT_OK(service.Start());
+    auto served = PumpOne(&service, service.Submit(q));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_FALSE(served->cache_hit);
+    cold = served->result.rows;
+    service.Stop();
+  }
+  ASSERT_FALSE(cold.empty());
+  testutil::FilmDb db;
+  EDS_ASSERT_OK(db.session.ExecuteScript(view));
+  ServiceOptions options = PersistOptionsFor(path, /*l0_capacity=*/0);
+  options.persist.verify_load = true;
+  QueryService service(&db.session, options);
+  EDS_ASSERT_OK(service.Start());
+  LoadStats load = service.persist_load_stats();
+  EXPECT_EQ(load.ok, 1u);
+  EXPECT_EQ(load.rejected, 0u);
+  EXPECT_EQ(load.unverified, 0u);  // the sample literals ran both sides
+  auto served = PumpOne(&service, service.Submit(q));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->cache_hit);
+  EXPECT_EQ(served->result.phase_times.rewrite_ns, 0u);
+  EXPECT_EQ(served->result.rows, cold);
+  service.Stop();
+  std::remove(path.c_str());
+}
+
 // "SELECT <cols> FROM BEATS" with a projection list of its own for each
 // i: a distinct text and a distinct template per i.
 std::string OneShotQuery(int i) {

@@ -40,8 +40,6 @@ TEST(FingerprintTest, LiteralVariantsShareOneTemplate) {
       RawPlan(&db.session, "SELECT Winner FROM BEATS WHERE Winner > 3");
   Fingerprint fa = FingerprintPlan(a);
   Fingerprint fb = FingerprintPlan(b);
-  ASSERT_TRUE(fa.parameterized);
-  ASSERT_TRUE(fb.parameterized);
   // Hash-consing makes structurally identical templates pointer-identical.
   EXPECT_EQ(fa.tmpl.get(), fb.tmpl.get());
   ASSERT_EQ(fa.params.size(), 1u);
@@ -82,13 +80,13 @@ TEST(FingerprintTest, InstantiateRoundTripsToRawPlan) {
       &db.session,
       "SELECT Title FROM FILM WHERE Numf > 1 AND Title <> 'Zorba'");
   Fingerprint fp = FingerprintPlan(raw);
-  ASSERT_TRUE(fp.parameterized);
+  ASSERT_FALSE(fp.params.empty());
   auto back = InstantiatePlan(fp.tmpl, fp.params);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->get(), raw.get());  // hash-consed: same node
 }
 
-TEST(FingerprintTest, RecursivePlansAreLiteralSensitive) {
+TEST(FingerprintTest, RecursivePlansShareOneTemplate) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(
     CREATE VIEW BETTER_THAN (W, L) AS (
@@ -97,13 +95,17 @@ TEST(FingerprintTest, RecursivePlansAreLiteralSensitive) {
       SELECT B1.W, B2.L FROM BETTER_THAN B1, BETTER_THAN B2
       WHERE B1.L = B2.W );
   )"));
-  term::TermRef raw =
-      RawPlan(&db.session, "SELECT W FROM BETTER_THAN WHERE W = 1");
-  Fingerprint fp = FingerprintPlan(raw);
-  // FIX plans keep literals inline: magic-set adornment depends on them.
-  EXPECT_FALSE(fp.parameterized);
-  EXPECT_EQ(fp.tmpl.get(), raw.get());
-  EXPECT_TRUE(fp.params.empty());
+  Fingerprint f1 = FingerprintPlan(
+      RawPlan(&db.session, "SELECT W FROM BETTER_THAN WHERE W = 1"));
+  Fingerprint f2 = FingerprintPlan(
+      RawPlan(&db.session, "SELECT W FROM BETTER_THAN WHERE W = 2"));
+  // A FIX plan is parameterized like any other: magic-set adornment reads
+  // which column a literal binds, never its value.
+  EXPECT_EQ(f1.tmpl.get(), f2.tmpl.get());
+  ASSERT_EQ(f1.params.size(), 1u);
+  ASSERT_EQ(f2.params.size(), 1u);
+  EXPECT_EQ(f1.params[0]->constant(), Value::Int(1));
+  EXPECT_EQ(f2.params[0]->constant(), Value::Int(2));
 }
 
 TEST(FingerprintTest, InstantiateRejectsMissingParameter) {
@@ -630,7 +632,7 @@ TEST(QueryServiceTest, CancelledWhileQueuedFailsFast) {
   EXPECT_NE(r.status().message().find("cancelled"), std::string::npos);
 }
 
-TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
+TEST(QueryServiceTest, RecursiveQueriesHitAcrossLiterals) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(
     CREATE VIEW BETTER_THAN (W, L) AS (
@@ -647,21 +649,25 @@ TEST(QueryServiceTest, RecursiveQueriesCacheOnExactMatch) {
   auto first = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->cache_hit);
-  // Same literal: stored on its second sighting, then an exact-match hit
-  // (FIX plans skip parameterization).
+  // The template's second sighting stores its focused fixpoint.
   auto stored = PumpOne(&service, service.Submit(q));
   ASSERT_TRUE(stored.ok());
   EXPECT_FALSE(stored->cache_hit);
   EXPECT_TRUE(stored->cache_stored);
-  auto second = PumpOne(&service, service.Submit(q));
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(second->result.rows, first->result.rows);
-  // Different literal: distinct template, a miss.
-  auto third = PumpOne(
-      &service, service.Submit("SELECT W FROM BETTER_THAN WHERE W = 2"));
-  ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->cache_hit);
+  EXPECT_EQ(stored->result.rewrite_stats.applications_by_rule.count(
+                "push_search_fixpoint"),
+            1u);
+  // Another literal: the same template, a hit that skips the rewrite and
+  // answers for its own literal.
+  const char* other = "SELECT W FROM BETTER_THAN WHERE W = 2";
+  auto hit = PumpOne(&service, service.Submit(other));
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->result.phase_times.rewrite_ns, 0u);
+  auto direct = db.session.Query(other);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_FALSE(direct->rows.empty());
+  EXPECT_EQ(hit->result.rows, direct->rows);
 }
 
 // Session::Query and the service share one pipeline tail, so a safety
@@ -675,8 +681,8 @@ TEST(QueryServiceTest, DegradationWarningsMatchSessionQuery) {
       SELECT B1.W, B2.L FROM BETTER_THAN B1, BETTER_THAN B2
       WHERE B1.L = B2.W );
   )"));
-  // A recursive plan keeps its literals inline, so the template the
-  // service rewrites is the raw plan Session::Query rewrites.
+  // The service rewrites the parameterized template and Session::Query
+  // the literal plan; the safety stop must read the same from both.
   const char* q = "SELECT W FROM BETTER_THAN WHERE W = 1";
   exec::QueryOptions direct_options;
   direct_options.rewrite_options.max_applications = 1;
