@@ -70,15 +70,15 @@ Result<value::Value> EvalExpr(const term::TermRef& expr, EvalContext* ctx) {
     if (base.kind() == ValueKind::kObjectRef) {
       EDS_ASSIGN_OR_RETURN(base, Deref(base, ctx->db));
     }
-    const std::string& name = expr->arg(1)->constant().AsString();
+    const std::string_view name = expr->arg(1)->constant().AsString();
     if (base.kind() != ValueKind::kTuple) {
-      return Status::TypeError("FIELD('" + name + "') on non-tuple value " +
-                               base.ToString());
+      return Status::TypeError("FIELD('" + std::string(name) +
+                               "') on non-tuple value " + base.ToString());
     }
     const Value* found = base.FindField(name);
     if (found == nullptr) {
-      return Status::RuntimeError("no attribute '" + name + "' in " +
-                                  base.ToString());
+      return Status::RuntimeError("no attribute '" + std::string(name) +
+                                  "' in " + base.ToString());
     }
     return *found;
   }

@@ -391,6 +391,12 @@ Result<value::Value> Session::NewObject(
       return Status::TypeError("object type " + type_name +
                                " has no attribute '" + name + "'");
     }
+    for (size_t j = 0; j < i; ++j) {
+      if (EqualsIgnoreCase(fields[j].first, name)) {
+        return Status::TypeError("attribute '" + name + "' given twice for " +
+                                 type_name);
+      }
+    }
     as_declared = as_declared && (*declared)[i] == name;
     values.push_back(std::move(fields[i].second));
   }

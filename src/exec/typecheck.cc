@@ -63,7 +63,7 @@ Status CheckValueAgainstType(const value::Value& v,
       const auto& domain = type->enum_values();
       if (std::find(domain.begin(), domain.end(), v.AsString()) ==
           domain.end()) {
-        return Mismatch(v, type, "'" + v.AsString() +
+        return Mismatch(v, type, "'" + std::string(v.AsString()) +
                                      "' is not in the enumeration domain");
       }
       return Status::OK();

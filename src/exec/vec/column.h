@@ -20,7 +20,7 @@ using SelectionVector = std::vector<uint32_t>;
 // to copy). Int and Real deliberately do NOT share a lane: reconstructed
 // Values must match the row engine's exactly, and widening Int(2) to 2.0
 // would change the output representation. kObjectRef keeps object
-// references as bare oids (8 bytes a cell instead of a 32-byte Value).
+// references as bare oids (8 bytes a cell instead of a 16-byte Value).
 enum class Lane : uint8_t {
   kNullOnly,
   kInt64,

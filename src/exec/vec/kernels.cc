@@ -28,7 +28,7 @@ inline uint64_t HashDoubleBits(double d) {
   return Mix64(bits);
 }
 
-inline uint64_t HashStringBytes(const std::string& s) {
+inline uint64_t HashStringBytes(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, then mixed
   for (unsigned char c : s) {
     h ^= c;
@@ -75,25 +75,90 @@ ColumnVector CompareImpl(const ColumnVector& a, const ColumnVector& b,
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
+// Cell i of `a` against `c` under `pred`, for every row; `cmp(i)` is
+// value::Compare(a's cell i, c) for a non-null cell.
+template <typename Pred, typename Cmp>
+ColumnVector CompareEachToValue(const ColumnVector& a, Pred pred, Cmp cmp) {
+  const size_t n = a.size();
+  std::vector<uint8_t> out(n, 0);
+  std::vector<uint64_t> valid;
+  size_t nulls = 0;
+  if (a.all_valid()) {
+    for (size_t i = 0; i < n; ++i) out[i] = pred(cmp(i)) ? 1 : 0;
+  } else {
+    valid.assign((n + 63) >> 6, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (a.IsNull(i)) {
+        ++nulls;
+        continue;
+      }
+      valid[i >> 6] |= uint64_t{1} << (i & 63);
+      out[i] = pred(cmp(i)) ? 1 : 0;
+    }
+  }
+  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
+}
+
+template <typename Pred>
+ColumnVector CompareToValueImpl(const ColumnVector& a, const Value& c,
+                                Pred pred) {
+  if (c.is_null()) {
+    const size_t n = a.size();
+    return ColumnVector::FromBoolData(std::vector<uint8_t>(n, 0),
+                                      std::vector<uint64_t>((n + 63) >> 6, 0),
+                                      n);
+  }
+  auto sign = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  if (a.lane() == Lane::kInt64 && c.kind() == ValueKind::kInt) {
+    const int64_t y = c.AsInt();
+    return CompareEachToValue(a, pred,
+                              [&](size_t i) { return sign(a.IntAt(i), y); });
+  }
+  if (a.is_numeric_lane() && c.is_numeric()) {
+    const double y = c.AsReal();
+    return CompareEachToValue(
+        a, pred, [&](size_t i) { return sign(a.NumericAt(i), y); });
+  }
+  if (a.lane() == Lane::kObjectRef && c.kind() == ValueKind::kObjectRef) {
+    const uint64_t y = c.AsObjectRef();
+    return CompareEachToValue(
+        a, pred, [&](size_t i) { return sign(a.ObjectRefAt(i), y); });
+  }
+  if (a.lane() == Lane::kGeneric) {
+    return CompareEachToValue(a, pred, [&](size_t i) {
+      return value::Compare(a.GenericAt(i), c);
+    });
+  }
+  return CompareEachToValue(
+      a, pred, [&](size_t i) { return value::Compare(a.ValueAt(i), c); });
+}
+
+// Calls `impl` with the predicate over value::Compare's sign that `op`
+// names.
+template <typename Impl>
+ColumnVector WithPredicate(CmpOp op, Impl impl) {
+  switch (op) {
+    case CmpOp::kEq: return impl([](int c) { return c == 0; });
+    case CmpOp::kNe: return impl([](int c) { return c != 0; });
+    case CmpOp::kLt: return impl([](int c) { return c < 0; });
+    case CmpOp::kLe: return impl([](int c) { return c <= 0; });
+    case CmpOp::kGt: return impl([](int c) { return c > 0; });
+    case CmpOp::kGe: return impl([](int c) { return c >= 0; });
+  }
+  return impl([](int c) { return c == 0; });
+}
+
 }  // namespace
 
 ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
                             const ColumnVector& b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return CompareImpl(a, b, [](int c) { return c == 0; });
-    case CmpOp::kNe:
-      return CompareImpl(a, b, [](int c) { return c != 0; });
-    case CmpOp::kLt:
-      return CompareImpl(a, b, [](int c) { return c < 0; });
-    case CmpOp::kLe:
-      return CompareImpl(a, b, [](int c) { return c <= 0; });
-    case CmpOp::kGt:
-      return CompareImpl(a, b, [](int c) { return c > 0; });
-    case CmpOp::kGe:
-      return CompareImpl(a, b, [](int c) { return c >= 0; });
-  }
-  return CompareImpl(a, b, [](int c) { return c == 0; });
+  return WithPredicate(op, [&](auto pred) { return CompareImpl(a, b, pred); });
+}
+
+ColumnVector CompareColumnToValue(CmpOp op, const ColumnVector& a,
+                                  const Value& c) {
+  return WithPredicate(
+      op, [&](auto pred) { return CompareToValueImpl(a, c, pred); });
 }
 
 Result<ColumnVector> AndColumns(const ColumnVector& a, const ColumnVector& b) {
@@ -236,20 +301,20 @@ Result<SelectionVector> SelectTrue(const ColumnVector& pred) {
   switch (pred.lane()) {
     case Lane::kNullOnly:
       return sel;  // all NULL: nothing selected
-    case Lane::kBool:
-      sel.reserve(n);
-      if (pred.all_valid()) {
-        for (size_t i = 0; i < n; ++i) {
-          if (pred.BoolAt(i)) sel.push_back(static_cast<uint32_t>(i));
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if (!pred.IsNull(i) && pred.BoolAt(i)) {
-            sel.push_back(static_cast<uint32_t>(i));
-          }
-        }
+    case Lane::kBool: {
+      // Counted first, so the selection holds the surviving rows and no
+      // more: a selective filter over a large table keeps a few indices.
+      auto selected = [&pred](size_t i) {
+        return pred.BoolAt(i) && (pred.all_valid() || !pred.IsNull(i));
+      };
+      size_t hits = 0;
+      for (size_t i = 0; i < n; ++i) hits += selected(i) ? 1 : 0;
+      sel.reserve(hits);
+      for (size_t i = 0; i < n; ++i) {
+        if (selected(i)) sel.push_back(static_cast<uint32_t>(i));
       }
       return sel;
+    }
     case Lane::kGeneric:
       for (size_t i = 0; i < n; ++i) {
         const Value& v = pred.GenericAt(i);

@@ -21,6 +21,10 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 // defined across kinds via the total order).
 ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
                             const ColumnVector& b);
+// The same against one value: CompareColumns(op, a, b) for a column b
+// holding `c` in every row, without building that column.
+ColumnVector CompareColumnToValue(CmpOp op, const ColumnVector& a,
+                                  const value::Value& c);
 
 // Three-valued AND/OR/NOT over columns; errors when a row that is not
 // decided by FALSE/TRUE-domination has a non-boolean operand (the scalar

@@ -76,6 +76,17 @@ bool CmpOpFor(const std::string& f, CmpOp* op) {
   return true;
 }
 
+// The operator that reads `c op x` as `x Mirror(op) c`.
+CmpOp Mirror(CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt: return CmpOp::kGt;
+    case CmpOp::kLe: return CmpOp::kGe;
+    case CmpOp::kGt: return CmpOp::kLt;
+    case CmpOp::kGe: return CmpOp::kLe;
+    default: return op;
+  }
+}
+
 }  // namespace
 
 Result<ColumnPtr> EvalExprBatch(const TermRef& expr, const ExprFrame& frame) {
@@ -87,6 +98,18 @@ Result<ColumnPtr> EvalExprBatch(const TermRef& expr, const ExprFrame& frame) {
     const std::string& f = expr->functor();
     CmpOp op;
     if (CmpOpFor(f, &op) && expr->args().size() == 2) {
+      // One constant operand is compared in place, not broadcast to a
+      // column as long as the batch.
+      const TermRef& lhs = expr->arg(0);
+      const TermRef& rhs = expr->arg(1);
+      if (lhs->is_constant() != rhs->is_constant()) {
+        const bool constant_left = lhs->is_constant();
+        EDS_ASSIGN_OR_RETURN(
+            ColumnPtr col, EvalExprBatch(constant_left ? rhs : lhs, frame));
+        return ColumnPtr(std::make_shared<ColumnVector>(CompareColumnToValue(
+            constant_left ? Mirror(op) : op, *col,
+            (constant_left ? lhs : rhs)->constant())));
+      }
       EDS_ASSIGN_OR_RETURN(ColumnPtr a, EvalExprBatch(expr->arg(0), frame));
       EDS_ASSIGN_OR_RETURN(ColumnPtr b, EvalExprBatch(expr->arg(1), frame));
       return ColumnPtr(

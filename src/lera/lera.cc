@@ -93,7 +93,7 @@ Result<std::string> RelationName(const term::TermRef& t) {
   if (!IsRelation(t)) {
     return Status::InvalidArgument("not a RELATION term: " + t->ToString());
   }
-  return t->arg(0)->constant().AsString();
+  return std::string(t->arg(0)->constant().AsString());
 }
 
 bool IsSearch(const term::TermRef& t) { return t->IsApply(kSearch, 3); }

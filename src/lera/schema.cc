@@ -154,7 +154,7 @@ Result<Schema> InferSchemaImpl(const term::TermRef& t,
     TypeRef elem = nested_fields.size() == 1
                        ? nested_fields[0].type
                        : Type::MakeTuple(nested_fields);
-    out.push_back(Field{t->arg(2)->constant().AsString(),
+    out.push_back(Field{std::string(t->arg(2)->constant().AsString()),
                         Type::MakeCollection(TypeKind::kSet, elem)});
     return out;
   }
@@ -275,7 +275,7 @@ Result<types::TypeRef> InferExprTypeImpl(
     EDS_ASSIGN_OR_RETURN(
         TypeRef t, InferExprType(expr->arg(0), input_schemas, cat, elem_type,
                                  env));
-    const std::string& field = expr->arg(1)->constant().AsString();
+    const std::string field(expr->arg(1)->constant().AsString());
     const Field* found = t->FindField(field);
     if (found == nullptr) {
       return Status::TypeError("type " + t->ToString() + " has no attribute " +
@@ -457,7 +457,7 @@ std::string ProjectionName(const term::TermRef& expr,
   }
   if (expr->IsApply(kField, 2) && expr->arg(1)->is_constant() &&
       expr->arg(1)->constant().kind() == value::ValueKind::kString) {
-    return expr->arg(1)->constant().AsString();
+    return std::string(expr->arg(1)->constant().AsString());
   }
   if (expr->is_apply()) return expr->functor();
   return "EXPR";

@@ -231,7 +231,7 @@ class Term {
   uint64_t hash_ = 0;
 };
 
-static_assert(sizeof(Term) <= 104,
+static_assert(sizeof(Term) <= 88,
               "a term node is its count and flags, a Value, a name, its "
               "arguments and its hash");
 

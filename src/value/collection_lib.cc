@@ -173,7 +173,9 @@ Result<Value> Concat(const std::vector<Value>& args) {
       args[1].kind() != ValueKind::kString) {
     return Status::TypeError("CONCAT: string operands required");
   }
-  return Value::String(args[0].AsString() + args[1].AsString());
+  std::string joined(args[0].AsString());
+  joined += args[1].AsString();
+  return Value::String(joined);
 }
 
 Result<Value> Length(const std::vector<Value>& args) {

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 #include <ostream>
 #include <sstream>
 
 #include "common/strings.h"
 
 namespace eds::value {
-
-namespace internal {
-thread_local uint64_t value_copies = 0;
-}  // namespace internal
 
 uint64_t ValueCopyCount() { return internal::value_copies; }
 
@@ -32,48 +30,103 @@ const char* ValueKindName(ValueKind kind) {
   return "?";
 }
 
+namespace {
+
+// A long string's payload: the header, its length, then its bytes in the
+// same block.
+struct StringPayload : internal::Payload {
+  size_t size = 0;
+  const char* data() const { return reinterpret_cast<const char*>(this + 1); }
+};
+
+struct TuplePayload : internal::Payload {
+  TupleData data;
+};
+
+struct ElementsPayload : internal::Payload {
+  explicit ElementsPayload(std::vector<Value> e) : elements(std::move(e)) {}
+  std::vector<Value> elements;
+};
+
+}  // namespace
+
+Value Value::WithPayload(ValueKind kind, const internal::Payload* payload) {
+  Value v;
+  v.tag_ = static_cast<uint8_t>(kind);
+  v.word_.payload = payload;
+  return v;
+}
+
+void Value::ReleasePayload() noexcept {
+  const internal::Payload* p = word_.payload;
+  if (p->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  switch (tag_ & 0xF) {
+    case kHeapString: {
+      const auto* s = static_cast<const StringPayload*>(p);
+      const size_t bytes = sizeof(StringPayload) + s->size;
+      s->~StringPayload();
+      ::operator delete(const_cast<StringPayload*>(s), bytes);
+      return;
+    }
+    case static_cast<uint8_t>(ValueKind::kTuple):
+      delete static_cast<const TuplePayload*>(p);
+      return;
+    default:
+      delete static_cast<const ElementsPayload*>(p);
+      return;
+  }
+}
+
 Value Value::Bool(bool b) {
   Value v;
-  v.kind_ = ValueKind::kBool;
-  v.scalar_.b = b;
+  v.tag_ = static_cast<uint8_t>(ValueKind::kBool);
+  v.word_.b = b;
   return v;
 }
 
 Value Value::Int(int64_t i) {
   Value v;
-  v.kind_ = ValueKind::kInt;
-  v.scalar_.i = i;
+  v.tag_ = static_cast<uint8_t>(ValueKind::kInt);
+  v.word_.i = i;
   return v;
 }
 
 Value Value::Real(double d) {
   Value v;
-  v.kind_ = ValueKind::kReal;
-  v.scalar_.d = d;
+  v.tag_ = static_cast<uint8_t>(ValueKind::kReal);
+  v.word_.d = d;
   return v;
 }
 
-Value Value::String(std::string s) {
+Value Value::String(std::string_view s) {
   Value v;
-  v.kind_ = ValueKind::kString;
-  v.payload_ = std::make_shared<const std::string>(std::move(s));
+  if (s.size() <= kInlineStringMax) {
+    v.tag_ = static_cast<uint8_t>(static_cast<uint8_t>(ValueKind::kString) |
+                                  (s.size() << 4));
+    if (!s.empty()) {
+      std::memcpy(reinterpret_cast<char*>(&v) + 1, s.data(), s.size());
+    }
+    return v;
+  }
+  void* block = ::operator new(sizeof(StringPayload) + s.size());
+  auto* p = new (block) StringPayload;
+  p->size = s.size();
+  std::memcpy(static_cast<char*>(block) + sizeof(StringPayload), s.data(),
+              s.size());
+  v.tag_ = kHeapString;
+  v.word_.payload = p;
   return v;
 }
 
 Value Value::ObjectRef(uint64_t oid) {
   Value v;
-  v.kind_ = ValueKind::kObjectRef;
-  v.scalar_.oid = oid;
+  v.tag_ = static_cast<uint8_t>(ValueKind::kObjectRef);
+  v.word_.oid = oid;
   return v;
 }
 
 Value Value::Tuple(std::vector<Value> values) {
-  Value v;
-  v.kind_ = ValueKind::kTuple;
-  auto data = std::make_shared<TupleData>();
-  data->values = std::move(values);
-  v.payload_ = std::move(data);
-  return v;
+  return NamedTuple(FieldNames(), std::move(values));
 }
 
 Value Value::NamedTuple(std::vector<std::string> names,
@@ -87,82 +140,75 @@ Value Value::NamedTuple(std::vector<std::string> names,
 
 Value Value::NamedTuple(FieldNames names, std::vector<Value> values) {
   assert(names == nullptr || names->size() == values.size());
-  Value v;
-  v.kind_ = ValueKind::kTuple;
-  auto data = std::make_shared<TupleData>();
+  auto* p = new TuplePayload;
   // An empty list is a positional tuple, so only a non-empty one is kept.
-  if (names != nullptr && !names->empty()) data->names = std::move(names);
-  data->values = std::move(values);
-  v.payload_ = std::move(data);
-  return v;
+  if (names != nullptr && !names->empty()) p->data.names = std::move(names);
+  p->data.values = std::move(values);
+  return WithPayload(ValueKind::kTuple, p);
 }
 
 Value Value::Set(std::vector<Value> elements) {
   std::sort(elements.begin(), elements.end());
   elements.erase(std::unique(elements.begin(), elements.end()),
                  elements.end());
-  Value v;
-  v.kind_ = ValueKind::kSet;
-  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
-  return v;
+  return WithPayload(ValueKind::kSet,
+                     new ElementsPayload(std::move(elements)));
 }
 
 Value Value::Bag(std::vector<Value> elements) {
   std::sort(elements.begin(), elements.end());
-  Value v;
-  v.kind_ = ValueKind::kBag;
-  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
-  return v;
+  return WithPayload(ValueKind::kBag,
+                     new ElementsPayload(std::move(elements)));
 }
 
 Value Value::List(std::vector<Value> elements) {
-  Value v;
-  v.kind_ = ValueKind::kList;
-  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
-  return v;
+  return WithPayload(ValueKind::kList,
+                     new ElementsPayload(std::move(elements)));
 }
 
 Value Value::Array(std::vector<Value> elements) {
-  Value v;
-  v.kind_ = ValueKind::kArray;
-  v.payload_ = std::make_shared<const std::vector<Value>>(std::move(elements));
-  return v;
+  return WithPayload(ValueKind::kArray,
+                     new ElementsPayload(std::move(elements)));
 }
 
 bool Value::AsBool() const {
-  assert(kind_ == ValueKind::kBool);
-  return scalar_.b;
+  assert(kind() == ValueKind::kBool);
+  return word_.b;
 }
 
 int64_t Value::AsInt() const {
-  assert(kind_ == ValueKind::kInt);
-  return scalar_.i;
+  assert(kind() == ValueKind::kInt);
+  return word_.i;
 }
 
 double Value::AsReal() const {
-  if (kind_ == ValueKind::kInt) return static_cast<double>(scalar_.i);
-  assert(kind_ == ValueKind::kReal);
-  return scalar_.d;
+  if (kind() == ValueKind::kInt) return static_cast<double>(word_.i);
+  assert(kind() == ValueKind::kReal);
+  return word_.d;
 }
 
-const std::string& Value::AsString() const {
-  assert(kind_ == ValueKind::kString);
-  return payload<std::string>();
+std::string_view Value::AsString() const {
+  assert(kind() == ValueKind::kString);
+  if (tag_ == kHeapString) {
+    const StringPayload& s = payload<StringPayload>();
+    return {s.data(), s.size};
+  }
+  return {inline_chars(), static_cast<size_t>(tag_ >> 4)};
 }
 
 uint64_t Value::AsObjectRef() const {
-  assert(kind_ == ValueKind::kObjectRef);
-  return scalar_.oid;
+  assert(kind() == ValueKind::kObjectRef);
+  return word_.oid;
 }
 
 const TupleData& Value::tuple() const {
-  assert(kind_ == ValueKind::kTuple);
-  return payload<TupleData>();
+  assert(kind() == ValueKind::kTuple);
+  return payload<TuplePayload>().data;
 }
 
-const Value* Value::FindField(const std::string& name) const {
-  if (kind_ != ValueKind::kTuple) return nullptr;
-  const TupleData& t = payload<TupleData>();
+const Value* Value::FindField(std::string_view name) const {
+  if (kind() != ValueKind::kTuple) return nullptr;
+  const TupleData& t = tuple();
   if (t.names == nullptr) return nullptr;
   const std::vector<std::string>& names = *t.names;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -173,7 +219,7 @@ const Value* Value::FindField(const std::string& name) const {
 
 const std::vector<Value>& Value::elements() const {
   assert(is_collection());
-  return payload<std::vector<Value>>();
+  return payload<ElementsPayload>().elements;
 }
 
 namespace {
@@ -229,10 +275,10 @@ int Compare(const Value& a, const Value& b) {
         return Cmp(a.AsInt(), b.AsInt());
       }
       return Cmp(a.AsReal(), b.AsReal());
-    case ValueKind::kString:
-      return a.AsString().compare(b.AsString()) < 0
-                 ? -1
-                 : (a.AsString() == b.AsString() ? 0 : 1);
+    case ValueKind::kString: {
+      const int c = a.AsString().compare(b.AsString());
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
     case ValueKind::kTuple:
       return CompareVectors(a.tuple().values, b.tuple().values);
     case ValueKind::kSet:

@@ -1,9 +1,12 @@
 #ifndef EDS_VALUE_VALUE_H_
 #define EDS_VALUE_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace eds::value {
@@ -43,17 +46,28 @@ struct TupleData {
   std::vector<Value> values;
 };
 
-// Value is a small value-semantic variant. Collections and tuples share
-// their payload via shared_ptr, so copying a Value is O(1); all payloads are
-// treated as immutable after construction (mutating operations return new
-// Values). Sets and bags are kept in canonical sorted order (sets
-// deduplicated), which makes deep equality and set operations linear merges.
+// Value is a small value-semantic variant. Strings of up to
+// kInlineStringMax bytes live inside the Value; longer strings, tuples and
+// collections live in a shared payload, so copying a Value is O(1); all
+// payloads are treated as immutable after construction (mutating
+// operations return new Values). Sets and bags are kept in canonical
+// sorted order (sets deduplicated), which makes deep equality and set
+// operations linear merges.
 namespace internal {
 // Per-thread count of Value copy-constructions/assignments. Copies are
-// O(1) (shared_ptr bumps) but not free; the executor samples this around
-// Execute() and surfaces it as the exec.value_copies metric so copy
-// regressions in materialization paths are visible. Moves are uncounted.
-extern thread_local uint64_t value_copies;
+// O(1) (a reference-count bump at most) but not free; the executor samples
+// this around Execute() and surfaces it as the exec.value_copies metric so
+// copy regressions in materialization paths are visible. Moves are
+// uncounted. Defined inline with a constant initializer, so every copy
+// site addresses the counter directly, with no TLS wrapper call.
+inline thread_local uint64_t value_copies = 0;
+
+// Header of every shared payload: its reference count. The Value that
+// points at a payload knows the payload's type from its kind, so payloads
+// carry no vtable and no type tag.
+struct Payload {
+  mutable std::atomic<uint32_t> refs{1};
+};
 }  // namespace internal
 
 // This thread's running Value copy count (monotonic; compare deltas).
@@ -61,27 +75,47 @@ uint64_t ValueCopyCount();
 
 class Value {
  public:
-  Value() : kind_(ValueKind::kNull) {}
+  // The longest string kept inline. A string that fits is always inline,
+  // so every string has one representation.
+  static constexpr size_t kInlineStringMax = 15;
 
-  Value(const Value& other)
-      : kind_(other.kind_), scalar_(other.scalar_), payload_(other.payload_) {
+  Value() noexcept = default;
+
+  Value(const Value& other) noexcept {
+    CopyBits(other);
+    if (has_payload()) {
+      word_.payload->refs.fetch_add(1, std::memory_order_relaxed);
+    }
     ++internal::value_copies;
   }
-  Value& operator=(const Value& other) {
-    kind_ = other.kind_;
-    scalar_ = other.scalar_;
-    payload_ = other.payload_;
-    ++internal::value_copies;
+  Value& operator=(const Value& other) noexcept {
+    Value(other).swap(*this);
     return *this;
   }
-  Value(Value&&) noexcept = default;
-  Value& operator=(Value&&) noexcept = default;
+  Value(Value&& other) noexcept {
+    CopyBits(other);
+    other.tag_ = 0;
+  }
+  Value& operator=(Value&& other) noexcept {
+    Value(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Value() {
+    if (has_payload()) ReleasePayload();
+  }
+
+  void swap(Value& other) noexcept {
+    Value tmp(std::move(other));
+    other.CopyBits(*this);
+    CopyBits(tmp);
+    tmp.tag_ = 0;
+  }
 
   static Value Null() { return Value(); }
   static Value Bool(bool b);
   static Value Int(int64_t i);
   static Value Real(double d);
-  static Value String(std::string s);
+  static Value String(std::string_view s);
   static Value ObjectRef(uint64_t oid);
 
   // Positional tuple.
@@ -99,21 +133,29 @@ class Value {
   static Value List(std::vector<Value> elements);
   static Value Array(std::vector<Value> elements);
 
-  ValueKind kind() const { return kind_; }
-  bool is_null() const { return kind_ == ValueKind::kNull; }
+  ValueKind kind() const {
+    const uint8_t rep = tag_ & 0xF;
+    return static_cast<ValueKind>(
+        rep == kHeapString ? static_cast<uint8_t>(ValueKind::kString) : rep);
+  }
+  bool is_null() const { return kind() == ValueKind::kNull; }
   bool is_collection() const {
-    return kind_ == ValueKind::kSet || kind_ == ValueKind::kBag ||
-           kind_ == ValueKind::kList || kind_ == ValueKind::kArray;
+    const ValueKind k = kind();
+    return k == ValueKind::kSet || k == ValueKind::kBag ||
+           k == ValueKind::kList || k == ValueKind::kArray;
   }
   bool is_numeric() const {
-    return kind_ == ValueKind::kInt || kind_ == ValueKind::kReal;
+    const ValueKind k = kind();
+    return k == ValueKind::kInt || k == ValueKind::kReal;
   }
 
   // Accessors; the caller must check kind() first (checked in debug builds).
   bool AsBool() const;
   int64_t AsInt() const;
   double AsReal() const;           // also accepts kInt (widening)
-  const std::string& AsString() const;
+  // Views this Value's bytes: valid while this Value lives unmoved (an
+  // inline string's bytes are the Value itself).
+  std::string_view AsString() const;
   uint64_t AsObjectRef() const;
 
   // Tuple access.
@@ -122,7 +164,7 @@ class Value {
   const Value& Field(size_t i) const { return tuple().values[i]; }
   // Named field lookup (case-insensitive); returns nullptr if absent or if
   // this tuple is positional.
-  const Value* FindField(const std::string& name) const;
+  const Value* FindField(std::string_view name) const;
 
   // Collection element access (set/bag/list/array).
   const std::vector<Value>& elements() const;
@@ -133,26 +175,52 @@ class Value {
   std::string ToString() const;
 
  private:
-  // Which payload is live depends on kind_: the scalar kinds use one
-  // member of scalar_, and kString/kTuple/collections point payload_ at a
-  // std::string, a TupleData or a std::vector<Value>. One shared_ptr
-  // rather than three keeps stored rows, kGeneric lanes and term nodes
-  // small.
-  union Scalar {
+  // Low nibble of tag_ for a kString whose bytes live in a payload; every
+  // other value's low nibble is its ValueKind.
+  static constexpr uint8_t kHeapString = 0xF;
+  // The low nibbles whose word_ points at a payload: kTuple, the four
+  // collections and kHeapString.
+  static constexpr uint16_t kPayloadReps =
+      (1u << static_cast<int>(ValueKind::kTuple)) |
+      (1u << static_cast<int>(ValueKind::kSet)) |
+      (1u << static_cast<int>(ValueKind::kBag)) |
+      (1u << static_cast<int>(ValueKind::kList)) |
+      (1u << static_cast<int>(ValueKind::kArray)) | (1u << kHeapString);
+
+  union Word {
     bool b;
     int64_t i;
     double d;
     uint64_t oid;
+    const internal::Payload* payload;
   };
 
+  bool has_payload() const { return (kPayloadReps >> (tag_ & 0xF)) & 1u; }
+  // An inline string's bytes run from byte 1 through byte 15, across
+  // head_ and word_.
+  const char* inline_chars() const {
+    return reinterpret_cast<const char*>(this) + 1;
+  }
+  // Copies the bits alone; the caller settles the reference count.
+  void CopyBits(const Value& other) {
+    std::memcpy(static_cast<void*>(this), &other, sizeof(Value));
+  }
+  static Value WithPayload(ValueKind kind, const internal::Payload* payload);
   template <typename T>
   const T& payload() const {
-    return *static_cast<const T*>(payload_.get());
+    return *static_cast<const T*>(word_.payload);
   }
+  // Drops this Value's reference; the last one frees the payload.
+  void ReleasePayload() noexcept;
 
-  ValueKind kind_;
-  Scalar scalar_{.i = 0};
-  std::shared_ptr<const void> payload_;
+  // Byte 0: the representation in the low nibble (a ValueKind, or
+  // kHeapString) and an inline string's length in the high nibble.
+  uint8_t tag_ = 0;
+  // Bytes 1-7: the first seven bytes of an inline string.
+  char head_[7] = {};
+  // Bytes 8-15: the scalar, the payload pointer, or an inline string's
+  // bytes 7-14. Only the member the tag names is live.
+  Word word_{.i = 0};
 };
 
 // Total order over all values: kinds rank first (null < bool < numeric <
@@ -169,8 +237,8 @@ inline bool operator<(const Value& a, const Value& b) {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
-static_assert(sizeof(Value) == 32,
-              "Value is a kind, one scalar word and one shared payload");
+static_assert(sizeof(Value) == 16,
+              "Value is a tag byte, seven inline bytes and one word");
 
 }  // namespace eds::value
 

@@ -87,6 +87,36 @@ TEST(SessionTest, NewObjectChecksTypeAndFields) {
   EXPECT_TRUE(obj.ok());
 }
 
+// An object's state holds one value per attribute: a repeated name (in any
+// case) is rejected rather than stored, where FIELD access would miss the
+// attributes that were left out.
+TEST(SessionTest, NewObjectRejectsRepeatedAttributes) {
+  Session s;
+  EDS_ASSERT_OK(s.ExecuteScript(R"(
+    TYPE Person OBJECT TUPLE (Name : CHAR);
+    TYPE Actor SUBTYPE OF Person OBJECT TUPLE (Salary : NUMERIC);
+    CREATE TABLE T (A : Actor);
+  )"));
+  EXPECT_EQ(s.NewObject("Actor", {{"Name", Value::String("a")},
+                                  {"Name", Value::String("b")}})
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(s.NewObject("Actor", {{"Name", Value::String("a")},
+                                  {"Salary", Value::Int(1)},
+                                  {"NAME", Value::String("b")}})
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+  auto ok = s.NewObject("Actor", {{"Name", Value::String("a")},
+                                  {"Salary", Value::Int(1)}});
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EDS_ASSERT_OK(s.InsertRow("T", {*ok}));
+  auto r = s.Query("SELECT Salary(A) FROM T");
+  ASSERT_TRUE(r.ok()) << r.status();
+  testutil::ExpectSameRows({{Value::Int(1)}}, r->rows);
+}
+
 // Objects whose fields are given as their type declares them (supertype's
 // first) share the type's one name list instead of each carrying a copy;
 // fields given in another order get a list of their own. FIELD access and

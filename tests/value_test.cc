@@ -1,9 +1,17 @@
 #include "value/value.h"
 
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "net/protocol.h"
+#include "srv/codec.h"
+#include "term/parser.h"
+#include "term/term.h"
+#include "value/collection_lib.h"
 
 namespace eds::value {
 namespace {
@@ -103,10 +111,15 @@ TEST(ValueTest, Printing) {
             "(1, 2)");
 }
 
-// The address of v's shared payload, or nullptr for a scalar kind.
+// The address of v's shared payload, or nullptr for a scalar kind and for
+// a string whose bytes live inside the Value itself.
 const void* PayloadAddress(const Value& v) {
   switch (v.kind()) {
-    case ValueKind::kString: return &v.AsString();
+    case ValueKind::kString: {
+      const char* bytes = v.AsString().data();
+      const char* self = reinterpret_cast<const char*>(&v);
+      return bytes >= self && bytes < self + sizeof(Value) ? nullptr : bytes;
+    }
     case ValueKind::kTuple: return &v.tuple();
     default: return v.is_collection() ? &v.elements() : nullptr;
   }
@@ -115,7 +128,7 @@ const void* PayloadAddress(const Value& v) {
 TEST(ValueTest, CopyIsShallowShared) {
   const Value payloads[] = {
       Value::Set({Value::Int(1), Value::Int(2)}),
-      Value::String("Quinn"),
+      Value::String("Quinn, tenured since 1987"),
       Value::Tuple({Value::Int(1), Value::String("a")}),
   };
   for (const Value& v : payloads) {
@@ -123,6 +136,8 @@ TEST(ValueTest, CopyIsShallowShared) {
     ASSERT_NE(PayloadAddress(v), nullptr) << v;
     EXPECT_EQ(PayloadAddress(v), PayloadAddress(copy)) << v;
   }
+  // A string within the inline limit has no payload to share.
+  EXPECT_EQ(PayloadAddress(Value::String("Quinn")), nullptr);
 }
 
 // One Value assigned across payload kinds, Set <- String <- NamedTuple <-
@@ -184,6 +199,120 @@ TEST(ValueTest, AssignAcrossPayloadKinds) {
     EXPECT_EQ(ValueCopyCount() - before, 0u) << want;
     EXPECT_EQ(PayloadAddress(moved), payload) << want;
     expect_reads(moved, want);
+  }
+}
+
+// Strings on both sides of the inline limit, each paired with the bytes
+// it was built from.
+std::vector<std::string> BoundaryStrings() {
+  return {
+      "",
+      std::string(Value::kInlineStringMax - 1, 'a'),
+      std::string(Value::kInlineStringMax, 'a'),
+      std::string(Value::kInlineStringMax + 1, 'a'),
+      std::string("a\0b", 3),
+      std::string("fifteen\0bytes!", Value::kInlineStringMax),
+      std::string("sixteen\0bytes!!", Value::kInlineStringMax + 1),
+      "caf\xc3\xa9",                                   // 5 bytes, 4 chars
+      "\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9" "a",  // 15 bytes
+      "\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9",  // 16 bytes
+      "it's",
+  };
+}
+
+TEST(ValueTest, StringsKeepTheirBytesAcrossTheInlineLimit) {
+  for (const std::string& s : BoundaryStrings()) {
+    const Value v = Value::String(s);
+    ASSERT_EQ(v.kind(), ValueKind::kString);
+    EXPECT_EQ(v.AsString(), s);
+    EXPECT_EQ(v.AsString().size(), s.size());
+    EXPECT_EQ(PayloadAddress(v) == nullptr,
+              s.size() <= Value::kInlineStringMax)
+        << s.size();
+    // Copies and moves keep the bytes.
+    Value copy = v;
+    EXPECT_EQ(copy.AsString(), s);
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved.AsString(), s);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TEST(ValueTest, StringOrderMatchesTheBytesAcrossTheInlineLimit) {
+  const std::vector<std::string> strings = BoundaryStrings();
+  for (const std::string& a : strings) {
+    for (const std::string& b : strings) {
+      const int want = a.compare(b) < 0 ? -1 : (a == b ? 0 : 1);
+      EXPECT_EQ(Compare(Value::String(a), Value::String(b)), want)
+          << a.size() << " vs " << b.size();
+      EXPECT_EQ(Value::String(a) == Value::String(b), a == b);
+    }
+  }
+}
+
+TEST(ValueTest, StringRenderingAndHashingAcrossTheInlineLimit) {
+  for (const std::string& s : BoundaryStrings()) {
+    const Value v = Value::String(s);
+    EXPECT_EQ(v.ToString(), "'" + s + "'");
+    EXPECT_EQ(net::RenderRow({v, Value::Int(1)}),
+              (std::vector<std::string>{"'" + s + "'", "1"}));
+
+    // Built by concatenation, the same bytes hash and intern alike.
+    const size_t half = s.size() / 2;
+    Result<Value> joined = FunctionLibrary::Default().Call(
+        "CONCAT", {Value::String(s.substr(0, half)),
+                   Value::String(s.substr(half))});
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(*joined, v);
+    term::TermRef direct = term::Term::Constant(v);
+    term::TermRef concatenated = term::Term::Constant(*joined);
+    EXPECT_EQ(term::Hash(direct), term::Hash(concatenated));
+    EXPECT_EQ(direct, concatenated) << s.size();
+
+    // The persisted plan text and the file codec carry the bytes intact.
+    if (s.find('\0') == std::string::npos) {
+      Result<term::TermRef> parsed = term::ParseTerm(direct->ToString());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(*parsed, direct) << direct->ToString();
+    }
+    std::string file;
+    srv::Encoder(&file).PutString(v.AsString());
+    srv::Decoder decoder(file, 1 << 10);
+    Result<std::string> decoded = decoder.GetString();
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(Value::String(*decoded), v);
+  }
+}
+
+// Copies of one payload made and dropped on several threads at once keep
+// one count: the payload outlives every copy, and whichever thread drops
+// the last copy frees it after every other thread's reads (run under the
+// tsan preset).
+TEST(ValueTest, ConcurrentCopiesShareOneCount) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  const std::string long_text(Value::kInlineStringMax + 9, 'q');
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Value> shared = {
+        Value::String(long_text),
+        Value::Set({Value::Int(trial), Value::String(long_text)}),
+        Value::NamedTuple({"Name"}, {Value::String(long_text)}),
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([own = shared, &long_text] {
+        for (int r = 0; r < kRounds; ++r) {
+          std::vector<Value> copies = own;
+          Value moved = std::move(copies[r % copies.size()]);
+          if (moved.kind() == ValueKind::kString &&
+              moved.AsString() != long_text) {
+            ADD_FAILURE() << "torn string";
+          }
+        }
+      });
+    }
+    shared.clear();  // the threads' copies are now the only ones
+    for (std::thread& th : threads) th.join();
   }
 }
 

@@ -198,6 +198,68 @@ TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
   }
 }
 
+// A comparison with one constant operand runs a column-against-value
+// kernel rather than broadcasting the constant. Every operator, with the
+// constant on either side, over an Int lane, a Real lane, a string column
+// and a mixed Int/Real column (both kGeneric), each with a NULL cell,
+// against Int, Real, string (inline and heap) and NULL constants, must
+// read exactly as the row engine does.
+TEST(VecDiffTest, ConstantComparisonsMatchRowEngine) {
+  using term::Term;
+  using value::Value;
+  Session s;
+  EDS_ASSERT_OK(s.ExecuteScript(
+      "CREATE TABLE M (I : INT, R : REAL, S : CHAR, G : NUMERIC);"));
+  const std::vector<Row> rows = {
+      {Value::Int(1), Value::Real(0.5), Value::String("Comedy"),
+       Value::Int(5)},
+      {Value::Int(5), Value::Real(5.0), Value::String("Science Fiction"),
+       Value::Real(2.5)},
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+      {Value::Int(7), Value::Real(7.25),
+       Value::String("Science Fiction!"), Value::Int(-3)},
+      {Value::Int(5), Value::Real(-1.0), Value::String(""), Value::Real(5.0)},
+  };
+  for (const Row& row : rows) EDS_ASSERT_OK(s.InsertRow("M", row));
+
+  const Value constants[] = {
+      Value::Int(5),       Value::Real(5.0),
+      Value::Real(2.5),    Value::String("Science Fiction"),
+      Value::String("Science Fiction!"), Value::Null(),
+  };
+  const char* ops[] = {term::kEq, term::kNe, term::kLt,
+                       term::kLe, term::kGt, term::kGe};
+  size_t batches = 0;
+  for (int64_t column = 1; column <= 4; ++column) {
+    for (const Value& c : constants) {
+      for (const char* op : ops) {
+        for (bool constant_left : {false, true}) {
+          TermRef attr = Term::Attr(1, column);
+          TermRef constant = Term::Constant(c);
+          TermRef qual = constant_left ? Term::Apply(op, {constant, attr})
+                                       : Term::Apply(op, {attr, constant});
+          TermRef plan = Term::Apply(
+              "SEARCH", {Term::List({Term::Relation("M")}), qual,
+                         Term::List({Term::Attr(1, 1), attr})});
+          ExecOptions on, off;
+          on.vectorized = true;
+          off.vectorized = false;
+          ExecStats vec_stats, row_stats;
+          Result<Rows> vec = s.Run(plan, on, &vec_stats);
+          Result<Rows> row = s.Run(plan, off, &row_stats);
+          const std::string label = qual->ToString();
+          ASSERT_TRUE(vec.ok()) << label << ": " << vec.status().ToString();
+          ASSERT_TRUE(row.ok()) << label << ": " << row.status().ToString();
+          ExpectSameSequence(*vec, *row, label);
+          EXPECT_EQ(vec_stats.vec_fallbacks, 0u) << label;
+          batches += vec_stats.batches;
+        }
+      }
+    }
+  }
+  EXPECT_GT(batches, 0u);
+}
+
 // ---------------- LERA plans over the verifier's corner databases -------
 
 TEST(VecDiffTest, LeraCorpusMatchesRowEngineOnCornerDatabases) {
