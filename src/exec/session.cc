@@ -152,7 +152,7 @@ Status Session::ApplyStatement(const esql::Statement& stmt) {
         // §6.1: inserted data must satisfy the declared types (enumeration
         // domains included).
         EDS_RETURN_IF_ERROR(CheckRowAgainstSchema(
-            row, target->def->columns, &db_.heap(), &catalog_.types()));
+            row, target->def->columns, &db_.heap()));
         EDS_RETURN_IF_ERROR(target->table->Insert(std::move(row)));
       }
       return Status::OK();
@@ -408,15 +408,15 @@ Result<value::Value> Session::NewObject(
     names = std::make_shared<const std::vector<std::string>>(std::move(own));
   }
   return db_.heap().New(
-      type_name, value::Value::NamedTuple(std::move(names), std::move(values)),
-      std::move(type));
+      std::move(type),
+      value::Value::NamedTuple(std::move(names), std::move(values)));
 }
 
 Status Session::InsertRow(const std::string& table, Row row) {
   EDS_ASSIGN_OR_RETURN(const InsertTarget* target,
                        ResolveInsertTarget(table));
-  EDS_RETURN_IF_ERROR(CheckRowAgainstSchema(row, target->def->columns,
-                                            &db_.heap(), &catalog_.types()));
+  EDS_RETURN_IF_ERROR(
+      CheckRowAgainstSchema(row, target->def->columns, &db_.heap()));
   return target->table->Insert(std::move(row));
 }
 

@@ -26,10 +26,8 @@ Status Table::Insert(const Row& row) {
   return Status::OK();
 }
 
-value::Value ObjectHeap::New(std::string type_name, value::Value state,
-                             types::TypeRef type) {
-  objects_.push_back(
-      StoredObject{std::move(type_name), std::move(state), std::move(type)});
+value::Value ObjectHeap::New(types::TypeRef type, value::Value state) {
+  objects_.push_back(StoredObject{std::move(state), std::move(type)});
   return value::Value::ObjectRef(static_cast<uint64_t>(objects_.size()));
 }
 

@@ -43,13 +43,10 @@ class Table {
   vec::Batch batch_;
 };
 
-// An object with identity: its dynamic type name and its tuple value (field
-// names included, so FIELD access works without consulting the catalog).
-// `type` is the resolved dynamic type when the creator had it at hand
-// (Session::NewObject always does); insert-time type checks read it instead
-// of looking `type_name` up again. Null means "resolve by name".
+// An object with identity: its dynamic type (the one it was created with,
+// which names it) and its tuple value (field names included, so FIELD
+// access works without consulting the catalog).
 struct StoredObject {
-  std::string type_name;
   value::Value state;  // a named tuple
   types::TypeRef type;
 };
@@ -59,10 +56,8 @@ struct StoredObject {
 // referentially shared using object identity").
 class ObjectHeap {
  public:
-  // Creates an object and returns its reference value. `type`, when given,
-  // must be the type `type_name` names.
-  value::Value New(std::string type_name, value::Value state,
-                   types::TypeRef type = nullptr);
+  // Creates an object of `type` and returns its reference value.
+  value::Value New(types::TypeRef type, value::Value state);
 
   Result<const StoredObject*> Get(uint64_t oid) const;
 

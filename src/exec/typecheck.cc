@@ -38,8 +38,7 @@ bool KindMatchesCollection(ValueKind vk, TypeKind tk) {
 
 Status CheckValueAgainstType(const value::Value& v,
                              const types::TypeRef& type,
-                             const ObjectHeap* heap,
-                             const types::TypeRegistry* registry) {
+                             const ObjectHeap* heap) {
   if (type == nullptr) return Status::Internal("null type in check");
   if (v.is_null()) return Status::OK();
   switch (type->kind()) {
@@ -89,8 +88,7 @@ Status CheckValueAgainstType(const value::Value& v,
           field_value = &data.values[i];
         }
         EDS_RETURN_IF_ERROR(CheckValueAgainstType(*field_value,
-                                                  fields[i].type, heap,
-                                                  registry));
+                                                  fields[i].type, heap));
       }
       return Status::OK();
     }
@@ -105,31 +103,18 @@ Status CheckValueAgainstType(const value::Value& v,
       if (type->element() != nullptr) {
         for (const Value& elem : v.elements()) {
           EDS_RETURN_IF_ERROR(CheckValueAgainstType(elem, type->element(),
-                                                    heap, registry));
+                                                    heap));
         }
       }
       return Status::OK();
     }
     case TypeKind::kObject: {
       if (v.kind() != ValueKind::kObjectRef) return Mismatch(v, type, "");
-      if (heap == nullptr || registry == nullptr) return Status::OK();
+      if (heap == nullptr) return Status::OK();
       EDS_ASSIGN_OR_RETURN(const StoredObject* obj,
                            heap->Get(v.AsObjectRef()));
-      // The type the object was created with; looked up by name only for
-      // objects created without one.
-      const TypeRef* stored = &obj->type;
-      TypeRef by_name;
-      if (*stored == nullptr) {
-        Result<TypeRef> found = registry->Find(obj->type_name);
-        if (!found.ok()) {
-          return Mismatch(v, type, "object of unregistered type " +
-                                       obj->type_name);
-        }
-        by_name = *std::move(found);
-        stored = &by_name;
-      }
-      if (!types::Isa(*stored, type)) {
-        return Mismatch(v, type, "object of type " + obj->type_name +
+      if (!types::Isa(obj->type, type)) {
+        return Mismatch(v, type, "object of type " + obj->type->name() +
                                      " where " + type->name() +
                                      " expected");
       }
@@ -141,8 +126,7 @@ Status CheckValueAgainstType(const value::Value& v,
 
 Status CheckRowAgainstSchema(const Row& row,
                              const std::vector<types::Field>& schema,
-                             const ObjectHeap* heap,
-                             const types::TypeRegistry* registry) {
+                             const ObjectHeap* heap) {
   if (row.size() != schema.size()) {
     return Status::TypeError("row has " + std::to_string(row.size()) +
                              " values, schema has " +
@@ -150,7 +134,7 @@ Status CheckRowAgainstSchema(const Row& row,
   }
   for (size_t i = 0; i < row.size(); ++i) {
     Status s =
-        CheckValueAgainstType(row[i], schema[i].type, heap, registry);
+        CheckValueAgainstType(row[i], schema[i].type, heap);
     if (!s.ok()) {
       return Status::TypeError("column '" + schema[i].name +
                                "': " + s.message());

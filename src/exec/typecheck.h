@@ -3,7 +3,6 @@
 
 #include "common/result.h"
 #include "exec/storage.h"
-#include "types/registry.h"
 #include "types/type.h"
 #include "value/value.h"
 
@@ -20,23 +19,20 @@ namespace eds::exec {
 //   * tuples check arity and each field (by name when the value carries
 //     names, positionally otherwise);
 //   * object references dereference through `heap`; the object's dynamic
-//     type is the one it was created with (StoredObject::type), or its
-//     stored type name resolved through `registry` when it carries none,
-//     and must be the declared object type or a subtype of it (Isa);
+//     type is the one it was created with (StoredObject::type), and must
+//     be the declared object type or a subtype of it (Isa);
 //   * NULL is accepted for any type (1991-style unconstrained nulls).
 //
-// `heap` / `registry` may be null, in which case object references pass
-// unchecked (only the value kind is verified).
+// `heap` may be null, in which case object references pass unchecked
+// (only the value kind is verified).
 Status CheckValueAgainstType(const value::Value& v,
                              const types::TypeRef& type,
-                             const ObjectHeap* heap,
-                             const types::TypeRegistry* registry);
+                             const ObjectHeap* heap);
 
 // Checks a whole row against a relation schema (arity + per-column types).
 Status CheckRowAgainstSchema(const Row& row,
                              const std::vector<types::Field>& schema,
-                             const ObjectHeap* heap,
-                             const types::TypeRegistry* registry);
+                             const ObjectHeap* heap);
 
 }  // namespace eds::exec
 

@@ -258,12 +258,4 @@ std::vector<std::vector<Value>> Batch::ToRows() const {
   return out;
 }
 
-Batch Batch::GatherRows(const SelectionVector& sel) const {
-  Batch out;
-  out.rows = sel.size();
-  out.cols.reserve(cols.size());
-  for (const ColumnVector& c : cols) out.cols.push_back(c.Gather(sel));
-  return out;
-}
-
 }  // namespace eds::exec::vec

@@ -111,6 +111,26 @@ class ColumnVector {
   std::vector<uint64_t> valid_;  // bit set = non-null (typed lanes only)
 };
 
+// A column read through a selection: row i of the view is cell (*sel)[i]
+// of `*col`, or cell i when `sel` is null. Kernels take views, so a filter
+// or a join key reads a stored column at the surviving rows without
+// gathering it first.
+struct ColumnView {
+  ColumnView() = default;
+  ColumnView(const ColumnVector& c) : col(&c) {}  // NOLINT: every row
+  ColumnView(const ColumnVector* c, const SelectionVector* s)
+      : col(c), sel(s) {}
+
+  size_t size() const { return sel != nullptr ? sel->size() : col->size(); }
+  // The cell index of view row i.
+  size_t operator[](size_t i) const {
+    return sel != nullptr ? (*sel)[i] : i;
+  }
+
+  const ColumnVector* col = nullptr;
+  const SelectionVector* sel = nullptr;
+};
+
 // A batch: the columnar image of a Rows block. All columns share `rows`.
 struct Batch {
   size_t rows = 0;
@@ -121,7 +141,6 @@ struct Batch {
   static bool FromRows(const std::vector<std::vector<value::Value>>& rows,
                        Batch* out);
   std::vector<std::vector<value::Value>> ToRows() const;
-  Batch GatherRows(const SelectionVector& sel) const;
 };
 
 }  // namespace eds::exec::vec

@@ -43,100 +43,99 @@ constexpr uint64_t kNullCellHash = 0x7fb5d329728ea185ULL;
 
 constexpr uint64_t kRowHashSeed = 0x84222325cbf29ce4ULL;
 
-template <typename Pred>
-ColumnVector CompareImpl(const ColumnVector& a, const ColumnVector& b,
-                         Pred pred) {
-  const size_t n = a.size();
+// Calls `fn` with a callable mapping view row i to its cell index, one
+// instantiation for a plain column and one for a selection, so the
+// kernels' loops carry no per-row branch on which it is.
+template <typename Fn>
+decltype(auto) WithRows(const ColumnView& v, Fn fn) {
+  if (v.sel == nullptr) return fn([](size_t i) { return i; });
+  const uint32_t* s = v.sel->data();
+  return fn([s](size_t i) { return static_cast<size_t>(s[i]); });
+}
+
+template <typename Pred, typename RowA, typename RowB>
+ColumnVector CompareImpl(const ColumnVector& a, RowA ra, const ColumnVector& b,
+                         RowB rb, size_t n, Pred pred) {
   std::vector<uint8_t> out(n, 0);
   std::vector<uint64_t> valid;
   size_t nulls = 0;
   const bool clean = a.all_valid() && b.all_valid();
   if (clean && a.lane() == Lane::kInt64 && b.lane() == Lane::kInt64) {
     for (size_t i = 0; i < n; ++i) {
-      const int64_t x = a.IntAt(i), y = b.IntAt(i);
+      const int64_t x = a.IntAt(ra(i)), y = b.IntAt(rb(i));
       out[i] = pred(x < y ? -1 : (x > y ? 1 : 0)) ? 1 : 0;
     }
   } else if (clean && a.is_numeric_lane() && b.is_numeric_lane()) {
     for (size_t i = 0; i < n; ++i) {
-      const double x = a.NumericAt(i), y = b.NumericAt(i);
+      const double x = a.NumericAt(ra(i)), y = b.NumericAt(rb(i));
       out[i] = pred(x < y ? -1 : (x > y ? 1 : 0)) ? 1 : 0;
     }
   } else {
     valid.assign((n + 63) >> 6, 0);
     for (size_t i = 0; i < n; ++i) {
-      if (a.IsNull(i) || b.IsNull(i)) {
+      if (a.IsNull(ra(i)) || b.IsNull(rb(i))) {
         ++nulls;
         continue;
       }
       valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = pred(a.CompareCells(i, b, i)) ? 1 : 0;
+      out[i] = pred(a.CompareCells(ra(i), b, rb(i))) ? 1 : 0;
     }
   }
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
-// Cell i of `a` against `c` under `pred`, for every row; `cmp(i)` is
-// value::Compare(a's cell i, c) for a non-null cell.
-template <typename Pred, typename Cmp>
-ColumnVector CompareEachToValue(const ColumnVector& a, Pred pred, Cmp cmp) {
-  const size_t n = a.size();
-  std::vector<uint8_t> out(n, 0);
-  std::vector<uint64_t> valid;
-  size_t nulls = 0;
+// Calls visit(i, r) for every view row i of `a` against `c` under `pred`,
+// r being -1 for NULL, 0 for FALSE and 1 for TRUE; `cmp(cell)` is
+// value::Compare(a's cell, c) for a non-null cell.
+template <typename Pred, typename Rows, typename Cmp, typename Visit>
+void VisitEach(const ColumnVector& a, Rows ra, size_t n, Pred pred, Cmp cmp,
+               Visit visit) {
   if (a.all_valid()) {
-    for (size_t i = 0; i < n; ++i) out[i] = pred(cmp(i)) ? 1 : 0;
-  } else {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (a.IsNull(i)) {
-        ++nulls;
-        continue;
-      }
-      valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = pred(cmp(i)) ? 1 : 0;
-    }
+    for (size_t i = 0; i < n; ++i) visit(i, pred(cmp(ra(i))) ? 1 : 0);
+    return;
   }
-  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t cell = ra(i);
+    visit(i, a.IsNull(cell) ? -1 : (pred(cmp(cell)) ? 1 : 0));
+  }
 }
 
-template <typename Pred>
-ColumnVector CompareToValueImpl(const ColumnVector& a, const Value& c,
-                                Pred pred) {
+template <typename Pred, typename Rows, typename Visit>
+void VisitCompareToValue(const ColumnVector& a, Rows ra, size_t n,
+                         const Value& c, Pred pred, Visit visit) {
   if (c.is_null()) {
-    const size_t n = a.size();
-    return ColumnVector::FromBoolData(std::vector<uint8_t>(n, 0),
-                                      std::vector<uint64_t>((n + 63) >> 6, 0),
-                                      n);
+    for (size_t i = 0; i < n; ++i) visit(i, -1);
+    return;
   }
   auto sign = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
   if (a.lane() == Lane::kInt64 && c.kind() == ValueKind::kInt) {
     const int64_t y = c.AsInt();
-    return CompareEachToValue(a, pred,
-                              [&](size_t i) { return sign(a.IntAt(i), y); });
-  }
-  if (a.is_numeric_lane() && c.is_numeric()) {
+    VisitEach(a, ra, n, pred, [&](size_t i) { return sign(a.IntAt(i), y); },
+              visit);
+  } else if (a.is_numeric_lane() && c.is_numeric()) {
     const double y = c.AsReal();
-    return CompareEachToValue(
-        a, pred, [&](size_t i) { return sign(a.NumericAt(i), y); });
-  }
-  if (a.lane() == Lane::kObjectRef && c.kind() == ValueKind::kObjectRef) {
+    VisitEach(a, ra, n, pred,
+              [&](size_t i) { return sign(a.NumericAt(i), y); }, visit);
+  } else if (a.lane() == Lane::kObjectRef &&
+             c.kind() == ValueKind::kObjectRef) {
     const uint64_t y = c.AsObjectRef();
-    return CompareEachToValue(
-        a, pred, [&](size_t i) { return sign(a.ObjectRefAt(i), y); });
+    VisitEach(a, ra, n, pred,
+              [&](size_t i) { return sign(a.ObjectRefAt(i), y); }, visit);
+  } else if (a.lane() == Lane::kGeneric) {
+    VisitEach(a, ra, n, pred,
+              [&](size_t i) { return value::Compare(a.GenericAt(i), c); },
+              visit);
+  } else {
+    VisitEach(a, ra, n, pred,
+              [&](size_t i) { return value::Compare(a.ValueAt(i), c); },
+              visit);
   }
-  if (a.lane() == Lane::kGeneric) {
-    return CompareEachToValue(a, pred, [&](size_t i) {
-      return value::Compare(a.GenericAt(i), c);
-    });
-  }
-  return CompareEachToValue(
-      a, pred, [&](size_t i) { return value::Compare(a.ValueAt(i), c); });
 }
 
 // Calls `impl` with the predicate over value::Compare's sign that `op`
 // names.
 template <typename Impl>
-ColumnVector WithPredicate(CmpOp op, Impl impl) {
+decltype(auto) WithPredicate(CmpOp op, Impl impl) {
   switch (op) {
     case CmpOp::kEq: return impl([](int c) { return c == 0; });
     case CmpOp::kNe: return impl([](int c) { return c != 0; });
@@ -148,192 +147,180 @@ ColumnVector WithPredicate(CmpOp op, Impl impl) {
   return impl([](int c) { return c == 0; });
 }
 
+// Calls visit(i, r) for every row of `a` against `c` under `op`, r as in
+// VisitEach.
+template <typename Visit>
+void ForEachCompareToValue(CmpOp op, ColumnView a, const Value& c,
+                           Visit visit) {
+  WithPredicate(op, [&](auto pred) {
+    WithRows(a, [&](auto ra) {
+      VisitCompareToValue(*a.col, ra, a.size(), c, pred, visit);
+    });
+  });
+}
+
+// A cell as the scalar connectives and WHERE read it.
+enum class Truth : uint8_t { kFalse, kTrue, kNull, kOther };
+
+Truth TruthAt(const ColumnVector& c, size_t i) {
+  switch (c.lane()) {
+    case Lane::kNullOnly:
+      return Truth::kNull;
+    case Lane::kBool:
+      if (c.IsNull(i)) return Truth::kNull;
+      return c.BoolAt(i) ? Truth::kTrue : Truth::kFalse;
+    case Lane::kGeneric: {
+      const Value& v = c.GenericAt(i);
+      if (v.is_null()) return Truth::kNull;
+      if (v.kind() != ValueKind::kBool) return Truth::kOther;
+      return v.AsBool() ? Truth::kTrue : Truth::kFalse;
+    }
+    default:
+      return c.IsNull(i) ? Truth::kNull : Truth::kOther;
+  }
+}
+
+Truth Dominant(Connective op) {
+  return op == Connective::kAnd ? Truth::kFalse : Truth::kTrue;
+}
+
 }  // namespace
 
-ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
-                            const ColumnVector& b) {
-  return WithPredicate(op, [&](auto pred) { return CompareImpl(a, b, pred); });
+ColumnVector CompareColumns(CmpOp op, ColumnView a, ColumnView b) {
+  return WithPredicate(op, [&](auto pred) {
+    return WithRows(a, [&](auto ra) {
+      return WithRows(b, [&](auto rb) {
+        return CompareImpl(*a.col, ra, *b.col, rb, a.size(), pred);
+      });
+    });
+  });
 }
 
-ColumnVector CompareColumnToValue(CmpOp op, const ColumnVector& a,
-                                  const Value& c) {
-  return WithPredicate(
-      op, [&](auto pred) { return CompareToValueImpl(a, c, pred); });
-}
-
-Result<ColumnVector> AndColumns(const ColumnVector& a, const ColumnVector& b) {
+ColumnVector CompareColumnToValue(CmpOp op, ColumnView a, const Value& c) {
   const size_t n = a.size();
   std::vector<uint8_t> out(n, 0);
-  std::vector<uint64_t> valid;
+  std::vector<uint64_t> valid((n + 63) >> 6, 0);
   size_t nulls = 0;
-  if (a.lane() == Lane::kBool && b.lane() == Lane::kBool && a.all_valid() &&
-      b.all_valid()) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = (a.BoolAt(i) && b.BoolAt(i)) ? 1 : 0;
+  ForEachCompareToValue(op, a, c, [&](size_t i, int r) {
+    if (r < 0) {
+      ++nulls;
+      return;
     }
-  } else if (a.lane() == Lane::kBool && b.lane() == Lane::kBool) {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const bool an = a.IsNull(i), bn = b.IsNull(i);
-      // FALSE dominates NULL, exactly as in the scalar LogicalAnd.
-      if ((!an && !a.BoolAt(i)) || (!bn && !b.BoolAt(i))) {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-      } else if (an || bn) {
-        ++nulls;
-      } else {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-        out[i] = 1;
-      }
-    }
-  } else {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const Value x = a.ValueAt(i);
-      const Value y = b.ValueAt(i);
-      const bool has_false =
-          (x.kind() == ValueKind::kBool && !x.AsBool()) ||
-          (y.kind() == ValueKind::kBool && !y.AsBool());
-      if (has_false) {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-        continue;
-      }
-      if (x.is_null() || y.is_null()) {
-        ++nulls;
-        continue;
-      }
-      if (x.kind() != ValueKind::kBool || y.kind() != ValueKind::kBool) {
-        return Status::TypeError("AND requires boolean operands");
-      }
-      valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = 1;  // neither false, neither null, both bool => both true
-    }
-  }
+    valid[i >> 6] |= uint64_t{1} << (i & 63);
+    out[i] = static_cast<uint8_t>(r);
+  });
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
-Result<ColumnVector> OrColumns(const ColumnVector& a, const ColumnVector& b) {
-  const size_t n = a.size();
-  std::vector<uint8_t> out(n, 0);
-  std::vector<uint64_t> valid;
-  size_t nulls = 0;
-  if (a.lane() == Lane::kBool && b.lane() == Lane::kBool && a.all_valid() &&
-      b.all_valid()) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = (a.BoolAt(i) || b.BoolAt(i)) ? 1 : 0;
-    }
-  } else if (a.lane() == Lane::kBool && b.lane() == Lane::kBool) {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const bool an = a.IsNull(i), bn = b.IsNull(i);
-      // TRUE dominates NULL, exactly as in the scalar LogicalOr.
-      if ((!an && a.BoolAt(i)) || (!bn && b.BoolAt(i))) {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-        out[i] = 1;
-      } else if (an || bn) {
-        ++nulls;
-      } else {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-      }
-    }
-  } else {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const Value x = a.ValueAt(i);
-      const Value y = b.ValueAt(i);
-      const bool has_true = (x.kind() == ValueKind::kBool && x.AsBool()) ||
-                            (y.kind() == ValueKind::kBool && y.AsBool());
-      if (has_true) {
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-        out[i] = 1;
-        continue;
-      }
-      if (x.is_null() || y.is_null()) {
-        ++nulls;
-        continue;
-      }
-      if (x.kind() != ValueKind::kBool || y.kind() != ValueKind::kBool) {
-        return Status::TypeError("OR requires boolean operands");
-      }
-      valid[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
-}
-
-Result<ColumnVector> NotColumn(const ColumnVector& a) {
-  const size_t n = a.size();
-  std::vector<uint8_t> out(n, 0);
-  std::vector<uint64_t> valid;
-  size_t nulls = 0;
-  if (a.lane() == Lane::kBool && a.all_valid()) {
-    for (size_t i = 0; i < n; ++i) out[i] = a.BoolAt(i) ? 0 : 1;
-  } else if (a.lane() == Lane::kBool || a.lane() == Lane::kNullOnly) {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (a.IsNull(i)) {
-        ++nulls;
-        continue;
-      }
-      valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = a.BoolAt(i) ? 0 : 1;
-    }
-  } else {
-    valid.assign((n + 63) >> 6, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const Value x = a.ValueAt(i);
-      if (x.is_null()) {
-        ++nulls;
-        continue;
-      }
-      if (x.kind() != ValueKind::kBool) {
-        return Status::TypeError("NOT requires a boolean operand");
-      }
-      valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = x.AsBool() ? 0 : 1;
-    }
-  }
-  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
-}
-
-Result<SelectionVector> SelectTrue(const ColumnVector& pred) {
-  const size_t n = pred.size();
+SelectionVector SelectCompareToValue(CmpOp op, ColumnView a,
+                                     const Value& c) {
+  // Counted first, so the selection holds the surviving rows and no more.
+  size_t hits = 0;
+  ForEachCompareToValue(op, a, c,
+                        [&](size_t, int r) { hits += r > 0 ? 1 : 0; });
   SelectionVector sel;
-  switch (pred.lane()) {
-    case Lane::kNullOnly:
-      return sel;  // all NULL: nothing selected
-    case Lane::kBool: {
-      // Counted first, so the selection holds the surviving rows and no
-      // more: a selective filter over a large table keeps a few indices.
-      auto selected = [&pred](size_t i) {
-        return pred.BoolAt(i) && (pred.all_valid() || !pred.IsNull(i));
-      };
-      size_t hits = 0;
-      for (size_t i = 0; i < n; ++i) hits += selected(i) ? 1 : 0;
-      sel.reserve(hits);
-      for (size_t i = 0; i < n; ++i) {
-        if (selected(i)) sel.push_back(static_cast<uint32_t>(i));
-      }
-      return sel;
-    }
-    case Lane::kGeneric:
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = pred.GenericAt(i);
-        if (v.is_null()) continue;
-        if (v.kind() != ValueKind::kBool) {
-          return Status::TypeError("qualification is not a boolean");
-        }
-        if (v.AsBool()) sel.push_back(static_cast<uint32_t>(i));
-      }
-      return sel;
-    default:
-      // A whole column of valid non-booleans: the scalar path would raise
-      // the TypeError on the first row.
-      if (n == 0 || pred.null_count() == n) return sel;
-      return Status::TypeError("qualification is not a boolean");
-  }
+  sel.reserve(hits);
+  ForEachCompareToValue(op, a, c, [&](size_t i, int r) {
+    if (r > 0) sel.push_back(static_cast<uint32_t>(i));
+  });
+  return sel;
 }
 
-HashClass ClassifyKey(const ColumnVector& col) {
+SelectionVector UndecidedRows(Connective op, ColumnView a) {
+  const Truth dominant = Dominant(op);
+  const size_t n = a.size();
+  size_t undecided = 0;
+  for (size_t i = 0; i < n; ++i) {
+    undecided += TruthAt(*a.col, a[i]) != dominant ? 1 : 0;
+  }
+  SelectionVector out;
+  out.reserve(undecided);
+  for (size_t i = 0; i < n; ++i) {
+    if (TruthAt(*a.col, a[i]) != dominant) {
+      out.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return out;
+}
+
+Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b) {
+  const Truth dominant = Dominant(op);
+  const size_t n = a.size();
+  std::vector<uint8_t> out(n, 0);
+  std::vector<uint64_t> valid((n + 63) >> 6, 0);
+  size_t nulls = 0;
+  size_t k = 0;  // the next cell of `b`
+  for (size_t i = 0; i < n; ++i) {
+    const Truth x = TruthAt(*a.col, a[i]);
+    Truth r = dominant;
+    if (x != dominant) {
+      const Truth y = TruthAt(*b.col, b[k++]);
+      if (y == dominant) {
+        r = dominant;
+      } else if (x == Truth::kNull || y == Truth::kNull) {
+        r = Truth::kNull;
+      } else if (x == Truth::kOther || y == Truth::kOther) {
+        return Status::TypeError(op == Connective::kAnd
+                                     ? "AND requires boolean operands"
+                                     : "OR requires boolean operands");
+      } else {
+        r = x;  // both the non-dominant boolean
+      }
+    }
+    if (r == Truth::kNull) {
+      ++nulls;
+      continue;
+    }
+    valid[i >> 6] |= uint64_t{1} << (i & 63);
+    out[i] = r == Truth::kTrue ? 1 : 0;
+  }
+  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
+}
+
+Result<ColumnVector> NotColumn(ColumnView a) {
+  const size_t n = a.size();
+  std::vector<uint8_t> out(n, 0);
+  std::vector<uint64_t> valid((n + 63) >> 6, 0);
+  size_t nulls = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Truth x = TruthAt(*a.col, a[i]);
+    if (x == Truth::kNull) {
+      ++nulls;
+      continue;
+    }
+    if (x == Truth::kOther) {
+      return Status::TypeError("NOT requires a boolean operand");
+    }
+    valid[i >> 6] |= uint64_t{1} << (i & 63);
+    out[i] = x == Truth::kFalse ? 1 : 0;
+  }
+  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
+}
+
+Result<SelectionVector> SelectTrue(ColumnView pred) {
+  // Counted first, so the selection holds the surviving rows and no more:
+  // a selective filter over a large table keeps a few indices.
+  const size_t n = pred.size();
+  size_t hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Truth t = TruthAt(*pred.col, pred[i]);
+    if (t == Truth::kOther) {
+      return Status::TypeError("qualification is not a boolean");
+    }
+    hits += t == Truth::kTrue ? 1 : 0;
+  }
+  SelectionVector sel;
+  sel.reserve(hits);
+  for (size_t i = 0; i < n && sel.size() < hits; ++i) {
+    if (TruthAt(*pred.col, pred[i]) == Truth::kTrue) {
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return sel;
+}
+
+HashClass ClassifyKey(ColumnView view) {
+  const ColumnVector& col = *view.col;
   switch (col.lane()) {
     case Lane::kInt64:
     case Lane::kFloat64:
@@ -348,8 +335,8 @@ HashClass ClassifyKey(const ColumnVector& col) {
       break;
   }
   HashClass cls = HashClass::kAny;
-  for (size_t i = 0; i < col.size(); ++i) {
-    const Value& v = col.GenericAt(i);
+  for (size_t i = 0; i < view.size(); ++i) {
+    const Value& v = col.GenericAt(view[i]);
     HashClass want;
     switch (v.kind()) {
       case ValueKind::kNull:
@@ -411,59 +398,80 @@ uint64_t HashCell(const ColumnVector& col, size_t i, HashClass cls) {
   }
 }
 
-Result<JoinPairs> HashJoin(const std::vector<const ColumnVector*>& left_keys,
-                           const std::vector<const ColumnVector*>& right_keys,
+namespace {
+
+// Hash of row i over the key views; false when a key is NULL (the row
+// never matches).
+bool RowHash(const std::vector<ColumnView>& keys,
+             const std::vector<HashClass>& classes, size_t i, uint64_t* h) {
+  uint64_t acc = kRowHashSeed;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const size_t cell = keys[k][i];
+    if (keys[k].col->IsNull(cell)) return false;
+    acc = Mix64(acc ^ HashCell(*keys[k].col, cell, classes[k]));
+  }
+  *h = acc;
+  return true;
+}
+
+// Reorders pairs emitted right-major into (left asc, right asc) order: a
+// stable counting sort by left row keeps each left row's right rows in
+// the ascending order they were emitted in.
+void SortByLeft(size_t left_rows, JoinPairs* pairs) {
+  std::vector<uint32_t> start(left_rows + 1, 0);
+  for (uint32_t l : pairs->left) ++start[l + 1];
+  for (size_t i = 0; i < left_rows; ++i) start[i + 1] += start[i];
+  SelectionVector left(pairs->left.size()), right(pairs->right.size());
+  for (size_t p = 0; p < pairs->left.size(); ++p) {
+    const uint32_t at = start[pairs->left[p]]++;
+    left[at] = pairs->left[p];
+    right[at] = pairs->right[p];
+  }
+  pairs->left = std::move(left);
+  pairs->right = std::move(right);
+}
+
+}  // namespace
+
+Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
+                           const std::vector<ColumnView>& right_keys,
                            const std::vector<HashClass>& classes,
-                           size_t left_rows, size_t right_rows,
                            size_t max_pairs) {
   JoinPairs out;
+  const size_t left_rows = left_keys[0].size();
+  const size_t right_rows = right_keys[0].size();
   if (left_rows == 0 || right_rows == 0) return out;
   if (right_rows > (size_t{1} << 30) || left_rows > (size_t{1} << 30)) {
     return Status::Unsupported("hash join input too large");
   }
-  const size_t nkeys = left_keys.size();
+  const bool build_left = left_rows < right_rows;
+  const std::vector<ColumnView>& build = build_left ? left_keys : right_keys;
+  const std::vector<ColumnView>& probe = build_left ? right_keys : left_keys;
+  const size_t build_rows = build_left ? left_rows : right_rows;
+  const size_t probe_rows = build_left ? right_rows : left_rows;
   size_t buckets = 16;
-  while (buckets < right_rows * 2) buckets <<= 1;
+  while (buckets < build_rows * 2) buckets <<= 1;
   const uint64_t mask = buckets - 1;
   std::vector<int32_t> heads(buckets, -1);
-  std::vector<int32_t> nxt(right_rows, -1);
-  std::vector<uint64_t> rhash(right_rows, 0);
-  std::vector<uint8_t> rnull(right_rows, 0);
-  for (size_t j = 0; j < right_rows; ++j) {
-    uint64_t h = kRowHashSeed;
-    for (size_t k = 0; k < nkeys; ++k) {
-      if (right_keys[k]->IsNull(j)) {
-        rnull[j] = 1;
-        break;
-      }
-      h = Mix64(h ^ HashCell(*right_keys[k], j, classes[k]));
-    }
-    rhash[j] = h;
-  }
-  // Insert build rows in reverse so each bucket chain is ascending; probe
-  // traversal then emits matches in the row engine's nested-loop order.
-  for (size_t j = right_rows; j-- > 0;) {
-    if (rnull[j]) continue;
-    const size_t b = rhash[j] & mask;
+  std::vector<int32_t> nxt(build_rows, -1);
+  std::vector<uint64_t> hashes(build_rows, 0);
+  // Insert build rows in reverse so each bucket chain is ascending; a
+  // probe row then meets its matches in ascending build order.
+  for (size_t j = build_rows; j-- > 0;) {
+    if (!RowHash(build, classes, j, &hashes[j])) continue;
+    const size_t b = hashes[j] & mask;
     nxt[j] = heads[b];
     heads[b] = static_cast<int32_t>(j);
   }
-  for (size_t i = 0; i < left_rows; ++i) {
-    uint64_t h = kRowHashSeed;
-    bool any_null = false;
-    for (size_t k = 0; k < nkeys; ++k) {
-      if (left_keys[k]->IsNull(i)) {
-        any_null = true;
-        break;
-      }
-      h = Mix64(h ^ HashCell(*left_keys[k], i, classes[k]));
-    }
-    if (any_null) continue;
+  for (size_t i = 0; i < probe_rows; ++i) {
+    uint64_t h;
+    if (!RowHash(probe, classes, i, &h)) continue;
     for (int32_t j = heads[h & mask]; j >= 0; j = nxt[j]) {
-      if (rhash[j] != h) continue;
+      if (hashes[j] != h) continue;
       bool eq = true;
-      for (size_t k = 0; k < nkeys; ++k) {
-        if (left_keys[k]->CompareCells(i, *right_keys[k], j) != 0) {
+      for (size_t k = 0; k < classes.size(); ++k) {
+        if (probe[k].col->CompareCells(probe[k][i], *build[k].col,
+                                       build[k][j]) != 0) {
           eq = false;
           break;
         }
@@ -472,10 +480,11 @@ Result<JoinPairs> HashJoin(const std::vector<const ColumnVector*>& left_keys,
       if (out.left.size() >= max_pairs) {
         return Status::Unsupported("hash join output exceeds batch cap");
       }
-      out.left.push_back(static_cast<uint32_t>(i));
-      out.right.push_back(static_cast<uint32_t>(j));
+      out.left.push_back(static_cast<uint32_t>(build_left ? j : i));
+      out.right.push_back(static_cast<uint32_t>(build_left ? i : j));
     }
   }
+  if (build_left) SortByLeft(left_rows, &out);
   return out;
 }
 

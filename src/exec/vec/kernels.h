@@ -16,27 +16,38 @@ namespace eds::exec::vec {
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-// EQ/NE/LT/LE/GT/GE over two equal-length columns: NULL operand -> NULL,
+// EQ/NE/LT/LE/GT/GE over two views of equal length: NULL operand -> NULL,
 // otherwise Bool(pred(value::Compare)). Never errors (comparisons are
-// defined across kinds via the total order).
-ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
-                            const ColumnVector& b);
+// defined across kinds via the total order). The result has one cell per
+// view row.
+ColumnVector CompareColumns(CmpOp op, ColumnView a, ColumnView b);
 // The same against one value: CompareColumns(op, a, b) for a column b
 // holding `c` in every row, without building that column.
-ColumnVector CompareColumnToValue(CmpOp op, const ColumnVector& a,
+ColumnVector CompareColumnToValue(CmpOp op, ColumnView a,
                                   const value::Value& c);
+// WHERE over that comparison, with no predicate column: the rows of `a`
+// (view positions, ascending) whose comparison is TRUE.
+SelectionVector SelectCompareToValue(CmpOp op, ColumnView a,
+                                     const value::Value& c);
 
-// Three-valued AND/OR/NOT over columns; errors when a row that is not
-// decided by FALSE/TRUE-domination has a non-boolean operand (the scalar
-// evaluator's TypeError).
-Result<ColumnVector> AndColumns(const ColumnVector& a, const ColumnVector& b);
-Result<ColumnVector> OrColumns(const ColumnVector& a, const ColumnVector& b);
-Result<ColumnVector> NotColumn(const ColumnVector& a);
+// Three-valued AND and OR with the scalar evaluator's short circuit: a row
+// whose left operand is the connective's dominant value (FALSE for AND,
+// TRUE for OR) is decided before the right operand is looked at, and
+// before any type check, so (FALSE AND 7) is FALSE.
+enum class Connective { kAnd, kOr };
+// The rows of `a` (view positions, ascending) that `op` leaves undecided:
+// those whose cell is not the dominant boolean.
+SelectionVector UndecidedRows(Connective op, ColumnView a);
+// `op` over `a` and `b`, where `b` holds one cell per undecided row of `a`,
+// in order. Errors when a row that neither operand decides has a
+// non-boolean operand and no NULL (the scalar evaluator's TypeError).
+Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b);
+Result<ColumnVector> NotColumn(ColumnView a);
 
-// WHERE semantics over a predicate column: row i selected iff the cell is
-// a valid TRUE (NULL and FALSE dropped); a valid non-boolean cell is a
+// WHERE semantics over a predicate view: position i selected iff the cell
+// is a valid TRUE (NULL and FALSE dropped); a valid non-boolean cell is a
 // TypeError, as in EvalPredicate.
-Result<SelectionVector> SelectTrue(const ColumnVector& pred);
+Result<SelectionVector> SelectTrue(ColumnView pred);
 
 // Join-key hashability of a column: numeric lanes hash via the widened
 // double (consistent with Int(2) == Real(2.0)), bool and object-reference
@@ -45,8 +56,9 @@ Result<SelectionVector> SelectTrue(const ColumnVector& pred);
 // into the residual (nested-loop) filter.
 // kAny marks a column with no non-null values (kNullOnly): its keys never
 // match anything, so it is compatible with every class.
+// A view classifies by the rows it reads.
 enum class HashClass { kNone, kNumeric, kBool, kString, kObjectRef, kAny };
-HashClass ClassifyKey(const ColumnVector& col);
+HashClass ClassifyKey(ColumnView col);
 // Compatible when both sides can hash equal values to equal hashes.
 bool HashCompatible(HashClass a, HashClass b);
 // The class HashJoin should hash a (left, right) key pair under: the
@@ -62,14 +74,16 @@ struct JoinPairs {
   SelectionVector left, right;
 };
 
-// Hash equi-join over parallel key columns (all conjuncts must match; NULL
+// Hash equi-join over parallel key views (all conjuncts must match; NULL
 // keys never match). `classes[k]` is CombineClasses over the k-th key pair.
-// Errors with Unsupported when the output would exceed `max_pairs` (caller
-// falls back to the row path rather than materializing a blow-up).
-Result<JoinPairs> HashJoin(const std::vector<const ColumnVector*>& left_keys,
-                           const std::vector<const ColumnVector*>& right_keys,
+// The smaller side is built into the table and the other side probes it,
+// hashing each probe row as it goes; when the left side is the one built,
+// a stable counting sort by left row restores the (left asc, right asc)
+// order. Errors with Unsupported when the output would exceed `max_pairs`
+// (caller falls back to the row path rather than materializing a blow-up).
+Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
+                           const std::vector<ColumnView>& right_keys,
                            const std::vector<HashClass>& classes,
-                           size_t left_rows, size_t right_rows,
                            size_t max_pairs);
 
 // Full cross product of row indices, same order/cap contract.

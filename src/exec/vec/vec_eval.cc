@@ -13,7 +13,7 @@ using value::Value;
 
 namespace {
 
-Result<ColumnPtr> EvalAttr(const TermRef& expr, const ExprFrame& frame) {
+Result<FrameColumn> EvalAttr(const TermRef& expr, const ExprFrame& frame) {
   EDS_ASSIGN_OR_RETURN(lera::AttrRef a, lera::GetAttr(expr));
   if (a.input < 1 ||
       static_cast<size_t>(a.input) + 1 > frame.offsets.size()) {
@@ -27,22 +27,26 @@ Result<ColumnPtr> EvalAttr(const TermRef& expr, const ExprFrame& frame) {
   const ColumnVector* col =
       &frame.batch->cols[lo + static_cast<uint32_t>(a.column) - 1];
   // Aliasing constructor: borrow the batch's column, no copy, no ownership.
-  return ColumnPtr(ColumnPtr{}, col);
+  return FrameColumn{ColumnPtr(ColumnPtr{}, col), frame.sel};
 }
 
-ColumnPtr Broadcast(const Value& v, size_t n) {
+FrameColumn Broadcast(const Value& v, size_t n) {
   auto col = std::make_shared<ColumnVector>();
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) col->AppendValue(v);
-  return col;
+  return {std::move(col)};
+}
+
+FrameColumn Computed(ColumnVector col) {
+  return {std::make_shared<ColumnVector>(std::move(col))};
 }
 
 // Slow lane: evaluate the expression with the scalar evaluator once per
 // row, reconstructing each input's current row from the batch columns.
 // Costs what the row engine costs, but keeps every expression form on the
 // vectorized path with semantics identical by construction.
-Result<ColumnPtr> EvalPerRow(const TermRef& expr, const ExprFrame& frame) {
-  const size_t n = frame.batch->rows;
+Result<FrameColumn> EvalPerRow(const TermRef& expr, const ExprFrame& frame) {
+  const size_t n = frame.rows();
   const size_t inputs = frame.offsets.size() - 1;
   std::vector<Row> rows(inputs);
   EvalContext ctx;
@@ -53,16 +57,17 @@ Result<ColumnPtr> EvalPerRow(const TermRef& expr, const ExprFrame& frame) {
   auto out = std::make_shared<ColumnVector>();
   out->Reserve(n);
   for (size_t r = 0; r < n; ++r) {
+    const size_t b = frame.sel != nullptr ? (*frame.sel)[r] : r;
     for (size_t i = 0; i < inputs; ++i) {
       rows[i].clear();
       for (uint32_t c = frame.offsets[i]; c < frame.offsets[i + 1]; ++c) {
-        rows[i].push_back(frame.batch->cols[c].ValueAt(r));
+        rows[i].push_back(frame.batch->cols[c].ValueAt(b));
       }
     }
     EDS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, &ctx));
     out->AppendValue(v);
   }
-  return ColumnPtr(std::move(out));
+  return FrameColumn{std::move(out)};
 }
 
 bool CmpOpFor(const std::string& f, CmpOp* op) {
@@ -87,11 +92,38 @@ CmpOp Mirror(CmpOp op) {
   }
 }
 
+// AND/OR of the frame's rows: the right operand runs on the rows the left
+// one leaves undecided, over a frame narrowed to them (the whole frame
+// when the left one decided none, no frame when it decided all).
+Result<FrameColumn> EvalConnective(Connective op, const TermRef& expr,
+                                   const ExprFrame& frame) {
+  EDS_ASSIGN_OR_RETURN(FrameColumn a, EvalExprBatch(expr->arg(0), frame));
+  const SelectionVector undecided = UndecidedRows(op, a.view());
+  SelectionVector narrowed;  // batch row sel[u] of each undecided u
+  FrameColumn b;
+  if (!undecided.empty()) {
+    ExprFrame sub = frame;
+    if (undecided.size() < frame.rows()) {
+      if (frame.sel != nullptr) {
+        narrowed.reserve(undecided.size());
+        for (uint32_t u : undecided) narrowed.push_back((*frame.sel)[u]);
+        sub.sel = &narrowed;
+      } else {
+        sub.sel = &undecided;
+      }
+    }
+    EDS_ASSIGN_OR_RETURN(b, EvalExprBatch(expr->arg(1), sub));
+  }
+  EDS_ASSIGN_OR_RETURN(ColumnVector out, Connect(op, a.view(), b.view()));
+  return Computed(std::move(out));
+}
+
 }  // namespace
 
-Result<ColumnPtr> EvalExprBatch(const TermRef& expr, const ExprFrame& frame) {
+Result<FrameColumn> EvalExprBatch(const TermRef& expr,
+                                  const ExprFrame& frame) {
   if (expr->is_constant()) {
-    return Broadcast(expr->constant(), frame.batch->rows);
+    return Broadcast(expr->constant(), frame.rows());
   }
   if (lera::IsAttr(expr)) return EvalAttr(expr, frame);
   if (expr->is_apply()) {
@@ -105,33 +137,25 @@ Result<ColumnPtr> EvalExprBatch(const TermRef& expr, const ExprFrame& frame) {
       if (lhs->is_constant() != rhs->is_constant()) {
         const bool constant_left = lhs->is_constant();
         EDS_ASSIGN_OR_RETURN(
-            ColumnPtr col, EvalExprBatch(constant_left ? rhs : lhs, frame));
-        return ColumnPtr(std::make_shared<ColumnVector>(CompareColumnToValue(
-            constant_left ? Mirror(op) : op, *col,
-            (constant_left ? lhs : rhs)->constant())));
+            FrameColumn col, EvalExprBatch(constant_left ? rhs : lhs, frame));
+        return Computed(CompareColumnToValue(
+            constant_left ? Mirror(op) : op, col.view(),
+            (constant_left ? lhs : rhs)->constant()));
       }
-      EDS_ASSIGN_OR_RETURN(ColumnPtr a, EvalExprBatch(expr->arg(0), frame));
-      EDS_ASSIGN_OR_RETURN(ColumnPtr b, EvalExprBatch(expr->arg(1), frame));
-      return ColumnPtr(
-          std::make_shared<ColumnVector>(CompareColumns(op, *a, *b)));
+      EDS_ASSIGN_OR_RETURN(FrameColumn a, EvalExprBatch(lhs, frame));
+      EDS_ASSIGN_OR_RETURN(FrameColumn b, EvalExprBatch(rhs, frame));
+      return Computed(CompareColumns(op, a.view(), b.view()));
     }
-    if ((f == term::kAnd || f == term::kOr) && expr->args().size() >= 2) {
-      EDS_ASSIGN_OR_RETURN(ColumnPtr acc, EvalExprBatch(expr->arg(0), frame));
-      for (size_t i = 1; i < expr->args().size(); ++i) {
-        EDS_ASSIGN_OR_RETURN(ColumnPtr next,
-                             EvalExprBatch(expr->arg(i), frame));
-        Result<ColumnVector> combined = f == term::kAnd
-                                            ? AndColumns(*acc, *next)
-                                            : OrColumns(*acc, *next);
-        EDS_RETURN_IF_ERROR(combined.status());
-        acc = std::make_shared<ColumnVector>(std::move(*combined));
-      }
-      return acc;
+    // Binary only: the scalar evaluator short-circuits AND/OR of two
+    // operands, and anything wider goes through the function library.
+    if ((f == term::kAnd || f == term::kOr) && expr->args().size() == 2) {
+      return EvalConnective(
+          f == term::kAnd ? Connective::kAnd : Connective::kOr, expr, frame);
     }
     if (f == term::kNot && expr->args().size() == 1) {
-      EDS_ASSIGN_OR_RETURN(ColumnPtr a, EvalExprBatch(expr->arg(0), frame));
-      EDS_ASSIGN_OR_RETURN(ColumnVector negated, NotColumn(*a));
-      return ColumnPtr(std::make_shared<ColumnVector>(std::move(negated)));
+      EDS_ASSIGN_OR_RETURN(FrameColumn a, EvalExprBatch(expr->arg(0), frame));
+      EDS_ASSIGN_OR_RETURN(ColumnVector negated, NotColumn(a.view()));
+      return Computed(std::move(negated));
     }
   }
   return EvalPerRow(expr, frame);
@@ -139,8 +163,21 @@ Result<ColumnPtr> EvalExprBatch(const TermRef& expr, const ExprFrame& frame) {
 
 Result<SelectionVector> EvalPredicateBatch(const TermRef& qual,
                                            const ExprFrame& frame) {
-  EDS_ASSIGN_OR_RETURN(ColumnPtr pred, EvalExprBatch(qual, frame));
-  return SelectTrue(*pred);
+  // A comparison with one constant operand selects in place, without a
+  // predicate column as long as the frame.
+  CmpOp op;
+  if (qual->is_apply() && CmpOpFor(qual->functor(), &op) &&
+      qual->args().size() == 2 &&
+      qual->arg(0)->is_constant() != qual->arg(1)->is_constant()) {
+    const bool constant_left = qual->arg(0)->is_constant();
+    EDS_ASSIGN_OR_RETURN(
+        FrameColumn col,
+        EvalExprBatch(qual->arg(constant_left ? 1 : 0), frame));
+    return SelectCompareToValue(constant_left ? Mirror(op) : op, col.view(),
+                                qual->arg(constant_left ? 0 : 1)->constant());
+  }
+  EDS_ASSIGN_OR_RETURN(FrameColumn pred, EvalExprBatch(qual, frame));
+  return SelectTrue(pred.view());
 }
 
 }  // namespace eds::exec::vec

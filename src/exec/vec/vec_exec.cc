@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -45,168 +46,330 @@ struct StageCtx {
   ExecStats* stats = nullptr;
 };
 
-// A frame where input `k` is the only bound input, mapped onto a
-// standalone batch (inputs 1..k-1 get zero-width ranges, so a stray
-// reference to them errors instead of aliasing the wrong column).
-vec::ExprFrame RightFrame(const vec::Batch* batch, size_t k,
-                          const StageCtx& sc) {
+// The rows of `batch` that the conjuncts applied so far kept: `rows`
+// (ascending) when `all` is false, every row of the batch otherwise. A
+// join stage's result owns the combined batch it gathered.
+struct Kept {
+  const vec::Batch* batch = nullptr;
+  std::unique_ptr<vec::Batch> owned;
+  vec::SelectionVector rows;
+  bool all = true;
+
+  size_t size() const { return all ? batch->rows : rows.size(); }
+  const vec::SelectionVector* sel() const { return all ? nullptr : &rows; }
+  // The batch row of kept position p.
+  uint32_t Row(uint32_t p) const { return all ? p : rows[p]; }
+  // Keeps only positions `keep` (ascending) of the rows kept so far.
+  void Narrow(vec::SelectionVector keep) {
+    if (keep.size() == size()) return;
+    if (all) {
+      rows = std::move(keep);
+      all = false;
+      return;
+    }
+    // keep[p] >= p, so composing in place never overwrites a row still
+    // to be read.
+    for (size_t p = 0; p < keep.size(); ++p) rows[p] = rows[keep[p]];
+    rows.resize(keep.size());
+  }
+};
+
+vec::ExprFrame FrameOver(const Kept& kept, std::vector<uint32_t> offsets,
+                         const StageCtx& sc) {
   vec::ExprFrame frame;
-  frame.batch = batch;
-  frame.offsets.assign(k, 0);
-  frame.offsets.push_back(static_cast<uint32_t>(batch->cols.size()));
+  frame.batch = kept.batch;
+  frame.offsets = std::move(offsets);
+  frame.sel = kept.sel();
   frame.db = sc.db;
   frame.library = sc.library;
   return frame;
 }
 
-// One nested-loop level, vectorized: extends the combination batch `left`
-// (columns of inputs 1..k-1, rows in lexicographic combination order) with
-// input k. `conjuncts` are this level's conjuncts (every one references
-// input k and nothing higher). They split into
-//   - rhs-only conjuncts (reference input k alone): pre-filter input k;
-//   - equi conjuncts (EQ with one side over inputs 1..k-1 and the other
-//     over input k, hash-compatible keys): one multi-key hash join;
-//   - everything else: residual columnar filters over the joined batch.
-// The hash join emits pairs in (left asc, right asc) order, so the
-// combined batch stays in exactly the row engine's emission order.
-// `offsets` (size k) gains input k's width on return.
-Result<vec::Batch> JoinStage(const vec::Batch& left,
-                             std::vector<uint32_t>* offsets,
-                             const vec::Batch& right, size_t k,
-                             const TermList& conjuncts, const StageCtx& sc) {
-  TermList rhs_only, residual;
-  std::vector<std::array<TermRef, 2>> equi;  // {prev-side, k-side}
+// Offsets where input k is the only bound input, mapped onto its own
+// batch (inputs 1..k-1 get zero-width ranges, so a stray reference to
+// them errors instead of aliasing the wrong column).
+std::vector<uint32_t> AloneOffsets(const vec::Batch& batch, size_t k) {
+  std::vector<uint32_t> offsets(k, 0);
+  offsets.push_back(static_cast<uint32_t>(batch.cols.size()));
+  return offsets;
+}
+
+// Narrows `kept` by each conjunct in turn; each one runs only on the rows
+// the ones before it kept, as in the row engine's nested loop.
+Status Filter(const TermList& conjuncts, const std::vector<uint32_t>& offsets,
+              Kept* kept, const StageCtx& sc) {
   for (const TermRef& c : conjuncts) {
-    std::vector<lera::AttrRef> attrs;
-    lera::CollectAttrs(c, &attrs);
-    bool refs_prev = false;
-    for (const lera::AttrRef& a : attrs) {
-      if (a.input < static_cast<int64_t>(k)) {
-        refs_prev = true;
-        break;
-      }
+    const size_t n = kept->size();
+    if (n == 0) break;
+    sc.stats->qual_evaluations += n;
+    EDS_ASSIGN_OR_RETURN(
+        vec::SelectionVector pass,
+        vec::EvalPredicateBatch(c, FrameOver(*kept, offsets, sc)));
+    ++sc.stats->batches;
+    sc.stats->vec_rows += n;
+    kept->Narrow(std::move(pass));
+  }
+  return Status::OK();
+}
+
+// `n` rows, one cell from each evaluated projection.
+Rows ProjectRows(const std::vector<vec::FrameColumn>& cols, size_t n) {
+  Rows out;
+  out.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    Row row;
+    row.reserve(cols.size());
+    for (const vec::FrameColumn& col : cols) {
+      const vec::ColumnView v = col.view();
+      row.push_back(v.col->ValueAt(v[r]));
     }
-    if (!refs_prev) {
-      rhs_only.push_back(c);
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+// Every row of `kept`, each cell rebuilt as the Value the row engine
+// carries.
+Rows ToRows(const Kept& kept) {
+  Rows out;
+  out.reserve(kept.size());
+  for (size_t p = 0; p < kept.size(); ++p) {
+    const uint32_t b = kept.Row(static_cast<uint32_t>(p));
+    Row row;
+    row.reserve(kept.batch->cols.size());
+    for (const vec::ColumnVector& c : kept.batch->cols) {
+      row.push_back(c.ValueAt(b));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+bool IsComparison(const TermRef& t) {
+  static const char* const kOps[] = {term::kEq, term::kNe, term::kLt,
+                                     term::kLe, term::kGt, term::kGe};
+  if (!t->is_apply() || t->args().size() != 2) return false;
+  for (const char* op : kOps) {
+    if (t->functor() == op) return true;
+  }
+  return false;
+}
+
+// True when evaluating `expr` raises no error on any row: constants,
+// attributes, and comparisons of those (value::Compare is total).
+bool CannotFail(const TermRef& expr) {
+  if (expr->is_constant() || lera::IsAttr(expr)) return true;
+  return IsComparison(expr) && CannotFail(expr->arg(0)) &&
+         CannotFail(expr->arg(1));
+}
+
+// The same for a qualification, which must also come out boolean or NULL.
+bool PredicateCannotFail(const TermRef& c) {
+  if (c->is_constant()) {
+    return c->constant().is_null() ||
+           c->constant().kind() == value::ValueKind::kBool;
+  }
+  if (IsComparison(c)) return CannotFail(c);
+  const bool connective =
+      ((c->IsApply(term::kAnd) || c->IsApply(term::kOr)) &&
+       c->args().size() == 2) ||
+      (c->IsApply(term::kNot) && c->args().size() == 1);
+  if (!connective) return false;
+  for (const TermRef& a : c->args()) {
+    if (!PredicateCannotFail(a)) return false;
+  }
+  return true;
+}
+
+// How join level k applies its conjuncts: `before` narrows input k alone,
+// `equi` ({prev-side, k-side} pairs) are the hash join's keys, and `after`
+// runs over the joined combinations, in the order given.
+struct LevelPlan {
+  TermList before;
+  std::vector<std::array<TermRef, 2>> equi;
+  TermList after;
+};
+
+// A comparison of an attribute with a constant, such as the selections
+// the rewriter pushes down: it selects in place, at the cost of its
+// survivors only.
+bool IsConstantSelection(const TermRef& c) {
+  return IsComparison(c) &&
+         ((c->arg(0)->is_constant() && lera::IsAttr(c->arg(1))) ||
+          (lera::IsAttr(c->arg(0)) && c->arg(1)->is_constant()));
+}
+
+// Where level k runs each conjunct. A right-only conjunct runs before the
+// join when the level has no equi-conjunct or when it is a constant
+// selection; any other runs after the join, so it sees only right rows
+// with a join partner. The row engine runs a level's conjuncts in the
+// order given, each on the combinations the earlier ones kept, and a
+// conjunct moved ahead of an earlier one narrows what that one sees. That
+// is harmless only when the earlier one cannot fail, so a conjunct never
+// runs in an earlier place than one before it that can: it takes that
+// place (after the join for an equi-conjunct that cannot be a key there).
+LevelPlan PlanLevel(const TermList& conjuncts, size_t k) {
+  enum Slot { kBefore, kKey, kAfter };
+  // 1: only inputs before k, 2: only input k, 3: both, 0: neither.
+  auto reach = [k](const TermRef& t) {
+    std::vector<lera::AttrRef> attrs;
+    lera::CollectAttrs(t, &attrs);
+    int mask = 0;
+    for (const lera::AttrRef& a : attrs) {
+      mask |= a.input == static_cast<int64_t>(k) ? 2 : 1;
+    }
+    return mask;
+  };
+  const size_t n = conjuncts.size();
+  std::vector<Slot> want(n, kAfter);
+  std::vector<std::array<TermRef, 2>> sides(n);
+  bool any_equi = false;
+  for (size_t i = 0; i < n; ++i) {
+    const TermRef& c = conjuncts[i];
+    if ((reach(c) & 1) == 0) {
+      want[i] = kBefore;  // right-only; settled below
       continue;
     }
-    bool is_equi = false;
-    if (c->is_apply() && c->functor() == term::kEq && c->args().size() == 2) {
-      auto side = [&](const TermRef& s) {
-        std::vector<lera::AttrRef> sa;
-        lera::CollectAttrs(s, &sa);
-        bool prev = false, cur = false;
-        for (const lera::AttrRef& a : sa) {
-          if (a.input == static_cast<int64_t>(k)) {
-            cur = true;
-          } else {
-            prev = true;
-          }
-        }
-        return prev ? (cur ? 3 : 1) : (cur ? 2 : 0);
-      };
-      const int lc = side(c->arg(0)), rc = side(c->arg(1));
-      if (lc == 1 && rc == 2) {
-        equi.push_back({c->arg(0), c->arg(1)});
-        is_equi = true;
-      } else if (lc == 2 && rc == 1) {
-        equi.push_back({c->arg(1), c->arg(0)});
-        is_equi = true;
-      }
+    if (!c->IsApply(term::kEq) || c->args().size() != 2) continue;
+    const int l = reach(c->arg(0)), r = reach(c->arg(1));
+    if (l == 1 && r == 2) {
+      sides[i] = {c->arg(0), c->arg(1)};
+    } else if (l == 2 && r == 1) {
+      sides[i] = {c->arg(1), c->arg(0)};
+    } else {
+      continue;
     }
-    if (!is_equi) residual.push_back(c);
+    want[i] = kKey;
+    any_equi = true;
   }
+  LevelPlan plan;
+  Slot floor = kBefore;
+  for (size_t i = 0; i < n; ++i) {
+    const TermRef& c = conjuncts[i];
+    Slot slot = want[i];
+    if (slot == kBefore && any_equi && !IsConstantSelection(c)) {
+      slot = kAfter;
+    }
+    // Only an equi-conjunct can share the keys' place, and one that
+    // would run before it shares nothing.
+    if (slot < floor) slot = kAfter;
+    switch (slot) {
+      case kBefore: plan.before.push_back(c); break;
+      case kKey: plan.equi.push_back(sides[i]); break;
+      case kAfter: plan.after.push_back(c); break;
+    }
+    if (!PredicateCannotFail(c) && slot > floor) floor = slot;
+  }
+  return plan;
+}
 
-  const uint32_t right_width = static_cast<uint32_t>(right.cols.size());
-  vec::Batch filtered;
-  const vec::Batch* rightp = &right;
-  for (const TermRef& c : rhs_only) {
-    vec::ExprFrame rf = RightFrame(rightp, k, sc);
-    sc.stats->qual_evaluations += rightp->rows;
-    EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
-                         vec::EvalPredicateBatch(c, rf));
-    ++sc.stats->batches;
-    sc.stats->vec_rows += rightp->rows;
-    vec::Batch next = rightp->GatherRows(sel);
-    filtered = std::move(next);
-    rightp = &filtered;
-  }
+// One nested-loop level, vectorized: joins the combinations kept so far
+// (`left`, whose batch holds inputs 1..k-1 at `offsets`) with input k.
+// `conjuncts` are this level's conjuncts (every one references input k and
+// nothing higher), applied as PlanLevel says: the hash join pairs the rows
+// that the before-join conjuncts kept of input k with `left`; a level
+// without hash keys pairs every kept row with every one. The join emits
+// pairs in (left asc, right asc) order, so the combinations stay in
+// exactly the row engine's emission order. The combined batch is gathered
+// once, and only for the columns that the after-join conjuncts, `later`
+// (what later levels and the projection read) or, when `later` is null,
+// the caller reads; the after-join conjuncts then narrow its selection.
+// `offsets` (size k) gains input k's width on return.
+Result<Kept> JoinStage(const Kept& left, std::vector<uint32_t>* offsets,
+                       const vec::Batch& right, size_t k,
+                       const TermList& conjuncts,
+                       const std::vector<lera::AttrRef>* later,
+                       const StageCtx& sc) {
+  LevelPlan plan = PlanLevel(conjuncts, k);
+  Kept kept_right;
+  kept_right.batch = &right;
+  EDS_RETURN_IF_ERROR(
+      Filter(plan.before, AloneOffsets(right, k), &kept_right, sc));
 
   vec::JoinPairs pairs;
-  if (left.rows != 0 && rightp->rows != 0) {
-    std::vector<vec::ColumnPtr> lcols, rcols;
-    std::vector<const vec::ColumnVector*> lraw, rraw;
+  if (left.size() != 0 && kept_right.size() != 0) {
+    std::vector<vec::FrameColumn> keys;  // owns computed key columns
+    std::vector<vec::ColumnView> lkeys, rkeys;
     std::vector<vec::HashClass> classes;
-    if (!equi.empty()) {
-      vec::ExprFrame lf;
-      lf.batch = &left;
-      lf.offsets = *offsets;
-      lf.db = sc.db;
-      lf.library = sc.library;
-      vec::ExprFrame rf = RightFrame(rightp, k, sc);
-      for (const auto& [prev_side, cur_side] : equi) {
-        EDS_ASSIGN_OR_RETURN(vec::ColumnPtr lc,
-                             vec::EvalExprBatch(prev_side, lf));
-        EDS_ASSIGN_OR_RETURN(vec::ColumnPtr rc,
-                             vec::EvalExprBatch(cur_side, rf));
-        const vec::HashClass ca = vec::ClassifyKey(*lc);
-        const vec::HashClass cb = vec::ClassifyKey(*rc);
-        if (!vec::HashCompatible(ca, cb)) {
-          // Tuples or mixed-kind keys: compare pairwise instead.
-          residual.push_back(term::Term::Apply(
-              term::kEq, {prev_side, cur_side}));
-          continue;
-        }
-        // Charged as logical qualification applications — the pairings the
-        // row engine would have probed (|left| x |right|) — not the O(n+m)
-        // hash-join work, so cost comparisons against the row path (e.g.
-        // semi-naive vs naive deltas) stay meaningful.
-        sc.stats->qual_evaluations += left.rows * rightp->rows;
-        lcols.push_back(lc);
-        rcols.push_back(rc);
-        lraw.push_back(lc.get());
-        rraw.push_back(rc.get());
-        classes.push_back(vec::CombineClasses(ca, cb));
+    const vec::ExprFrame lf = FrameOver(left, *offsets, sc);
+    const vec::ExprFrame rf =
+        FrameOver(kept_right, AloneOffsets(right, k), sc);
+    for (const auto& [prev_side, cur_side] : plan.equi) {
+      EDS_ASSIGN_OR_RETURN(vec::FrameColumn lc,
+                           vec::EvalExprBatch(prev_side, lf));
+      EDS_ASSIGN_OR_RETURN(vec::FrameColumn rc,
+                           vec::EvalExprBatch(cur_side, rf));
+      const vec::HashClass ca = vec::ClassifyKey(lc.view());
+      const vec::HashClass cb = vec::ClassifyKey(rc.view());
+      if (!vec::HashCompatible(ca, cb)) {
+        // Tuples or mixed-kind keys: compare pairwise instead.
+        plan.after.push_back(
+            term::Term::Apply(term::kEq, {prev_side, cur_side}));
+        continue;
       }
+      // Charged as logical qualification applications — the pairings the
+      // row engine would have probed (|left| x |right|) — not the O(n+m)
+      // hash-join work, so cost comparisons against the row path (e.g.
+      // semi-naive vs naive deltas) stay meaningful.
+      sc.stats->qual_evaluations += left.size() * kept_right.size();
+      lkeys.push_back(lc.view());
+      rkeys.push_back(rc.view());
+      classes.push_back(vec::CombineClasses(ca, cb));
+      keys.push_back(std::move(lc));
+      keys.push_back(std::move(rc));
     }
-    if (!lraw.empty()) {
-      EDS_ASSIGN_OR_RETURN(pairs,
-                           vec::HashJoin(lraw, rraw, classes, left.rows,
-                                         rightp->rows, kMaxJoinPairs));
-    } else {
+    if (!lkeys.empty()) {
       EDS_ASSIGN_OR_RETURN(
-          pairs, vec::CrossPairs(left.rows, rightp->rows, kMaxCrossPairs));
+          pairs, vec::HashJoin(lkeys, rkeys, classes, kMaxJoinPairs));
+    } else {
+      EDS_ASSIGN_OR_RETURN(pairs,
+                           vec::CrossPairs(left.size(), kept_right.size(),
+                                           kMaxCrossPairs));
     }
   }
   ++sc.stats->batches;
   sc.stats->vec_rows += pairs.left.size();
 
-  vec::Batch combined;
-  combined.rows = pairs.left.size();
-  combined.cols.reserve(left.cols.size() + right_width);
-  for (const vec::ColumnVector& c : left.cols) {
-    combined.cols.push_back(c.Gather(pairs.left));
-  }
-  for (const vec::ColumnVector& c : rightp->cols) {
-    combined.cols.push_back(c.Gather(pairs.right));
-  }
-  offsets->push_back(offsets->back() + right_width);
+  const uint32_t left_width = offsets->back();
+  offsets->push_back(left_width + static_cast<uint32_t>(right.cols.size()));
+  std::vector<bool> needed(offsets->back(), later == nullptr);
+  auto mark = [&](const lera::AttrRef& a) {
+    if (a.input < 1 || a.input > static_cast<int64_t>(k)) return;
+    const uint32_t lo = (*offsets)[static_cast<size_t>(a.input) - 1];
+    const uint32_t hi = (*offsets)[static_cast<size_t>(a.input)];
+    if (a.column >= 1 && a.column <= static_cast<int64_t>(hi - lo)) {
+      needed[lo + static_cast<uint32_t>(a.column) - 1] = true;
+    }
+  };
+  std::vector<lera::AttrRef> attrs;
+  for (const TermRef& c : plan.after) lera::CollectAttrs(c, &attrs);
+  if (later != nullptr) attrs.insert(attrs.end(), later->begin(), later->end());
+  for (const lera::AttrRef& a : attrs) mark(a);
 
-  for (const TermRef& c : residual) {
-    vec::ExprFrame cf;
-    cf.batch = &combined;
-    cf.offsets = *offsets;
-    cf.db = sc.db;
-    cf.library = sc.library;
-    sc.stats->qual_evaluations += combined.rows;
-    EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
-                         vec::EvalPredicateBatch(c, cf));
-    ++sc.stats->batches;
-    sc.stats->vec_rows += combined.rows;
-    vec::Batch next = combined.GatherRows(sel);
-    combined = std::move(next);
+  // Pair positions become batch rows, then every needed column is
+  // gathered at them; the others stay empty and are never read.
+  for (uint32_t& l : pairs.left) l = left.Row(l);
+  for (uint32_t& r : pairs.right) r = kept_right.Row(r);
+  Kept out;
+  out.owned = std::make_unique<vec::Batch>();
+  out.owned->rows = pairs.left.size();
+  out.owned->cols.resize(offsets->back());
+  for (uint32_t c = 0; c < offsets->back(); ++c) {
+    if (!needed[c]) continue;
+    out.owned->cols[c] =
+        c < left_width ? left.batch->cols[c].Gather(pairs.left)
+                       : right.cols[c - left_width].Gather(pairs.right);
   }
-  return combined;
+  out.batch = out.owned.get();
+  EDS_RETURN_IF_ERROR(Filter(plan.after, *offsets, &out, sc));
+  return out;
+}
+
+// A batch of one row and no columns: the empty combination a SEARCH
+// without inputs projects once.
+const vec::Batch& EmptyPrefix() {
+  static const vec::Batch prefix{1, {}};
+  return prefix;
 }
 
 }  // namespace
@@ -273,44 +436,45 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
     if (in_batches[i]->rows == 0) return Rows{};
   }
 
-  // The combination batch: starts as the empty prefix (one row, no
-  // columns), gains one input per stage.
-  vec::Batch acc;
-  acc.rows = 1;
-  std::vector<uint32_t> offsets{0};
+  // Level 1 narrows the first input; each later level joins the next one.
+  // later[k] lists what levels after k and the projection read: the
+  // columns stage k's combined batch must gather.
+  std::vector<std::vector<lera::AttrRef>> later(n + 1);
+  for (const TermRef& p : projections) lera::CollectAttrs(p, &later[n]);
+  for (size_t k = n; k-- > 1;) {
+    later[k] = later[k + 1];
+    for (const TermRef& c : conjuncts_at[k + 1]) {
+      lera::CollectAttrs(c, &later[k]);
+    }
+  }
   StageCtx sc{db_, &catalog_->functions(), &stats_};
+  Kept acc;
+  acc.batch = n == 0 ? &EmptyPrefix() : in_batches[0];
+  std::vector<uint32_t> offsets{0};
   for (size_t k = 1; k <= n; ++k) {
     if (options_.guard != nullptr && options_.guard->Check()) {
       return options_.guard->TripStatus();
     }
-    EDS_ASSIGN_OR_RETURN(
-        acc, JoinStage(acc, &offsets, *in_batches[k - 1], k,
-                       conjuncts_at[k], sc));
-    if (acc.rows == 0) return Rows{};
+    if (k == 1) {
+      offsets.push_back(static_cast<uint32_t>(acc.batch->cols.size()));
+      EDS_RETURN_IF_ERROR(Filter(conjuncts_at[1], offsets, &acc, sc));
+    } else {
+      EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *in_batches[k - 1],
+                                          k, conjuncts_at[k], &later[k], sc));
+    }
+    if (acc.size() == 0) return Rows{};
   }
 
-  vec::ExprFrame pf;
-  pf.batch = &acc;
-  pf.offsets = offsets;
-  pf.db = db_;
-  pf.library = &catalog_->functions();
-  std::vector<vec::ColumnPtr> outcols;
+  const vec::ExprFrame pf = FrameOver(acc, offsets, sc);
+  std::vector<vec::FrameColumn> outcols;
   outcols.reserve(projections.size());
   for (const TermRef& p : projections) {
-    EDS_ASSIGN_OR_RETURN(vec::ColumnPtr col, vec::EvalExprBatch(p, pf));
+    EDS_ASSIGN_OR_RETURN(vec::FrameColumn col, vec::EvalExprBatch(p, pf));
     ++stats_.batches;
-    stats_.vec_rows += acc.rows;
+    stats_.vec_rows += acc.size();
     outcols.push_back(std::move(col));
   }
-  Rows out;
-  out.reserve(acc.rows);
-  for (size_t r = 0; r < acc.rows; ++r) {
-    Row row;
-    row.reserve(outcols.size());
-    for (const vec::ColumnPtr& col : outcols) row.push_back(col->ValueAt(r));
-    out.push_back(std::move(row));
-  }
-  return out;
+  return ProjectRows(outcols, acc.size());
 }
 
 Result<const vec::Batch*> Executor::ChildBatch(const term::TermRef& t,
@@ -337,17 +501,13 @@ Result<Rows> Executor::EvalFilterVec(const term::TermRef& t,
   bool borrowed = false;
   EDS_ASSIGN_OR_RETURN(const vec::Batch* tb,
                        ChildBatch(t->arg(0), env, &conv, &borrowed));
-  vec::ExprFrame frame;
-  frame.batch = tb;
-  frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
-  frame.db = db_;
-  frame.library = &catalog_->functions();
-  stats_.qual_evaluations += tb->rows;
-  EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
-                       vec::EvalPredicateBatch(t->arg(1), frame));
-  ++stats_.batches;
-  stats_.vec_rows += tb->rows;
-  Rows out = tb->GatherRows(sel).ToRows();
+  Kept kept;
+  kept.batch = tb;
+  StageCtx sc{db_, &catalog_->functions(), &stats_};
+  EDS_RETURN_IF_ERROR(Filter({t->arg(1)},
+                             {0, static_cast<uint32_t>(tb->cols.size())},
+                             &kept, sc));
+  Rows out = ToRows(kept);
   // The row path charges borrowed children through the child's Eval; the
   // vectorized path charges at the end so a fallback never double-counts.
   if (borrowed && options_.guard != nullptr &&
@@ -372,22 +532,15 @@ Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
   frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
   frame.db = db_;
   frame.library = &catalog_->functions();
-  std::vector<vec::ColumnPtr> cols;
+  std::vector<vec::FrameColumn> cols;
   cols.reserve(projections.size());
   for (const TermRef& p : projections) {
-    EDS_ASSIGN_OR_RETURN(vec::ColumnPtr col, vec::EvalExprBatch(p, frame));
+    EDS_ASSIGN_OR_RETURN(vec::FrameColumn col, vec::EvalExprBatch(p, frame));
     ++stats_.batches;
     stats_.vec_rows += tb->rows;
     cols.push_back(std::move(col));
   }
-  Rows out;
-  out.reserve(tb->rows);
-  for (size_t r = 0; r < tb->rows; ++r) {
-    Row row;
-    row.reserve(cols.size());
-    for (const vec::ColumnPtr& col : cols) row.push_back(col->ValueAt(r));
-    out.push_back(std::move(row));
-  }
+  Rows out = ProjectRows(cols, tb->rows);
   if (borrowed && options_.guard != nullptr &&
       options_.guard->AddRows(tb->rows)) {
     return options_.guard->TripStatus();
@@ -396,6 +549,15 @@ Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
 }
 
 Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
+  // The row engine evaluates a JOIN's qualification whole, once per pair,
+  // so a conjunct after a NULL one still runs there; the stages below drop
+  // a row at its first conjunct that is not TRUE. They agree whenever no
+  // conjunct can fail.
+  for (const TermRef& c : term::Conjuncts(t->arg(2))) {
+    if (!PredicateCannotFail(c)) {
+      return Status::Unsupported("JOIN qualification that can fail");
+    }
+  }
   vec::Batch conv_a, conv_b;
   bool borrowed_a = false, borrowed_b = false;
   EDS_ASSIGN_OR_RETURN(const vec::Batch* ba,
@@ -427,25 +589,15 @@ Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
     }
     if (!level0_false) {
       StageCtx sc{db_, &catalog_->functions(), &stats_};
-      vec::Batch fa;
-      const vec::Batch* leftp = ba;
-      for (const TermRef& c : conjuncts_at[1]) {
-        vec::ExprFrame lf = RightFrame(leftp, 1, sc);
-        stats_.qual_evaluations += leftp->rows;
-        EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
-                             vec::EvalPredicateBatch(c, lf));
-        ++stats_.batches;
-        stats_.vec_rows += leftp->rows;
-        vec::Batch next = leftp->GatherRows(sel);
-        fa = std::move(next);
-        leftp = &fa;
+      Kept acc;
+      acc.batch = ba;
+      std::vector<uint32_t> offsets{0, static_cast<uint32_t>(ba->cols.size())};
+      EDS_RETURN_IF_ERROR(Filter(conjuncts_at[1], offsets, &acc, sc));
+      if (acc.size() != 0) {
+        EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *bb, 2,
+                                            conjuncts_at[2], nullptr, sc));
+        out = ToRows(acc);
       }
-      std::vector<uint32_t> offsets{0,
-                                    static_cast<uint32_t>(ba->cols.size())};
-      EDS_ASSIGN_OR_RETURN(
-          vec::Batch combined,
-          JoinStage(*leftp, &offsets, *bb, 2, conjuncts_at[2], sc));
-      out = combined.ToRows();
     }
   }
   const size_t charge =

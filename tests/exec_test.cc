@@ -30,8 +30,11 @@ TEST(StorageTest, TableArityChecked) {
 // the same rows lane for lane, and RowAt reads every cell back unchanged.
 TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
   ObjectHeap heap;
-  const Value ref =
-      heap.New("Actor", Value::NamedTuple({"Name"}, {Value::String("Quinn")}));
+  const Value ref = heap.New(
+      types::Type::MakeObject(
+          "Actor", {{"Name", types::Type::MakeScalar(types::TypeKind::kChar)}},
+          nullptr),
+      Value::NamedTuple({"Name"}, {Value::String("Quinn")}));
   const Rows rows = {
       {Value::Null(), Value::Int(1), Value::Null(),
        Value::Set({Value::Int(1)}), ref},
@@ -148,12 +151,15 @@ TEST(StorageTest, EmptyTableKeepsItsWidth) {
 
 TEST(StorageTest, ObjectHeapRoundTrip) {
   ObjectHeap heap;
-  Value ref = heap.New("Actor", Value::NamedTuple({"Name"},
-                                                  {Value::String("Quinn")}));
+  Value ref = heap.New(
+      types::Type::MakeObject(
+          "Actor", {{"Name", types::Type::MakeScalar(types::TypeKind::kChar)}},
+          nullptr),
+      Value::NamedTuple({"Name"}, {Value::String("Quinn")}));
   ASSERT_EQ(ref.kind(), value::ValueKind::kObjectRef);
   auto obj = heap.Get(ref.AsObjectRef());
   ASSERT_TRUE(obj.ok());
-  EXPECT_EQ((*obj)->type_name, "Actor");
+  EXPECT_EQ((*obj)->type->name(), "Actor");
   EXPECT_EQ(*(*obj)->state.FindField("Name"), Value::String("Quinn"));
   // Update in place; references stay valid (object identity).
   EXPECT_TRUE(heap.Update(ref.AsObjectRef(),

@@ -16,8 +16,7 @@ using value::Value;
 class TypecheckTest : public ::testing::Test {
  protected:
   Status Check(const Value& v, const TypeRef& t) {
-    return CheckValueAgainstType(v, t, &db_.session.db().heap(),
-                                 &db_.session.catalog().types());
+    return CheckValueAgainstType(v, t, &db_.session.db().heap());
   }
   TypeRef Find(const char* name) {
     auto t = db_.session.catalog().types().Find(name);
@@ -101,26 +100,24 @@ TEST_F(TypecheckTest, ObjectSubtypingThroughHeap) {
 }
 
 // Session::NewObject stores each object with its resolved type, and the
-// check reads that type instead of looking the stored name up again. An
-// object created by name only (ObjectHeap::New without a type) still
-// resolves through the registry. Both give the same verdicts and the same
-// text.
+// check reads that type; an object put on the heap directly carries the
+// type it was given. Both give the same verdicts and the same text.
 TEST_F(TypecheckTest, CarriedObjectTypeGivesTheSameVerdicts) {
   ObjectHeap& heap = db_.session.db().heap();
   auto carried_person = db_.session.NewObject(
       "Person", {{"Name", Value::String("Somebody")}});
   ASSERT_TRUE(carried_person.ok());
   const Value named_person = heap.New(
-      "Person", Value::NamedTuple({"Name"}, {Value::String("Somebody")}));
-  const Value named_actor =
-      heap.New("Actor", Value::NamedTuple({"Name", "Salary"},
-                                          {Value::String("N"), Value::Int(1)}));
+      Find("Person"), Value::NamedTuple({"Name"}, {Value::String("Somebody")}));
+  const Value named_actor = heap.New(
+      Find("Actor"), Value::NamedTuple({"Name", "Salary"},
+                                       {Value::String("N"), Value::Int(1)}));
   auto stored = heap.Get(carried_person->AsObjectRef());
   ASSERT_TRUE(stored.ok());
   ASSERT_NE((*stored)->type, nullptr);
   EXPECT_EQ((*stored)->type, Find("Person"));
   ASSERT_TRUE(heap.Get(named_person.AsObjectRef()).ok());
-  EXPECT_EQ((*heap.Get(named_person.AsObjectRef()))->type, nullptr);
+  EXPECT_EQ((*heap.Get(named_person.AsObjectRef()))->type, Find("Person"));
 
   // A Person into an Actor column is rejected, with one text either way.
   for (const Value& person : {*carried_person, named_person}) {

@@ -260,6 +260,207 @@ TEST(VecDiffTest, ConstantComparisonsMatchRowEngine) {
   EXPECT_GT(batches, 0u);
 }
 
+// ---------------- Joins through selections ----------------
+
+// Tables whose sizes and keys steer the hash join: S (3 rows) is smaller
+// than M and E (6 rows each, equal), which are smaller than L (12 rows).
+// Keys repeat on both sides, M, E and L hold NULL keys, L's NUMERIC keys
+// mix Int and Real (a generic column) and R's are all Real. A V of 0 makes
+// DIV(12, V) fail, on a row with a join partner in S (S's second row) and
+// on one without (L's last row).
+void LoadJoinTables(Session* s) {
+  using value::Value;
+  ASSERT_TRUE(s->ExecuteScript(R"(
+    CREATE TABLE S (K : INT, V : INT);
+    CREATE TABLE M (K : INT, V : INT);
+    CREATE TABLE E (K : INT, V : INT);
+    CREATE TABLE L (K : NUMERIC, V : INT);
+    CREATE TABLE R (K : REAL, V : INT);
+  )").ok());
+  auto i = [](int64_t v) { return Value::Int(v); };
+  const Value null = Value::Null();
+  const std::vector<std::pair<const char*, Row>> rows = {
+      {"S", {i(1), i(10)}},  {"S", {i(2), i(0)}},   {"S", {i(1), i(20)}},
+      {"M", {i(1), i(1)}},   {"M", {null, i(2)}},   {"M", {i(2), i(3)}},
+      {"M", {i(1), i(4)}},   {"M", {i(3), i(6)}},   {"M", {i(2), i(5)}},
+      {"E", {i(2), i(7)}},   {"E", {i(1), i(8)}},   {"E", {i(1), i(9)}},
+      {"E", {null, i(1)}},   {"E", {i(4), i(2)}},   {"E", {i(2), i(3)}},
+      {"L", {Value::Real(1.0), i(1)}}, {"L", {i(2), i(2)}},
+      {"L", {null, i(3)}},   {"L", {i(1), i(4)}},
+      {"L", {Value::Real(2.0), i(5)}}, {"L", {i(3), i(6)}},
+      {"L", {i(1), i(12)}},  {"L", {Value::Real(2.5), i(7)}},
+      {"L", {i(2), i(8)}},   {"L", {i(1), i(9)}},   {"L", {null, i(10)}},
+      {"L", {i(5), i(0)}},
+      {"R", {Value::Real(1.0), i(1)}}, {"R", {Value::Real(2.0), i(2)}},
+      {"R", {Value::Real(2.5), i(3)}}, {"R", {Value::Real(1.0), i(4)}},
+  };
+  for (const auto& [table, row] : rows) {
+    EDS_ASSERT_OK(s->InsertRow(table, row));
+  }
+}
+
+// Runs `text` on both engines. When `must_fail` the row engine fails and
+// the vectorized run must surface the same error; otherwise both return
+// the same rows in the same order, with no fallback to the row path.
+void ExpectPlanMatchesRowEngine(Session* s, const std::string& text,
+                                bool must_fail) {
+  auto plan = term::ParseTerm(text);
+  ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+  ExecOptions on, off;
+  on.vectorized = true;
+  off.vectorized = false;
+  ExecStats vec_stats, row_stats;
+  Result<Rows> vec = s->Run(*plan, on, &vec_stats);
+  Result<Rows> row = s->Run(*plan, off, &row_stats);
+  if (must_fail) {
+    ASSERT_FALSE(row.ok()) << text;
+    ASSERT_FALSE(vec.ok()) << text;
+    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << text;
+    return;
+  }
+  ASSERT_TRUE(row.ok()) << text << ": " << row.status().ToString();
+  ASSERT_TRUE(vec.ok()) << text << ": " << vec.status().ToString();
+  ExpectSameSequence(*vec, *row, text);
+  EXPECT_EQ(vec_stats.vec_fallbacks, 0u) << text;
+  EXPECT_GT(vec_stats.batches, 0u) << text;
+  EXPECT_EQ(vec_stats.rows_scanned, row_stats.rows_scanned) << text;
+  EXPECT_EQ(vec_stats.rows_output, row_stats.rows_output) << text;
+}
+
+std::string Search(const std::vector<const char*>& tables, const char* qual,
+                   const char* projections) {
+  std::string inputs;
+  for (const char* t : tables) {
+    inputs += std::string(inputs.empty() ? "" : ", ") + "RELATION('" + t +
+              "')";
+  }
+  return "SEARCH(LIST(" + inputs + "), " + qual + ", LIST(" + projections +
+         "))";
+}
+
+// A hash join builds on its smaller input. Built on the left, it emits
+// pairs right row by right row, and a counting sort must restore the row
+// engine's (left asc, right asc) order; duplicate keys on both sides make
+// the two orders differ. Left smaller than, equal to and larger than the
+// right; NULL keys; Int keys against Real keys; two keys at once.
+TEST(VecDiffTest, HashJoinsMatchRowEngineOnEitherBuildSide) {
+  Session s;
+  LoadJoinTables(&s);
+  const char* kOne = "($1.1 = $2.1)";
+  const char* kTwo = "(($1.1 = $2.1) AND ($2.2 = $1.2))";
+  const char* kOut = "$1.1, $1.2, $2.1, $2.2";
+  for (const auto& tables : std::vector<std::vector<const char*>>{
+           {"S", "L"}, {"L", "S"},    // left smaller, left larger
+           {"M", "E"}, {"E", "M"},    // equal sizes
+           {"S", "M"}, {"M", "L"},    // NULL keys on one side, both sides
+           {"S", "R"}, {"R", "L"},    // Int against Real, generic
+           {"L", "L"}, {"S", "S"}}) {  // self-joins
+    ExpectPlanMatchesRowEngine(&s, Search(tables, kOne, kOut), false);
+    ExpectPlanMatchesRowEngine(&s, Search(tables, kTwo, kOut), false);
+  }
+  // Keys computed by expressions, and an equi-conjunct beside a residual.
+  ExpectPlanMatchesRowEngine(
+      &s, Search({"S", "L"}, "(DIV($1.2, 10) = $2.1)", kOut), false);
+  ExpectPlanMatchesRowEngine(
+      &s, Search({"M", "E"}, "(($1.1 = $2.1) AND ($1.2 < $2.2))", kOut),
+      false);
+}
+
+// Right-only conjuncts narrow a selection: before the join when the level
+// has no equi-conjunct or when they compare a column with a constant,
+// after it (on right rows with a partner) otherwise. A right-only
+// conjunct that can fail and comes before the equi-conjunct runs on every
+// right row, as in the row engine, so both engines fail together; after
+// the equi-conjunct it never sees the partnerless row that would fail it.
+TEST(VecDiffTest, RightOnlyConjunctsMatchRowEngine) {
+  Session s;
+  LoadJoinTables(&s);
+  const char* kOut = "$1.2, $2.2";
+  const std::pair<const char*, bool> cases[] = {
+      {"(($1.1 = $2.1) AND ($2.2 > 2))", false},
+      {"(($2.2 > 2) AND ($1.1 = $2.1))", false},
+      {"(($1.1 = $2.1) AND (DIV(12, $2.2) > 1))", false},
+      {"((DIV(12, $2.2) > 1) AND ($1.1 = $2.1))", true},
+      {"(($2.2 > 2) AND (($1.1 = $2.1) AND (DIV(12, $2.2) > 1)))", false},
+      {"(($2.2 > 3) AND ($1.2 < $2.2))", false},  // no equi: a cross join
+      {"($2.2 > 3)", false},
+  };
+  for (const auto& [qual, fails] : cases) {
+    ExpectPlanMatchesRowEngine(&s, Search({"S", "L"}, qual, kOut), fails);
+  }
+  // S's V = 0 row has partners in L.
+  ExpectPlanMatchesRowEngine(
+      &s, Search({"L", "S"}, "(($1.1 = $2.1) AND (DIV(12, $2.2) > 1))", kOut),
+      true);
+}
+
+// Three inputs: a second join stage whose left side is the combined batch
+// of the first, with a residual over all three inputs ahead of its
+// equi-conjunct and a right-only conjunct after it.
+TEST(VecDiffTest, ThreeInputSearchMatchesRowEngine) {
+  Session s;
+  LoadJoinTables(&s);
+  const char* kOut = "$1.2, $2.2, $3.2, DIV($3.2, 1), ($1.2 < $3.2)";
+  for (const char* qual : {
+           "((($1.1 = $2.1) AND ($2.2 < $3.2)) AND "
+           "(($3.1 = $1.1) AND ($3.2 > 1)))",
+           "(($1.1 = $2.1) AND ($2.1 = $3.1))",
+           "(($2.2 > 1) AND (($3.1 = $2.1) OR ($3.2 = 1)))",
+           "(($1.1 = $2.1) AND (($1.2 = 10) OR ($3.2 = 4)))",
+       }) {
+    ExpectPlanMatchesRowEngine(&s, Search({"S", "M", "L"}, qual, kOut),
+                               false);
+    ExpectPlanMatchesRowEngine(&s, Search({"L", "E", "S"}, qual, kOut),
+                               false);
+  }
+}
+
+// AND and OR evaluate their right operand only on the rows their left
+// operand leaves undecided, as the scalar evaluator does: DIV(12, V) fails
+// on V = 0, and every such row is decided by the left operand here, so the
+// vectorized run neither fails nor falls back.
+TEST(VecDiffTest, LazyAndOrSkipRowsTheLeftOperandDecided) {
+  Session s;
+  LoadJoinTables(&s);
+  for (const char* qual : {
+           "(($1.2 < 1) OR (DIV(12, $1.2) > 1))",
+           "((($1.2 > 0) AND (DIV(12, $1.2) > 1)) OR ($1.1 = 5))",
+           "(NOT (($1.2 = 0) OR (DIV(12, $1.2) < 3)))",
+           "((($1.1 > 1) OR ($1.2 = 0)) OR (DIV(12, $1.2) > 5))",
+           "((($1.1 = 1) AND ($1.2 > 0)) AND (DIV(12, $1.2) = 1))",
+       }) {
+    ExpectPlanMatchesRowEngine(&s, Search({"L"}, qual, "$1.1, $1.2"), false);
+  }
+  // The same under a join, where the right operand runs through the
+  // combined batch's selection.
+  ExpectPlanMatchesRowEngine(
+      &s,
+      Search({"L", "S"}, "(($1.1 = $2.1) AND (($2.2 = 0) OR "
+                         "(DIV(12, $2.2) > 0)))",
+             "$1.2, $2.2"),
+      false);
+  // A row whose left operand does not decide still fails, on both engines.
+  ExpectPlanMatchesRowEngine(
+      &s, Search({"L"}, "(($1.2 > 5) OR (DIV(12, $1.2) > 1))", "$1.1"),
+      true);
+}
+
+// A JOIN's qualification is evaluated whole on the row engine, so DIV runs
+// on the pairs whose first conjunct is NULL and fails there; the
+// vectorized path must fail too rather than drop those rows first.
+TEST(VecDiffTest, JoinFailsWhereTheRowEngineFails) {
+  Session s;
+  LoadJoinTables(&s);
+  ExpectPlanMatchesRowEngine(
+      &s,
+      "JOIN(RELATION('L'), RELATION('S'), "
+      "(($1.1 > 100) AND (DIV(12, $2.2) > 1)))",
+      true);
+  ExpectPlanMatchesRowEngine(
+      &s, "JOIN(RELATION('S'), RELATION('L'), (($2.2 > 2) AND ($1.1 = $2.1)))",
+      false);
+}
+
 // ---------------- LERA plans over the verifier's corner databases -------
 
 TEST(VecDiffTest, LeraCorpusMatchesRowEngineOnCornerDatabases) {
