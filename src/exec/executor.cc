@@ -145,29 +145,13 @@ Result<Rows> Executor::EvalDispatch(const term::TermRef& t,
     return Status::InvalidArgument("not a relational term: " + t->ToString());
   }
   const std::string& f = t->functor();
-  if (f == lera::kSearch) return EvalSearch(t, env);
+  if (f == lera::kSearch || f == lera::kFilter || f == lera::kProject ||
+      f == lera::kJoin) {
+    return EvalSearch(t, env);
+  }
   if (f == lera::kUnion) return EvalUnion(t, env);
   if (f == lera::kDifference || f == lera::kIntersect) {
     return EvalSetOp(t, env);
-  }
-  // FILTER/PROJECT/JOIN try the columnar kernels first; any failure other
-  // than a governor trip restores the stats snapshot and reruns the row
-  // path, which reproduces the precise result or user-visible error.
-  if (f == lera::kFilter || f == lera::kProject || f == lera::kJoin) {
-    if (options_.vectorized) {
-      ExecStats saved = stats_;
-      Result<Rows> out = f == lera::kFilter   ? EvalFilterVec(t, env)
-                         : f == lera::kProject ? EvalProjectVec(t, env)
-                                               : EvalJoinVec(t, env);
-      if (out.ok() || out.status().code() == StatusCode::kResourceExhausted) {
-        return out;
-      }
-      stats_ = saved;
-      ++stats_.vec_fallbacks;
-    }
-    if (f == lera::kFilter) return EvalFilter(t, env);
-    if (f == lera::kProject) return EvalProject(t, env);
-    return EvalJoin(t, env);
   }
   if (f == lera::kNest) return EvalNest(t, env);
   if (f == lera::kDedup) {

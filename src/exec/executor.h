@@ -36,11 +36,12 @@ struct ExecOptions {
   // surfaces as Status::ResourceExhausted; ExecStats keep their partial
   // values. Non-owning; must outlive the executor.
   gov::QueryGuard* guard = nullptr;
-  // Columnar batch execution for SEARCH/FILTER/PROJECT/JOIN/DEDUP (and the
-  // dedups inside UNION, set ops and fixpoint rounds). Results are
-  // byte-identical to the row path — operators the kernels cannot handle
-  // fall back per operator (counted in ExecStats::vec_fallbacks). False
-  // forces the row-at-a-time oracle everywhere.
+  // Columnar batch execution for SEARCH (which FILTER, PROJECT and JOIN
+  // run as) and DEDUP (and the dedups inside UNION, set ops and fixpoint
+  // rounds). Results are byte-identical to the row path — a search the
+  // kernels cannot handle falls back whole (counted in
+  // ExecStats::vec_fallbacks). False forces the row-at-a-time oracle
+  // everywhere.
   bool vectorized = true;
 };
 
@@ -59,9 +60,12 @@ struct ExecStats {
 };
 
 // Evaluates LERA trees over an in-memory database. Deliberately simple
-// physical behaviour — tuple-substitution nested loops with eager conjunct
-// evaluation, set-semantics UNION, semi-naive fixpoints — so benchmark
-// deltas reflect the *logical* rewrites, which is what the paper is about.
+// physical behaviour — one SEARCH path for SEARCH, FILTER, PROJECT and JOIN
+// that drops a combination at its first conjunct that is not TRUE (a
+// columnar pipeline, with tuple-substitution nested loops as the oracle),
+// set-semantics UNION, semi-naive fixpoints — so benchmark deltas reflect
+// the *logical* rewrites, which is what the paper is about, and a plan
+// behaves as its normalized form does.
 //
 // Views resolve through the catalog: a RELATION reference that names a view
 // evaluates the view's stored definition (query modification happens in the
@@ -95,8 +99,9 @@ class Executor {
   // as scanned just like an evaluated scan): a fixpoint binding's rows or a
   // stored table's batch, exactly one of them set. Empty when `t`
   // genuinely needs evaluation (views, operator trees, unknown names: Eval
-  // reports those errors). SEARCH feeds on borrowed inputs where it can,
-  // so a scan over a stored table never copies the table first.
+  // reports those errors). SEARCH (and FILTER, PROJECT and JOIN with it)
+  // feeds on borrowed inputs where it can, so a scan over a stored table
+  // never copies the table first.
   struct Borrowed {
     const Rows* rows = nullptr;
     const vec::Batch* batch = nullptr;
@@ -112,47 +117,48 @@ class Executor {
   const Rows& StoredRows(const vec::Batch* batch);
 
   // operators.cc
+  // SEARCH, and FILTER, PROJECT and JOIN as the SEARCH their normalization
+  // rules build: FILTER(z, f) runs as SEARCH(LIST(z), f, identity),
+  // PROJECT(z, p) as SEARCH(LIST(z), TRUE, p) and JOIN(a, b, f) as
+  // SEARCH(LIST(a, b), f, identity), the identity projection taken from
+  // the widths of the materialized inputs.
   Result<Rows> EvalSearch(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalSearchWithInputs(const term::TermRef& search,
-                                    const std::vector<const Rows*>& inputs);
+  // Runs a search over materialized inputs: buckets the qualification's
+  // conjuncts by the highest input each references, evaluates the
+  // input-independent ones once, then tries the vectorized engine. A
+  // vectorized attempt whose error is anything but ResourceExhausted (a
+  // governor trip, always final) restores the stats snapshot, counts a
+  // fallback and reruns the row-path oracle, which reproduces the precise
+  // user-visible error or result. Input i is batches[i] when that is set (a
+  // stored table; inputs[i] is then null), else *inputs[i].
+  Result<Rows> SearchWithInputsMaybeVec(
+      const term::TermRef& qual, const term::TermList& projections,
+      std::vector<const Rows*> inputs,
+      const std::vector<const vec::Batch*>& batches);
+  // The row engine: tuple-substitution nested loops that run each conjunct
+  // in conjuncts_at[k] (k >= 1) once inputs 1..k are bound.
+  Result<Rows> EvalSearchWithInputs(
+      const std::vector<term::TermList>& conjuncts_at,
+      const term::TermList& projections,
+      const std::vector<const Rows*>& inputs);
   Result<Rows> EvalUnion(const term::TermRef& t, const FixEnv& env);
   Result<Rows> EvalSetOp(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalFilter(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalProject(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalJoin(const term::TermRef& t, const FixEnv& env);
   Result<Rows> EvalNest(const term::TermRef& t, const FixEnv& env);
   Result<Rows> EvalUnnest(const term::TermRef& t, const FixEnv& env);
 
   // fixpoint_eval.cc
   Result<Rows> EvalFix(const term::TermRef& t, const FixEnv& env);
 
-  // vec/vec_exec.cc — vectorized operators. Callers go through the
-  // *MaybeVec wrappers: a vectorized attempt whose error is anything but
-  // ResourceExhausted (a governor trip, always final) restores the stats
-  // snapshot, counts a fallback and reruns the row-path oracle, which
-  // reproduces the precise user-visible error or result. Input i of a
-  // search is batches[i] when that is set (a stored table; inputs[i] is
-  // then null), else *inputs[i].
-  Result<Rows> SearchWithInputsMaybeVec(
-      const term::TermRef& search, std::vector<const Rows*> inputs,
-      const std::vector<const vec::Batch*>& batches);
+  // vec/vec_exec.cc — the vectorized engine, with the row engine's
+  // arguments plus the stored inputs' batches.
   Result<Rows> EvalSearchWithInputsVec(
-      const term::TermRef& search, const std::vector<const Rows*>& inputs,
+      const std::vector<term::TermList>& conjuncts_at,
+      const term::TermList& projections,
+      const std::vector<const Rows*>& inputs,
       const std::vector<const vec::Batch*>& batches);
-  Result<Rows> EvalFilterVec(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalProjectVec(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalJoinVec(const term::TermRef& t, const FixEnv& env);
   // Sorted set-semantics dedup: vectorized hash grouping when profitable,
   // DedupRows otherwise; output identical either way.
   void DedupMaybeVec(Rows* rows);
-  // The columnar image of `t`: a stored table's own batch, or `conv`
-  // filled from a borrowed fixpoint binding or from evaluating `t`.
-  // `*borrowed` tells the caller to charge the rows to the guard itself
-  // (an evaluated child was charged by its Eval). Used by the unary/binary
-  // vectorized operators.
-  Result<const vec::Batch*> ChildBatch(const term::TermRef& t,
-                                       const FixEnv& env, vec::Batch* conv,
-                                       bool* borrowed);
 
   EvalContext MakeExprContext() const;
 

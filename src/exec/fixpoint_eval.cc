@@ -127,6 +127,9 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
     for (const TermRef& branch : branches) {
       if (!magic::ReferencesRelation(branch, rel_name)) continue;
       EDS_ASSIGN_OR_RETURN(TermList input_terms, lera::SearchInputs(branch));
+      EDS_ASSIGN_OR_RETURN(TermRef qual, lera::SearchQual(branch));
+      EDS_ASSIGN_OR_RETURN(TermList projections,
+                           lera::SearchProjections(branch));
       // Occurrence positions of R among the branch inputs.
       std::vector<size_t> occurrences;
       for (size_t i = 0; i < input_terms.size(); ++i) {
@@ -175,8 +178,9 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
           inputs.push_back(&owned.back());
           batches.push_back(nullptr);
         }
-        EDS_ASSIGN_OR_RETURN(Rows branch_rows,
-                             SearchWithInputsMaybeVec(branch, inputs, batches));
+        EDS_ASSIGN_OR_RETURN(
+            Rows branch_rows,
+            SearchWithInputsMaybeVec(qual, projections, inputs, batches));
         produced.insert(produced.end(),
                         std::make_move_iterator(branch_rows.begin()),
                         std::make_move_iterator(branch_rows.end()));

@@ -22,13 +22,51 @@ int64_t MaxInputIndex(const TermRef& expr) {
   return max;
 }
 
+// The conjuncts of `qual` bucketed by the highest of the `n` inputs each
+// references: level k runs once inputs 1..k are bound, level 0 once.
+Result<std::vector<TermList>> ConjunctsByLevel(const TermRef& qual,
+                                               size_t n) {
+  std::vector<TermList> conjuncts_at(n + 1);
+  for (const TermRef& c : term::Conjuncts(qual)) {
+    const int64_t level = MaxInputIndex(c);
+    if (level < 0 || static_cast<size_t>(level) > n) {
+      return Status::RuntimeError("qualification references input beyond " +
+                                  std::to_string(n));
+    }
+    conjuncts_at[static_cast<size_t>(level)].push_back(c);
+  }
+  return conjuncts_at;
+}
+
 }  // namespace
 
 Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(TermList input_terms, lera::SearchInputs(t));
+  TermList input_terms;
+  TermRef qual;
+  TermList projections;
+  const std::string& f = t->functor();
+  if (f == lera::kSearch) {
+    EDS_ASSIGN_OR_RETURN(input_terms, lera::SearchInputs(t));
+    EDS_ASSIGN_OR_RETURN(qual, lera::SearchQual(t));
+    EDS_ASSIGN_OR_RETURN(projections, lera::SearchProjections(t));
+  } else if (f == lera::kProject) {
+    if (t->args().size() != 2 || !t->arg(1)->IsApply(term::kList)) {
+      return Status::InvalidArgument("malformed PROJECT");
+    }
+    input_terms = {t->arg(0)};
+    qual = term::Term::True();
+    projections = t->arg(1)->args();
+  } else {
+    // FILTER(z, f) or JOIN(a, b, f); the identity projection follows the
+    // inputs.
+    if (t->args().size() != (f == lera::kFilter ? 2u : 3u)) {
+      return Status::InvalidArgument("malformed " + f);
+    }
+    input_terms.assign(t->args().begin(), t->args().end() - 1);
+    qual = t->args().back();
+  }
   // Constant-FALSE qualifications short-circuit before any input is
   // materialized: this is how statically-detected inconsistencies pay off.
-  EDS_ASSIGN_OR_RETURN(TermRef qual, lera::SearchQual(t));
   if (qual->is_constant() &&
       qual->constant().kind() == value::ValueKind::kBool &&
       !qual->constant().AsBool()) {
@@ -54,39 +92,62 @@ Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
     inputs.push_back(&owned.back());
     batches.push_back(nullptr);
   }
-  return SearchWithInputsMaybeVec(t, inputs, batches);
+  if (f == lera::kFilter || f == lera::kJoin) {
+    // An empty input's width is unknown, but then no row is projected.
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const size_t width = batches[i] != nullptr ? batches[i]->cols.size()
+                           : inputs[i]->empty()  ? 0
+                                                 : inputs[i]->front().size();
+      for (size_t c = 1; c <= width; ++c) {
+        projections.push_back(lera::Attr(static_cast<int64_t>(i + 1),
+                                         static_cast<int64_t>(c)));
+      }
+    }
+  }
+  return SearchWithInputsMaybeVec(qual, projections, inputs, batches);
+}
+
+Result<Rows> Executor::SearchWithInputsMaybeVec(
+    const term::TermRef& qual, const term::TermList& projections,
+    std::vector<const Rows*> inputs,
+    const std::vector<const vec::Batch*>& batches) {
+  const size_t n = inputs.size();
+  EDS_ASSIGN_OR_RETURN(std::vector<TermList> conjuncts_at,
+                       ConjunctsByLevel(qual, n));
+  // Level-0 conjuncts are input-independent; evaluate once.
+  EvalContext ctx = MakeExprContext();
+  ctx.current.assign(n, nullptr);
+  for (const TermRef& c : conjuncts_at[0]) {
+    ++stats_.qual_evaluations;
+    EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx));
+    if (!ok) return Rows{};
+  }
+  if (options_.vectorized) {
+    ExecStats saved = stats_;
+    Result<Rows> out =
+        EvalSearchWithInputsVec(conjuncts_at, projections, inputs, batches);
+    if (out.ok() || out.status().code() == StatusCode::kResourceExhausted) {
+      return out;
+    }
+    stats_ = saved;
+    ++stats_.vec_fallbacks;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (inputs[i] == nullptr) inputs[i] = &StoredRows(batches[i]);
+  }
+  return EvalSearchWithInputs(conjuncts_at, projections, inputs);
 }
 
 Result<Rows> Executor::EvalSearchWithInputs(
-    const term::TermRef& search, const std::vector<const Rows*>& inputs) {
-  EDS_ASSIGN_OR_RETURN(TermRef qual, lera::SearchQual(search));
-  EDS_ASSIGN_OR_RETURN(TermList projections,
-                       lera::SearchProjections(search));
-
+    const std::vector<TermList>& conjuncts_at, const TermList& projections,
+    const std::vector<const Rows*>& inputs) {
   // Tuple-substitution nested loops with eager conjunct evaluation: each
   // conjunct runs as soon as every input it references is bound, pruning
   // partial combinations early.
   const size_t n = inputs.size();
-  std::vector<TermList> conjuncts_at(n + 1);
-  for (const TermRef& c : term::Conjuncts(qual)) {
-    int64_t level = MaxInputIndex(c);
-    if (level < 0 || static_cast<size_t>(level) > n) {
-      return Status::RuntimeError("qualification references input beyond " +
-                                  std::to_string(n));
-    }
-    conjuncts_at[static_cast<size_t>(level)].push_back(c);
-  }
-
   EvalContext ctx = MakeExprContext();
   ctx.current.assign(n, nullptr);
   Rows out;
-
-  // Level-0 conjuncts are input-independent; evaluate once.
-  for (const TermRef& c : conjuncts_at[0]) {
-    ++stats_.qual_evaluations;
-    EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx));
-    if (!ok) return out;
-  }
 
   // Recursive nested loop; input counts are small, rows are not.
   std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
@@ -147,66 +208,6 @@ Result<Rows> Executor::EvalSetOp(const term::TermRef& t, const FixEnv& env) {
           return CompareRows(x, y) < 0;
         });
     if (in_b != difference) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<Rows> Executor::EvalFilter(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows input, Eval(t->arg(0), env));
-  EvalContext ctx = MakeExprContext();
-  ctx.current.assign(1, nullptr);
-  Rows out;
-  for (Row& row : input) {
-    ctx.current[0] = &row;
-    ++stats_.qual_evaluations;
-    EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(t->arg(1), &ctx));
-    if (ok) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<Rows> Executor::EvalProject(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows input, Eval(t->arg(0), env));
-  if (!t->arg(1)->IsApply(term::kList)) {
-    return Status::InvalidArgument("malformed PROJECT");
-  }
-  const TermList& projections = t->arg(1)->args();
-  EvalContext ctx = MakeExprContext();
-  ctx.current.assign(1, nullptr);
-  Rows out;
-  out.reserve(input.size());
-  for (const Row& row : input) {
-    ctx.current[0] = &row;
-    Row projected;
-    projected.reserve(projections.size());
-    for (const TermRef& p : projections) {
-      EDS_ASSIGN_OR_RETURN(Value v, EvalExpr(p, &ctx));
-      projected.push_back(std::move(v));
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<Rows> Executor::EvalJoin(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows a, Eval(t->arg(0), env));
-  EDS_ASSIGN_OR_RETURN(Rows b, Eval(t->arg(1), env));
-  EvalContext ctx = MakeExprContext();
-  ctx.current.assign(2, nullptr);
-  Rows out;
-  for (const Row& ra : a) {
-    ctx.current[0] = &ra;
-    for (const Row& rb : b) {
-      ctx.current[1] = &rb;
-      ++stats_.qual_evaluations;
-      EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(t->arg(2), &ctx));
-      if (!ok) continue;
-      Row row;
-      row.reserve(ra.size() + rb.size());
-      row.insert(row.end(), ra.begin(), ra.end());
-      row.insert(row.end(), rb.begin(), rb.end());
-      out.push_back(std::move(row));
-    }
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "exec/executor.h"
@@ -9,9 +8,10 @@
 #include "exec/vec/vec_eval.h"
 #include "lera/lera.h"
 
-// Vectorized implementations of the executor's relational operators.
-// Contract with the row path: results (rows, values, ordering, errors the
-// user sees) are byte-identical. Anything a kernel cannot reproduce —
+// The vectorized SEARCH engine (which FILTER, PROJECT and JOIN run
+// through as well) and dedup. Contract with the row path: results (rows,
+// values, ordering, errors the user sees) are byte-identical. Anything a
+// kernel cannot reproduce —
 // ragged intermediates, hash-incompatible join keys, per-row errors,
 // output blow-ups past the batch caps — returns a non-OK status and the
 // caller reruns the row-path oracle. Only ResourceExhausted (a governor
@@ -21,7 +21,6 @@ namespace eds::exec {
 
 using term::TermList;
 using term::TermRef;
-using value::Value;
 
 namespace {
 
@@ -29,16 +28,6 @@ namespace {
 // large enough that the row path's streaming loop is the safer choice.
 constexpr size_t kMaxCrossPairs = size_t{1} << 22;
 constexpr size_t kMaxJoinPairs = size_t{1} << 24;
-
-// Largest input index referenced by an expression (0 if none); mirrors the
-// helper in operators.cc.
-int64_t MaxInputIndex(const TermRef& expr) {
-  std::vector<lera::AttrRef> attrs;
-  lera::CollectAttrs(expr, &attrs);
-  int64_t max = 0;
-  for (const lera::AttrRef& a : attrs) max = std::max(max, a.input);
-  return max;
-}
 
 struct StageCtx {
   const Database* db = nullptr;
@@ -122,23 +111,6 @@ Rows ProjectRows(const std::vector<vec::FrameColumn>& cols, size_t n) {
     for (const vec::FrameColumn& col : cols) {
       const vec::ColumnView v = col.view();
       row.push_back(v.col->ValueAt(v[r]));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-// Every row of `kept`, each cell rebuilt as the Value the row engine
-// carries.
-Rows ToRows(const Kept& kept) {
-  Rows out;
-  out.reserve(kept.size());
-  for (size_t p = 0; p < kept.size(); ++p) {
-    const uint32_t b = kept.Row(static_cast<uint32_t>(p));
-    Row row;
-    row.reserve(kept.batch->cols.size());
-    for (const vec::ColumnVector& c : kept.batch->cols) {
-      row.push_back(c.ValueAt(b));
     }
     out.push_back(std::move(row));
   }
@@ -271,14 +243,14 @@ LevelPlan PlanLevel(const TermList& conjuncts, size_t k) {
 // without hash keys pairs every kept row with every one. The join emits
 // pairs in (left asc, right asc) order, so the combinations stay in
 // exactly the row engine's emission order. The combined batch is gathered
-// once, and only for the columns that the after-join conjuncts, `later`
-// (what later levels and the projection read) or, when `later` is null,
-// the caller reads; the after-join conjuncts then narrow its selection.
+// once, and only for the columns that the after-join conjuncts or `later`
+// (what later levels and the projection read) read; the after-join
+// conjuncts then narrow its selection.
 // `offsets` (size k) gains input k's width on return.
 Result<Kept> JoinStage(const Kept& left, std::vector<uint32_t>* offsets,
                        const vec::Batch& right, size_t k,
                        const TermList& conjuncts,
-                       const std::vector<lera::AttrRef>* later,
+                       const std::vector<lera::AttrRef>& later,
                        const StageCtx& sc) {
   LevelPlan plan = PlanLevel(conjuncts, k);
   Kept kept_right;
@@ -332,7 +304,7 @@ Result<Kept> JoinStage(const Kept& left, std::vector<uint32_t>* offsets,
 
   const uint32_t left_width = offsets->back();
   offsets->push_back(left_width + static_cast<uint32_t>(right.cols.size()));
-  std::vector<bool> needed(offsets->back(), later == nullptr);
+  std::vector<bool> needed(offsets->back(), false);
   auto mark = [&](const lera::AttrRef& a) {
     if (a.input < 1 || a.input > static_cast<int64_t>(k)) return;
     const uint32_t lo = (*offsets)[static_cast<size_t>(a.input) - 1];
@@ -343,7 +315,7 @@ Result<Kept> JoinStage(const Kept& left, std::vector<uint32_t>* offsets,
   };
   std::vector<lera::AttrRef> attrs;
   for (const TermRef& c : plan.after) lera::CollectAttrs(c, &attrs);
-  if (later != nullptr) attrs.insert(attrs.end(), later->begin(), later->end());
+  attrs.insert(attrs.end(), later.begin(), later.end());
   for (const lera::AttrRef& a : attrs) mark(a);
 
   // Pair positions become batch rows, then every needed column is
@@ -374,50 +346,11 @@ const vec::Batch& EmptyPrefix() {
 
 }  // namespace
 
-Result<Rows> Executor::SearchWithInputsMaybeVec(
-    const term::TermRef& search, std::vector<const Rows*> inputs,
-    const std::vector<const vec::Batch*>& batches) {
-  if (options_.vectorized) {
-    ExecStats saved = stats_;
-    Result<Rows> out = EvalSearchWithInputsVec(search, inputs, batches);
-    if (out.ok() || out.status().code() == StatusCode::kResourceExhausted) {
-      return out;
-    }
-    stats_ = saved;
-    ++stats_.vec_fallbacks;
-  }
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i] == nullptr) inputs[i] = &StoredRows(batches[i]);
-  }
-  return EvalSearchWithInputs(search, inputs);
-}
-
 Result<Rows> Executor::EvalSearchWithInputsVec(
-    const term::TermRef& search, const std::vector<const Rows*>& inputs,
+    const std::vector<TermList>& conjuncts_at, const TermList& projections,
+    const std::vector<const Rows*>& inputs,
     const std::vector<const vec::Batch*>& batches) {
-  EDS_ASSIGN_OR_RETURN(TermRef qual, lera::SearchQual(search));
-  EDS_ASSIGN_OR_RETURN(TermList projections, lera::SearchProjections(search));
   const size_t n = inputs.size();
-  std::vector<TermList> conjuncts_at(n + 1);
-  for (const TermRef& c : term::Conjuncts(qual)) {
-    const int64_t level = MaxInputIndex(c);
-    if (level < 0 || static_cast<size_t>(level) > n) {
-      return Status::RuntimeError("qualification references input beyond " +
-                                  std::to_string(n));
-    }
-    conjuncts_at[static_cast<size_t>(level)].push_back(c);
-  }
-
-  // Level-0 conjuncts are input-independent: evaluated once, scalar,
-  // exactly as the row path does (including its errors, which are real).
-  EvalContext ctx0 = MakeExprContext();
-  ctx0.current.assign(n, nullptr);
-  for (const TermRef& c : conjuncts_at[0]) {
-    ++stats_.qual_evaluations;
-    EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx0));
-    if (!ok) return Rows{};
-  }
-
   // Columnar images of the inputs: stored tables arrive as their batches,
   // everything else (fixpoint deltas, materialized subtrees) converts here.
   std::vector<vec::Batch> converted(n);
@@ -460,7 +393,7 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
       EDS_RETURN_IF_ERROR(Filter(conjuncts_at[1], offsets, &acc, sc));
     } else {
       EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *in_batches[k - 1],
-                                          k, conjuncts_at[k], &later[k], sc));
+                                          k, conjuncts_at[k], later[k], sc));
     }
     if (acc.size() == 0) return Rows{};
   }
@@ -475,138 +408,6 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
     outcols.push_back(std::move(col));
   }
   return ProjectRows(outcols, acc.size());
-}
-
-Result<const vec::Batch*> Executor::ChildBatch(const term::TermRef& t,
-                                               const FixEnv& env,
-                                               vec::Batch* conv,
-                                               bool* borrowed) {
-  Borrowed b = TryBorrow(t, env);
-  *borrowed = static_cast<bool>(b);
-  if (b.batch != nullptr) return b.batch;
-  Rows owned;
-  if (b.rows == nullptr) {
-    EDS_ASSIGN_OR_RETURN(owned, Eval(t, env));
-    b.rows = &owned;
-  }
-  if (!vec::Batch::FromRows(*b.rows, conv)) {
-    return Status::Unsupported("ragged input rows");
-  }
-  return conv;
-}
-
-Result<Rows> Executor::EvalFilterVec(const term::TermRef& t,
-                                     const FixEnv& env) {
-  vec::Batch conv;
-  bool borrowed = false;
-  EDS_ASSIGN_OR_RETURN(const vec::Batch* tb,
-                       ChildBatch(t->arg(0), env, &conv, &borrowed));
-  Kept kept;
-  kept.batch = tb;
-  StageCtx sc{db_, &catalog_->functions(), &stats_};
-  EDS_RETURN_IF_ERROR(Filter({t->arg(1)},
-                             {0, static_cast<uint32_t>(tb->cols.size())},
-                             &kept, sc));
-  Rows out = ToRows(kept);
-  // The row path charges borrowed children through the child's Eval; the
-  // vectorized path charges at the end so a fallback never double-counts.
-  if (borrowed && options_.guard != nullptr &&
-      options_.guard->AddRows(tb->rows)) {
-    return options_.guard->TripStatus();
-  }
-  return out;
-}
-
-Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
-                                      const FixEnv& env) {
-  if (!t->arg(1)->IsApply(term::kList)) {
-    return Status::InvalidArgument("malformed PROJECT");
-  }
-  vec::Batch conv;
-  bool borrowed = false;
-  EDS_ASSIGN_OR_RETURN(const vec::Batch* tb,
-                       ChildBatch(t->arg(0), env, &conv, &borrowed));
-  const TermList& projections = t->arg(1)->args();
-  vec::ExprFrame frame;
-  frame.batch = tb;
-  frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
-  frame.db = db_;
-  frame.library = &catalog_->functions();
-  std::vector<vec::FrameColumn> cols;
-  cols.reserve(projections.size());
-  for (const TermRef& p : projections) {
-    EDS_ASSIGN_OR_RETURN(vec::FrameColumn col, vec::EvalExprBatch(p, frame));
-    ++stats_.batches;
-    stats_.vec_rows += tb->rows;
-    cols.push_back(std::move(col));
-  }
-  Rows out = ProjectRows(cols, tb->rows);
-  if (borrowed && options_.guard != nullptr &&
-      options_.guard->AddRows(tb->rows)) {
-    return options_.guard->TripStatus();
-  }
-  return out;
-}
-
-Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
-  // The row engine evaluates a JOIN's qualification whole, once per pair,
-  // so a conjunct after a NULL one still runs there; the stages below drop
-  // a row at its first conjunct that is not TRUE. They agree whenever no
-  // conjunct can fail.
-  for (const TermRef& c : term::Conjuncts(t->arg(2))) {
-    if (!PredicateCannotFail(c)) {
-      return Status::Unsupported("JOIN qualification that can fail");
-    }
-  }
-  vec::Batch conv_a, conv_b;
-  bool borrowed_a = false, borrowed_b = false;
-  EDS_ASSIGN_OR_RETURN(const vec::Batch* ba,
-                       ChildBatch(t->arg(0), env, &conv_a, &borrowed_a));
-  EDS_ASSIGN_OR_RETURN(const vec::Batch* bb,
-                       ChildBatch(t->arg(1), env, &conv_b, &borrowed_b));
-
-  Rows out;
-  if (ba->rows != 0 && bb->rows != 0) {
-    std::vector<TermList> conjuncts_at(3);
-    for (const TermRef& c : term::Conjuncts(t->arg(2))) {
-      const int64_t level = MaxInputIndex(c);
-      if (level < 0 || level > 2) {
-        return Status::RuntimeError(
-            "join qualification references input beyond 2");
-      }
-      conjuncts_at[static_cast<size_t>(level)].push_back(c);
-    }
-    EvalContext ctx0 = MakeExprContext();
-    ctx0.current.assign(2, nullptr);
-    bool level0_false = false;
-    for (const TermRef& c : conjuncts_at[0]) {
-      ++stats_.qual_evaluations;
-      EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx0));
-      if (!ok) {
-        level0_false = true;
-        break;
-      }
-    }
-    if (!level0_false) {
-      StageCtx sc{db_, &catalog_->functions(), &stats_};
-      Kept acc;
-      acc.batch = ba;
-      std::vector<uint32_t> offsets{0, static_cast<uint32_t>(ba->cols.size())};
-      EDS_RETURN_IF_ERROR(Filter(conjuncts_at[1], offsets, &acc, sc));
-      if (acc.size() != 0) {
-        EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *bb, 2,
-                                            conjuncts_at[2], nullptr, sc));
-        out = ToRows(acc);
-      }
-    }
-  }
-  const size_t charge =
-      (borrowed_a ? ba->rows : 0) + (borrowed_b ? bb->rows : 0);
-  if (charge > 0 && options_.guard != nullptr &&
-      options_.guard->AddRows(charge)) {
-    return options_.guard->TripStatus();
-  }
-  return out;
 }
 
 void Executor::DedupMaybeVec(Rows* rows) {

@@ -316,15 +316,30 @@ TEST_F(ExecTest, DifferenceAndIntersect) {
 }
 
 TEST_F(ExecTest, FilterProjectJoinBasicOps) {
+  // Each operator scans and outputs exactly what the SEARCH its
+  // normalization rule builds does.
+  auto expect_tallies_of = [&](const char* search) {
+    const ExecStats op = stats_;
+    Run(search);
+    EXPECT_EQ(op.rows_scanned, stats_.rows_scanned) << search;
+    EXPECT_EQ(op.rows_output, stats_.rows_output) << search;
+  };
   Rows rows = Run("FILTER(RELATION('BEATS'), ($1.1 = 3))");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].size(), 2u);
+  expect_tallies_of(
+      "SEARCH(LIST(RELATION('BEATS')), ($1.1 = 3), LIST($1.1, $1.2))");
   rows = Run("PROJECT(RELATION('BEATS'), LIST($1.2, $1.1))");
   ASSERT_EQ(rows.size(), 9u);
   EXPECT_EQ(rows[0][0], Value::Int(2));
+  expect_tallies_of(
+      "SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.2, $1.1))");
   rows = Run(
       "JOIN(RELATION('BEATS'), RELATION('BEATS'), ($1.2 = $2.1))");
   EXPECT_EQ(rows.size(), 8u);  // chain compositions
+  expect_tallies_of(
+      "SEARCH(LIST(RELATION('BEATS'), RELATION('BEATS')), ($1.2 = $2.1), "
+      "LIST($1.1, $1.2, $2.1, $2.2))");
 }
 
 TEST_F(ExecTest, NestGroupsIntoSets) {

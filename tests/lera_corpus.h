@@ -45,6 +45,12 @@ inline constexpr const char* kLeraCorpus[] = {
     "PROJECT(RELATION('V0'), LIST($1.2, $1.1))",
     "JOIN(RELATION('V0'), RELATION('V1'), ($1.2 = $2.1))",
     "JOIN(RELATION('V0'), RELATION('V1'), ($1.1 < $2.1))",
+    // A conjunct after one that is not TRUE never runs: a DIV that can
+    // fail behind a JOIN's first conjunct, and a FILTER whose AND has a
+    // NULL on its left where the right would fail (SUB over NULL).
+    "JOIN(RELATION('V0'), RELATION('V2'), "
+    "(($1.2 > 2) AND (DIV(12, $2.2) > 1)))",
+    "FILTER(RELATION('V0'), (($1.2 > 1) AND (DIV(6, SUB($1.2, 1)) > 1)))",
     "DEDUP(SEARCH(LIST(RELATION('V0')), TRUE, LIST($1.1)))",
     "DEDUP(RELATION('V0'))",
     "UNION(SET(RELATION('V0'), RELATION('V1')))",

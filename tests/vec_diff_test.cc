@@ -445,20 +445,57 @@ TEST(VecDiffTest, LazyAndOrSkipRowsTheLeftOperandDecided) {
       true);
 }
 
-// A JOIN's qualification is evaluated whole on the row engine, so DIV runs
-// on the pairs whose first conjunct is NULL and fails there; the
-// vectorized path must fail too rather than drop those rows first.
-TEST(VecDiffTest, JoinFailsWhereTheRowEngineFails) {
+// FILTER, PROJECT and JOIN run as the SEARCH their normalization rules
+// build, so on either engine each gives exactly what its hand-written
+// SEARCH form gives: the same rows in the same order with the same
+// tallies, or the same error; and the two engines agree. A combination
+// is dropped at its first conjunct that is not TRUE, so the DIVs below
+// never see the zero divisor behind a FALSE or NULL conjunct (in L, K is
+// NULL where V is 3).
+TEST(VecDiffTest, BasicOperatorsMatchTheirSearchForm) {
   Session s;
   LoadJoinTables(&s);
-  ExpectPlanMatchesRowEngine(
-      &s,
-      "JOIN(RELATION('L'), RELATION('S'), "
-      "(($1.1 > 100) AND (DIV(12, $2.2) > 1)))",
-      true);
-  ExpectPlanMatchesRowEngine(
-      &s, "JOIN(RELATION('S'), RELATION('L'), (($2.2 > 2) AND ($1.1 = $2.1)))",
-      false);
+  const std::pair<const char*, std::string> cases[] = {
+      {"JOIN(RELATION('L'), RELATION('S'), "
+       "(($1.1 > 100) AND (DIV(12, $2.2) > 1)))",
+       Search({"L", "S"}, "(($1.1 > 100) AND (DIV(12, $2.2) > 1))",
+              "$1.1, $1.2, $2.1, $2.2")},
+      {"JOIN(RELATION('S'), RELATION('L'), (($2.2 > 2) AND ($1.1 = $2.1)))",
+       Search({"S", "L"}, "(($2.2 > 2) AND ($1.1 = $2.1))",
+              "$1.1, $1.2, $2.1, $2.2")},
+      {"FILTER(RELATION('L'), (($1.1 > 0) AND (DIV(12, SUB($1.2, 3)) > 1)))",
+       Search({"L"}, "(($1.1 > 0) AND (DIV(12, SUB($1.2, 3)) > 1))",
+              "$1.1, $1.2")},
+      {"PROJECT(RELATION('M'), LIST($1.2, ($1.1 > 1)))",
+       Search({"M"}, "TRUE", "$1.2, ($1.1 > 1)")},
+  };
+  for (const auto& [op, search] : cases) {
+    ExpectPlanMatchesRowEngine(&s, op, false);
+    for (const bool vectorized : {true, false}) {
+      const std::string label =
+          std::string(op) + (vectorized ? " [vec]" : " [row]");
+      auto op_plan = term::ParseTerm(op);
+      auto search_plan = term::ParseTerm(search);
+      ASSERT_TRUE(op_plan.ok() && search_plan.ok()) << label;
+      ExecOptions options;
+      options.vectorized = vectorized;
+      ExecStats op_stats, search_stats;
+      Result<Rows> got = s.Run(*op_plan, options, &op_stats);
+      Result<Rows> want = s.Run(*search_plan, options, &search_stats);
+      ASSERT_EQ(got.ok(), want.ok())
+          << label << ": " << (got.ok() ? want : got).status().ToString();
+      if (!got.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString()) << label;
+        continue;
+      }
+      ExpectSameSequence(*got, *want, label);
+      EXPECT_EQ(op_stats.vec_fallbacks, 0u) << label;
+      EXPECT_EQ(op_stats.rows_scanned, search_stats.rows_scanned) << label;
+      EXPECT_EQ(op_stats.rows_output, search_stats.rows_output) << label;
+      EXPECT_EQ(op_stats.qual_evaluations, search_stats.qual_evaluations)
+          << label;
+    }
+  }
 }
 
 // ---------------- LERA plans over the verifier's corner databases -------
