@@ -44,31 +44,37 @@ Result<Rows> Executor::Execute(const term::TermRef& plan) {
   FixEnv env;
   const uint64_t copies_before = value::ValueCopyCount();
   Result<Rows> out = Eval(plan, env);
-  stored_rows_.clear();
   stats_.value_copies += value::ValueCopyCount() - copies_before;
   if (out.ok()) stats_.rows_output += out->size();
   return out;
 }
 
-Executor::Borrowed Executor::TryBorrow(const term::TermRef& t,
-                                       const FixEnv& env) {
-  if (!lera::IsRelation(t)) return {};
+const vec::Batch* Executor::TryBorrow(const term::TermRef& t,
+                                      const FixEnv& env) {
+  if (!lera::IsRelation(t)) return nullptr;
   Result<std::string> name = lera::RelationName(t);
-  if (!name.ok()) return {};
+  if (!name.ok()) return nullptr;
   // Fixpoint variables shadow stored relations, exactly as in Eval.
   auto it = env.find(ToUpperAscii(*name));
-  if (it != env.end()) return {it->second, nullptr};
-  if (!db_->HasTable(*name)) return {};
+  if (it != env.end()) return it->second;
+  if (!db_->HasTable(*name)) return nullptr;
   Result<const Table*> table = db_->GetTable(*name);
-  if (!table.ok()) return {};
+  if (!table.ok()) return nullptr;
   stats_.rows_scanned += (*table)->size();
-  return {nullptr, &(*table)->batch()};
+  return &(*table)->batch();
 }
 
-const Rows& Executor::StoredRows(const vec::Batch* batch) {
-  auto [it, inserted] = stored_rows_.try_emplace(batch);
-  if (inserted) it->second = batch->ToRows();
-  return it->second;
+Result<const vec::Batch*> Executor::InputBatch(const term::TermRef& t,
+                                               const FixEnv& env,
+                                               std::list<vec::Batch>* owned) {
+  if (const vec::Batch* borrowed = TryBorrow(t, env)) return borrowed;
+  EDS_ASSIGN_OR_RETURN(Rows rows, Eval(t, env));
+  vec::Batch& batch = owned->emplace_back();
+  if (!vec::Batch::FromRows(rows, &batch)) {
+    batch.cols.clear();
+    batch.ragged = std::move(rows);
+  }
+  return &batch;
 }
 
 Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
@@ -127,11 +133,11 @@ Result<Rows> Executor::EvalDispatch(const term::TermRef& t,
     std::string key = ToUpperAscii(name);
     // Fixpoint variables shadow stored relations.
     auto it = env.find(key);
-    if (it != env.end()) return *it->second;
+    if (it != env.end()) return it->second->ToRows();
     if (db_->HasTable(name)) {
       EDS_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(name));
       stats_.rows_scanned += table->size();
-      return StoredRows(&table->batch());
+      return table->batch().ToRows();
     }
     if (catalog_->HasView(name)) {
       EDS_ASSIGN_OR_RETURN(const catalog::ViewDef* view,

@@ -2,6 +2,7 @@
 #define EDS_EXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,7 +24,11 @@ struct ExecOptions {
   // Semi-naive fixpoint evaluation for UNION-of-SEARCH bodies; false forces
   // naive iteration everywhere (the Fig. 5 / bench_fixpoint ablation).
   bool seminaive = true;
-  // Safety valve for non-terminating recursions.
+  // Safety valve for non-terminating recursions: the most rounds one FIX
+  // may run, counted as ExecStats::fix_iterations counts them (the seeding
+  // round and the final round that adds nothing included). A FIX that
+  // converges in k rounds succeeds with a limit of k and fails with k - 1,
+  // in both modes.
   size_t max_fix_iterations = 100000;
   // When set, Eval records one span per operator evaluation (named by
   // functor, relation scans by relation name) and EvalFix one per fixpoint
@@ -37,11 +42,10 @@ struct ExecOptions {
   // values. Non-owning; must outlive the executor.
   gov::QueryGuard* guard = nullptr;
   // Columnar batch execution for SEARCH (which FILTER, PROJECT and JOIN
-  // run as) and DEDUP (and the dedups inside UNION, set ops and fixpoint
-  // rounds). Results are byte-identical to the row path — a search the
-  // kernels cannot handle falls back whole (counted in
-  // ExecStats::vec_fallbacks). False forces the row-at-a-time oracle
-  // everywhere.
+  // run as) and DEDUP (and the dedups inside UNION and set ops). Results
+  // are byte-identical to the row path — a search the kernels cannot
+  // handle falls back whole (counted in ExecStats::vec_fallbacks). False
+  // forces the row-at-a-time oracle everywhere.
   bool vectorized = true;
 };
 
@@ -88,33 +92,27 @@ class Executor {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  // Names bound by enclosing FIX operators during iteration.
-  using FixEnv = std::map<std::string, const Rows*>;
+  // Names bound by enclosing FIX operators during iteration, each to the
+  // FIX's total, a batch that grows in place between rounds.
+  using FixEnv = std::map<std::string, const vec::Batch*>;
 
   // Wraps EvalDispatch in a per-operator span when tracing is on.
   Result<Rows> Eval(const term::TermRef& t, const FixEnv& env);
   Result<Rows> EvalDispatch(const term::TermRef& t, const FixEnv& env);
 
-  // An input that needs no evaluation, borrowed without copying (counted
-  // as scanned just like an evaluated scan): a fixpoint binding's rows or a
-  // stored table's batch, exactly one of them set. Empty when `t`
-  // genuinely needs evaluation (views, operator trees, unknown names: Eval
-  // reports those errors). SEARCH (and FILTER, PROJECT and JOIN with it)
-  // feeds on borrowed inputs where it can, so a scan over a stored table
-  // never copies the table first.
-  struct Borrowed {
-    const Rows* rows = nullptr;
-    const vec::Batch* batch = nullptr;
-    explicit operator bool() const {
-      return rows != nullptr || batch != nullptr;
-    }
-  };
-  Borrowed TryBorrow(const term::TermRef& t, const FixEnv& env);
-
-  // The row image of a stored table's batch, built on first use and kept
-  // until Execute returns, so the row path converts each table at most
-  // once per Execute.
-  const Rows& StoredRows(const vec::Batch* batch);
+  // The batch of an input that needs no evaluation, borrowed without
+  // copying: a fixpoint binding, or a stored table's batch (counted as
+  // scanned just like an evaluated scan). Null when `t` genuinely needs
+  // evaluation (views, operator trees, unknown names: Eval reports those
+  // errors).
+  const vec::Batch* TryBorrow(const term::TermRef& t, const FixEnv& env);
+  // A SEARCH input as a batch: borrowed where TryBorrow can, else
+  // evaluated and converted once into `owned`, whose elements keep their
+  // addresses. A ragged input, rows of differing widths, stays rows
+  // (vec::Batch::ragged), which the vectorized engine refuses.
+  Result<const vec::Batch*> InputBatch(const term::TermRef& t,
+                                       const FixEnv& env,
+                                       std::list<vec::Batch>* owned);
 
   // operators.cc
   // SEARCH, and FILTER, PROJECT and JOIN as the SEARCH their normalization
@@ -129,12 +127,11 @@ class Executor {
   // vectorized attempt whose error is anything but ResourceExhausted (a
   // governor trip, always final) restores the stats snapshot, counts a
   // fallback and reruns the row-path oracle, which reproduces the precise
-  // user-visible error or result. Input i is batches[i] when that is set (a
-  // stored table; inputs[i] is then null), else *inputs[i].
+  // user-visible error or result; the row path converts the input batches
+  // to rows for that one run.
   Result<Rows> SearchWithInputsMaybeVec(
       const term::TermRef& qual, const term::TermList& projections,
-      std::vector<const Rows*> inputs,
-      const std::vector<const vec::Batch*>& batches);
+      const std::vector<const vec::Batch*>& inputs);
   // The row engine: tuple-substitution nested loops that run each conjunct
   // in conjuncts_at[k] (k >= 1) once inputs 1..k are bound.
   Result<Rows> EvalSearchWithInputs(
@@ -150,12 +147,11 @@ class Executor {
   Result<Rows> EvalFix(const term::TermRef& t, const FixEnv& env);
 
   // vec/vec_exec.cc — the vectorized engine, with the row engine's
-  // arguments plus the stored inputs' batches.
+  // arguments over the inputs' batches.
   Result<Rows> EvalSearchWithInputsVec(
       const std::vector<term::TermList>& conjuncts_at,
       const term::TermList& projections,
-      const std::vector<const Rows*>& inputs,
-      const std::vector<const vec::Batch*>& batches);
+      const std::vector<const vec::Batch*>& inputs);
   // Sorted set-semantics dedup: vectorized hash grouping when profitable,
   // DedupRows otherwise; output identical either way.
   void DedupMaybeVec(Rows* rows);
@@ -166,7 +162,6 @@ class Executor {
   const Database* db_;
   ExecOptions options_;
   ExecStats stats_;
-  std::map<const vec::Batch*, Rows> stored_rows_;  // see StoredRows()
 };
 
 // Sorts rows lexicographically and removes duplicates (set semantics).

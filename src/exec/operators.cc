@@ -72,45 +72,34 @@ Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
       !qual->constant().AsBool()) {
     return Rows{};
   }
-  // Stored inputs are borrowed straight from the table's batch (or the
-  // fixpoint binding's rows); only derived inputs are materialized into
-  // `owned`, whose reserve keeps the borrowed pointers stable.
-  std::vector<Rows> owned;
-  owned.reserve(input_terms.size());
-  std::vector<const Rows*> inputs;
+  // Stored tables and fixpoint bindings are borrowed as they are; only
+  // derived inputs are converted, once, into `owned`.
+  std::list<vec::Batch> owned;
+  std::vector<const vec::Batch*> inputs;
   inputs.reserve(input_terms.size());
-  std::vector<const vec::Batch*> batches;
-  batches.reserve(input_terms.size());
   for (const TermRef& in : input_terms) {
-    if (Borrowed b = TryBorrow(in, env)) {
-      inputs.push_back(b.rows);
-      batches.push_back(b.batch);
-      continue;
-    }
-    EDS_ASSIGN_OR_RETURN(Rows rows, Eval(in, env));
-    owned.push_back(std::move(rows));
-    inputs.push_back(&owned.back());
-    batches.push_back(nullptr);
+    EDS_ASSIGN_OR_RETURN(const vec::Batch* batch, InputBatch(in, env, &owned));
+    inputs.push_back(batch);
   }
   if (f == lera::kFilter || f == lera::kJoin) {
-    // An empty input's width is unknown, but then no row is projected.
+    // An empty input's width may be unknown, but then no row is projected;
+    // a ragged one projects its first row's width.
     for (size_t i = 0; i < inputs.size(); ++i) {
-      const size_t width = batches[i] != nullptr ? batches[i]->cols.size()
-                           : inputs[i]->empty()  ? 0
-                                                 : inputs[i]->front().size();
+      const vec::Batch& in = *inputs[i];
+      const size_t width =
+          in.ragged.empty() ? in.cols.size() : in.ragged.front().size();
       for (size_t c = 1; c <= width; ++c) {
         projections.push_back(lera::Attr(static_cast<int64_t>(i + 1),
                                          static_cast<int64_t>(c)));
       }
     }
   }
-  return SearchWithInputsMaybeVec(qual, projections, inputs, batches);
+  return SearchWithInputsMaybeVec(qual, projections, inputs);
 }
 
 Result<Rows> Executor::SearchWithInputsMaybeVec(
     const term::TermRef& qual, const term::TermList& projections,
-    std::vector<const Rows*> inputs,
-    const std::vector<const vec::Batch*>& batches) {
+    const std::vector<const vec::Batch*>& inputs) {
   const size_t n = inputs.size();
   EDS_ASSIGN_OR_RETURN(std::vector<TermList> conjuncts_at,
                        ConjunctsByLevel(qual, n));
@@ -125,17 +114,22 @@ Result<Rows> Executor::SearchWithInputsMaybeVec(
   if (options_.vectorized) {
     ExecStats saved = stats_;
     Result<Rows> out =
-        EvalSearchWithInputsVec(conjuncts_at, projections, inputs, batches);
+        EvalSearchWithInputsVec(conjuncts_at, projections, inputs);
     if (out.ok() || out.status().code() == StatusCode::kResourceExhausted) {
       return out;
     }
     stats_ = saved;
     ++stats_.vec_fallbacks;
   }
+  // Converted per run, never cached by address: a fixpoint's total and
+  // delta keep theirs while their rows change.
+  std::vector<Rows> rows(n);
+  std::vector<const Rows*> row_inputs(n);
   for (size_t i = 0; i < n; ++i) {
-    if (inputs[i] == nullptr) inputs[i] = &StoredRows(batches[i]);
+    rows[i] = inputs[i]->ToRows();
+    row_inputs[i] = &rows[i];
   }
-  return EvalSearchWithInputs(conjuncts_at, projections, inputs);
+  return EvalSearchWithInputs(conjuncts_at, projections, row_inputs);
 }
 
 Result<Rows> Executor::EvalSearchWithInputs(

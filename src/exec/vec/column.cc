@@ -247,6 +247,7 @@ bool Batch::FromRows(const std::vector<std::vector<Value>>& rows,
 }
 
 std::vector<std::vector<Value>> Batch::ToRows() const {
+  if (!ragged.empty()) return ragged;
   std::vector<std::vector<Value>> out;
   out.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {

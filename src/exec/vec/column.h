@@ -135,9 +135,13 @@ struct ColumnView {
 struct Batch {
   size_t rows = 0;
   std::vector<ColumnVector> cols;
+  // Rows of differing widths, which no column layout fits, kept as they
+  // are (`cols` then empty). Stored tables and fixpoint relations never
+  // are; a derived SEARCH input can be, and only the row engine reads it.
+  std::vector<std::vector<value::Value>> ragged;
 
-  // False when the input is ragged (rows of differing arity) — stored
-  // tables never are, but derived row sets can be.
+  // False when the input is ragged (rows of differing arity); `out` is
+  // then partly built.
   static bool FromRows(const std::vector<std::vector<value::Value>>& rows,
                        Batch* out);
   std::vector<std::vector<value::Value>> ToRows() const;

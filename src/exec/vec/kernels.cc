@@ -37,9 +37,22 @@ inline uint64_t HashStringBytes(std::string_view s) {
   return Mix64(h);
 }
 
-// Hash of a NULL cell; only compared against other NULLs of the same
-// column, so any fixed constant works.
+// A cell's share of a row hash (VecDedupRows, RowSet): equal for
+// Compare-equal cells whatever lane holds them, so a row hashes the same
+// in every batch. Numbers hash as doubles, folding Int(2) onto Real(2.0).
 constexpr uint64_t kNullCellHash = 0x7fb5d329728ea185ULL;
+inline uint64_t HashBoolCell(bool b) { return Mix64(b ? 3 : 7); }
+
+uint64_t HashValueCell(const Value& v) {
+  switch (v.kind()) {
+    case ValueKind::kNull: return kNullCellHash;
+    case ValueKind::kInt:
+    case ValueKind::kReal: return HashDoubleBits(v.AsReal());
+    case ValueKind::kBool: return HashBoolCell(v.AsBool());
+    case ValueKind::kObjectRef: return Mix64(v.AsObjectRef());
+    default: return term::internal::HashConstantValue(v);
+  }
+}
 
 constexpr uint64_t kRowHashSeed = 0x84222325cbf29ce4ULL;
 
@@ -513,10 +526,7 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
   Batch b;
   if (!Batch::FromRows(*rows, &b)) return false;
   if (batches) ++*batches;
-  // Row hashes, accumulated column-major. Each column uses one hashing
-  // scheme for all its cells, so Compare-equal cells within a column hash
-  // equal (generic columns go through HashConstantValue, which already
-  // folds Int(2)/Real(2.0)).
+  // Row hashes, accumulated column-major, one loop per lane.
   std::vector<uint64_t> h(n, kRowHashSeed);
   for (const ColumnVector& c : b.cols) {
     switch (c.lane()) {
@@ -524,7 +534,7 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
         for (size_t i = 0; i < n; ++i) {
           const uint64_t cell =
               c.IsNull(i) ? kNullCellHash
-                          : Mix64(static_cast<uint64_t>(c.IntAt(i)));
+                          : HashDoubleBits(static_cast<double>(c.IntAt(i)));
           h[i] = Mix64(h[i] ^ cell);
         }
         break;
@@ -538,7 +548,7 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
       case Lane::kBool:
         for (size_t i = 0; i < n; ++i) {
           const uint64_t cell =
-              c.IsNull(i) ? kNullCellHash : Mix64(c.BoolAt(i) ? 3 : 7);
+              c.IsNull(i) ? kNullCellHash : HashBoolCell(c.BoolAt(i));
           h[i] = Mix64(h[i] ^ cell);
         }
         break;
@@ -554,10 +564,7 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
         break;
       case Lane::kGeneric:
         for (size_t i = 0; i < n; ++i) {
-          const Value& v = c.GenericAt(i);
-          const uint64_t cell =
-              v.is_null() ? kNullCellHash : term::internal::HashConstantValue(v);
-          h[i] = Mix64(h[i] ^ cell);
+          h[i] = Mix64(h[i] ^ HashValueCell(c.GenericAt(i)));
         }
         break;
     }
@@ -606,6 +613,42 @@ bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
   out.reserve(survivors.size());
   for (uint32_t i : survivors) out.push_back(std::move((*rows)[i]));
   rows->swap(out);
+  return true;
+}
+
+Result<bool> RowSet::Insert(const std::vector<Value>& row) {
+  if (batch_.rows == 0) batch_.cols.resize(row.size());
+  if (row.size() != batch_.cols.size()) {
+    return Status::InvalidArgument(
+        "ragged rows: a row of width " + std::to_string(row.size()) +
+        " among rows of width " + std::to_string(batch_.cols.size()));
+  }
+  uint64_t h = kRowHashSeed;
+  for (const Value& v : row) h = Mix64(h ^ HashValueCell(v));
+  if (heads_.size() < 2 * (batch_.rows + 1)) {
+    // Doubles the buckets and rechains every row held.
+    heads_.assign(std::max<size_t>(16, heads_.size() * 2), -1);
+    for (size_t j = 0; j < batch_.rows; ++j) {
+      const size_t bkt = hashes_[j] & (heads_.size() - 1);
+      next_[j] = heads_[bkt];
+      heads_[bkt] = static_cast<int32_t>(j);
+    }
+  }
+  const size_t bkt = h & (heads_.size() - 1);
+  for (int32_t j = heads_[bkt]; j >= 0; j = next_[j]) {
+    if (hashes_[j] != h) continue;
+    size_t c = 0;
+    while (c < row.size() &&
+           value::Compare(batch_.cols[c].ValueAt(j), row[c]) == 0) {
+      ++c;
+    }
+    if (c == row.size()) return false;
+  }
+  hashes_.push_back(h);
+  next_.push_back(heads_[bkt]);
+  heads_[bkt] = static_cast<int32_t>(batch_.rows);
+  for (size_t c = 0; c < row.size(); ++c) batch_.cols[c].AppendValue(row[c]);
+  ++batch_.rows;
   return true;
 }
 

@@ -97,6 +97,24 @@ Result<JoinPairs> CrossPairs(size_t left_rows, size_t right_rows,
 bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
                   size_t* batches);
 
+// Distinct rows kept as a batch, in the order first inserted, with a hash
+// index over them: VecDedupRows's row hash, and value::Compare equality
+// per cell. A FIX keeps its total this way, so the batch grows in place
+// and keeps its address.
+class RowSet {
+ public:
+  // Appends `row` unless a Compare-equal row is held already; true when
+  // appended. InvalidArgument when its width differs from the rows held.
+  Result<bool> Insert(const std::vector<value::Value>& row);
+  const Batch& batch() const { return batch_; }
+
+ private:
+  Batch batch_;
+  std::vector<uint64_t> hashes_;  // row hash of each row held
+  std::vector<int32_t> heads_;    // bucket -> last row in it, or -1
+  std::vector<int32_t> next_;     // row -> previous row in its bucket
+};
+
 }  // namespace eds::exec::vec
 
 #endif  // EDS_EXEC_VEC_KERNELS_H_

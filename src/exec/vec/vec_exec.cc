@@ -11,11 +11,12 @@
 // The vectorized SEARCH engine (which FILTER, PROJECT and JOIN run
 // through as well) and dedup. Contract with the row path: results (rows,
 // values, ordering, errors the user sees) are byte-identical. Anything a
-// kernel cannot reproduce —
-// ragged intermediates, hash-incompatible join keys, per-row errors,
-// output blow-ups past the batch caps — returns a non-OK status and the
-// caller reruns the row-path oracle. Only ResourceExhausted (a governor
-// trip) is final.
+// kernel cannot reproduce — ragged inputs, hash-incompatible join keys,
+// per-row errors, output blow-ups past the batch caps — returns a non-OK
+// status and the caller reruns the row-path oracle. Only
+// ResourceExhausted (a governor trip) is final. Every input arrives as a
+// batch: a stored table's, a fixpoint's total or delta, or a derived input
+// converted once.
 
 namespace eds::exec {
 
@@ -348,25 +349,13 @@ const vec::Batch& EmptyPrefix() {
 
 Result<Rows> Executor::EvalSearchWithInputsVec(
     const std::vector<TermList>& conjuncts_at, const TermList& projections,
-    const std::vector<const Rows*>& inputs,
-    const std::vector<const vec::Batch*>& batches) {
+    const std::vector<const vec::Batch*>& inputs) {
   const size_t n = inputs.size();
-  // Columnar images of the inputs: stored tables arrive as their batches,
-  // everything else (fixpoint deltas, materialized subtrees) converts here.
-  std::vector<vec::Batch> converted(n);
-  std::vector<const vec::Batch*> in_batches(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (batches[i] != nullptr) {
-      in_batches[i] = batches[i];
-      continue;
-    }
-    if (!vec::Batch::FromRows(*inputs[i], &converted[i])) {
-      return Status::Unsupported("ragged input rows");
-    }
-    in_batches[i] = &converted[i];
+  for (const vec::Batch* in : inputs) {
+    if (!in->ragged.empty()) return Status::Unsupported("ragged input rows");
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (in_batches[i]->rows == 0) return Rows{};
+  for (const vec::Batch* in : inputs) {
+    if (in->rows == 0) return Rows{};
   }
 
   // Level 1 narrows the first input; each later level joins the next one.
@@ -382,7 +371,7 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
   }
   StageCtx sc{db_, &catalog_->functions(), &stats_};
   Kept acc;
-  acc.batch = n == 0 ? &EmptyPrefix() : in_batches[0];
+  acc.batch = n == 0 ? &EmptyPrefix() : inputs[0];
   std::vector<uint32_t> offsets{0};
   for (size_t k = 1; k <= n; ++k) {
     if (options_.guard != nullptr && options_.guard->Check()) {
@@ -392,7 +381,7 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
       offsets.push_back(static_cast<uint32_t>(acc.batch->cols.size()));
       EDS_RETURN_IF_ERROR(Filter(conjuncts_at[1], offsets, &acc, sc));
     } else {
-      EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *in_batches[k - 1],
+      EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *inputs[k - 1],
                                           k, conjuncts_at[k], later[k], sc));
     }
     if (acc.size() == 0) return Rows{};
