@@ -1,7 +1,6 @@
-// Executor substrate A/B: the row engine vs the columnar batch kernels on
-// exec-dominated plans (docs/executor.md). Every workload appears twice —
-// _Row forces ExecOptions::vectorized = false (the oracle), _Vec leaves the
-// default on — so the BENCH trajectory carries the speedup explicitly.
+// The columnar batch executor on exec-dominated plans (docs/executor.md).
+// The workloads keep their _Vec names, so the BENCH_*.json series (which
+// also timed a row engine, since removed) still compares by name.
 // Rewrite is off throughout: these measure the execution phase, and the
 // exec_ns counter is the wall time of the last Run() for exactly that
 // phase (ns/op includes it plus result teardown).
@@ -33,17 +32,13 @@ void ReportRunWork(benchmark::State& state, const eds::exec::Rows& rows,
   state.counters["exec_ns"] = static_cast<double>(exec_ns);
 }
 
-// One Run() per iteration against a prebuilt session; the helper drives
-// both variants so Row/Vec differ in exactly one option bit.
+// One Run() per iteration against a prebuilt session.
 void RunPlanBench(benchmark::State& state, eds::exec::Session* session,
-                  const eds::term::TermRef& plan, bool vectorized,
-                  size_t expected_rows) {
-  eds::exec::ExecOptions options;
-  options.vectorized = vectorized;
+                  const eds::term::TermRef& plan, size_t expected_rows) {
   for (auto _ : state) {
     eds::exec::ExecStats stats;
     const uint64_t t0 = eds::obs::NowNs();
-    auto rows = session->Run(plan, options, &stats);
+    auto rows = session->Run(plan, {}, &stats);
     const uint64_t exec_ns = eds::obs::NowNs() - t0;
     Check(rows.status(), "run");
     if (rows->size() != expected_rows) {
@@ -83,21 +78,16 @@ size_t ScanExpected() {
   return n;
 }
 
-void BM_ScanFilterProject_Row(benchmark::State& state) {
-  auto session = MakeNumsDb(kNumsRows);
-  RunPlanBench(state, session.get(), Plan(kScanPlan), false, ScanExpected());
-}
 void BM_ScanFilterProject_Vec(benchmark::State& state) {
   auto session = MakeNumsDb(kNumsRows);
-  RunPlanBench(state, session.get(), Plan(kScanPlan), true, ScanExpected());
+  RunPlanBench(state, session.get(), Plan(kScanPlan), ScanExpected());
 }
-BENCHMARK(BM_ScanFilterProject_Row);
 BENCHMARK(BM_ScanFilterProject_Vec);
 
 // ---------------- equi join ----------------
 
 // 2000 x 2000 rows, 1000 shared keys appearing twice per side: 4000 output
-// pairs. The row engine probes all 4M pairings; the hash kernel builds
+// pairs. A nested loop would probe all 4M pairings; the hash kernel builds
 // once and probes 2000 times.
 std::unique_ptr<eds::exec::Session> MakeJoinDb(int rows, int keys) {
   auto session = std::make_unique<eds::exec::Session>();
@@ -122,23 +112,17 @@ const char* kJoinPlan =
     "SEARCH(LIST(RELATION('LTAB'), RELATION('RTAB')), ($1.1 = $2.1), "
     "LIST($1.2, $2.2))";
 
-void BM_EquiJoin_Row(benchmark::State& state) {
-  auto session = MakeJoinDb(kJoinRows, kJoinKeys);
-  RunPlanBench(state, session.get(), Plan(kJoinPlan), false,
-               static_cast<size_t>(kJoinRows) * kJoinRows / kJoinKeys);
-}
 void BM_EquiJoin_Vec(benchmark::State& state) {
   auto session = MakeJoinDb(kJoinRows, kJoinKeys);
-  RunPlanBench(state, session.get(), Plan(kJoinPlan), true,
+  RunPlanBench(state, session.get(), Plan(kJoinPlan),
                static_cast<size_t>(kJoinRows) * kJoinRows / kJoinKeys);
 }
-BENCHMARK(BM_EquiJoin_Row);
 BENCHMARK(BM_EquiJoin_Vec);
 
 // ---------------- dedup ----------------
 
-// 100k rows, 20 copies each of 5000 distinct pairs: the row engine sorts
-// with per-value Compare calls, the kernel hash-groups column-major.
+// 100k rows, 20 copies each of 5000 distinct pairs, hash-grouped into a
+// vec::RowSet and sorted once.
 std::unique_ptr<eds::exec::Session> MakeDupsDb(int rows, int distinct) {
   auto session = std::make_unique<eds::exec::Session>();
   Check(session->ExecuteScript("CREATE TABLE DUPS (A : INT, B : INT);"),
@@ -155,29 +139,22 @@ std::unique_ptr<eds::exec::Session> MakeDupsDb(int rows, int distinct) {
 constexpr int kDupRows = 100000;
 constexpr int kDupDistinct = 5000;
 
-void BM_Dedup_Row(benchmark::State& state) {
-  auto session = MakeDupsDb(kDupRows, kDupDistinct);
-  RunPlanBench(state, session.get(), Plan("DEDUP(RELATION('DUPS'))"), false,
-               kDupDistinct);
-}
 void BM_Dedup_Vec(benchmark::State& state) {
   auto session = MakeDupsDb(kDupRows, kDupDistinct);
-  RunPlanBench(state, session.get(), Plan("DEDUP(RELATION('DUPS'))"), true,
+  RunPlanBench(state, session.get(), Plan("DEDUP(RELATION('DUPS'))"),
                kDupDistinct);
 }
-BENCHMARK(BM_Dedup_Row);
 BENCHMARK(BM_Dedup_Vec);
 
 // ---------------- transitive closure ----------------
 
 // The Fig. 5 recursive view end to end: semi-naive deltas flow through the
-// vectorized SEARCH as batches. Rewrite off, full pipeline otherwise.
-void BM_Closure(benchmark::State& state, bool vectorized) {
+// SEARCH as batches. Rewrite off, full pipeline otherwise.
+void BM_TransitiveClosure_Vec(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   auto session = MakeGraphDb(nodes);
   eds::exec::QueryOptions options;
   options.rewrite = false;
-  options.exec_options.vectorized = vectorized;
   for (auto _ : state) {
     auto result = session->Query("SELECT W, L FROM BETTER_THAN", options);
     Check(result.status(), "query");
@@ -196,13 +173,6 @@ void BM_Closure(benchmark::State& state, bool vectorized) {
         static_cast<double>(result->exec_stats.value_copies);
   }
 }
-void BM_TransitiveClosure_Row(benchmark::State& state) {
-  BM_Closure(state, false);
-}
-void BM_TransitiveClosure_Vec(benchmark::State& state) {
-  BM_Closure(state, true);
-}
-BENCHMARK(BM_TransitiveClosure_Row)->Arg(32)->Arg(48);
 BENCHMARK(BM_TransitiveClosure_Vec)->Arg(32)->Arg(48);
 
 }  // namespace

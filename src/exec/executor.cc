@@ -43,41 +43,35 @@ void DedupRows(Rows* rows) {
 Result<Rows> Executor::Execute(const term::TermRef& plan) {
   FixEnv env;
   const uint64_t copies_before = value::ValueCopyCount();
-  Result<Rows> out = Eval(plan, env);
+  Result<vec::Batch> out = Eval(plan, env);
+  Result<Rows> rows = out.ok() ? Result<Rows>(out->ToRows())
+                               : Result<Rows>(out.status());
   stats_.value_copies += value::ValueCopyCount() - copies_before;
-  if (out.ok()) stats_.rows_output += out->size();
-  return out;
-}
-
-const vec::Batch* Executor::TryBorrow(const term::TermRef& t,
-                                      const FixEnv& env) {
-  if (!lera::IsRelation(t)) return nullptr;
-  Result<std::string> name = lera::RelationName(t);
-  if (!name.ok()) return nullptr;
-  // Fixpoint variables shadow stored relations, exactly as in Eval.
-  auto it = env.find(ToUpperAscii(*name));
-  if (it != env.end()) return it->second;
-  if (!db_->HasTable(*name)) return nullptr;
-  Result<const Table*> table = db_->GetTable(*name);
-  if (!table.ok()) return nullptr;
-  stats_.rows_scanned += (*table)->size();
-  return &(*table)->batch();
+  if (rows.ok()) stats_.rows_output += rows->size();
+  return rows;
 }
 
 Result<const vec::Batch*> Executor::InputBatch(const term::TermRef& t,
                                                const FixEnv& env,
-                                               std::list<vec::Batch>* owned) {
-  if (const vec::Batch* borrowed = TryBorrow(t, env)) return borrowed;
-  EDS_ASSIGN_OR_RETURN(Rows rows, Eval(t, env));
-  vec::Batch& batch = owned->emplace_back();
-  if (!vec::Batch::FromRows(rows, &batch)) {
-    batch.cols.clear();
-    batch.ragged = std::move(rows);
+                                               std::list<vec::Batch>* owned,
+                                               size_t* scanned) {
+  if (lera::IsRelation(t)) {
+    EDS_ASSIGN_OR_RETURN(std::string name, lera::RelationName(t));
+    // Fixpoint variables shadow stored relations, exactly as in Eval.
+    auto it = env.find(ToUpperAscii(name));
+    if (it != env.end()) return it->second;
+    if (db_->HasTable(name)) {
+      EDS_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(name));
+      *scanned += table->size();
+      return &table->batch();
+    }
   }
-  return &batch;
+  // Views, operator trees and unknown names: Eval reports their errors.
+  EDS_ASSIGN_OR_RETURN(vec::Batch batch, Eval(t, env));
+  return &owned->emplace_back(std::move(batch));
 }
 
-Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
+Result<vec::Batch> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
   // Operator entry doubles as the governor chokepoint: every operator in a
   // plan passes through here, including each body re-evaluation inside a
   // fixpoint round, so deadlines and cancellation are noticed even when a
@@ -87,7 +81,7 @@ Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
   gov::QueryGuard* guard = options_.guard;
   if (guard != nullptr && guard->Check()) return guard->TripStatus();
   obs::TraceSink* sink = options_.trace_sink;
-  Result<Rows> out = Rows{};
+  Result<vec::Batch> out = vec::Batch{};
   if (sink == nullptr) {
     out = EvalDispatch(t, env);
   } else {
@@ -109,7 +103,7 @@ Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
     const size_t vec_rows_before = stats_.vec_rows;
     out = EvalDispatch(t, env);
     if (out.ok()) {
-      span.Arg("rows", static_cast<int64_t>(out->size()));
+      span.Arg("rows", static_cast<int64_t>(out->rows));
       const size_t batch_count = stats_.batches - batches_before;
       if (batch_count > 0) {
         span.Arg("batch_count", static_cast<int64_t>(batch_count));
@@ -119,25 +113,25 @@ Result<Rows> Executor::Eval(const term::TermRef& t, const FixEnv& env) {
       }
     }
   }
-  if (out.ok() && guard != nullptr && guard->AddRows(out->size())) {
+  if (out.ok() && guard != nullptr && guard->AddRows(out->rows)) {
     return guard->TripStatus();
   }
   return out;
 }
 
-Result<Rows> Executor::EvalDispatch(const term::TermRef& t,
-                                    const FixEnv& env) {
+Result<vec::Batch> Executor::EvalDispatch(const term::TermRef& t,
+                                          const FixEnv& env) {
   EDS_FAIL_POINT("exec.operator");
   if (lera::IsRelation(t)) {
     EDS_ASSIGN_OR_RETURN(std::string name, lera::RelationName(t));
     std::string key = ToUpperAscii(name);
     // Fixpoint variables shadow stored relations.
     auto it = env.find(key);
-    if (it != env.end()) return it->second->ToRows();
+    if (it != env.end()) return *it->second;
     if (db_->HasTable(name)) {
       EDS_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(name));
       stats_.rows_scanned += table->size();
-      return table->batch().ToRows();
+      return table->batch();
     }
     if (catalog_->HasView(name)) {
       EDS_ASSIGN_OR_RETURN(const catalog::ViewDef* view,
@@ -155,16 +149,11 @@ Result<Rows> Executor::EvalDispatch(const term::TermRef& t,
       f == lera::kJoin) {
     return EvalSearch(t, env);
   }
-  if (f == lera::kUnion) return EvalUnion(t, env);
-  if (f == lera::kDifference || f == lera::kIntersect) {
+  if (f == lera::kUnion || f == lera::kDifference || f == lera::kIntersect ||
+      f == lera::kDedup) {
     return EvalSetOp(t, env);
   }
   if (f == lera::kNest) return EvalNest(t, env);
-  if (f == lera::kDedup) {
-    EDS_ASSIGN_OR_RETURN(Rows rows, Eval(t->arg(0), env));
-    DedupMaybeVec(&rows);
-    return rows;
-  }
   if (f == lera::kUnnest) return EvalUnnest(t, env);
   if (f == lera::kFix) return EvalFix(t, env);
   return Status::Unsupported("executor does not implement operator " + f);

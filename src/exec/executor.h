@@ -41,35 +41,29 @@ struct ExecOptions {
   // surfaces as Status::ResourceExhausted; ExecStats keep their partial
   // values. Non-owning; must outlive the executor.
   gov::QueryGuard* guard = nullptr;
-  // Columnar batch execution for SEARCH (which FILTER, PROJECT and JOIN
-  // run as) and DEDUP (and the dedups inside UNION and set ops). Results
-  // are byte-identical to the row path — a search the kernels cannot
-  // handle falls back whole (counted in ExecStats::vec_fallbacks). False
-  // forces the row-at-a-time oracle everywhere.
-  bool vectorized = true;
 };
 
 struct ExecStats {
-  size_t rows_scanned = 0;       // input rows materialized from storage
+  size_t rows_scanned = 0;       // stored rows the operators read
   size_t qual_evaluations = 0;   // qualification probes (join work proxy)
   size_t rows_output = 0;        // rows produced by the top operator
   size_t fix_iterations = 0;     // fixpoint rounds across all FIX operators
   size_t fix_tuples = 0;         // tuples accumulated by FIX operators
   size_t batches = 0;            // vectorized kernel invocations
   size_t vec_rows = 0;           // rows pushed through vectorized kernels
-  size_t vec_fallbacks = 0;      // operators that fell back to the row path
+  size_t vec_fallbacks = 0;      // always 0: the executor has one engine
   size_t value_copies = 0;       // Value copy-constructions during Execute()
 
   void Reset() { *this = ExecStats(); }
 };
 
 // Evaluates LERA trees over an in-memory database. Deliberately simple
-// physical behaviour — one SEARCH path for SEARCH, FILTER, PROJECT and JOIN
-// that drops a combination at its first conjunct that is not TRUE (a
-// columnar pipeline, with tuple-substitution nested loops as the oracle),
-// set-semantics UNION, semi-naive fixpoints — so benchmark deltas reflect
-// the *logical* rewrites, which is what the paper is about, and a plan
-// behaves as its normalized form does.
+// physical behaviour — every operator maps batches to a batch, one SEARCH
+// path for SEARCH, FILTER, PROJECT and JOIN gives what tuple-substitution
+// nested loops give (rows, order and first error), set-semantics UNION,
+// semi-naive fixpoints — so benchmark deltas reflect the *logical*
+// rewrites, which is what the paper is about, and a plan behaves as its
+// normalized form does.
 //
 // Views resolve through the catalog: a RELATION reference that names a view
 // evaluates the view's stored definition (query modification happens in the
@@ -84,8 +78,9 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Evaluates a relational plan to its rows. Stats accumulate across calls
-  // until ResetStats().
+  // Evaluates a relational plan to its rows, converting the top
+  // operator's batch once. Stats accumulate across calls until
+  // ResetStats().
   Result<Rows> Execute(const term::TermRef& plan);
 
   const ExecStats& stats() const { return stats_; }
@@ -97,22 +92,18 @@ class Executor {
   using FixEnv = std::map<std::string, const vec::Batch*>;
 
   // Wraps EvalDispatch in a per-operator span when tracing is on.
-  Result<Rows> Eval(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalDispatch(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> Eval(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> EvalDispatch(const term::TermRef& t, const FixEnv& env);
 
-  // The batch of an input that needs no evaluation, borrowed without
-  // copying: a fixpoint binding, or a stored table's batch (counted as
-  // scanned just like an evaluated scan). Null when `t` genuinely needs
-  // evaluation (views, operator trees, unknown names: Eval reports those
-  // errors).
-  const vec::Batch* TryBorrow(const term::TermRef& t, const FixEnv& env);
-  // A SEARCH input as a batch: borrowed where TryBorrow can, else
-  // evaluated and converted once into `owned`, whose elements keep their
-  // addresses. A ragged input, rows of differing widths, stays rows
-  // (vec::Batch::ragged), which the vectorized engine refuses.
+  // A SEARCH input as a batch, without copying where it needs no
+  // evaluation: a fixpoint binding, or a stored table's batch, whose rows
+  // are added to `*scanned` (the search charges them when it reads them).
+  // Anything else is evaluated into `owned`, whose elements keep their
+  // addresses.
   Result<const vec::Batch*> InputBatch(const term::TermRef& t,
                                        const FixEnv& env,
-                                       std::list<vec::Batch>* owned);
+                                       std::list<vec::Batch>* owned,
+                                       size_t* scanned);
 
   // operators.cc
   // SEARCH, and FILTER, PROJECT and JOIN as the SEARCH their normalization
@@ -120,41 +111,30 @@ class Executor {
   // PROJECT(z, p) as SEARCH(LIST(z), TRUE, p) and JOIN(a, b, f) as
   // SEARCH(LIST(a, b), f, identity), the identity projection taken from
   // the widths of the materialized inputs.
-  Result<Rows> EvalSearch(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> EvalSearch(const term::TermRef& t, const FixEnv& env);
   // Runs a search over materialized inputs: buckets the qualification's
   // conjuncts by the highest input each references, evaluates the
-  // input-independent ones once, then tries the vectorized engine. A
-  // vectorized attempt whose error is anything but ResourceExhausted (a
-  // governor trip, always final) restores the stats snapshot, counts a
-  // fallback and reruns the row-path oracle, which reproduces the precise
-  // user-visible error or result; the row path converts the input batches
-  // to rows for that one run.
-  Result<Rows> SearchWithInputsMaybeVec(
+  // input-independent ones once, and, unless one is not TRUE or an input
+  // is empty, charges `scanned` stored rows and runs the batch engine.
+  Result<vec::Batch> SearchWithInputs(
       const term::TermRef& qual, const term::TermList& projections,
-      const std::vector<const vec::Batch*>& inputs);
-  // The row engine: tuple-substitution nested loops that run each conjunct
-  // in conjuncts_at[k] (k >= 1) once inputs 1..k are bound.
-  Result<Rows> EvalSearchWithInputs(
-      const std::vector<term::TermList>& conjuncts_at,
-      const term::TermList& projections,
-      const std::vector<const Rows*>& inputs);
-  Result<Rows> EvalUnion(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalSetOp(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalNest(const term::TermRef& t, const FixEnv& env);
-  Result<Rows> EvalUnnest(const term::TermRef& t, const FixEnv& env);
+      const std::vector<const vec::Batch*>& inputs, size_t scanned);
+  // UNION, DEDUP, DIFFERENCE and INTERSECTION, with set semantics; the
+  // non-empty inputs must share one width.
+  Result<vec::Batch> EvalSetOp(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> EvalNest(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> EvalUnnest(const term::TermRef& t, const FixEnv& env);
 
   // fixpoint_eval.cc
-  Result<Rows> EvalFix(const term::TermRef& t, const FixEnv& env);
+  Result<vec::Batch> EvalFix(const term::TermRef& t, const FixEnv& env);
 
-  // vec/vec_exec.cc — the vectorized engine, with the row engine's
-  // arguments over the inputs' batches.
-  Result<Rows> EvalSearchWithInputsVec(
+  // vec/vec_exec.cc — the batch engine: conjuncts_at[k] (k >= 1) run once
+  // inputs 1..k are joined; the result holds the projections' columns, or
+  // is the error a nested loop over the inputs would meet first.
+  Result<vec::Batch> EvalSearchWithInputsVec(
       const std::vector<term::TermList>& conjuncts_at,
       const term::TermList& projections,
       const std::vector<const vec::Batch*>& inputs);
-  // Sorted set-semantics dedup: vectorized hash grouping when profitable,
-  // DedupRows otherwise; output identical either way.
-  void DedupMaybeVec(Rows* rows);
 
   EvalContext MakeExprContext() const;
 
@@ -164,7 +144,8 @@ class Executor {
   ExecStats stats_;
 };
 
-// Sorts rows lexicographically and removes duplicates (set semantics).
+// Sorts rows lexicographically and removes duplicates (set semantics); a
+// helper for comparing results as sets.
 void DedupRows(Rows* rows);
 
 // Lexicographic row comparison consistent with value::Compare.

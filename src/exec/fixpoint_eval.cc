@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <list>
 
 #include "common/strings.h"
@@ -52,16 +51,17 @@ Result<TermList> RecursiveBranches(const TermRef& body,
 
 // FIX(R, body) computes the least fixpoint R = body(R) by iteration, one
 // round at a time. The total, bound to R, holds the distinct rows found so
-// far; each round appends the rows it derives that the total does not yet
-// hold, those rows are the next round's delta, and the first round that
-// appends none ends the loop. Round 0, and every round of naive iteration,
-// evaluates the whole body against the total. A later semi-naive round
+// far; each round inserts the rows it derives, the rows the total appends
+// are the next round's delta, and the first round that appends none ends
+// the loop. Round 0, and every round of naive iteration, evaluates the
+// whole body against the total. A later semi-naive round
 // (options_.seminaive, and RecursiveBranches applies) evaluates the
 // recursive branches once per R-occurrence, with that occurrence bound to
 // the delta and the others to the total; the branches' other inputs are
-// borrowed or evaluated once per FIX. Naive iteration is the
+// borrowed or evaluated, and charged, once per FIX. Naive iteration is the
 // bench_fixpoint ablation's baseline.
-Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
+Result<vec::Batch> Executor::EvalFix(const term::TermRef& t,
+                                     const FixEnv& env) {
   EDS_ASSIGN_OR_RETURN(std::string rel_name, lera::FixRelationName(t));
   EDS_ASSIGN_OR_RETURN(TermRef body, lera::FixBody(t));
   TermList recursive;
@@ -91,11 +91,13 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
       round_span.Arg("round", static_cast<int64_t>(round));
       round_span.Arg("delta_in", static_cast<int64_t>(delta.rows));
     }
-    Rows produced;
+    // Every pass reads the total as the round found it.
+    std::vector<vec::Batch> produced;
     if (round == 0 || recursive.empty()) {
-      EDS_ASSIGN_OR_RETURN(produced, Eval(body, inner));
+      EDS_ASSIGN_OR_RETURN(produced.emplace_back(), Eval(body, inner));
     } else {
       if (round == 1) {
+        size_t scanned = 0;
         for (const TermRef& branch : recursive) {
           EDS_ASSIGN_OR_RETURN(TermList input_terms,
                                lera::SearchInputs(branch));
@@ -105,7 +107,7 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
                                lera::SearchProjections(branch));
           for (const TermRef& in : input_terms) {
             EDS_ASSIGN_OR_RETURN(const vec::Batch* batch,
-                                 InputBatch(in, inner, &owned));
+                                 InputBatch(in, inner, &owned, &scanned));
             pass.inputs.push_back(batch);
           }
           // One pass per occurrence of R: that one reads the delta, the
@@ -117,31 +119,31 @@ Result<Rows> Executor::EvalFix(const term::TermRef& t, const FixEnv& env) {
             passes.push_back(std::move(occurrence));
           }
         }
+        stats_.rows_scanned += scanned;
       }
       for (const DeltaPass& pass : passes) {
         EDS_ASSIGN_OR_RETURN(
-            Rows rows,
-            SearchWithInputsMaybeVec(pass.qual, pass.projections, pass.inputs));
-        produced.insert(produced.end(), std::make_move_iterator(rows.begin()),
-                        std::make_move_iterator(rows.end()));
+            produced.emplace_back(),
+            SearchWithInputs(pass.qual, pass.projections, pass.inputs, 0));
       }
     }
-    Rows fresh;
-    for (Row& row : produced) {
-      EDS_ASSIGN_OR_RETURN(bool added, total.Insert(row));
-      if (added) fresh.push_back(std::move(row));
+    const size_t held = total.batch().rows;
+    for (const vec::Batch& rows : produced) {
+      EDS_RETURN_IF_ERROR(total.Insert(rows));
     }
-    stats_.fix_tuples += fresh.size();
+    const size_t fresh = total.batch().rows - held;
+    stats_.fix_tuples += fresh;
     if (sink != nullptr) {
-      round_span.Arg("new_tuples", static_cast<int64_t>(fresh.size()));
+      round_span.Arg("new_tuples", static_cast<int64_t>(fresh));
     }
-    if (fresh.empty()) break;
-    vec::Batch::FromRows(fresh, &delta);  // not ragged: Insert checked
+    if (fresh == 0) break;
+    vec::SelectionVector appended(fresh);
+    for (size_t i = 0; i < fresh; ++i) {
+      appended[i] = static_cast<uint32_t>(held + i);
+    }
+    delta = total.batch().Gather(appended);
   }
-  Rows out = total.batch().ToRows();
-  std::sort(out.begin(), out.end(),
-            [](const Row& a, const Row& b) { return CompareRows(a, b) < 0; });
-  return out;
+  return vec::Sorted(total.batch());
 }
 
 }  // namespace eds::exec

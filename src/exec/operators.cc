@@ -1,8 +1,10 @@
 #include <algorithm>
-#include <functional>
+#include <list>
 #include <map>
+#include <string>
 
 #include "exec/executor.h"
+#include "exec/vec/kernels.h"
 #include "lera/lera.h"
 
 namespace eds::exec {
@@ -40,7 +42,8 @@ Result<std::vector<TermList>> ConjunctsByLevel(const TermRef& qual,
 
 }  // namespace
 
-Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
+Result<vec::Batch> Executor::EvalSearch(const term::TermRef& t,
+                                        const FixEnv& env) {
   TermList input_terms;
   TermRef qual;
   TermList projections;
@@ -70,36 +73,34 @@ Result<Rows> Executor::EvalSearch(const term::TermRef& t, const FixEnv& env) {
   if (qual->is_constant() &&
       qual->constant().kind() == value::ValueKind::kBool &&
       !qual->constant().AsBool()) {
-    return Rows{};
+    return vec::Batch{};
   }
   // Stored tables and fixpoint bindings are borrowed as they are; only
-  // derived inputs are converted, once, into `owned`.
+  // derived inputs are evaluated, into `owned`.
   std::list<vec::Batch> owned;
   std::vector<const vec::Batch*> inputs;
   inputs.reserve(input_terms.size());
+  size_t scanned = 0;
   for (const TermRef& in : input_terms) {
-    EDS_ASSIGN_OR_RETURN(const vec::Batch* batch, InputBatch(in, env, &owned));
+    EDS_ASSIGN_OR_RETURN(const vec::Batch* batch,
+                         InputBatch(in, env, &owned, &scanned));
     inputs.push_back(batch);
   }
   if (f == lera::kFilter || f == lera::kJoin) {
-    // An empty input's width may be unknown, but then no row is projected;
-    // a ragged one projects its first row's width.
+    // An empty input's width may be unknown, but then no row is projected.
     for (size_t i = 0; i < inputs.size(); ++i) {
-      const vec::Batch& in = *inputs[i];
-      const size_t width =
-          in.ragged.empty() ? in.cols.size() : in.ragged.front().size();
-      for (size_t c = 1; c <= width; ++c) {
+      for (size_t c = 1; c <= inputs[i]->cols.size(); ++c) {
         projections.push_back(lera::Attr(static_cast<int64_t>(i + 1),
                                          static_cast<int64_t>(c)));
       }
     }
   }
-  return SearchWithInputsMaybeVec(qual, projections, inputs);
+  return SearchWithInputs(qual, projections, inputs, scanned);
 }
 
-Result<Rows> Executor::SearchWithInputsMaybeVec(
+Result<vec::Batch> Executor::SearchWithInputs(
     const term::TermRef& qual, const term::TermList& projections,
-    const std::vector<const vec::Batch*>& inputs) {
+    const std::vector<const vec::Batch*>& inputs, size_t scanned) {
   const size_t n = inputs.size();
   EDS_ASSIGN_OR_RETURN(std::vector<TermList> conjuncts_at,
                        ConjunctsByLevel(qual, n));
@@ -109,105 +110,63 @@ Result<Rows> Executor::SearchWithInputsMaybeVec(
   for (const TermRef& c : conjuncts_at[0]) {
     ++stats_.qual_evaluations;
     EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx));
-    if (!ok) return Rows{};
+    if (!ok) return vec::Batch{};
   }
-  if (options_.vectorized) {
-    ExecStats saved = stats_;
-    Result<Rows> out =
-        EvalSearchWithInputsVec(conjuncts_at, projections, inputs);
-    if (out.ok() || out.status().code() == StatusCode::kResourceExhausted) {
-      return out;
-    }
-    stats_ = saved;
-    ++stats_.vec_fallbacks;
+  for (const vec::Batch* in : inputs) {
+    if (in->rows == 0) return vec::Batch{};
   }
-  // Converted per run, never cached by address: a fixpoint's total and
-  // delta keep theirs while their rows change.
-  std::vector<Rows> rows(n);
-  std::vector<const Rows*> row_inputs(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows[i] = inputs[i]->ToRows();
-    row_inputs[i] = &rows[i];
-  }
-  return EvalSearchWithInputs(conjuncts_at, projections, row_inputs);
+  // The stored inputs are read from here on.
+  stats_.rows_scanned += scanned;
+  return EvalSearchWithInputsVec(conjuncts_at, projections, inputs);
 }
 
-Result<Rows> Executor::EvalSearchWithInputs(
-    const std::vector<TermList>& conjuncts_at, const TermList& projections,
-    const std::vector<const Rows*>& inputs) {
-  // Tuple-substitution nested loops with eager conjunct evaluation: each
-  // conjunct runs as soon as every input it references is bound, pruning
-  // partial combinations early.
-  const size_t n = inputs.size();
-  EvalContext ctx = MakeExprContext();
-  ctx.current.assign(n, nullptr);
-  Rows out;
-
-  // Recursive nested loop; input counts are small, rows are not.
-  std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
-    if (depth == n) {
-      Row row;
-      row.reserve(projections.size());
-      for (const TermRef& p : projections) {
-        Result<Value> v = EvalExpr(p, &ctx);
-        EDS_RETURN_IF_ERROR(v.status());
-        row.push_back(std::move(*v));
+Result<vec::Batch> Executor::EvalSetOp(const term::TermRef& t,
+                                       const FixEnv& env) {
+  const std::string& f = t->functor();
+  const bool binary = f == lera::kDifference || f == lera::kIntersect;
+  TermList input_terms;
+  if (f == lera::kUnion) {
+    EDS_ASSIGN_OR_RETURN(input_terms, lera::UnionInputs(t));
+  } else if (t->args().size() == (binary ? 2u : 1u)) {
+    input_terms = t->args();
+  } else {
+    return Status::InvalidArgument("malformed " + f);
+  }
+  std::vector<vec::Batch> inputs;
+  for (const TermRef& in : input_terms) {
+    EDS_ASSIGN_OR_RETURN(vec::Batch batch, Eval(in, env));
+    // A relation has one width; an empty input may not know its own.
+    for (const vec::Batch& other : inputs) {
+      if (batch.rows != 0 && other.rows != 0 &&
+          batch.cols.size() != other.cols.size()) {
+        return Status::InvalidArgument(
+            f + " over inputs of widths " + std::to_string(other.cols.size()) +
+            " and " + std::to_string(batch.cols.size()));
       }
-      out.push_back(std::move(row));
-      return Status::OK();
     }
-    for (const Row& candidate : *inputs[depth]) {
-      ctx.current[depth] = &candidate;
-      bool pruned = false;
-      for (const TermRef& c : conjuncts_at[depth + 1]) {
-        ++stats_.qual_evaluations;
-        EDS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(c, &ctx));
-        if (!ok) {
-          pruned = true;
-          break;
-        }
-      }
-      if (pruned) continue;
-      EDS_RETURN_IF_ERROR(recurse(depth + 1));
-    }
-    ctx.current[depth] = nullptr;
-    return Status::OK();
-  };
-  EDS_RETURN_IF_ERROR(recurse(0));
-  return out;
-}
-
-Result<Rows> Executor::EvalUnion(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(TermList inputs, lera::UnionInputs(t));
-  Rows out;
-  for (const TermRef& in : inputs) {
-    EDS_ASSIGN_OR_RETURN(Rows rows, Eval(in, env));
-    out.insert(out.end(), std::make_move_iterator(rows.begin()),
-               std::make_move_iterator(rows.end()));
+    inputs.push_back(std::move(batch));
   }
-  DedupMaybeVec(&out);
-  return out;
-}
-
-Result<Rows> Executor::EvalSetOp(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows a, Eval(t->arg(0), env));
-  EDS_ASSIGN_OR_RETURN(Rows b, Eval(t->arg(1), env));
-  DedupMaybeVec(&a);
-  DedupMaybeVec(&b);
-  Rows out;
-  const bool difference = t->functor() == lera::kDifference;
-  for (Row& row : a) {
-    bool in_b = std::binary_search(
-        b.begin(), b.end(), row, [](const Row& x, const Row& y) {
-          return CompareRows(x, y) < 0;
-        });
-    if (in_b != difference) out.push_back(std::move(row));
+  // The distinct rows of every input, or of the first of a binary operator.
+  vec::RowSet distinct;
+  for (size_t i = 0; i < (binary ? 1 : inputs.size()); ++i) {
+    EDS_RETURN_IF_ERROR(distinct.Insert(inputs[i]));
+    ++stats_.batches;
+    stats_.vec_rows += inputs[i].rows;
   }
-  return out;
+  if (!binary) return vec::Sorted(distinct.batch());
+  vec::RowSet other;
+  EDS_RETURN_IF_ERROR(other.Insert(inputs[1]));
+  const vec::Batch& held = distinct.batch();
+  vec::SelectionVector keep;
+  for (uint32_t r = 0; r < held.rows; ++r) {
+    if (other.Contains(held, r) != (f == lera::kDifference)) keep.push_back(r);
+  }
+  return vec::Sorted(held.Gather(keep));
 }
 
-Result<Rows> Executor::EvalNest(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows input, Eval(t->arg(0), env));
+Result<vec::Batch> Executor::EvalNest(const term::TermRef& t,
+                                      const FixEnv& env) {
+  EDS_ASSIGN_OR_RETURN(vec::Batch input, Eval(t->arg(0), env));
   if (!t->arg(1)->IsApply(term::kList)) {
     return Status::InvalidArgument("malformed NEST");
   }
@@ -228,15 +187,13 @@ Result<Rows> Executor::EvalNest(const term::TermRef& t, const FixEnv& env) {
     return CompareRows(a, b) < 0;
   });
   std::vector<GroupMap::iterator> order;
-  for (Row& row : input) {
+  for (size_t r = 0; r < input.rows; ++r) {
     Row key;
     std::vector<Value> collected;
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (std::find(nested.begin(), nested.end(), i + 1) != nested.end()) {
-        collected.push_back(std::move(row[i]));
-      } else {
-        key.push_back(std::move(row[i]));
-      }
+    for (size_t i = 0; i < input.cols.size(); ++i) {
+      const bool is_nested =
+          std::find(nested.begin(), nested.end(), i + 1) != nested.end();
+      (is_nested ? collected : key).push_back(input.cols[i].ValueAt(r));
     }
     Value elem = collected.size() == 1 ? std::move(collected[0])
                                        : Value::Tuple(std::move(collected));
@@ -244,54 +201,45 @@ Result<Rows> Executor::EvalNest(const term::TermRef& t, const FixEnv& env) {
     if (inserted) order.push_back(it);
     it->second.push_back(std::move(elem));
   }
-  Rows out;
-  out.reserve(order.size());
+  vec::Batch out;
   for (GroupMap::iterator it : order) {
     Row row = it->first;
     row.push_back(Value::Set(std::move(it->second)));
-    out.push_back(std::move(row));
+    EDS_RETURN_IF_ERROR(out.Append(row));
   }
   return out;
 }
 
-Result<Rows> Executor::EvalUnnest(const term::TermRef& t, const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(Rows input, Eval(t->arg(0), env));
+Result<vec::Batch> Executor::EvalUnnest(const term::TermRef& t,
+                                        const FixEnv& env) {
+  EDS_ASSIGN_OR_RETURN(vec::Batch input, Eval(t->arg(0), env));
   if (!t->arg(1)->is_constant() ||
       t->arg(1)->constant().kind() != value::ValueKind::kInt) {
     return Status::InvalidArgument("malformed UNNEST");
   }
-  size_t col = static_cast<size_t>(t->arg(1)->constant().AsInt());
-  Rows out;
-  for (const Row& row : input) {
-    if (col < 1 || col > row.size()) {
+  const size_t col = static_cast<size_t>(t->arg(1)->constant().AsInt());
+  vec::Batch out;
+  for (size_t r = 0; r < input.rows; ++r) {
+    if (col < 1 || col > input.cols.size()) {
       return Status::RuntimeError("UNNEST column out of range");
     }
-    const Value& coll = row[col - 1];
+    const Value coll = input.cols[col - 1].ValueAt(r);
     if (!coll.is_collection()) {
       return Status::TypeError("UNNEST over non-collection value " +
                                coll.ToString());
     }
     for (const Value& elem : coll.elements()) {
       Row expanded;
-      expanded.reserve(row.size() +
-                       (elem.kind() == value::ValueKind::kTuple
-                            ? elem.tuple().values.size()
-                            : 1) -
-                       1);
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i + 1 == col) {
-          if (elem.kind() == value::ValueKind::kTuple) {
-            for (const Value& v : elem.tuple().values) {
-              expanded.push_back(v);
-            }
-          } else {
-            expanded.push_back(elem);
-          }
+      for (size_t i = 0; i < input.cols.size(); ++i) {
+        if (i + 1 != col) {
+          expanded.push_back(input.cols[i].ValueAt(r));
+        } else if (elem.kind() == value::ValueKind::kTuple) {
+          for (const Value& v : elem.tuple().values) expanded.push_back(v);
         } else {
-          expanded.push_back(row[i]);
+          expanded.push_back(elem);
         }
       }
-      out.push_back(std::move(expanded));
+      EDS_RETURN_IF_ERROR(out.Append(expanded));
     }
   }
   return out;

@@ -21,11 +21,10 @@ using Rows = std::vector<Row>;
 
 // In-memory stored table. Its one image is columnar: Insert appends each
 // cell to its column, under the same lane commit/demote rules as
-// vec::Batch::FromRows, so batch() is exactly the batch FromRows would build
-// from the rows in insertion order. The vectorized executor reads the batch
-// directly; the row path rebuilds rows from it (Executor keeps at most one
-// row image per table per Execute). Readers never race writers: data
-// writes are serialized against serving by QueryService's serve gate.
+// vec::Batch::Append, so batch() is exactly the batch Append would build
+// from the rows in insertion order. The executor reads the batch directly.
+// Readers never race writers: data writes are serialized against serving
+// by QueryService's serve gate.
 class Table {
  public:
   explicit Table(size_t column_count);

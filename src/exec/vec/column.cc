@@ -1,6 +1,7 @@
 #include "exec/vec/column.h"
 
 #include <algorithm>
+#include <string>
 
 namespace eds::exec::vec {
 
@@ -228,26 +229,13 @@ int ColumnVector::CompareCells(size_t i, const ColumnVector& other,
     uint64_t a = oids_[i], b = other.oids_[j];
     return a < b ? -1 : (a > b ? 1 : 0);
   }
+  if (lane_ == Lane::kGeneric && other.lane_ == Lane::kGeneric) {
+    return value::Compare(generic_[i], other.generic_[j]);  // no copies
+  }
   return value::Compare(ValueAt(i), other.ValueAt(j));
 }
 
-bool Batch::FromRows(const std::vector<std::vector<Value>>& rows,
-                     Batch* out) {
-  out->rows = rows.size();
-  out->cols.clear();
-  if (rows.empty()) return true;
-  const size_t width = rows[0].size();
-  out->cols.resize(width);
-  for (ColumnVector& c : out->cols) c.Reserve(rows.size());
-  for (const std::vector<Value>& row : rows) {
-    if (row.size() != width) return false;
-    for (size_t c = 0; c < width; ++c) out->cols[c].AppendValue(row[c]);
-  }
-  return true;
-}
-
 std::vector<std::vector<Value>> Batch::ToRows() const {
-  if (!ragged.empty()) return ragged;
   std::vector<std::vector<Value>> out;
   out.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
@@ -256,6 +244,26 @@ std::vector<std::vector<Value>> Batch::ToRows() const {
     for (const ColumnVector& c : cols) row.push_back(c.ValueAt(r));
     out.push_back(std::move(row));
   }
+  return out;
+}
+
+Status Batch::Append(const std::vector<Value>& row) {
+  if (rows == 0) cols.resize(row.size());
+  if (row.size() != cols.size()) {
+    return Status::InvalidArgument(
+        "ragged rows: a row of width " + std::to_string(row.size()) +
+        " among rows of width " + std::to_string(cols.size()));
+  }
+  for (size_t c = 0; c < row.size(); ++c) cols[c].AppendValue(row[c]);
+  ++rows;
+  return Status::OK();
+}
+
+Batch Batch::Gather(const SelectionVector& sel) const {
+  Batch out;
+  out.rows = sel.size();
+  out.cols.reserve(cols.size());
+  for (const ColumnVector& c : cols) out.cols.push_back(c.Gather(sel));
   return out;
 }
 

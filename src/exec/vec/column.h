@@ -5,20 +5,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "value/value.h"
 
 namespace eds::exec::vec {
 
 // Row indices selected out of a batch, always ascending, so every gather
-// preserves the row order the row-at-a-time executor would have produced —
-// the vectorized path must be byte-identical, ordering included.
+// preserves the row order a nested loop over the rows would produce — the
+// executor must be byte-identical to it, ordering included.
 using SelectionVector = std::vector<uint32_t>;
 
 // Physical layout of one column. A column starts undecided (kNullOnly) and
 // commits to a typed lane on its first non-null value; a later value of any
 // other kind demotes the whole column to kGeneric (boxed Values, still O(1)
 // to copy). Int and Real deliberately do NOT share a lane: reconstructed
-// Values must match the row engine's exactly, and widening Int(2) to 2.0
+// Values must match the appended ones exactly, and widening Int(2) to 2.0
 // would change the output representation. kObjectRef keeps object
 // references as bare oids (8 bytes a cell instead of a 16-byte Value).
 enum class Lane : uint8_t {
@@ -63,8 +64,7 @@ class ColumnVector {
   uint64_t ObjectRefAt(size_t i) const { return oids_[i]; }
   const value::Value& GenericAt(size_t i) const { return generic_[i]; }
 
-  // Reconstructs the cell as a Value identical to what the row engine
-  // would carry for it.
+  // Reconstructs the cell as a Value identical to the one appended.
   value::Value ValueAt(size_t i) const;
 
   // Capacity for n cells. On a kNullOnly column it is remembered and
@@ -112,39 +112,41 @@ class ColumnVector {
 };
 
 // A column read through a selection: row i of the view is cell (*sel)[i]
-// of `*col`, or cell i when `sel` is null. Kernels take views, so a filter
-// or a join key reads a stored column at the surviving rows without
-// gathering it first.
+// of `*col`, or cell i when `sel` is null, for the first `n` rows. Kernels
+// take views, so a filter or a join key reads a stored column at the
+// surviving rows without gathering it first.
 struct ColumnView {
   ColumnView() = default;
-  ColumnView(const ColumnVector& c) : col(&c) {}  // NOLINT: every row
-  ColumnView(const ColumnVector* c, const SelectionVector* s)
-      : col(c), sel(s) {}
+  ColumnView(const ColumnVector& c)  // NOLINT: every row
+      : col(&c), n(c.size()) {}
+  ColumnView(const ColumnVector* c, const SelectionVector* s, size_t rows)
+      : col(c), sel(s), n(rows) {}
 
-  size_t size() const { return sel != nullptr ? sel->size() : col->size(); }
+  size_t size() const { return n; }
   // The cell index of view row i.
   size_t operator[](size_t i) const {
     return sel != nullptr ? (*sel)[i] : i;
   }
+  // The first `m` rows of this view (m <= size()).
+  ColumnView Prefix(size_t m) const { return {col, sel, m}; }
 
   const ColumnVector* col = nullptr;
   const SelectionVector* sel = nullptr;
+  size_t n = 0;
 };
 
-// A batch: the columnar image of a Rows block. All columns share `rows`.
+// A batch: a block of rows held column by column. All columns share
+// `rows`; every operator of the executor passes one to the next.
 struct Batch {
   size_t rows = 0;
   std::vector<ColumnVector> cols;
-  // Rows of differing widths, which no column layout fits, kept as they
-  // are (`cols` then empty). Stored tables and fixpoint relations never
-  // are; a derived SEARCH input can be, and only the row engine reads it.
-  std::vector<std::vector<value::Value>> ragged;
 
-  // False when the input is ragged (rows of differing arity); `out` is
-  // then partly built.
-  static bool FromRows(const std::vector<std::vector<value::Value>>& rows,
-                       Batch* out);
   std::vector<std::vector<value::Value>> ToRows() const;
+  // Appends one row; the first row of an empty batch sets its width, and
+  // a row of another width is InvalidArgument.
+  Status Append(const std::vector<value::Value>& row);
+  // New batch holding rows sel[0..k) of this one.
+  Batch Gather(const SelectionVector& sel) const;
 };
 
 }  // namespace eds::exec::vec

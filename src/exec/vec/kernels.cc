@@ -37,7 +37,7 @@ inline uint64_t HashStringBytes(std::string_view s) {
   return Mix64(h);
 }
 
-// A cell's share of a row hash (VecDedupRows, RowSet): equal for
+// A cell's share of a row hash (RowHash, RowSet): equal for
 // Compare-equal cells whatever lane holds them, so a row hashes the same
 // in every batch. Numbers hash as doubles, folding Int(2) onto Real(2.0).
 constexpr uint64_t kNullCellHash = 0x7fb5d329728ea185ULL;
@@ -256,14 +256,15 @@ SelectionVector UndecidedRows(Connective op, ColumnView a) {
   return out;
 }
 
-Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b) {
+ColumnVector Connect(Connective op, ColumnView a, ColumnView b) {
   const Truth dominant = Dominant(op);
   const size_t n = a.size();
   std::vector<uint8_t> out(n, 0);
   std::vector<uint64_t> valid((n + 63) >> 6, 0);
   size_t nulls = 0;
   size_t k = 0;  // the next cell of `b`
-  for (size_t i = 0; i < n; ++i) {
+  size_t i = 0;
+  for (; i < n; ++i) {
     const Truth x = TruthAt(*a.col, a[i]);
     Truth r = dominant;
     if (x != dominant) {
@@ -273,9 +274,7 @@ Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b) {
       } else if (x == Truth::kNull || y == Truth::kNull) {
         r = Truth::kNull;
       } else if (x == Truth::kOther || y == Truth::kOther) {
-        return Status::TypeError(op == Connective::kAnd
-                                     ? "AND requires boolean operands"
-                                     : "OR requires boolean operands");
+        break;
       } else {
         r = x;  // both the non-dominant boolean
       }
@@ -287,46 +286,49 @@ Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b) {
     valid[i >> 6] |= uint64_t{1} << (i & 63);
     out[i] = r == Truth::kTrue ? 1 : 0;
   }
+  out.resize(i);
+  valid.resize((i + 63) >> 6);
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
-Result<ColumnVector> NotColumn(ColumnView a) {
+ColumnVector NotColumn(ColumnView a) {
   const size_t n = a.size();
   std::vector<uint8_t> out(n, 0);
   std::vector<uint64_t> valid((n + 63) >> 6, 0);
   size_t nulls = 0;
-  for (size_t i = 0; i < n; ++i) {
+  size_t i = 0;
+  for (; i < n; ++i) {
     const Truth x = TruthAt(*a.col, a[i]);
+    if (x == Truth::kOther) break;
     if (x == Truth::kNull) {
       ++nulls;
       continue;
     }
-    if (x == Truth::kOther) {
-      return Status::TypeError("NOT requires a boolean operand");
-    }
     valid[i >> 6] |= uint64_t{1} << (i & 63);
     out[i] = x == Truth::kFalse ? 1 : 0;
   }
+  out.resize(i);
+  valid.resize((i + 63) >> 6);
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
-Result<SelectionVector> SelectTrue(ColumnView pred) {
+SelectionVector SelectTrue(ColumnView pred, size_t* read) {
   // Counted first, so the selection holds the surviving rows and no more:
   // a selective filter over a large table keeps a few indices.
   const size_t n = pred.size();
   size_t hits = 0;
-  for (size_t i = 0; i < n; ++i) {
+  size_t i = 0;
+  for (; i < n; ++i) {
     const Truth t = TruthAt(*pred.col, pred[i]);
-    if (t == Truth::kOther) {
-      return Status::TypeError("qualification is not a boolean");
-    }
+    if (t == Truth::kOther) break;
     hits += t == Truth::kTrue ? 1 : 0;
   }
+  *read = i;
   SelectionVector sel;
   sel.reserve(hits);
-  for (size_t i = 0; i < n && sel.size() < hits; ++i) {
-    if (TruthAt(*pred.col, pred[i]) == Truth::kTrue) {
-      sel.push_back(static_cast<uint32_t>(i));
+  for (size_t j = 0; j < i && sel.size() < hits; ++j) {
+    if (TruthAt(*pred.col, pred[j]) == Truth::kTrue) {
+      sel.push_back(static_cast<uint32_t>(j));
     }
   }
   return sel;
@@ -415,7 +417,7 @@ namespace {
 
 // Hash of row i over the key views; false when a key is NULL (the row
 // never matches).
-bool RowHash(const std::vector<ColumnView>& keys,
+bool KeyHash(const std::vector<ColumnView>& keys,
              const std::vector<HashClass>& classes, size_t i, uint64_t* h) {
   uint64_t acc = kRowHashSeed;
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -425,6 +427,25 @@ bool RowHash(const std::vector<ColumnView>& keys,
   }
   *h = acc;
   return true;
+}
+
+// HashValueCell of cell i, read from its lane.
+uint64_t CellHash(const ColumnVector& c, size_t i) {
+  if (c.lane() == Lane::kGeneric) return HashValueCell(c.GenericAt(i));
+  if (c.IsNull(i)) return kNullCellHash;
+  switch (c.lane()) {
+    case Lane::kInt64: return HashDoubleBits(static_cast<double>(c.IntAt(i)));
+    case Lane::kFloat64: return HashDoubleBits(c.RealAt(i));
+    case Lane::kBool: return HashBoolCell(c.BoolAt(i));
+    case Lane::kObjectRef: return Mix64(c.ObjectRefAt(i));
+    default: return kNullCellHash;
+  }
+}
+
+uint64_t RowHash(const Batch& b, size_t r) {
+  uint64_t h = kRowHashSeed;
+  for (const ColumnVector& c : b.cols) h = Mix64(h ^ CellHash(c, r));
+  return h;
 }
 
 // Reorders pairs emitted right-major into (left asc, right asc) order: a
@@ -446,17 +467,14 @@ void SortByLeft(size_t left_rows, JoinPairs* pairs) {
 
 }  // namespace
 
-Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
-                           const std::vector<ColumnView>& right_keys,
-                           const std::vector<HashClass>& classes,
-                           size_t max_pairs) {
-  JoinPairs out;
+bool HashJoin(const std::vector<ColumnView>& left_keys,
+              const std::vector<ColumnView>& right_keys,
+              const std::vector<HashClass>& classes, size_t max_pairs,
+              JoinPairs* out) {
   const size_t left_rows = left_keys[0].size();
   const size_t right_rows = right_keys[0].size();
-  if (left_rows == 0 || right_rows == 0) return out;
-  if (right_rows > (size_t{1} << 30) || left_rows > (size_t{1} << 30)) {
-    return Status::Unsupported("hash join input too large");
-  }
+  if (left_rows == 0 || right_rows == 0) return true;
+  if (std::min(left_rows, right_rows) > (size_t{1} << 30)) return false;
   const bool build_left = left_rows < right_rows;
   const std::vector<ColumnView>& build = build_left ? left_keys : right_keys;
   const std::vector<ColumnView>& probe = build_left ? right_keys : left_keys;
@@ -471,14 +489,14 @@ Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
   // Insert build rows in reverse so each bucket chain is ascending; a
   // probe row then meets its matches in ascending build order.
   for (size_t j = build_rows; j-- > 0;) {
-    if (!RowHash(build, classes, j, &hashes[j])) continue;
+    if (!KeyHash(build, classes, j, &hashes[j])) continue;
     const size_t b = hashes[j] & mask;
     nxt[j] = heads[b];
     heads[b] = static_cast<int32_t>(j);
   }
   for (size_t i = 0; i < probe_rows; ++i) {
     uint64_t h;
-    if (!RowHash(probe, classes, i, &h)) continue;
+    if (!KeyHash(probe, classes, i, &h)) continue;
     for (int32_t j = heads[h & mask]; j >= 0; j = nxt[j]) {
       if (hashes[j] != h) continue;
       bool eq = true;
@@ -490,166 +508,92 @@ Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
         }
       }
       if (!eq) continue;
-      if (out.left.size() >= max_pairs) {
-        return Status::Unsupported("hash join output exceeds batch cap");
-      }
-      out.left.push_back(static_cast<uint32_t>(build_left ? j : i));
-      out.right.push_back(static_cast<uint32_t>(build_left ? i : j));
+      if (out->left.size() >= max_pairs) return false;
+      out->left.push_back(static_cast<uint32_t>(build_left ? j : i));
+      out->right.push_back(static_cast<uint32_t>(build_left ? i : j));
     }
   }
-  if (build_left) SortByLeft(left_rows, &out);
-  return out;
+  if (build_left) SortByLeft(left_rows, out);
+  return true;
 }
 
-Result<JoinPairs> CrossPairs(size_t left_rows, size_t right_rows,
-                             size_t max_pairs) {
-  JoinPairs out;
-  if (left_rows == 0 || right_rows == 0) return out;
-  if (left_rows > max_pairs / right_rows) {
-    return Status::Unsupported("cross product exceeds batch cap");
-  }
-  out.left.reserve(left_rows * right_rows);
-  out.right.reserve(left_rows * right_rows);
+bool CrossPairs(size_t left_rows, size_t right_rows, size_t max_pairs,
+                JoinPairs* out) {
+  if (left_rows == 0 || right_rows == 0) return true;
+  if (left_rows > max_pairs / right_rows) return false;
+  out->left.reserve(left_rows * right_rows);
+  out->right.reserve(left_rows * right_rows);
   for (size_t i = 0; i < left_rows; ++i) {
     for (size_t j = 0; j < right_rows; ++j) {
-      out.left.push_back(static_cast<uint32_t>(i));
-      out.right.push_back(static_cast<uint32_t>(j));
+      out->left.push_back(static_cast<uint32_t>(i));
+      out->right.push_back(static_cast<uint32_t>(j));
     }
   }
-  return out;
-}
-
-bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
-                  size_t* batches) {
-  const size_t n = rows->size();
-  if (n < 64 || n > (size_t{1} << 30)) return false;
-  Batch b;
-  if (!Batch::FromRows(*rows, &b)) return false;
-  if (batches) ++*batches;
-  // Row hashes, accumulated column-major, one loop per lane.
-  std::vector<uint64_t> h(n, kRowHashSeed);
-  for (const ColumnVector& c : b.cols) {
-    switch (c.lane()) {
-      case Lane::kInt64:
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t cell =
-              c.IsNull(i) ? kNullCellHash
-                          : HashDoubleBits(static_cast<double>(c.IntAt(i)));
-          h[i] = Mix64(h[i] ^ cell);
-        }
-        break;
-      case Lane::kFloat64:
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t cell =
-              c.IsNull(i) ? kNullCellHash : HashDoubleBits(c.RealAt(i));
-          h[i] = Mix64(h[i] ^ cell);
-        }
-        break;
-      case Lane::kBool:
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t cell =
-              c.IsNull(i) ? kNullCellHash : HashBoolCell(c.BoolAt(i));
-          h[i] = Mix64(h[i] ^ cell);
-        }
-        break;
-      case Lane::kObjectRef:
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t cell =
-              c.IsNull(i) ? kNullCellHash : Mix64(c.ObjectRefAt(i));
-          h[i] = Mix64(h[i] ^ cell);
-        }
-        break;
-      case Lane::kNullOnly:
-        for (size_t i = 0; i < n; ++i) h[i] = Mix64(h[i] ^ kNullCellHash);
-        break;
-      case Lane::kGeneric:
-        for (size_t i = 0; i < n; ++i) {
-          h[i] = Mix64(h[i] ^ HashValueCell(c.GenericAt(i)));
-        }
-        break;
-    }
-  }
-  // Group by hash, keeping the first occurrence of each distinct row.
-  size_t buckets = 16;
-  while (buckets < n * 2) buckets <<= 1;
-  const uint64_t mask = buckets - 1;
-  std::vector<int32_t> heads(buckets, -1);
-  std::vector<int32_t> nxt(n, -1);
-  std::vector<uint32_t> survivors;
-  survivors.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t bkt = h[i] & mask;
-    bool dup = false;
-    for (int32_t j = heads[bkt]; j >= 0; j = nxt[j]) {
-      if (h[j] != h[i]) continue;
-      bool eq = true;
-      for (const ColumnVector& c : b.cols) {
-        if (c.CompareCells(i, c, j) != 0) {
-          eq = false;
-          break;
-        }
-      }
-      if (eq) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      survivors.push_back(static_cast<uint32_t>(i));
-      nxt[i] = heads[bkt];  // only survivors enter the chains
-      heads[bkt] = static_cast<int32_t>(i);
-    }
-  }
-  // Same sorted output as the row engine's DedupRows.
-  std::sort(survivors.begin(), survivors.end(),
-            [&](uint32_t x, uint32_t y) {
-              for (const ColumnVector& c : b.cols) {
-                const int cmp = c.CompareCells(x, c, y);
-                if (cmp != 0) return cmp < 0;
-              }
-              return false;
-            });
-  std::vector<std::vector<Value>> out;
-  out.reserve(survivors.size());
-  for (uint32_t i : survivors) out.push_back(std::move((*rows)[i]));
-  rows->swap(out);
   return true;
 }
 
-Result<bool> RowSet::Insert(const std::vector<Value>& row) {
-  if (batch_.rows == 0) batch_.cols.resize(row.size());
-  if (row.size() != batch_.cols.size()) {
-    return Status::InvalidArgument(
-        "ragged rows: a row of width " + std::to_string(row.size()) +
-        " among rows of width " + std::to_string(batch_.cols.size()));
-  }
-  uint64_t h = kRowHashSeed;
-  for (const Value& v : row) h = Mix64(h ^ HashValueCell(v));
-  if (heads_.size() < 2 * (batch_.rows + 1)) {
-    // Doubles the buckets and rechains every row held.
-    heads_.assign(std::max<size_t>(16, heads_.size() * 2), -1);
-    for (size_t j = 0; j < batch_.rows; ++j) {
-      const size_t bkt = hashes_[j] & (heads_.size() - 1);
-      next_[j] = heads_[bkt];
-      heads_[bkt] = static_cast<int32_t>(j);
+Batch Sorted(const Batch& b) {
+  SelectionVector order(b.rows);
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    for (const ColumnVector& c : b.cols) {
+      const int cmp = c.CompareCells(x, c, y);
+      if (cmp != 0) return cmp < 0;
     }
-  }
-  const size_t bkt = h & (heads_.size() - 1);
-  for (int32_t j = heads_[bkt]; j >= 0; j = next_[j]) {
+    return false;
+  });
+  return b.Gather(order);
+}
+
+bool RowSet::Holds(const Batch& rows, size_t r, uint64_t h) const {
+  if (heads_.empty()) return false;
+  for (int32_t j = heads_[h & (heads_.size() - 1)]; j >= 0; j = next_[j]) {
     if (hashes_[j] != h) continue;
     size_t c = 0;
-    while (c < row.size() &&
-           value::Compare(batch_.cols[c].ValueAt(j), row[c]) == 0) {
+    while (c < rows.cols.size() &&
+           batch_.cols[c].CompareCells(j, rows.cols[c], r) == 0) {
       ++c;
     }
-    if (c == row.size()) return false;
+    if (c == rows.cols.size()) return true;
   }
-  hashes_.push_back(h);
-  next_.push_back(heads_[bkt]);
-  heads_[bkt] = static_cast<int32_t>(batch_.rows);
-  for (size_t c = 0; c < row.size(); ++c) batch_.cols[c].AppendValue(row[c]);
-  ++batch_.rows;
-  return true;
+  return false;
+}
+
+bool RowSet::Contains(const Batch& rows, size_t r) const {
+  return rows.cols.size() == batch_.cols.size() &&
+         Holds(rows, r, RowHash(rows, r));
+}
+
+Status RowSet::Insert(const Batch& rows) {
+  if (rows.rows == 0) return Status::OK();
+  if (batch_.rows == 0) batch_.cols.resize(rows.cols.size());
+  if (rows.cols.size() != batch_.cols.size()) {
+    return Status::InvalidArgument(
+        "ragged rows: a row of width " + std::to_string(rows.cols.size()) +
+        " among rows of width " + std::to_string(batch_.cols.size()));
+  }
+  for (size_t r = 0; r < rows.rows; ++r) {
+    const uint64_t h = RowHash(rows, r);
+    if (heads_.size() < 2 * (batch_.rows + 1)) {
+      // Doubles the buckets and rechains every row held.
+      heads_.assign(std::max<size_t>(16, heads_.size() * 2), -1);
+      for (size_t j = 0; j < batch_.rows; ++j) {
+        const size_t bkt = hashes_[j] & (heads_.size() - 1);
+        next_[j] = heads_[bkt];
+        heads_[bkt] = static_cast<int32_t>(j);
+      }
+    }
+    if (Holds(rows, r, h)) continue;
+    const size_t bkt = h & (heads_.size() - 1);
+    hashes_.push_back(h);
+    next_.push_back(heads_[bkt]);
+    heads_[bkt] = static_cast<int32_t>(batch_.rows);
+    for (size_t c = 0; c < rows.cols.size(); ++c) {
+      batch_.cols[c].AppendValue(rows.cols[c].ValueAt(r));
+    }
+    ++batch_.rows;
+  }
+  return Status::OK();
 }
 
 }  // namespace eds::exec::vec

@@ -9,10 +9,10 @@
 namespace eds::exec::vec {
 
 // Batched primitives mirroring the scalar builtins exactly: same 3VL
-// behaviour, same value::Compare ordering, same errors. Any error returned
-// here makes the executor fall back to the row path for the operator, so
-// kernels may report errors coarsely — the row path then reproduces the
-// precise per-row diagnostic.
+// behaviour, same value::Compare ordering, same errors. A kernel that
+// meets a row it cannot evaluate stops there and returns the rows before
+// it, so its caller knows the first row that fails and raises the scalar
+// evaluator's error for it.
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -39,15 +39,18 @@ enum class Connective { kAnd, kOr };
 // those whose cell is not the dominant boolean.
 SelectionVector UndecidedRows(Connective op, ColumnView a);
 // `op` over `a` and `b`, where `b` holds one cell per undecided row of `a`,
-// in order. Errors when a row that neither operand decides has a
-// non-boolean operand and no NULL (the scalar evaluator's TypeError).
-Result<ColumnVector> Connect(Connective op, ColumnView a, ColumnView b);
-Result<ColumnVector> NotColumn(ColumnView a);
+// in order. The result stops short at the first row that neither operand
+// decides with a non-boolean operand and no NULL (the scalar evaluator's
+// TypeError): it holds one cell per row before it.
+ColumnVector Connect(Connective op, ColumnView a, ColumnView b);
+// NOT, stopping short the same way at the first non-boolean cell.
+ColumnVector NotColumn(ColumnView a);
 
 // WHERE semantics over a predicate view: position i selected iff the cell
-// is a valid TRUE (NULL and FALSE dropped); a valid non-boolean cell is a
-// TypeError, as in EvalPredicate.
-Result<SelectionVector> SelectTrue(ColumnView pred);
+// is a valid TRUE (NULL and FALSE dropped). A valid non-boolean cell, a
+// TypeError in EvalPredicate, stops the scan; `*read` is the number of
+// rows read before it (pred.size() when there is none).
+SelectionVector SelectTrue(ColumnView pred, size_t* read);
 
 // Join-key hashability of a column: numeric lanes hash via the widened
 // double (consistent with Int(2) == Real(2.0)), bool and object-reference
@@ -68,8 +71,7 @@ HashClass CombineClasses(HashClass a, HashClass b);
 uint64_t HashCell(const ColumnVector& col, size_t i, HashClass cls);
 
 // Matched row-index pairs of a join stage, in (left asc, right asc)
-// lexicographic order — exactly the row engine's nested-loop emission
-// order.
+// lexicographic order — exactly a nested loop's emission order.
 struct JoinPairs {
   SelectionVector left, right;
 };
@@ -79,36 +81,37 @@ struct JoinPairs {
 // The smaller side is built into the table and the other side probes it,
 // hashing each probe row as it goes; when the left side is the one built,
 // a stable counting sort by left row restores the (left asc, right asc)
-// order. Errors with Unsupported when the output would exceed `max_pairs`
-// (caller falls back to the row path rather than materializing a blow-up).
-Result<JoinPairs> HashJoin(const std::vector<ColumnView>& left_keys,
-                           const std::vector<ColumnView>& right_keys,
-                           const std::vector<HashClass>& classes,
-                           size_t max_pairs);
+// order. False, with `out` partly built, when the output would exceed
+// `max_pairs` or the built side 2^30 rows: the caller joins fewer left
+// rows at a time.
+bool HashJoin(const std::vector<ColumnView>& left_keys,
+              const std::vector<ColumnView>& right_keys,
+              const std::vector<HashClass>& classes, size_t max_pairs,
+              JoinPairs* out);
 
 // Full cross product of row indices, same order/cap contract.
-Result<JoinPairs> CrossPairs(size_t left_rows, size_t right_rows,
-                             size_t max_pairs);
+bool CrossPairs(size_t left_rows, size_t right_rows, size_t max_pairs,
+                JoinPairs* out);
 
-// Set-semantics dedup of `rows` in place (sorted output, identical to
-// DedupRows) via columnar hash grouping. Returns false when the input is
-// too small or ragged to be worth the conversion — the caller then runs
-// the sort-based row dedup. `batches` (may be null) counts kernel batches.
-bool VecDedupRows(std::vector<std::vector<value::Value>>* rows,
-                  size_t* batches);
+// The rows of `b` sorted ascending by value::Compare, column by column.
+Batch Sorted(const Batch& b);
 
-// Distinct rows kept as a batch, in the order first inserted, with a hash
-// index over them: VecDedupRows's row hash, and value::Compare equality
-// per cell. A FIX keeps its total this way, so the batch grows in place
-// and keeps its address.
+// Distinct rows kept as a batch, in the order first inserted (the first of
+// each Compare-equal group), with a hash index over them. A FIX keeps its
+// total this way, so the batch grows in place and keeps its address; the
+// set operations dedup through one.
 class RowSet {
  public:
-  // Appends `row` unless a Compare-equal row is held already; true when
-  // appended. InvalidArgument when its width differs from the rows held.
-  Result<bool> Insert(const std::vector<value::Value>& row);
+  // Appends each row of `rows` that no Compare-equal row held matches.
+  // InvalidArgument when their width differs from the rows held.
+  Status Insert(const Batch& rows);
+  // True when a row Compare-equal to row r of `rows` is held.
+  bool Contains(const Batch& rows, size_t r) const;
   const Batch& batch() const { return batch_; }
 
  private:
+  bool Holds(const Batch& rows, size_t r, uint64_t h) const;
+
   Batch batch_;
   std::vector<uint64_t> hashes_;  // row hash of each row held
   std::vector<int32_t> heads_;    // bucket -> last row in it, or -1

@@ -3,6 +3,7 @@
 
 #include "exec/vec/vec_eval.h"
 #include "gtest/gtest.h"
+#include "reference/agree.h"
 #include "term/parser.h"
 #include "testutil.h"
 
@@ -26,9 +27,9 @@ TEST(StorageTest, TableArityChecked) {
 }
 
 // A table's batch is its only image: Insert appends each cell under the
-// lane rules of vec::Batch::FromRows, so the batch matches FromRows over
-// the same rows lane for lane, and RowAt reads every cell back unchanged.
-TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
+// lane rules of vec::Batch::Append, so the batch matches Append's over the
+// same rows lane for lane, and RowAt reads every cell back unchanged.
+TEST(StorageTest, InsertBuildsTheBatchAppendWould) {
   ObjectHeap heap;
   const Value ref = heap.New(
       types::Type::MakeObject(
@@ -45,7 +46,7 @@ TEST(StorageTest, InsertBuildsTheBatchFromRowsWould) {
   Table t(5);
   for (const Row& r : rows) EDS_ASSERT_OK(t.Insert(r));
   vec::Batch expected;
-  ASSERT_TRUE(vec::Batch::FromRows(rows, &expected));
+  for (const Row& r : rows) EDS_ASSERT_OK(expected.Append(r));
   ASSERT_EQ(t.size(), rows.size());
   ASSERT_EQ(t.batch().rows, rows.size());
   ASSERT_EQ(t.batch().cols.size(), expected.cols.size());
@@ -133,12 +134,14 @@ TEST(StorageTest, ConstantBroadcastFillsItsLane) {
       {Value::Null(), vec::Lane::kNullOnly},
   };
   for (const auto& [v, lane] : cases) {
-    auto col = vec::EvalExprBatch(term::Term::Constant(v), frame);
-    ASSERT_TRUE(col.ok()) << v << ": " << col.status().ToString();
-    EXPECT_EQ((*col)->size(), kRows) << v;
-    EXPECT_EQ((*col)->lane(), lane) << v;
-    EXPECT_EQ((*col)->ValueAt(kRows - 1).kind(), v.kind()) << v;
-    EXPECT_EQ(value::Compare((*col)->ValueAt(kRows - 1), v), 0) << v;
+    const vec::FrameColumn col =
+        vec::EvalExprBatch(term::Term::Constant(v), frame);
+    ASSERT_TRUE(col.error.ok()) << v << ": " << col.error.ToString();
+    EXPECT_EQ(col.rows, kRows) << v;
+    EXPECT_EQ(col->size(), kRows) << v;
+    EXPECT_EQ(col->lane(), lane) << v;
+    EXPECT_EQ(col->ValueAt(kRows - 1).kind(), v.kind()) << v;
+    EXPECT_EQ(value::Compare(col->ValueAt(kRows - 1), v), 0) << v;
   }
 }
 
@@ -183,12 +186,24 @@ TEST(StorageTest, DatabaseTables) {
 
 class ExecTest : public ::testing::Test {
  protected:
+  // The executor's rows for `plan`, which must agree with the reference's.
   Rows Run(const char* plan, ExecOptions options = {}) {
-    Executor executor(&db_.session.catalog(), &db_.session.db(), options);
-    auto rows = executor.Execute(P(plan));
-    EXPECT_TRUE(rows.ok()) << plan << ": " << rows.status().ToString();
-    stats_ = executor.stats();
-    return rows.ok() ? *rows : Rows{};
+    const reference::Runs runs =
+        reference::RunBoth(db_.session.catalog(), db_.session.db(), P(plan),
+                           options);
+    EXPECT_TRUE(runs.got.ok()) << plan << ": " << runs.got.status().ToString();
+    reference::ExpectAgree(runs, plan);
+    stats_ = runs.got_stats;
+    return runs.got.ok() ? *runs.got : Rows{};
+  }
+
+  // The executor's error for `plan`, which must be the reference's.
+  Status Fail(const char* plan) {
+    const reference::Runs runs = reference::RunBoth(
+        db_.session.catalog(), db_.session.db(), P(plan));
+    EXPECT_FALSE(runs.got.ok()) << plan;
+    reference::ExpectAgree(runs, plan);
+    return runs.got.status();
   }
 
   testutil::FilmDb db_;
@@ -201,17 +216,14 @@ TEST_F(ExecTest, ScanBaseTable) {
   EXPECT_EQ(stats_.rows_scanned, 3u);
 }
 
-// An insert after a scan is visible to the next scan on both engines: the
-// batch the first scan read is the one Insert appended to, in place, so
-// nothing is rebuilt between them.
-TEST_F(ExecTest, InsertAfterScanIsVisibleToBothEngines) {
-  ExecOptions row_path;
-  row_path.vectorized = false;
+// An insert after a scan is visible to the next scan, a SEARCH's or a bare
+// relation's, as on the reference: the batch the first scan read is the
+// one Insert appended to, in place, so nothing is rebuilt between them.
+TEST_F(ExecTest, InsertAfterScanIsVisibleToTheNextScan) {
   const char* search =
       "SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.1, $1.2))";
   const char* scan = "RELATION('BEATS')";
   const size_t before = Run(search).size();
-  EXPECT_EQ(Run(search, row_path).size(), before);
   EXPECT_EQ(Run(scan).size(), before);
   auto beats = db_.session.db().GetTable("BEATS");
   ASSERT_TRUE(beats.ok());
@@ -223,14 +235,10 @@ TEST_F(ExecTest, InsertAfterScanIsVisibleToBothEngines) {
   EXPECT_EQ(image->rows, before + 1);
   const Row added = {Value::Int(100), Value::Int(101)};
   for (const char* plan : {search, scan}) {
-    for (bool vectorized : {true, false}) {
-      ExecOptions options;
-      options.vectorized = vectorized;
-      Rows rows = Run(plan, options);
-      ASSERT_EQ(rows.size(), before + 1) << plan << " " << vectorized;
-      EXPECT_EQ(rows.back(), added) << plan << " " << vectorized;
-      EXPECT_EQ(stats_.rows_scanned, before + 1) << plan << " " << vectorized;
-    }
+    Rows rows = Run(plan);
+    ASSERT_EQ(rows.size(), before + 1) << plan;
+    EXPECT_EQ(rows.back(), added) << plan;
+    EXPECT_EQ(stats_.rows_scanned, before + 1) << plan;
   }
 }
 
@@ -394,22 +402,41 @@ TEST_F(ExecTest, QuantifiersOverNestedSets) {
 }
 
 TEST_F(ExecTest, ExpressionErrorsSurface) {
-  Executor executor(&db_.session.catalog(), &db_.session.db(), {});
-  // ATTR out of range.
-  EXPECT_FALSE(
-      executor.Execute(P("SEARCH(LIST(RELATION('BEATS')), ($1.9 = 1), "
-                         "LIST($1.1))"))
-          .ok());
+  // ATTR out of range, with the scalar evaluator's text.
+  EXPECT_EQ(Fail("SEARCH(LIST(RELATION('BEATS')), ($1.9 = 1), LIST($1.1))")
+                .ToString(),
+            "RuntimeError: ATTR column out of range: $1.9");
   // Unknown function.
-  EXPECT_FALSE(
-      executor.Execute(P("SEARCH(LIST(RELATION('BEATS')), NOFN($1.1), "
-                         "LIST($1.1))"))
-          .ok());
+  Fail("SEARCH(LIST(RELATION('BEATS')), NOFN($1.1), LIST($1.1))");
   // VALUE on a non-object.
-  EXPECT_FALSE(
-      executor.Execute(P("SEARCH(LIST(RELATION('BEATS')), TRUE, "
-                         "LIST(VALUE($1.1)))"))
-          .ok());
+  Fail("SEARCH(LIST(RELATION('BEATS')), TRUE, LIST(VALUE($1.1)))");
+}
+
+// A relation has one width: a set operation whose non-empty inputs differ
+// in width is InvalidArgument, naming both widths. An empty input, whose
+// width may be unknown, is not ragged.
+TEST_F(ExecTest, RaggedSetOperationsFailCleanly) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"UNION(SET(RELATION('BEATS'), RELATION('DOMINATE')))",
+       "InvalidArgument: UNION over inputs of widths 2 and 3"},
+      {"DIFFERENCE(RELATION('DOMINATE'), RELATION('BEATS'))",
+       "InvalidArgument: DIFFERENCE over inputs of widths 3 and 2"},
+      {"INTERSECT(RELATION('BEATS'), RELATION('DOMINATE'))",
+       "InvalidArgument: INTERSECT over inputs of widths 2 and 3"},
+  };
+  for (const auto& [plan, error] : cases) {
+    EXPECT_EQ(Fail(plan).ToString(), error) << plan;
+  }
+  EXPECT_EQ(Run("UNION(SET(RELATION('BEATS'), "
+                "SEARCH(LIST(RELATION('DOMINATE')), FALSE, "
+                "LIST($1.1, $1.2, $1.3))))")
+                .size(),
+            9u);
+  EXPECT_EQ(Run("DIFFERENCE(RELATION('BEATS'), "
+                "SEARCH(LIST(RELATION('DOMINATE')), ($1.1 > 100), "
+                "LIST($1.1, $1.2, $1.3)))")
+                .size(),
+            9u);
 }
 
 TEST_F(ExecTest, ThreeValuedWhereSemantics) {

@@ -148,8 +148,11 @@ TEST_F(ExtensionRulesTest, SelfIdentities) {
 }
 
 TEST_F(ExtensionRulesTest, DifferencePushReducesWork) {
+  // The difference's inputs share one width, as executed set operations
+  // must: BEATS and two of DOMINATE's three columns.
   const char* query =
-      "SEARCH(LIST(DIFFERENCE(RELATION('BEATS'), RELATION('DOMINATE'))), "
+      "SEARCH(LIST(DIFFERENCE(RELATION('BEATS'), "
+      "SEARCH(LIST(RELATION('DOMINATE')), TRUE, LIST($1.1, $1.2)))), "
       "($1.1 = 3), LIST($1.1, $1.2))";
   TermRef raw = P(query);
   TermRef pushed = Rewrite(query);
@@ -161,9 +164,12 @@ TEST_F(ExtensionRulesTest, DifferencePushReducesWork) {
 }
 
 TEST_F(ExtensionRulesTest, MixedTreeEndToEnd) {
+  // Set operations over inputs of one width: BEATS and two of DOMINATE's
+  // three columns.
   ExpectEquivalent(
       "SEARCH(LIST(DIFFERENCE(UNION(SET(RELATION('BEATS'), "
-      "RELATION('DOMINATE'))), RELATION('DOMINATE'))), "
+      "SEARCH(LIST(RELATION('DOMINATE')), TRUE, LIST($1.1, $1.2)))), "
+      "SEARCH(LIST(RELATION('DOMINATE')), TRUE, LIST($1.1, $1.2)))), "
       "(($1.1 = 2) OR ($1.2 = 3)), LIST($1.1, $1.2))");
 }
 

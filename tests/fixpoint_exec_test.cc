@@ -1,12 +1,17 @@
 // FIX evaluation: naive vs semi-naive, shapes, and safety limits.
 #include "gtest/gtest.h"
 #include "obs/trace.h"
+#include "reference/agree.h"
 #include "term/parser.h"
 #include "testutil.h"
 
 namespace eds::exec {
 namespace {
 
+using reference::ExpectAgree;
+using reference::ExpectSameSequence;
+using reference::RunBoth;
+using reference::RunQuery;
 using term::TermRef;
 using value::Value;
 
@@ -30,46 +35,27 @@ const char* kRightLinear =
     "LIST($1.1, $2.2)))))";
 
 // The recursive branch's DIV fails on BEATS row (1, 2), which its first
-// conjunct drops on the row engine; the vectorized engine evaluates the
-// right-only DIV before the join, so each recursive round falls back.
-const char* kFallbackRounds =
+// conjunct drops for every row of R: the right-only DIV must not run before
+// the join.
+const char* kDivBehindPruning =
     "FIX(RELATION('R'), UNION(SET("
     "SEARCH(LIST(RELATION('BEATS')), ($1.1 = 5), LIST($1.1, $1.2)), "
     "SEARCH(LIST(RELATION('R'), RELATION('BEATS')), "
     "($1.2 < $2.1) AND (DIV(12, SUB($2.1, 1)) > 0), LIST($1.1, $2.2)))))";
 
-// The four engine/mode combinations.
+// Semi-naive and naive iteration.
 std::vector<ExecOptions> AllModes() {
   std::vector<ExecOptions> modes;
-  for (bool vectorized : {true, false}) {
-    for (bool seminaive : {true, false}) {
-      ExecOptions o;
-      o.vectorized = vectorized;
-      o.seminaive = seminaive;
-      modes.push_back(o);
-    }
+  for (bool seminaive : {true, false}) {
+    ExecOptions o;
+    o.seminaive = seminaive;
+    modes.push_back(o);
   }
   return modes;
 }
 
 std::string ModeName(const ExecOptions& o) {
-  return std::string(o.vectorized ? "vectorized" : "row") +
-         (o.seminaive ? "/semi-naive" : "/naive");
-}
-
-// Same rows in the same order, with the same value kinds.
-void ExpectSameSequence(const Rows& a, const Rows& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << label << " row " << i;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      EXPECT_EQ(a[i][j].kind(), b[i][j].kind()) << label << " row " << i;
-      EXPECT_EQ(value::Compare(a[i][j], b[i][j]), 0)
-          << label << " row " << i << " col " << j << ": "
-          << a[i][j].ToString() << " vs " << b[i][j].ToString();
-    }
-  }
+  return o.seminaive ? "semi-naive" : "naive";
 }
 
 class FixpointExecTest : public ::testing::Test {
@@ -259,27 +245,23 @@ TEST_F(FixpointExecTest, IterationLimitCountsTheRoundsFixIterationsCounts) {
   }
 }
 
-TEST_F(FixpointExecTest, RecursiveRoundsFallBackToTheRowEngine) {
-  // The row fallback reads the total and the delta as they are in the
-  // round at hand, although both keep their addresses while they grow.
+TEST_F(FixpointExecTest, DivBehindAPruningConjunctAnswersEveryRound) {
+  // Every round reads the total and the delta as they are in the round at
+  // hand, although both keep their addresses while they grow.
   const Rows expected = {{Value::Int(5), Value::Int(6)},
                          {Value::Int(5), Value::Int(8)},
                          {Value::Int(5), Value::Int(9)},
                          {Value::Int(5), Value::Int(10)}};
-  ExecOptions row;
-  row.vectorized = false;
-  ExpectSameSequence(Run(kFallbackRounds, row), expected, "row engine");
-  for (bool seminaive : {true, false}) {
-    ExecOptions options;
-    options.seminaive = seminaive;
-    Rows rows = Run(kFallbackRounds, options);
-    ExpectSameSequence(rows, expected,
-                       seminaive ? "semi-naive" : "naive");
-    EXPECT_GE(stats_.vec_fallbacks, 1u) << "seminaive=" << seminaive;
+  for (const ExecOptions& mode : AllModes()) {
+    const reference::Runs runs = RunBoth(
+        db_.session.catalog(), db_.session.db(), P(kDivBehindPruning), mode);
+    ASSERT_TRUE(runs.want.ok()) << runs.want.status().ToString();
+    ExpectSameSequence(*runs.want, expected, "reference " + ModeName(mode));
+    ExpectAgree(runs, ModeName(mode));
   }
 }
 
-TEST_F(FixpointExecTest, EveryPlanAgreesAcrossEnginesAndModes) {
+TEST_F(FixpointExecTest, EveryPlanAgreesWithTheReferenceInBothModes) {
   EDS_ASSERT_OK(db_.session.ExecuteScript(
       "CREATE TABLE CYC (A:INT, B:INT); CREATE TABLE E (A:INT, B:INT);"));
   for (int i = 0; i < 5; ++i) {
@@ -289,7 +271,7 @@ TEST_F(FixpointExecTest, EveryPlanAgreesAcrossEnginesAndModes) {
   const std::string plans[] = {
       kTcOverBeats,
       kRightLinear,
-      kFallbackRounds,
+      kDivBehindPruning,
       "FIX(RELATION('T2'), UNION(SET("
       "SEARCH(LIST(RELATION('CYC')), TRUE, LIST($1.1, $1.2)), "
       "SEARCH(LIST(RELATION('T2'), RELATION('T2')), ($1.2 = $2.1), "
@@ -309,40 +291,72 @@ TEST_F(FixpointExecTest, EveryPlanAgreesAcrossEnginesAndModes) {
       "LIST($1.1, $2.2)))))",
   };
   for (const std::string& plan : plans) {
-    // fix_tuples against the row engine in the same mode: naive iteration
-    // derives a nested FIX's rows again in every outer round.
+    // The same rows, order and tallies as the reference in the same mode
+    // (fix_tuples included: naive iteration derives a nested FIX's rows
+    // again in every outer round), and the same rows in both modes.
     Rows expected;
-    size_t expected_tuples[2] = {0, 0};
-    for (bool seminaive : {false, true}) {
-      ExecOptions oracle;
-      oracle.vectorized = false;
-      oracle.seminaive = seminaive;
-      expected = Run(plan, oracle);
-      expected_tuples[seminaive] = stats_.fix_tuples;
-    }
+    size_t tuples[2] = {0, 0};
     for (const ExecOptions& mode : AllModes()) {
-      ExpectSameSequence(Run(plan, mode), expected,
-                         ModeName(mode) + ": " + plan);
-      EXPECT_EQ(stats_.fix_tuples, expected_tuples[mode.seminaive])
-          << ModeName(mode) << ": " << plan;
+      const reference::Runs runs =
+          RunBoth(db_.session.catalog(), db_.session.db(), P(plan), mode);
+      ASSERT_TRUE(runs.want.ok()) << plan << ": "
+                                  << runs.want.status().ToString();
+      ExpectAgree(runs, ModeName(mode) + ": " + plan);
+      if (mode.seminaive) {
+        expected = *runs.want;
+      } else {
+        ExpectSameSequence(*runs.want, expected, plan);
+      }
+      tuples[mode.seminaive] = runs.got_stats.fix_tuples;
     }
     if (plan.find("OUTER") == std::string::npos) {
-      EXPECT_EQ(expected_tuples[0], expected_tuples[1]) << plan;
+      EXPECT_EQ(tuples[0], tuples[1]) << plan;
     }
   }
 }
 
 TEST_F(FixpointExecTest, SeminaiveChargesStoredInputsOncePerFix) {
-  // BEATS (9 rows) is charged by both branches in the seeding round and
-  // once more for the recursive rounds, not once per round.
+  // BEATS (9 rows) is charged by the base branch in the seeding round and
+  // once more for the recursive rounds, not once per round; the recursive
+  // branch's seeding-round SEARCH returns at once on the empty total and
+  // reads nothing.
   Run(kRightLinear);
   EXPECT_EQ(stats_.fix_iterations, 10u);
-  EXPECT_LE(stats_.rows_scanned, 27u);
+  EXPECT_EQ(stats_.rows_scanned, 18u);
+  ExpectAgree(RunBoth(db_.session.catalog(), db_.session.db(), P(kRightLinear)),
+              kRightLinear);
+}
+
+TEST_F(FixpointExecTest, FocusedBetterThanReadsBeatsTwice) {
+  // A 319-edge BEATS: the chain 1 -> ... -> 256 and 64 other edges. The
+  // rewritten BETTER_THAN query is a semi-naive FIX that reads BEATS in
+  // the seeding round and once more for its recursive rounds.
+  for (int64_t i = 10; i < 256; ++i) {
+    EDS_ASSERT_OK(
+        db_.session.InsertRow("BEATS", {Value::Int(i), Value::Int(i + 1)}));
+  }
+  for (int64_t e = 0; e < 64; ++e) {
+    EDS_ASSERT_OK(db_.session.InsertRow(
+        "BEATS", {Value::Int(1 + (e * 37) % 256),
+                  Value::Int(1 + (e * 101 + 53) % 255)}));
+  }
+  EDS_ASSERT_OK(db_.session.ExecuteScript(R"(
+    CREATE VIEW BETTER_THAN (W, L) AS (
+      SELECT Winner, Loser FROM BEATS
+      UNION
+      SELECT B1.W, B2.L FROM BETTER_THAN B1, BETTER_THAN B2
+      WHERE B1.L = B2.W );
+  )"));
+  const reference::Runs runs =
+      RunQuery(&db_.session, "SELECT L FROM BETTER_THAN WHERE W = 7");
+  ASSERT_TRUE(runs.got.ok()) << runs.got.status().ToString();
+  ExpectAgree(runs, "BETTER_THAN W = 7");
+  EXPECT_EQ(runs.got_stats.rows_scanned, 638u);
 }
 
 TEST_F(FixpointExecTest, RaggedFixBodyIsInvalidArgument) {
   // A relation has one width; a body that derives rows of two widths
-  // fails on every engine and in both modes.
+  // fails in both modes, as on the reference.
   const char* plan =
       "FIX(RELATION('R'), UNION(SET("
       "SEARCH(LIST(RELATION('BEATS')), TRUE, LIST($1.1)), "
@@ -352,6 +366,9 @@ TEST_F(FixpointExecTest, RaggedFixBodyIsInvalidArgument) {
   for (const ExecOptions& mode : AllModes()) {
     EXPECT_EQ(Try(plan, mode).status().code(), StatusCode::kInvalidArgument)
         << ModeName(mode);
+    ExpectAgree(
+        RunBoth(db_.session.catalog(), db_.session.db(), P(plan), mode),
+        ModeName(mode));
   }
 }
 

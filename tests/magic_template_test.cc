@@ -3,13 +3,15 @@
 // literal. For each binding pattern of a closure over VEDGE, the replayed
 // plan must return the same bag as a fresh rewrite of the literal plan,
 // and scan no more rows, on every verifier corner database (base, dups,
-// nulls, empty, random fills).
+// nulls, empty, random fills); and the executor must agree with the
+// reference interpreter on both plans.
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include "exec/executor.h"
 #include "gtest/gtest.h"
+#include "reference/agree.h"
 #include "rules/optimizer.h"
 #include "srv/fingerprint.h"
 #include "term/parser.h"
@@ -150,6 +152,12 @@ TEST(MagicTemplateTest, ReplayedRecursiveTemplatesMatchFreshRewrites) {
         Execution got = Execute(**env, *inst.db, *served);
         EXPECT_EQ(got.rows, want.rows);
         EXPECT_LE(got.rows_scanned, want.rows_scanned);
+        reference::ExpectAgree(
+            reference::RunBoth((*env)->catalog(), *inst.db, fresh->term),
+            "fresh");
+        reference::ExpectAgree(
+            reference::RunBoth((*env)->catalog(), *inst.db, *served),
+            "served");
       }
     }
   }

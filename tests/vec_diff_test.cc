@@ -1,19 +1,21 @@
-// Differential suite for the columnar batch executor: the row engine is
-// the oracle (docs/executor.md). Every plan here runs twice — vectorized
-// on and off — and the outputs must be byte-identical *sequences*: same
-// rows, same order, same value kinds. Two corpora:
+// Differential suite for the columnar batch executor: the test-only
+// reference interpreter (tests/reference/) is the oracle
+// (docs/executor.md). Every plan here runs on both, and the outputs must
+// be byte-identical *sequences* (same rows, same order, same value kinds)
+// with the same tallies, or the same error text. Two corpora:
 //   * an ESQL corpus over the FilmDb schema, with the rewriter both on and
-//     off (four pipeline variants per query), and
+//     off, and
 //   * LERA plans over the soundness verifier's corner databases
 //     (src/verify/instance.h): duplicates, NULLs, empties, seeded random
 //     fills — the corners where 3VL and bag semantics diverge first.
-// The suite also proves it is not vacuous: the vectorized runs must report
-// batch work (exec.batches > 0) and zero fallbacks on supported shapes.
+// The suite also proves it is not vacuous: the executor must report batch
+// work (exec.batches > 0).
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference/agree.h"
 #include "term/parser.h"
 #include "lera_corpus.h"
 #include "testutil.h"
@@ -22,24 +24,11 @@
 namespace eds::exec {
 namespace {
 
+using reference::ExpectAgree;
+using reference::RunBoth;
+using reference::RunQuery;
+using reference::Runs;
 using term::TermRef;
-
-// Byte-identical sequences: order matters, value kinds matter (Int(2) and
-// Real(2.0) compare equal but are different bytes on the wire).
-void ExpectSameSequence(const Rows& vec, const Rows& row,
-                        const std::string& label) {
-  ASSERT_EQ(vec.size(), row.size()) << label;
-  for (size_t i = 0; i < vec.size(); ++i) {
-    ASSERT_EQ(vec[i].size(), row[i].size()) << label << " row " << i;
-    for (size_t j = 0; j < vec[i].size(); ++j) {
-      EXPECT_EQ(vec[i][j].kind(), row[i][j].kind())
-          << label << " row " << i << " col " << j;
-      EXPECT_EQ(value::Compare(vec[i][j], row[i][j]), 0)
-          << label << " row " << i << " col " << j << ": "
-          << vec[i][j].ToString() << " vs " << row[i][j].ToString();
-    }
-  }
-}
 
 // ---------------- ESQL corpus over FilmDb ----------------
 
@@ -58,25 +47,21 @@ const char* kEsqlCorpus[] = {
     "SELECT Numf FROM FILM WHERE Numf < 3",
 };
 
-TEST(VecDiffTest, EsqlCorpusMatchesRowEngine) {
+TEST(VecDiffTest, EsqlCorpusMatchesReference) {
   testutil::FilmDb db;
   size_t vec_batches = 0;
   for (const char* esql : kEsqlCorpus) {
     for (bool rewrite : {true, false}) {
-      QueryOptions on, off;
-      on.rewrite = off.rewrite = rewrite;
-      on.exec_options.vectorized = true;
-      off.exec_options.vectorized = false;
-      auto vec = db.session.Query(esql, on);
-      auto row = db.session.Query(esql, off);
-      ASSERT_TRUE(vec.ok()) << esql << ": " << vec.status().ToString();
-      ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
+      QueryOptions options;
+      options.rewrite = rewrite;
+      const Runs runs = RunQuery(&db.session, esql, options);
+      ASSERT_TRUE(runs.got.ok()) << esql << ": "
+                                 << runs.got.status().ToString();
       const std::string label =
           std::string(esql) + (rewrite ? " [rewrite]" : " [raw]");
-      ExpectSameSequence(vec->rows, row->rows, label);
-      EXPECT_EQ(vec->exec_stats.vec_fallbacks, 0u) << label;
-      EXPECT_EQ(row->exec_stats.batches, 0u) << label;  // oracle stays scalar
-      vec_batches += vec->exec_stats.batches;
+      ExpectAgree(runs, label);
+      EXPECT_EQ(runs.want_stats.batches, 0u) << label;  // oracle is scalar
+      vec_batches += runs.got_stats.batches;
     }
   }
   // Not vacuous: the corpus exercised the kernels.
@@ -85,8 +70,8 @@ TEST(VecDiffTest, EsqlCorpusMatchesRowEngine) {
 
 // Scans after inserts: each insert appends to the table's one columnar
 // image (a Real that demotes BEATS's Int lanes, a NULL, a FILM row), and
-// the next scan on either engine must read exactly the appended rows.
-TEST(VecDiffTest, ScanAfterInsertMatchesRowEngine) {
+// the next scan must read exactly the appended rows.
+TEST(VecDiffTest, ScanAfterInsertMatchesReference) {
   testutil::FilmDb db;
   using value::Value;
   const std::vector<std::pair<const char*, Row>> inserts = {
@@ -98,16 +83,11 @@ TEST(VecDiffTest, ScanAfterInsertMatchesRowEngine) {
   };
   for (size_t round = 0; round <= inserts.size(); ++round) {
     for (const char* esql : kEsqlCorpus) {
-      QueryOptions on, off;
-      on.exec_options.vectorized = true;
-      off.exec_options.vectorized = false;
-      auto vec = db.session.Query(esql, on);
-      auto row = db.session.Query(esql, off);
-      ASSERT_TRUE(vec.ok()) << esql << ": " << vec.status().ToString();
-      ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
-      ExpectSameSequence(vec->rows, row->rows,
-                         std::string(esql) + " after " +
-                             std::to_string(round) + " inserts");
+      const Runs runs = RunQuery(&db.session, esql);
+      ASSERT_TRUE(runs.got.ok()) << esql << ": "
+                                 << runs.got.status().ToString();
+      ExpectAgree(runs, std::string(esql) + " after " +
+                            std::to_string(round) + " inserts");
     }
     if (round < inserts.size()) {
       EDS_ASSERT_OK(db.session.InsertRow(inserts[round].first,
@@ -122,9 +102,9 @@ TEST(VecDiffTest, ScanAfterInsertMatchesRowEngine) {
 
 // Object references are stored unboxed (the kObjectRef lane): joins on
 // object columns, method calls on them and NULL references must read back
-// exactly what the row engine sees, before and after a NULL reference
+// exactly what the reference sees, before and after a NULL reference
 // lands in the column.
-TEST(VecDiffTest, ObjectColumnsMatchRowEngine) {
+TEST(VecDiffTest, ObjectColumnsMatchReference) {
   testutil::FilmDb db;
   using value::Value;
   const char* queries[] = {
@@ -143,19 +123,13 @@ TEST(VecDiffTest, ObjectColumnsMatchRowEngine) {
   auto check = [&](const std::string& when) {
     for (const char* esql : queries) {
       for (bool rewrite : {true, false}) {
-        QueryOptions on, off;
-        on.rewrite = off.rewrite = rewrite;
-        on.exec_options.vectorized = true;
-        off.exec_options.vectorized = false;
-        auto vec = db.session.Query(esql, on);
-        auto row = db.session.Query(esql, off);
-        ASSERT_EQ(vec.ok(), row.ok())
-            << esql << ": "
-            << (vec.ok() ? row.status() : vec.status()).ToString();
-        ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
-        ExpectSameSequence(vec->rows, row->rows,
-                           std::string(esql) + " " + when +
-                               (rewrite ? " [rewrite]" : " [raw]"));
+        QueryOptions options;
+        options.rewrite = rewrite;
+        const Runs runs = RunQuery(&db.session, esql, options);
+        ASSERT_TRUE(runs.got.ok()) << esql << ": "
+                                   << runs.got.status().ToString();
+        ExpectAgree(runs, std::string(esql) + " " + when +
+                              (rewrite ? " [rewrite]" : " [raw]"));
       }
     }
   };
@@ -174,7 +148,7 @@ TEST(VecDiffTest, ObjectColumnsMatchRowEngine) {
   check("with a NULL ref");
 }
 
-TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
+TEST(VecDiffTest, RecursiveViewMatchesReference) {
   testutil::FilmDb db;
   EDS_ASSERT_OK(db.session.ExecuteScript(R"(
     CREATE VIEW BETTER_THAN (W, L) AS (
@@ -186,15 +160,9 @@ TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
   for (const char* esql :
        {"SELECT W, L FROM BETTER_THAN",
         "SELECT W FROM BETTER_THAN WHERE L = 10"}) {
-    QueryOptions on, off;
-    on.exec_options.vectorized = true;
-    off.exec_options.vectorized = false;
-    auto vec = db.session.Query(esql, on);
-    auto row = db.session.Query(esql, off);
-    ASSERT_TRUE(vec.ok()) << esql << ": " << vec.status().ToString();
-    ASSERT_TRUE(row.ok()) << esql << ": " << row.status().ToString();
-    ExpectSameSequence(vec->rows, row->rows, esql);
-    EXPECT_EQ(vec->exec_stats.vec_fallbacks, 0u) << esql;
+    const Runs runs = RunQuery(&db.session, esql);
+    ASSERT_TRUE(runs.got.ok()) << esql << ": " << runs.got.status().ToString();
+    ExpectAgree(runs, esql);
   }
 }
 
@@ -203,8 +171,8 @@ TEST(VecDiffTest, RecursiveViewMatchesRowEngine) {
 // constant on either side, over an Int lane, a Real lane, a string column
 // and a mixed Int/Real column (both kGeneric), each with a NULL cell,
 // against Int, Real, string (inline and heap) and NULL constants, must
-// read exactly as the row engine does.
-TEST(VecDiffTest, ConstantComparisonsMatchRowEngine) {
+// read exactly as the reference does.
+TEST(VecDiffTest, ConstantComparisonsMatchReference) {
   using term::Term;
   using value::Value;
   Session s;
@@ -241,18 +209,12 @@ TEST(VecDiffTest, ConstantComparisonsMatchRowEngine) {
           TermRef plan = Term::Apply(
               "SEARCH", {Term::List({Term::Relation("M")}), qual,
                          Term::List({Term::Attr(1, 1), attr})});
-          ExecOptions on, off;
-          on.vectorized = true;
-          off.vectorized = false;
-          ExecStats vec_stats, row_stats;
-          Result<Rows> vec = s.Run(plan, on, &vec_stats);
-          Result<Rows> row = s.Run(plan, off, &row_stats);
+          const Runs runs = RunBoth(s.catalog(), s.db(), plan);
           const std::string label = qual->ToString();
-          ASSERT_TRUE(vec.ok()) << label << ": " << vec.status().ToString();
-          ASSERT_TRUE(row.ok()) << label << ": " << row.status().ToString();
-          ExpectSameSequence(*vec, *row, label);
-          EXPECT_EQ(vec_stats.vec_fallbacks, 0u) << label;
-          batches += vec_stats.batches;
+          ASSERT_TRUE(runs.got.ok()) << label << ": "
+                                     << runs.got.status().ToString();
+          ExpectAgree(runs, label);
+          batches += runs.got_stats.batches;
         }
       }
     }
@@ -299,32 +261,34 @@ void LoadJoinTables(Session* s) {
   }
 }
 
-// Runs `text` on both engines. When `must_fail` the row engine fails and
-// the vectorized run must surface the same error; otherwise both return
-// the same rows in the same order, with no fallback to the row path.
-void ExpectPlanMatchesRowEngine(Session* s, const std::string& text,
+// Runs `text` on the executor and the reference. When `must_fail` the
+// reference fails and the executor must fail with the same error;
+// otherwise both return the same rows in the same order, with the same
+// tallies, and the executor ran its kernels.
+void ExpectPlanMatchesReference(Session* s, const std::string& text,
                                 bool must_fail) {
   auto plan = term::ParseTerm(text);
   ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
-  ExecOptions on, off;
-  on.vectorized = true;
-  off.vectorized = false;
-  ExecStats vec_stats, row_stats;
-  Result<Rows> vec = s->Run(*plan, on, &vec_stats);
-  Result<Rows> row = s->Run(*plan, off, &row_stats);
-  if (must_fail) {
-    ASSERT_FALSE(row.ok()) << text;
-    ASSERT_FALSE(vec.ok()) << text;
-    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << text;
-    return;
+  const Runs runs = RunBoth(s->catalog(), s->db(), *plan);
+  ASSERT_NE(runs.want.ok(), must_fail)
+      << text << ": "
+      << (runs.want.ok() ? std::string("answered")
+                         : runs.want.status().ToString());
+  ExpectAgree(runs, text);
+  if (!must_fail) {
+    EXPECT_GT(runs.got_stats.batches, 0u) << text;
   }
-  ASSERT_TRUE(row.ok()) << text << ": " << row.status().ToString();
-  ASSERT_TRUE(vec.ok()) << text << ": " << vec.status().ToString();
-  ExpectSameSequence(*vec, *row, text);
-  EXPECT_EQ(vec_stats.vec_fallbacks, 0u) << text;
-  EXPECT_GT(vec_stats.batches, 0u) << text;
-  EXPECT_EQ(vec_stats.rows_scanned, row_stats.rows_scanned) << text;
-  EXPECT_EQ(vec_stats.rows_output, row_stats.rows_output) << text;
+}
+
+// Runs `text` on both and expects the reference's error `expected`.
+void ExpectErrorMatchesReference(Session* s, const std::string& text,
+                                 const std::string& expected) {
+  auto plan = term::ParseTerm(text);
+  ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+  const Runs runs = RunBoth(s->catalog(), s->db(), *plan);
+  ASSERT_FALSE(runs.want.ok()) << text;
+  EXPECT_EQ(runs.want.status().ToString(), expected) << text;
+  ExpectAgree(runs, text);
 }
 
 std::string Search(const std::vector<const char*>& tables, const char* qual,
@@ -339,11 +303,11 @@ std::string Search(const std::vector<const char*>& tables, const char* qual,
 }
 
 // A hash join builds on its smaller input. Built on the left, it emits
-// pairs right row by right row, and a counting sort must restore the row
-// engine's (left asc, right asc) order; duplicate keys on both sides make
+// pairs right row by right row, and a counting sort must restore the
+// nested loop's (left asc, right asc) order; duplicate keys on both sides make
 // the two orders differ. Left smaller than, equal to and larger than the
 // right; NULL keys; Int keys against Real keys; two keys at once.
-TEST(VecDiffTest, HashJoinsMatchRowEngineOnEitherBuildSide) {
+TEST(VecDiffTest, HashJoinsMatchReferenceOnEitherBuildSide) {
   Session s;
   LoadJoinTables(&s);
   const char* kOne = "($1.1 = $2.1)";
@@ -355,13 +319,13 @@ TEST(VecDiffTest, HashJoinsMatchRowEngineOnEitherBuildSide) {
            {"S", "M"}, {"M", "L"},    // NULL keys on one side, both sides
            {"S", "R"}, {"R", "L"},    // Int against Real, generic
            {"L", "L"}, {"S", "S"}}) {  // self-joins
-    ExpectPlanMatchesRowEngine(&s, Search(tables, kOne, kOut), false);
-    ExpectPlanMatchesRowEngine(&s, Search(tables, kTwo, kOut), false);
+    ExpectPlanMatchesReference(&s, Search(tables, kOne, kOut), false);
+    ExpectPlanMatchesReference(&s, Search(tables, kTwo, kOut), false);
   }
   // Keys computed by expressions, and an equi-conjunct beside a residual.
-  ExpectPlanMatchesRowEngine(
+  ExpectPlanMatchesReference(
       &s, Search({"S", "L"}, "(DIV($1.2, 10) = $2.1)", kOut), false);
-  ExpectPlanMatchesRowEngine(
+  ExpectPlanMatchesReference(
       &s, Search({"M", "E"}, "(($1.1 = $2.1) AND ($1.2 < $2.2))", kOut),
       false);
 }
@@ -370,9 +334,9 @@ TEST(VecDiffTest, HashJoinsMatchRowEngineOnEitherBuildSide) {
 // has no equi-conjunct or when they compare a column with a constant,
 // after it (on right rows with a partner) otherwise. A right-only
 // conjunct that can fail and comes before the equi-conjunct runs on every
-// right row, as in the row engine, so both engines fail together; after
+// right row, as in the nested loop, so both fail together; after
 // the equi-conjunct it never sees the partnerless row that would fail it.
-TEST(VecDiffTest, RightOnlyConjunctsMatchRowEngine) {
+TEST(VecDiffTest, RightOnlyConjunctsMatchReference) {
   Session s;
   LoadJoinTables(&s);
   const char* kOut = "$1.2, $2.2";
@@ -386,10 +350,10 @@ TEST(VecDiffTest, RightOnlyConjunctsMatchRowEngine) {
       {"($2.2 > 3)", false},
   };
   for (const auto& [qual, fails] : cases) {
-    ExpectPlanMatchesRowEngine(&s, Search({"S", "L"}, qual, kOut), fails);
+    ExpectPlanMatchesReference(&s, Search({"S", "L"}, qual, kOut), fails);
   }
   // S's V = 0 row has partners in L.
-  ExpectPlanMatchesRowEngine(
+  ExpectPlanMatchesReference(
       &s, Search({"L", "S"}, "(($1.1 = $2.1) AND (DIV(12, $2.2) > 1))", kOut),
       true);
 }
@@ -397,7 +361,7 @@ TEST(VecDiffTest, RightOnlyConjunctsMatchRowEngine) {
 // Three inputs: a second join stage whose left side is the combined batch
 // of the first, with a residual over all three inputs ahead of its
 // equi-conjunct and a right-only conjunct after it.
-TEST(VecDiffTest, ThreeInputSearchMatchesRowEngine) {
+TEST(VecDiffTest, ThreeInputSearchMatchesReference) {
   Session s;
   LoadJoinTables(&s);
   const char* kOut = "$1.2, $2.2, $3.2, DIV($3.2, 1), ($1.2 < $3.2)";
@@ -408,17 +372,17 @@ TEST(VecDiffTest, ThreeInputSearchMatchesRowEngine) {
            "(($2.2 > 1) AND (($3.1 = $2.1) OR ($3.2 = 1)))",
            "(($1.1 = $2.1) AND (($1.2 = 10) OR ($3.2 = 4)))",
        }) {
-    ExpectPlanMatchesRowEngine(&s, Search({"S", "M", "L"}, qual, kOut),
+    ExpectPlanMatchesReference(&s, Search({"S", "M", "L"}, qual, kOut),
                                false);
-    ExpectPlanMatchesRowEngine(&s, Search({"L", "E", "S"}, qual, kOut),
+    ExpectPlanMatchesReference(&s, Search({"L", "E", "S"}, qual, kOut),
                                false);
   }
 }
 
 // AND and OR evaluate their right operand only on the rows their left
 // operand leaves undecided, as the scalar evaluator does: DIV(12, V) fails
-// on V = 0, and every such row is decided by the left operand here, so the
-// vectorized run neither fails nor falls back.
+// on V = 0, and every such row is decided by the left operand here, so
+// neither run fails.
 TEST(VecDiffTest, LazyAndOrSkipRowsTheLeftOperandDecided) {
   Session s;
   LoadJoinTables(&s);
@@ -429,26 +393,26 @@ TEST(VecDiffTest, LazyAndOrSkipRowsTheLeftOperandDecided) {
            "((($1.1 > 1) OR ($1.2 = 0)) OR (DIV(12, $1.2) > 5))",
            "((($1.1 = 1) AND ($1.2 > 0)) AND (DIV(12, $1.2) = 1))",
        }) {
-    ExpectPlanMatchesRowEngine(&s, Search({"L"}, qual, "$1.1, $1.2"), false);
+    ExpectPlanMatchesReference(&s, Search({"L"}, qual, "$1.1, $1.2"), false);
   }
   // The same under a join, where the right operand runs through the
   // combined batch's selection.
-  ExpectPlanMatchesRowEngine(
+  ExpectPlanMatchesReference(
       &s,
       Search({"L", "S"}, "(($1.1 = $2.1) AND (($2.2 = 0) OR "
                          "(DIV(12, $2.2) > 0)))",
              "$1.2, $2.2"),
       false);
-  // A row whose left operand does not decide still fails, on both engines.
-  ExpectPlanMatchesRowEngine(
+  // A row whose left operand does not decide still fails, on both.
+  ExpectPlanMatchesReference(
       &s, Search({"L"}, "(($1.2 > 5) OR (DIV(12, $1.2) > 1))", "$1.1"),
       true);
 }
 
 // FILTER, PROJECT and JOIN run as the SEARCH their normalization rules
-// build, so on either engine each gives exactly what its hand-written
-// SEARCH form gives: the same rows in the same order with the same
-// tallies, or the same error; and the two engines agree. A combination
+// build, so on the executor and on the reference each gives exactly what
+// its hand-written SEARCH form gives: the same rows in the same order with
+// the same tallies, or the same error; and the two agree. A combination
 // is dropped at its first conjunct that is not TRUE, so the DIVs below
 // never see the zero divisor behind a FALSE or NULL conjunct (in L, K is
 // NULL where V is 3).
@@ -470,89 +434,226 @@ TEST(VecDiffTest, BasicOperatorsMatchTheirSearchForm) {
        Search({"M"}, "TRUE", "$1.2, ($1.1 > 1)")},
   };
   for (const auto& [op, search] : cases) {
-    ExpectPlanMatchesRowEngine(&s, op, false);
-    for (const bool vectorized : {true, false}) {
+    ExpectPlanMatchesReference(&s, op, false);
+    auto op_plan = term::ParseTerm(op);
+    auto search_plan = term::ParseTerm(search);
+    ASSERT_TRUE(op_plan.ok() && search_plan.ok()) << op;
+    const Runs got = RunBoth(s.catalog(), s.db(), *op_plan);
+    const Runs want = RunBoth(s.catalog(), s.db(), *search_plan);
+    // The executor's run of each form, then the reference's.
+    for (const bool executor : {true, false}) {
       const std::string label =
-          std::string(op) + (vectorized ? " [vec]" : " [row]");
-      auto op_plan = term::ParseTerm(op);
-      auto search_plan = term::ParseTerm(search);
-      ASSERT_TRUE(op_plan.ok() && search_plan.ok()) << label;
-      ExecOptions options;
-      options.vectorized = vectorized;
-      ExecStats op_stats, search_stats;
-      Result<Rows> got = s.Run(*op_plan, options, &op_stats);
-      Result<Rows> want = s.Run(*search_plan, options, &search_stats);
-      ASSERT_EQ(got.ok(), want.ok())
-          << label << ": " << (got.ok() ? want : got).status().ToString();
-      if (!got.ok()) {
-        EXPECT_EQ(got.status().ToString(), want.status().ToString()) << label;
-        continue;
-      }
-      ExpectSameSequence(*got, *want, label);
-      EXPECT_EQ(op_stats.vec_fallbacks, 0u) << label;
-      EXPECT_EQ(op_stats.rows_scanned, search_stats.rows_scanned) << label;
-      EXPECT_EQ(op_stats.rows_output, search_stats.rows_output) << label;
-      EXPECT_EQ(op_stats.qual_evaluations, search_stats.qual_evaluations)
-          << label;
+          std::string(op) + (executor ? " [executor]" : " [reference]");
+      Runs forms;
+      forms.got = executor ? got.got : got.want;
+      forms.got_stats = executor ? got.got_stats : got.want_stats;
+      forms.want = executor ? want.got : want.want;
+      forms.want_stats = executor ? want.got_stats : want.want_stats;
+      ExpectAgree(forms, label);
     }
   }
 }
 
 // ---------------- LERA plans over the verifier's corner databases -------
 
-TEST(VecDiffTest, LeraCorpusMatchesRowEngineOnCornerDatabases) {
+TEST(VecDiffTest, LeraCorpusMatchesReferenceOnCornerDatabases) {
   auto env = verify::VerifyEnv::Create(/*seed=*/42, /*random_databases=*/4);
   EDS_ASSERT_OK(env.status());
   size_t vec_batches = 0;
-  size_t vec_fallbacks = 0;
   for (const char* text : testutil::kLeraCorpus) {
     auto plan = term::ParseTerm(text);
     ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
     for (const auto& instance : (*env)->instances()) {
-      ExecOptions on, off;
-      on.vectorized = true;
-      off.vectorized = false;
-      Executor vec_exec(&(*env)->catalog(), instance.db.get(), on);
-      Executor row_exec(&(*env)->catalog(), instance.db.get(), off);
-      Result<Rows> vec = vec_exec.Execute(*plan);
-      Result<Rows> row = row_exec.Execute(*plan);
-      const std::string label = std::string(text) + " @" + instance.name;
-      // The engines must agree on success; on error the fallback contract
-      // guarantees the row path's error is the one surfaced.
-      ASSERT_EQ(vec.ok(), row.ok())
-          << label << ": " << (vec.ok() ? row.status() : vec.status())
-                 .ToString();
-      if (!vec.ok()) continue;
-      ExpectSameSequence(*vec, *row, label);
-      EXPECT_EQ(row_exec.stats().batches, 0u) << label;
-      vec_batches += vec_exec.stats().batches;
-      vec_fallbacks += vec_exec.stats().vec_fallbacks;
+      const Runs runs =
+          RunBoth((*env)->catalog(), *instance.db, *plan);
+      // The same rows and tallies, or the same error.
+      ExpectAgree(runs, std::string(text) + " @" + instance.name);
+      vec_batches += runs.got_stats.batches;
     }
   }
   EXPECT_GT(vec_batches, 0u);
-  // Every corpus shape is kernel-supported: nothing fell back to the oracle.
-  EXPECT_EQ(vec_fallbacks, 0u);
 }
 
-// The ExecStats charge model must not depend on which engine ran: logical
-// qualification counts and scan counts are engine-invariant (the span args
-// batch_count/rows_per_batch carry the kernel-level detail instead).
-TEST(VecDiffTest, ScanAndOutputTalliesMatchRowEngine) {
+// The ExecStats charge model is the reference's: logical qualification
+// counts and scan counts (the span args batch_count/rows_per_batch carry
+// the kernel-level detail instead).
+TEST(VecDiffTest, ScanAndOutputTalliesMatchReference) {
   testutil::FilmDb db;
   auto plan = term::ParseTerm(
       "SEARCH(LIST(RELATION('BEATS'), RELATION('BEATS')), "
       "($1.2 = $2.1), LIST($1.1, $2.2))");
   ASSERT_TRUE(plan.ok());
-  ExecStats vec_stats, row_stats;
-  ExecOptions on, off;
-  on.vectorized = true;
-  off.vectorized = false;
-  ASSERT_TRUE(db.session.Run(*plan, on, &vec_stats).ok());
-  ASSERT_TRUE(db.session.Run(*plan, off, &row_stats).ok());
-  EXPECT_EQ(vec_stats.rows_scanned, row_stats.rows_scanned);
-  EXPECT_EQ(vec_stats.rows_output, row_stats.rows_output);
-  EXPECT_GT(vec_stats.batches, 0u);
-  EXPECT_EQ(row_stats.batches, 0u);
+  const Runs runs = RunBoth(db.session.catalog(), db.session.db(), *plan);
+  ASSERT_TRUE(runs.got.ok()) << runs.got.status().ToString();
+  ExpectAgree(runs, "BEATS join");
+  EXPECT_EQ(runs.got_stats.rows_scanned, 18u);
+  EXPECT_GT(runs.got_stats.batches, 0u);
+  EXPECT_EQ(runs.want_stats.batches, 0u);
+}
+
+// ---------------- The first error, as the nested loop meets it ----------
+
+// L's V column is, in row order, 1 2 3 4 5 6 12 7 8 9 10 0, and its K
+// column 1.0 2 NULL 1 2.0 3 1 2.5 2 1 NULL 5; S's V is 10 0 20.
+
+// Of two conjuncts that can fail, the later one fails on an earlier row:
+// the nested loop meets its error first, at row 1.
+TEST(VecDiffTest, LaterConjunctFailingOnAnEarlierRowWins) {
+  Session s;
+  LoadJoinTables(&s);
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"L"},
+             "((DIV(12, SUB($1.2, 3)) <> 0) AND (MOD(12, SUB($1.2, 1)) <> 5))",
+             "$1.1"),
+      "RuntimeError: MOD: division by zero");
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"L"},
+             "((MOD(12, SUB($1.2, 1)) <> 5) AND (DIV(12, SUB($1.2, 3)) <> 0))",
+             "$1.1"),
+      "RuntimeError: MOD: division by zero");
+  // The earlier conjunct failing on the earlier row.
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"L"},
+             "((DIV(12, SUB($1.2, 2)) <> 0) AND (MOD(12, SUB($1.2, 3)) <> 5))",
+             "$1.1"),
+      "RuntimeError: DIV: division by zero");
+}
+
+// The projections run in order on each combination: the first error is at
+// the earliest combination where one fails, and there the first to fail.
+TEST(VecDiffTest, FirstFailingProjectionOfTheFirstFailingRowWins) {
+  Session s;
+  LoadJoinTables(&s);
+  const std::pair<const char*, const char*> cases[] = {
+      {"DIV(12, SUB($1.2, 3)), MOD(12, SUB($1.2, 1))",
+       "RuntimeError: MOD: division by zero"},
+      {"MOD(12, SUB($1.2, 2)), DIV(12, SUB($1.2, 1))",
+       "RuntimeError: DIV: division by zero"},
+      {"DIV(12, SUB($1.2, 1)), MOD(12, SUB($1.2, 1))",
+       "RuntimeError: DIV: division by zero"},
+      {"$1.1, $1.9", "RuntimeError: ATTR column out of range: $1.9"},
+  };
+  for (const auto& [projections, error] : cases) {
+    ExpectErrorMatchesReference(&s, Search({"L"}, "TRUE", projections),
+                                error);
+  }
+  // Behind a filter that keeps only rows before the first failure.
+  ExpectPlanMatchesReference(
+      &s, Search({"L"}, "($1.2 < 3)", "DIV(12, SUB($1.2, 3)), $1.1"), false);
+}
+
+// A level-1 failure on S's second row against level-2 failures: one on
+// the combination of S's first row with L's first, which the nested loop
+// meets first, and one it never reaches.
+TEST(VecDiffTest, EarlierCombinationFailsFirstAcrossLevels) {
+  Session s;
+  LoadJoinTables(&s);
+  // Right-only, so it runs before the join.
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"S", "L"},
+             "((DIV(12, $1.2) >= 0) AND (MOD(12, SUB($2.2, 1)) >= 0))",
+             "$1.2, $2.2"),
+      "RuntimeError: MOD: division by zero");
+  // Over both inputs, so it runs after the join: it fails on S's first row
+  // with L's V = 10 row.
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"S", "L"},
+             "((DIV(12, $1.2) >= 0) AND (MOD(12, SUB($2.2, $1.2)) >= 0))",
+             "$1.2, $2.2"),
+      "RuntimeError: MOD: division by zero");
+  // It would fail only on S's third row, which the level-1 failure drops.
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"S", "L"},
+             "((DIV(12, $1.2) >= 0) AND "
+             "(MOD(12, SUB($2.2, SUB($1.2, 20))) >= 0))",
+             "$1.2, $2.2"),
+      "RuntimeError: DIV: division by zero");
+  // A projection failing on a row the level-1 failure keeps.
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"S", "L"}, "((DIV(12, $1.2) >= 0) AND ($2.2 > 11))",
+             "$1.2, MOD($2.2, 0)"),
+      "RuntimeError: MOD: division by zero");
+}
+
+// The connectives' and the qualification's own type errors.
+TEST(VecDiffTest, NonBooleanOperandsFailAsTheScalarEvaluatorDoes) {
+  Session s;
+  LoadJoinTables(&s);
+  const std::pair<const char*, const char*> cases[] = {
+      {"((($1.2 > 3) AND $1.1) OR ($1.2 = 0))",
+       "TypeError: AND over non-boolean operands"},
+      {"(($1.2 < 3) OR $1.1)", "TypeError: OR over non-boolean operands"},
+      {"(($1.2 > 3) AND ADD($1.2, 1))",
+       "TypeError: qualification did not evaluate to a boolean: "
+       "($1.2 + 1)"},
+      {"(NOT $1.1)", "TypeError: NOT: boolean operand required"},
+      {"(($1.2 > 3) AND (NOT $1.1))",
+       "TypeError: NOT: boolean operand required"},
+      // The right operand's own error comes before the type check.
+      {"(NOT (ADD($1.2, 0) AND (DIV(12, SUB($1.2, 1)) > 0)))",
+       "RuntimeError: DIV: division by zero"},
+  };
+  for (const auto& [qual, error] : cases) {
+    ExpectErrorMatchesReference(&s, Search({"L"}, qual, "$1.1"), error);
+  }
+}
+
+// fixpoint_exec_test's kDivBehindPruning shape on a plain SEARCH: the
+// right-only DIV fails on L's V = 1 row, which the conjunct written before
+// it drops for every left row, so it must not run before the join.
+TEST(VecDiffTest, RightOnlyDivBehindAPruningConjunctAnswers) {
+  Session s;
+  LoadJoinTables(&s);
+  ExpectPlanMatchesReference(
+      &s,
+      Search({"M", "L"}, "(($1.2 < $2.2) AND (DIV(12, SUB($2.2, 1)) > 0))",
+             "$1.2, $2.2"),
+      false);
+  ExpectPlanMatchesReference(
+      &s,
+      Search({"M", "L"},
+             "(($1.2 < $2.2) AND (($1.1 = $2.1) AND "
+             "(DIV(12, SUB($2.2, 1)) > 0)))",
+             "$1.2, $2.2"),
+      false);
+}
+
+// A cross product over kMaxCrossPairs (2^22) pairs is joined a slice of
+// left rows at a time, in order: 2,049 x 2,049 rows of T (A descending, B
+// = A + 2045, C = A + 1000), of which the after-join conjuncts keep the
+// four with A = B', or fail in the second slice, on the first row with
+// A = C' whose A is 1018.
+TEST(VecDiffTest, CrossProductPastTheCapJoinsInSlices) {
+  using value::Value;
+  Session s;
+  EDS_ASSERT_OK(s.ExecuteScript("CREATE TABLE T (A : INT, B : INT, C : INT);"));
+  for (int64_t a = 2048; a >= 0; --a) {
+    EDS_ASSERT_OK(s.InsertRow(
+        "T", {Value::Int(a), Value::Int(a + 2045), Value::Int(a + 1000)}));
+  }
+  const std::string keep = Search(
+      {"T", "T"}, "(($1.1 >= $2.2) AND ($1.1 <= $2.2))", "$1.1, $2.1");
+  auto plan = term::ParseTerm(keep);
+  ASSERT_TRUE(plan.ok());
+  const Runs runs = RunBoth(s.catalog(), s.db(), *plan);
+  ASSERT_TRUE(runs.got.ok()) << runs.got.status().ToString();
+  ExpectAgree(runs, keep);
+  EXPECT_EQ(runs.got->size(), 4u);
+  EXPECT_GT(runs.got_stats.batches, 2u);
+  ExpectErrorMatchesReference(
+      &s,
+      Search({"T", "T"},
+             "((($1.1 >= $2.3) AND ($1.1 <= $2.3)) AND "
+             "(DIV($2.1, SUB($1.1, 1018)) >= 0))",
+             "$1.1"),
+      "RuntimeError: DIV: division by zero");
 }
 
 }  // namespace
