@@ -62,7 +62,7 @@ Result<const vec::Batch*> Executor::InputBatch(const term::TermRef& t,
     if (it != env.end()) return it->second;
     if (db_->HasTable(name)) {
       EDS_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(name));
-      *scanned += table->size();
+      *(scanned != nullptr ? scanned : &stats_.rows_scanned) += table->size();
       return &table->batch();
     }
   }

@@ -95,15 +95,15 @@ class Executor {
   Result<vec::Batch> Eval(const term::TermRef& t, const FixEnv& env);
   Result<vec::Batch> EvalDispatch(const term::TermRef& t, const FixEnv& env);
 
-  // A SEARCH input as a batch, without copying where it needs no
+  // An operator's input as a batch, without copying where it needs no
   // evaluation: a fixpoint binding, or a stored table's batch, whose rows
-  // are added to `*scanned` (the search charges them when it reads them).
-  // Anything else is evaluated into `owned`, whose elements keep their
-  // addresses.
+  // are added to `*scanned` (a SEARCH charges them when it reads them), or
+  // to rows_scanned when `scanned` is null. Anything else is evaluated
+  // into `owned`, whose elements keep their addresses.
   Result<const vec::Batch*> InputBatch(const term::TermRef& t,
                                        const FixEnv& env,
                                        std::list<vec::Batch>* owned,
-                                       size_t* scanned);
+                                       size_t* scanned = nullptr);
 
   // operators.cc
   // SEARCH, and FILTER, PROJECT and JOIN as the SEARCH their normalization

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <list>
-#include <map>
 #include <string>
 
 #include "exec/executor.h"
@@ -132,41 +131,49 @@ Result<vec::Batch> Executor::EvalSetOp(const term::TermRef& t,
   } else {
     return Status::InvalidArgument("malformed " + f);
   }
-  std::vector<vec::Batch> inputs;
+  std::list<vec::Batch> owned;
+  std::vector<const vec::Batch*> inputs;
   for (const TermRef& in : input_terms) {
-    EDS_ASSIGN_OR_RETURN(vec::Batch batch, Eval(in, env));
+    EDS_ASSIGN_OR_RETURN(const vec::Batch* batch, InputBatch(in, env, &owned));
     // A relation has one width; an empty input may not know its own.
-    for (const vec::Batch& other : inputs) {
-      if (batch.rows != 0 && other.rows != 0 &&
-          batch.cols.size() != other.cols.size()) {
+    for (const vec::Batch* other : inputs) {
+      if (batch->rows != 0 && other->rows != 0 &&
+          batch->cols.size() != other->cols.size()) {
         return Status::InvalidArgument(
-            f + " over inputs of widths " + std::to_string(other.cols.size()) +
-            " and " + std::to_string(batch.cols.size()));
+            f + " over inputs of widths " +
+            std::to_string(other->cols.size()) + " and " +
+            std::to_string(batch->cols.size()));
       }
     }
-    inputs.push_back(std::move(batch));
+    inputs.push_back(batch);
   }
   // The distinct rows of every input, or of the first of a binary operator.
   vec::RowSet distinct;
   for (size_t i = 0; i < (binary ? 1 : inputs.size()); ++i) {
-    EDS_RETURN_IF_ERROR(distinct.Insert(inputs[i]));
+    EDS_RETURN_IF_ERROR(distinct.Insert(*inputs[i]));
     ++stats_.batches;
-    stats_.vec_rows += inputs[i].rows;
+    stats_.vec_rows += inputs[i]->rows;
   }
   if (!binary) return vec::Sorted(distinct.batch());
   vec::RowSet other;
-  EDS_RETURN_IF_ERROR(other.Insert(inputs[1]));
+  EDS_RETURN_IF_ERROR(other.Insert(*inputs[1]));
   const vec::Batch& held = distinct.batch();
+  const std::vector<vec::ColumnView> held_rows(held.cols.begin(),
+                                               held.cols.end());
   vec::SelectionVector keep;
   for (uint32_t r = 0; r < held.rows; ++r) {
-    if (other.Contains(held, r) != (f == lera::kDifference)) keep.push_back(r);
+    if (other.Contains(held_rows, r) != (f == lera::kDifference)) {
+      keep.push_back(r);
+    }
   }
   return vec::Sorted(held.Gather(keep));
 }
 
 Result<vec::Batch> Executor::EvalNest(const term::TermRef& t,
                                       const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(vec::Batch input, Eval(t->arg(0), env));
+  std::list<vec::Batch> owned;
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* input,
+                       InputBatch(t->arg(0), env, &owned));
   if (!t->arg(1)->IsApply(term::kList)) {
     return Status::InvalidArgument("malformed NEST");
   }
@@ -178,61 +185,55 @@ Result<vec::Batch> Executor::EvalNest(const term::TermRef& t,
     }
     nested.push_back(static_cast<size_t>(c->constant().AsInt()));
   }
-  // Group by the non-nested columns, preserving first-seen group order.
-  // Keys live once, in the map; the order index borrows map iterators
-  // instead of copying each key two more times.
-  using GroupMap =
-      std::map<Row, std::vector<Value>, bool (*)(const Row&, const Row&)>;
-  GroupMap groups(+[](const Row& a, const Row& b) {
-    return CompareRows(a, b) < 0;
-  });
-  std::vector<GroupMap::iterator> order;
-  for (size_t r = 0; r < input.rows; ++r) {
-    Row key;
-    std::vector<Value> collected;
-    for (size_t i = 0; i < input.cols.size(); ++i) {
-      const bool is_nested =
-          std::find(nested.begin(), nested.end(), i + 1) != nested.end();
-      (is_nested ? collected : key).push_back(input.cols[i].ValueAt(r));
-    }
-    Value elem = collected.size() == 1 ? std::move(collected[0])
-                                       : Value::Tuple(std::move(collected));
-    auto [it, inserted] = groups.emplace(std::move(key), std::vector<Value>{});
-    if (inserted) order.push_back(it);
-    it->second.push_back(std::move(elem));
+  // Groups by the non-nested columns: group g is row g of `groups`, which
+  // keeps them in first-seen order.
+  std::vector<vec::ColumnView> key, collected;
+  for (size_t i = 0; i < input->cols.size(); ++i) {
+    const bool is_nested =
+        std::find(nested.begin(), nested.end(), i + 1) != nested.end();
+    (is_nested ? collected : key).push_back(input->cols[i]);
   }
-  vec::Batch out;
-  for (GroupMap::iterator it : order) {
-    Row row = it->first;
-    row.push_back(Value::Set(std::move(it->second)));
-    EDS_RETURN_IF_ERROR(out.Append(row));
+  vec::RowSet groups;
+  std::vector<std::vector<Value>> members;
+  for (size_t r = 0; r < input->rows; ++r) {
+    const size_t g = groups.Add(key, r);
+    if (g == members.size()) members.emplace_back();
+    std::vector<Value> fields;
+    for (const auto& c : collected) fields.push_back(c.col->ValueAt(r));
+    members[g].push_back(fields.size() == 1 ? std::move(fields[0])
+                                            : Value::Tuple(std::move(fields)));
   }
+  vec::Batch out = groups.batch();
+  vec::ColumnVector& sets = out.cols.emplace_back();
+  for (auto& m : members) sets.AppendValue(Value::Set(std::move(m)));
   return out;
 }
 
 Result<vec::Batch> Executor::EvalUnnest(const term::TermRef& t,
                                         const FixEnv& env) {
-  EDS_ASSIGN_OR_RETURN(vec::Batch input, Eval(t->arg(0), env));
+  std::list<vec::Batch> owned;
+  EDS_ASSIGN_OR_RETURN(const vec::Batch* input,
+                       InputBatch(t->arg(0), env, &owned));
   if (!t->arg(1)->is_constant() ||
       t->arg(1)->constant().kind() != value::ValueKind::kInt) {
     return Status::InvalidArgument("malformed UNNEST");
   }
   const size_t col = static_cast<size_t>(t->arg(1)->constant().AsInt());
   vec::Batch out;
-  for (size_t r = 0; r < input.rows; ++r) {
-    if (col < 1 || col > input.cols.size()) {
+  for (size_t r = 0; r < input->rows; ++r) {
+    if (col < 1 || col > input->cols.size()) {
       return Status::RuntimeError("UNNEST column out of range");
     }
-    const Value coll = input.cols[col - 1].ValueAt(r);
+    const Value coll = input->cols[col - 1].ValueAt(r);
     if (!coll.is_collection()) {
       return Status::TypeError("UNNEST over non-collection value " +
                                coll.ToString());
     }
     for (const Value& elem : coll.elements()) {
       Row expanded;
-      for (size_t i = 0; i < input.cols.size(); ++i) {
+      for (size_t i = 0; i < input->cols.size(); ++i) {
         if (i + 1 != col) {
-          expanded.push_back(input.cols[i].ValueAt(r));
+          expanded.push_back(input->cols[i].ValueAt(r));
         } else if (elem.kind() == value::ValueKind::kTuple) {
           for (const Value& v : elem.tuple().values) expanded.push_back(v);
         } else {

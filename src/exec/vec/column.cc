@@ -133,6 +133,17 @@ void ColumnVector::AppendValue(const Value& v) {
   ++size_;
 }
 
+void ColumnVector::AppendCell(const ColumnVector& from, size_t i) {
+  if (from.IsNull(i)) return AppendNull();
+  switch (from.lane_) {
+    case Lane::kInt64: return AppendInt(from.ints_[i]);
+    case Lane::kFloat64: return AppendReal(from.reals_[i]);
+    case Lane::kBool: return AppendBool(from.bools_[i] != 0);
+    case Lane::kObjectRef: return AppendObjectRef(from.oids_[i]);
+    default: return AppendValue(from.generic_[i]);
+  }
+}
+
 Value ColumnVector::ValueAt(size_t i) const {
   switch (lane_) {
     case Lane::kNullOnly: return Value::Null();

@@ -76,6 +76,8 @@ class ColumnVector {
   void AppendBool(bool v);
   void AppendObjectRef(uint64_t oid);
   void AppendValue(const value::Value& v);
+  // Appends cell i of `from`, copying a boxed Value once.
+  void AppendCell(const ColumnVector& from, size_t i);
 
   // New column holding rows sel[0..k) of this one.
   ColumnVector Gather(const SelectionVector& sel) const;

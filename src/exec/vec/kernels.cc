@@ -28,15 +28,6 @@ inline uint64_t HashDoubleBits(double d) {
   return Mix64(bits);
 }
 
-inline uint64_t HashStringBytes(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, then mixed
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return Mix64(h);
-}
-
 // A cell's share of a row hash (RowHash, RowSet): equal for
 // Compare-equal cells whatever lane holds them, so a row hashes the same
 // in every batch. Numbers hash as doubles, folding Int(2) onto Real(2.0).
@@ -334,100 +325,15 @@ SelectionVector SelectTrue(ColumnView pred, size_t* read) {
   return sel;
 }
 
-HashClass ClassifyKey(ColumnView view) {
-  const ColumnVector& col = *view.col;
-  switch (col.lane()) {
-    case Lane::kInt64:
-    case Lane::kFloat64:
-      return HashClass::kNumeric;
-    case Lane::kBool:
-      return HashClass::kBool;
-    case Lane::kObjectRef:
-      return HashClass::kObjectRef;
-    case Lane::kNullOnly:
-      return HashClass::kAny;
-    case Lane::kGeneric:
-      break;
-  }
-  HashClass cls = HashClass::kAny;
-  for (size_t i = 0; i < view.size(); ++i) {
-    const Value& v = col.GenericAt(view[i]);
-    HashClass want;
-    switch (v.kind()) {
-      case ValueKind::kNull:
-        continue;
-      case ValueKind::kInt:
-      case ValueKind::kReal:
-        want = HashClass::kNumeric;
-        break;
-      case ValueKind::kBool:
-        want = HashClass::kBool;
-        break;
-      case ValueKind::kString:
-        want = HashClass::kString;
-        break;
-      case ValueKind::kObjectRef:
-        want = HashClass::kObjectRef;
-        break;
-      default:
-        return HashClass::kNone;  // tuples/collections: residual compare
-    }
-    if (cls == HashClass::kAny) {
-      cls = want;
-    } else if (cls != want) {
-      return HashClass::kNone;
-    }
-  }
-  return cls;
-}
-
-bool HashCompatible(HashClass a, HashClass b) {
-  if (a == HashClass::kNone || b == HashClass::kNone) return false;
-  return a == b || a == HashClass::kAny || b == HashClass::kAny;
-}
-
-HashClass CombineClasses(HashClass a, HashClass b) {
-  return a == HashClass::kAny ? b : a;
-}
-
-uint64_t HashCell(const ColumnVector& col, size_t i, HashClass cls) {
-  switch (cls) {
-    case HashClass::kNumeric: {
-      const double d = col.is_numeric_lane() ? col.NumericAt(i)
-                                             : col.GenericAt(i).AsReal();
-      return HashDoubleBits(d);
-    }
-    case HashClass::kBool: {
-      const bool v = col.lane() == Lane::kBool ? col.BoolAt(i)
-                                               : col.GenericAt(i).AsBool();
-      return Mix64(v ? 3 : 7);
-    }
-    case HashClass::kString:
-      return HashStringBytes(col.GenericAt(i).AsString());
-    case HashClass::kObjectRef:
-      return Mix64(col.lane() == Lane::kObjectRef
-                       ? col.ObjectRefAt(i)
-                       : col.GenericAt(i).AsObjectRef());
-    default:
-      return 0;  // kAny columns have no non-null cells; kNone never hashed
-  }
-}
-
 namespace {
 
-// Hash of row i over the key views; false when a key is NULL (the row
-// never matches).
-bool KeyHash(const std::vector<ColumnView>& keys,
-             const std::vector<HashClass>& classes, size_t i, uint64_t* h) {
-  uint64_t acc = kRowHashSeed;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const size_t cell = keys[k][i];
-    if (keys[k].col->IsNull(cell)) return false;
-    acc = Mix64(acc ^ HashCell(*keys[k].col, cell, classes[k]));
-  }
-  *h = acc;
-  return true;
-}
+// Row equality and row hashing: every row match in the executor (hash-join
+// keys, RowSet's rows: DEDUP, the set operations, a FIX's total, NEST's
+// groups) compares cells with ColumnVector::CompareCells and hashes them
+// with CellHash. A cell's hash is equal for Compare-equal cells whatever
+// lane holds them, so a row hashes the same in every batch. Numbers hash
+// as doubles, folding Int(2) onto Real(2.0); tuples, collections and
+// strings hash as term constants do, by their elements.
 
 // HashValueCell of cell i, read from its lane.
 uint64_t CellHash(const ColumnVector& c, size_t i) {
@@ -442,10 +348,22 @@ uint64_t CellHash(const ColumnVector& c, size_t i) {
   }
 }
 
-uint64_t RowHash(const Batch& b, size_t r) {
+// The hash of row r over `cols`.
+uint64_t RowHash(const std::vector<ColumnView>& cols, size_t r) {
   uint64_t h = kRowHashSeed;
-  for (const ColumnVector& c : b.cols) h = Mix64(h ^ CellHash(c, r));
+  for (const ColumnView& c : cols) h = Mix64(h ^ CellHash(*c.col, c[r]));
   return h;
+}
+
+// True when row i of `a` and row j of `b` (lists of ColumnVectors or
+// ColumnViews, of one width) are Compare-equal cell by cell.
+template <typename A, typename B>
+bool SameRow(const A& a, size_t i, const B& b, size_t j) {
+  for (size_t c = 0; c < a.size(); ++c) {
+    const ColumnView x = a[c], y = b[c];
+    if (x.col->CompareCells(x[i], *y.col, y[j]) != 0) return false;
+  }
+  return true;
 }
 
 // Reorders pairs emitted right-major into (left asc, right asc) order: a
@@ -468,8 +386,7 @@ void SortByLeft(size_t left_rows, JoinPairs* pairs) {
 }  // namespace
 
 bool HashJoin(const std::vector<ColumnView>& left_keys,
-              const std::vector<ColumnView>& right_keys,
-              const std::vector<HashClass>& classes, size_t max_pairs,
+              const std::vector<ColumnView>& right_keys, size_t max_pairs,
               JoinPairs* out) {
   const size_t left_rows = left_keys[0].size();
   const size_t right_rows = right_keys[0].size();
@@ -480,6 +397,13 @@ bool HashJoin(const std::vector<ColumnView>& left_keys,
   const std::vector<ColumnView>& probe = build_left ? right_keys : left_keys;
   const size_t build_rows = build_left ? left_rows : right_rows;
   const size_t probe_rows = build_left ? right_rows : left_rows;
+  // A row with a NULL key matches nothing: it is never built or probed.
+  auto null_key = [](const std::vector<ColumnView>& keys, size_t i) {
+    for (const ColumnView& k : keys) {
+      if (k.col->IsNull(k[i])) return true;
+    }
+    return false;
+  };
   size_t buckets = 16;
   while (buckets < build_rows * 2) buckets <<= 1;
   const uint64_t mask = buckets - 1;
@@ -489,25 +413,17 @@ bool HashJoin(const std::vector<ColumnView>& left_keys,
   // Insert build rows in reverse so each bucket chain is ascending; a
   // probe row then meets its matches in ascending build order.
   for (size_t j = build_rows; j-- > 0;) {
-    if (!KeyHash(build, classes, j, &hashes[j])) continue;
+    if (null_key(build, j)) continue;
+    hashes[j] = RowHash(build, j);
     const size_t b = hashes[j] & mask;
     nxt[j] = heads[b];
     heads[b] = static_cast<int32_t>(j);
   }
   for (size_t i = 0; i < probe_rows; ++i) {
-    uint64_t h;
-    if (!KeyHash(probe, classes, i, &h)) continue;
+    if (null_key(probe, i)) continue;
+    const uint64_t h = RowHash(probe, i);
     for (int32_t j = heads[h & mask]; j >= 0; j = nxt[j]) {
-      if (hashes[j] != h) continue;
-      bool eq = true;
-      for (size_t k = 0; k < classes.size(); ++k) {
-        if (probe[k].col->CompareCells(probe[k][i], *build[k].col,
-                                       build[k][j]) != 0) {
-          eq = false;
-          break;
-        }
-      }
-      if (!eq) continue;
+      if (hashes[j] != h || !SameRow(probe, i, build, j)) continue;
       if (out->left.size() >= max_pairs) return false;
       out->left.push_back(static_cast<uint32_t>(build_left ? j : i));
       out->right.push_back(static_cast<uint32_t>(build_left ? i : j));
@@ -545,54 +461,53 @@ Batch Sorted(const Batch& b) {
   return b.Gather(order);
 }
 
-bool RowSet::Holds(const Batch& rows, size_t r, uint64_t h) const {
-  if (heads_.empty()) return false;
+int32_t RowSet::Find(const std::vector<ColumnView>& cols, size_t r,
+                     uint64_t h) const {
+  if (heads_.empty()) return -1;
   for (int32_t j = heads_[h & (heads_.size() - 1)]; j >= 0; j = next_[j]) {
-    if (hashes_[j] != h) continue;
-    size_t c = 0;
-    while (c < rows.cols.size() &&
-           batch_.cols[c].CompareCells(j, rows.cols[c], r) == 0) {
-      ++c;
-    }
-    if (c == rows.cols.size()) return true;
+    if (hashes_[j] == h && SameRow(batch_.cols, j, cols, r)) return j;
   }
-  return false;
+  return -1;
 }
 
-bool RowSet::Contains(const Batch& rows, size_t r) const {
-  return rows.cols.size() == batch_.cols.size() &&
-         Holds(rows, r, RowHash(rows, r));
+bool RowSet::Contains(const std::vector<ColumnView>& cols, size_t r) const {
+  return cols.size() == batch_.cols.size() &&
+         Find(cols, r, RowHash(cols, r)) >= 0;
+}
+
+size_t RowSet::Add(const std::vector<ColumnView>& cols, size_t r) {
+  const uint64_t h = RowHash(cols, r);
+  const int32_t held = Find(cols, r, h);
+  if (held >= 0) return static_cast<size_t>(held);
+  if (heads_.size() < 2 * (batch_.rows + 1)) {
+    // Doubles the buckets and rechains every row held.
+    heads_.assign(std::max<size_t>(16, heads_.size() * 2), -1);
+    for (size_t j = 0; j < batch_.rows; ++j) {
+      const size_t bkt = hashes_[j] & (heads_.size() - 1);
+      next_[j] = heads_[bkt];
+      heads_[bkt] = static_cast<int32_t>(j);
+    }
+  }
+  if (batch_.rows == 0) batch_.cols.resize(cols.size());
+  const size_t bkt = h & (heads_.size() - 1);
+  hashes_.push_back(h);
+  next_.push_back(heads_[bkt]);
+  heads_[bkt] = static_cast<int32_t>(batch_.rows);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    batch_.cols[c].AppendCell(*cols[c].col, cols[c][r]);
+  }
+  return batch_.rows++;
 }
 
 Status RowSet::Insert(const Batch& rows) {
   if (rows.rows == 0) return Status::OK();
-  if (batch_.rows == 0) batch_.cols.resize(rows.cols.size());
-  if (rows.cols.size() != batch_.cols.size()) {
+  if (batch_.rows != 0 && rows.cols.size() != batch_.cols.size()) {
     return Status::InvalidArgument(
         "ragged rows: a row of width " + std::to_string(rows.cols.size()) +
         " among rows of width " + std::to_string(batch_.cols.size()));
   }
-  for (size_t r = 0; r < rows.rows; ++r) {
-    const uint64_t h = RowHash(rows, r);
-    if (heads_.size() < 2 * (batch_.rows + 1)) {
-      // Doubles the buckets and rechains every row held.
-      heads_.assign(std::max<size_t>(16, heads_.size() * 2), -1);
-      for (size_t j = 0; j < batch_.rows; ++j) {
-        const size_t bkt = hashes_[j] & (heads_.size() - 1);
-        next_[j] = heads_[bkt];
-        heads_[bkt] = static_cast<int32_t>(j);
-      }
-    }
-    if (Holds(rows, r, h)) continue;
-    const size_t bkt = h & (heads_.size() - 1);
-    hashes_.push_back(h);
-    next_.push_back(heads_[bkt]);
-    heads_[bkt] = static_cast<int32_t>(batch_.rows);
-    for (size_t c = 0; c < rows.cols.size(); ++c) {
-      batch_.cols[c].AppendValue(rows.cols[c].ValueAt(r));
-    }
-    ++batch_.rows;
-  }
+  const std::vector<ColumnView> cols(rows.cols.begin(), rows.cols.end());
+  for (size_t r = 0; r < rows.rows; ++r) Add(cols, r);
   return Status::OK();
 }
 

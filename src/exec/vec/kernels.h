@@ -52,24 +52,6 @@ ColumnVector NotColumn(ColumnView a);
 // rows read before it (pred.size() when there is none).
 SelectionVector SelectTrue(ColumnView pred, size_t* read);
 
-// Join-key hashability of a column: numeric lanes hash via the widened
-// double (consistent with Int(2) == Real(2.0)), bool and object-reference
-// lanes directly, generic columns only when every non-null value is of one
-// of those classes or every one a string. kNone keys force the conjunct
-// into the residual (nested-loop) filter.
-// kAny marks a column with no non-null values (kNullOnly): its keys never
-// match anything, so it is compatible with every class.
-// A view classifies by the rows it reads.
-enum class HashClass { kNone, kNumeric, kBool, kString, kObjectRef, kAny };
-HashClass ClassifyKey(ColumnView col);
-// Compatible when both sides can hash equal values to equal hashes.
-bool HashCompatible(HashClass a, HashClass b);
-// The class HashJoin should hash a (left, right) key pair under: the
-// concrete side's class when one side is kAny.
-HashClass CombineClasses(HashClass a, HashClass b);
-// Hash of a non-null cell under `cls` (caller guarantees !IsNull(i)).
-uint64_t HashCell(const ColumnVector& col, size_t i, HashClass cls);
-
 // Matched row-index pairs of a join stage, in (left asc, right asc)
 // lexicographic order — exactly a nested loop's emission order.
 struct JoinPairs {
@@ -77,16 +59,16 @@ struct JoinPairs {
 };
 
 // Hash equi-join over parallel key views (all conjuncts must match; NULL
-// keys never match). `classes[k]` is CombineClasses over the k-th key pair.
-// The smaller side is built into the table and the other side probes it,
-// hashing each probe row as it goes; when the left side is the one built,
-// a stable counting sort by left row restores the (left asc, right asc)
-// order. False, with `out` partly built, when the output would exceed
-// `max_pairs` or the built side 2^30 rows: the caller joins fewer left
-// rows at a time.
+// keys never match). Key rows hash and compare as RowSet's rows do, so
+// keys of any kind, in any lanes, join when value::Compare calls them
+// equal. The smaller side is built into the table and the other side
+// probes it, hashing each probe row as it goes; when the left side is the
+// one built, a stable counting sort by left row restores the (left asc,
+// right asc) order. False, with `out` partly built, when the output would
+// exceed `max_pairs` or the built side 2^30 rows: the caller joins fewer
+// left rows at a time.
 bool HashJoin(const std::vector<ColumnView>& left_keys,
-              const std::vector<ColumnView>& right_keys,
-              const std::vector<HashClass>& classes, size_t max_pairs,
+              const std::vector<ColumnView>& right_keys, size_t max_pairs,
               JoinPairs* out);
 
 // Full cross product of row indices, same order/cap contract.
@@ -99,18 +81,25 @@ Batch Sorted(const Batch& b);
 // Distinct rows kept as a batch, in the order first inserted (the first of
 // each Compare-equal group), with a hash index over them. A FIX keeps its
 // total this way, so the batch grows in place and keeps its address; the
-// set operations dedup through one.
+// set operations dedup through one, and NEST groups through one.
 class RowSet {
  public:
   // Appends each row of `rows` that no Compare-equal row held matches.
   // InvalidArgument when their width differs from the rows held.
   Status Insert(const Batch& rows);
-  // True when a row Compare-equal to row r of `rows` is held.
-  bool Contains(const Batch& rows, size_t r) const;
+  // The index in batch() of the row held Compare-equal to row r of
+  // `cols`, appending that row first when none is. `cols` has the width of
+  // the rows held, if any.
+  size_t Add(const std::vector<ColumnView>& cols, size_t r);
+  // True when a row Compare-equal to row r of `cols` is held.
+  bool Contains(const std::vector<ColumnView>& cols, size_t r) const;
   const Batch& batch() const { return batch_; }
 
  private:
-  bool Holds(const Batch& rows, size_t r, uint64_t h) const;
+  // The index of the row held equal to row r of `cols`, whose row hash is
+  // `h`, or -1.
+  int32_t Find(const std::vector<ColumnView>& cols, size_t r,
+               uint64_t h) const;
 
   Batch batch_;
   std::vector<uint64_t> hashes_;  // row hash of each row held

@@ -91,12 +91,12 @@ std::vector<uint32_t> AloneOffsets(const vec::Batch& batch, size_t k) {
 // the ones before it kept, as in the nested loop, and one that fails on a
 // row keeps only the rows before it. True when one failed.
 bool Filter(const TermList& conjuncts, const std::vector<uint32_t>& offsets,
-            Kept* kept, const StageCtx& sc, bool charge = true) {
+            Kept* kept, const StageCtx& sc) {
   bool failed = false;
   for (const TermRef& c : conjuncts) {
     const size_t n = kept->size();
     if (n == 0) break;
-    if (charge) sc.stats->qual_evaluations += n;
+    sc.stats->qual_evaluations += n;
     vec::FrameSelection pass =
         vec::EvalPredicateBatch(c, FrameOver(*kept, offsets, sc));
     ++sc.stats->batches;
@@ -146,27 +146,15 @@ Kept JoinStage(Kept left, std::vector<uint32_t>* offsets,
 
   std::vector<vec::FrameColumn> keys;  // owns computed key columns
   std::vector<vec::ColumnView> lkeys, rkeys;
-  std::vector<vec::HashClass> classes;
-  TermList residual;  // keys that do not hash alike: compared pairwise
   if (left.size() != 0 && kept_right.size() != 0) {
     const vec::ExprFrame lf = FrameOver(left, left_offsets, sc);
     const vec::ExprFrame rf =
         FrameOver(kept_right, AloneOffsets(right, k), sc);
     for (const auto& [prev_side, cur_side] : plan.equi) {
-      vec::FrameColumn lc = vec::EvalExprBatch(prev_side, lf);
-      vec::FrameColumn rc = vec::EvalExprBatch(cur_side, rf);
-      const vec::HashClass ca = vec::ClassifyKey(lc.view());
-      const vec::HashClass cb = vec::ClassifyKey(rc.view());
-      if (!vec::HashCompatible(ca, cb)) {
-        residual.push_back(
-            term::Term::Apply(term::kEq, {prev_side, cur_side}));
-        continue;
-      }
-      lkeys.push_back(lc.view());
-      rkeys.push_back(rc.view());
-      classes.push_back(vec::CombineClasses(ca, cb));
-      keys.push_back(std::move(lc));
-      keys.push_back(std::move(rc));
+      keys.push_back(vec::EvalExprBatch(prev_side, lf));
+      lkeys.push_back(keys.back().view());
+      keys.push_back(vec::EvalExprBatch(cur_side, rf));
+      rkeys.push_back(keys.back().view());
     }
   }
   // Each key is charged as logical qualification applications — the
@@ -207,7 +195,6 @@ Kept JoinStage(Kept left, std::vector<uint32_t>* offsets,
     return out;
   };
   std::vector<lera::AttrRef> filter_attrs;
-  for (const TermRef& c : residual) lera::CollectAttrs(c, &filter_attrs);
   for (const TermRef& c : plan.after) lera::CollectAttrs(c, &filter_attrs);
   const std::vector<bool> filter_cols = needed(filter_attrs);
 
@@ -227,7 +214,7 @@ Kept JoinStage(Kept left, std::vector<uint32_t>* offsets,
       for (size_t j = 0; j < lkeys.size() && hi - lo < left.size(); ++j) {
         slice[j] = Slice(lkeys[j], lo, hi, &sels[j]);
       }
-      fits = vec::HashJoin(slice, rkeys, classes,
+      fits = vec::HashJoin(slice, rkeys,
                            hi - lo > 1 ? kMaxJoinPairs : SIZE_MAX, &pairs);
     }
     if (!fits) {
@@ -239,12 +226,11 @@ Kept JoinStage(Kept left, std::vector<uint32_t>* offsets,
     for (uint32_t& l : pairs.left) l = left.Row(lo + l);
     for (uint32_t& r : pairs.right) r = kept_right.Row(r);
     lo = hi;
-    if (residual.empty() && plan.after.empty() && kept_pairs.left.empty()) {
+    if (plan.after.empty() && kept_pairs.left.empty()) {
       kept_pairs = std::move(pairs);
       continue;
     }
     Kept combos = combine(pairs, filter_cols);
-    Filter(residual, *offsets, &combos, sc, /*charge=*/false);
     failed = Filter(plan.after, *offsets, &combos, sc);
     for (size_t p = 0; p < combos.size(); ++p) {
       kept_pairs.left.push_back(pairs.left[combos.Row(p)]);

@@ -1,6 +1,7 @@
 // Execution engine: storage, expression evaluation, operators.
 #include "exec/executor.h"
 
+#include "exec/vec/kernels.h"
 #include "exec/vec/vec_eval.h"
 #include "gtest/gtest.h"
 #include "reference/agree.h"
@@ -174,6 +175,94 @@ TEST(StorageTest, ObjectHeapRoundTrip) {
   // Dangling references fail.
   EXPECT_FALSE(heap.Get(99).ok());
   EXPECT_FALSE(heap.Update(0, Value::Null()).ok());
+}
+
+// Row matching rests on one invariant: Compare-equal cells hash alike in
+// every lane. The columns of each group hold pairwise Compare-equal cells
+// row by row, in different lanes or representations; every column's rows
+// must be found in a RowSet holding any other column's, and rows equal to
+// none must not be.
+TEST(RowSetTest, CompareEqualCellsHashAlikeInEveryLane) {
+  // A one-column batch of `cells`, in the lane Append picks for them.
+  auto column = [](std::vector<Value> cells) {
+    vec::Batch b;
+    for (Value& v : cells) EXPECT_TRUE(b.Append({std::move(v)}).ok());
+    return b;
+  };
+  // The same cells in the generic lane: a leading string demotes the
+  // column, and gathering the rows after it keeps the lane.
+  auto generic = [&](std::vector<Value> cells) {
+    cells.insert(cells.begin(), Value::String("demote"));
+    vec::SelectionVector rest;
+    for (uint32_t i = 1; i < cells.size(); ++i) rest.push_back(i);
+    return column(std::move(cells)).Gather(rest);
+  };
+  const Value ref = Value::ObjectRef(12), ref3 = Value::ObjectRef(3);
+  const std::string heap(40, 'h');
+  const Value nested = Value::Set(
+      {Value::Set({Value::Int(1), Value::Real(2.5)}), Value::Set({})});
+  struct Group {
+    const char* what;
+    std::vector<vec::Batch> columns;
+    std::vector<vec::Lane> lanes;
+  };
+  const std::vector<Group> groups = {
+      {"numbers",
+       {column({Value::Int(2), Value::Int(0), Value::Int(-3)}),
+        column({Value::Real(2.0), Value::Real(-0.0), Value::Real(-3.0)}),
+        column({Value::Real(2.0), Value::Int(0), Value::Real(-3.0)})},
+       {vec::Lane::kInt64, vec::Lane::kFloat64, vec::Lane::kGeneric}},
+      {"nulls",
+       {column({Value::Null(), Value::Null()}),
+        generic({Value::Null(), Value::Null()}),
+        column({Value::Int(4), Value::Null(), Value::Null()}).Gather({1, 2})},
+       {vec::Lane::kNullOnly, vec::Lane::kGeneric, vec::Lane::kInt64}},
+      {"references",
+       {column({ref, ref3, Value::Null()}), generic({ref, ref3, Value::Null()})},
+       {vec::Lane::kObjectRef, vec::Lane::kGeneric}},
+      {"inline and heap strings",
+       {column({Value::String("fifteen-bytes!!"), Value::String(heap)}),
+        column({Value::String(std::string("fifteen-") + "bytes!!"),
+                Value::String(heap.substr(0, 20) + heap.substr(20))})},
+       {vec::Lane::kGeneric, vec::Lane::kGeneric}},
+      {"named and unnamed tuples",
+       {column({Value::NamedTuple({"A", "B"}, {Value::Int(1), ref}),
+                Value::Tuple({Value::Real(0.5)})}),
+        column({Value::Tuple({Value::Real(1.0), ref}),
+                Value::NamedTuple({"Z"}, {Value::Real(0.5)})})},
+       {vec::Lane::kGeneric, vec::Lane::kGeneric}},
+      {"nested sets",
+       {column({nested, Value::Set({Value::Set({})})}),
+        column({Value::Set({Value::Set({}),
+                            Value::Set({Value::Real(2.5), Value::Real(1.0)})}),
+                Value::Set({Value::Set({}), Value::Set({})})})},
+       {vec::Lane::kGeneric, vec::Lane::kGeneric}},
+  };
+  for (const Group& g : groups) {
+    for (size_t c = 0; c < g.columns.size(); ++c) {
+      EXPECT_EQ(g.columns[c].cols[0].lane(), g.lanes[c]) << g.what << c;
+    }
+    for (const vec::Batch& held : g.columns) {
+      vec::RowSet set;
+      EDS_ASSERT_OK(set.Insert(held));
+      for (const vec::Batch& probe : g.columns) {
+        const std::vector<vec::ColumnView> rows(probe.cols.begin(),
+                                                probe.cols.end());
+        for (size_t r = 0; r < probe.rows; ++r) {
+          EXPECT_TRUE(set.Contains(rows, r)) << g.what << " row " << r;
+        }
+      }
+    }
+  }
+  vec::RowSet numbers;
+  EDS_ASSERT_OK(numbers.Insert(groups[0].columns[0]));
+  const vec::Batch others = column({Value::Real(2.5), Value::Null(),
+                                    Value::String("2"), Value::Bool(true)});
+  const std::vector<vec::ColumnView> rows(others.cols.begin(),
+                                          others.cols.end());
+  for (size_t r = 0; r < others.rows; ++r) {
+    EXPECT_FALSE(numbers.Contains(rows, r)) << r;
+  }
 }
 
 TEST(StorageTest, DatabaseTables) {
@@ -437,6 +526,25 @@ TEST_F(ExecTest, RaggedSetOperationsFailCleanly) {
                 "LIST($1.1, $1.2, $1.3)))")
                 .size(),
             9u);
+}
+
+// DEDUP reads a stored table in place, as SEARCH does, and its RowSet
+// copies each distinct string once, from the stored cell: 5,000 into the
+// set, 5,000 sorting them out and 5,000 converting the answer to rows. A
+// copy of the stored batch (20,000 more) or a copy through a Value on the
+// way into the set (5,000 more) shows here.
+TEST_F(ExecTest, DedupCopiesEachDistinctStringOnce) {
+  EDS_ASSERT_OK(
+      db_.session.ExecuteScript("CREATE TABLE T (A : INT, S : CHAR);"));
+  for (int64_t i = 0; i < 20000; ++i) {
+    const std::string s = "distinct-row-" + std::to_string(10000 + i % 5000);
+    ASSERT_EQ(s.size(), 18u);
+    EDS_ASSERT_OK(
+        db_.session.InsertRow("T", {Value::Int(i % 5000), Value::String(s)}));
+  }
+  EXPECT_EQ(Run("DEDUP(RELATION('T'))").size(), 5000u);
+  EXPECT_EQ(stats_.rows_scanned, 20000u);
+  EXPECT_EQ(stats_.value_copies, 15000u);
 }
 
 TEST_F(ExecTest, ThreeValuedWhereSemantics) {

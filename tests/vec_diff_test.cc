@@ -330,6 +330,133 @@ TEST(VecDiffTest, HashJoinsMatchReferenceOnEitherBuildSide) {
       false);
 }
 
+// Stores `rows` as table `name` straight into the database, bypassing
+// the catalog's column types: a column's lane follows the values it holds
+// (vec::Batch::Append's rules).
+void StoreTable(Session* s, const char* name, const std::vector<Row>& rows) {
+  EDS_ASSERT_OK(s->db().CreateTable(name, rows[0].size()));
+  auto table = s->db().GetTable(name);
+  ASSERT_TRUE(table.ok());
+  for (const Row& row : rows) EDS_ASSERT_OK((*table)->Insert(row));
+}
+
+// Equi-joins hash every key kind: keys join when value::Compare calls them
+// equal, whatever kind they are and whatever lane holds them. Each pair of
+// tables joins both ways round, so each side is once the built one (the
+// smaller, A or C) and once the probing one; the keys repeat, so the order
+// the counting sort restores is checked too.
+TEST(VecDiffTest, EveryKeyKindHashJoinsOnEitherBuildSide) {
+  using value::Value;
+  Session s;
+  auto i = [](int64_t v) { return Value::Int(v); };
+  auto set = [](std::vector<Value> v) { return Value::Set(std::move(v)); };
+  const Value null = Value::Null();
+  const Value xy = Value::NamedTuple({"X", "Y"}, {i(1), i(2)});
+  const Value ref7 = Value::ObjectRef(7), ref9 = Value::ObjectRef(9);
+  // Column 1 is the key, column 2 numbers the row.
+  StoreTable(&s, "SETS_A", {{set({i(1), i(2)}), i(1)},
+                            {set({}), i(2)},
+                            {set({set({i(3)}), set({})}), i(3)},
+                            {Value::Bag({i(1), i(1)}), i(4)}});
+  StoreTable(&s, "SETS_B", {{set({i(2), Value::Real(1.0)}), i(1)},
+                            {set({set({}), set({Value::Real(3.0)})}), i(2)},
+                            {null, i(3)},
+                            {set({}), i(4)},
+                            {set({i(2), i(1)}), i(5)},
+                            {Value::Bag({Value::Real(1.0), i(1)}), i(6)}});
+  StoreTable(&s, "TUPLES_A", {{xy, i(1)},
+                              {Value::Tuple({i(2), i(1)}), i(2)},
+                              {Value::Tuple({}), i(3)}});
+  StoreTable(&s, "TUPLES_B",
+             {{Value::Tuple({Value::Real(1.0), i(2)}), i(1)},
+              {Value::NamedTuple({"P", "Q"}, {i(2), i(1)}), i(2)},
+              {xy, i(3)},
+              {Value::Tuple({}), i(4)},
+              {Value::Tuple({i(1), i(2), i(3)}), i(5)}});
+  // A generic column of strings and Ints against an Int64 lane.
+  StoreTable(&s, "MIXED", {{Value::String("2"), i(1)},
+                           {i(2), i(2)},
+                           {null, i(3)},
+                           {i(1), i(4)},
+                           {Value::String("a"), i(5)},
+                           {i(2), i(6)}});
+  StoreTable(&s, "INTS", {{i(2), i(1)}, {i(1), i(2)}, {i(2), i(3)}});
+  // An Int64 lane against a Float64 lane, Int(2) against Real(2.0), and
+  // 0 and 0.0 against -0.0.
+  StoreTable(&s, "REALS", {{Value::Real(2.0), i(1)},
+                           {Value::Real(-0.0), i(2)},
+                           {Value::Real(2.5), i(3)},
+                           {Value::Real(0.0), i(4)},
+                           {Value::Real(2.0), i(5)}});
+  StoreTable(&s, "ZEROS", {{i(0), i(1)}, {i(2), i(2)}, {i(0), i(3)}});
+  StoreTable(&s, "REAL_ZEROS", {{Value::Real(0.0), i(1)},
+                                {Value::Real(1.0), i(2)},
+                                {Value::Real(-0.0), i(3)}});
+  // A NULL-only column.
+  StoreTable(&s, "NULLS", {{null, i(1)}, {null, i(2)}});
+  // Generic references (among an Int and a NULL) against a kObjectRef
+  // lane.
+  StoreTable(&s, "REFS_G", {{ref9, i(1)},
+                            {i(7), i(2)},
+                            {null, i(3)},
+                            {ref7, i(4)},
+                            {ref9, i(5)},
+                            {Value::ObjectRef(8), i(6)}});
+  StoreTable(&s, "REFS_L", {{ref7, i(1)}, {null, i(2)}, {ref9, i(3)}});
+  {
+    auto lane = [&](const char* table) {
+      return (*s.db().GetTable(table))->batch().cols[0].lane();
+    };
+    EXPECT_EQ(lane("MIXED"), vec::Lane::kGeneric);
+    EXPECT_EQ(lane("INTS"), vec::Lane::kInt64);
+    EXPECT_EQ(lane("REALS"), vec::Lane::kFloat64);
+    EXPECT_EQ(lane("ZEROS"), vec::Lane::kInt64);
+    EXPECT_EQ(lane("REAL_ZEROS"), vec::Lane::kFloat64);
+    EXPECT_EQ(lane("NULLS"), vec::Lane::kNullOnly);
+    EXPECT_EQ(lane("REFS_G"), vec::Lane::kGeneric);
+    EXPECT_EQ(lane("REFS_L"), vec::Lane::kObjectRef);
+  }
+  const char* kOut = "$1.1, $1.2, $2.1, $2.2";
+  for (const auto& [a, b] : std::vector<std::pair<const char*, const char*>>{
+           {"SETS_A", "SETS_B"}, {"TUPLES_A", "TUPLES_B"},
+           {"INTS", "MIXED"}, {"ZEROS", "REALS"}, {"INTS", "REALS"},
+           {"REAL_ZEROS", "REALS"},
+           {"NULLS", "INTS"}, {"NULLS", "MIXED"}, {"NULLS", "NULLS"},
+           {"REFS_L", "REFS_G"}, {"REFS_L", "MIXED"}}) {
+    for (const auto& tables : std::vector<std::vector<const char*>>{
+             {a, b}, {b, a}}) {
+      ExpectPlanMatchesReference(&s, Search(tables, "($1.1 = $2.1)", kOut),
+                                 false);
+      ExpectPlanMatchesReference(
+          &s, Search(tables, "(($2.1 = $1.1) AND ($1.2 < $2.2))", kOut),
+          false);
+    }
+  }
+}
+
+// A set-keyed self-join of 2,049 rows: 2,049 x 2,049 pairs are past
+// kMaxCrossPairs, but the hash join pairs only the rows whose key sets are
+// equal (each key holds two or three rows), in the nested loop's order,
+// and charges the key for every pair the nested loop would probe.
+TEST(VecDiffTest, SetKeyedJoinPastTheCrossCapHashes) {
+  using value::Value;
+  Session s;
+  std::vector<Row> rows;
+  for (int64_t a = 2048; a >= 0; --a) {
+    rows.push_back({Value::Int(a),
+                    Value::Set({Value::Int(a % 1000), Value::Int(-1)})});
+  }
+  StoreTable(&s, "T", rows);
+  const std::string text = Search({"T", "T"}, "($1.2 = $2.2)", "$1.1, $2.1");
+  auto plan = term::ParseTerm(text);
+  ASSERT_TRUE(plan.ok());
+  const Runs runs = RunBoth(s.catalog(), s.db(), *plan);
+  ASSERT_TRUE(runs.got.ok()) << runs.got.status().ToString();
+  ExpectAgree(runs, text);
+  EXPECT_EQ(runs.got->size(), 49u * 9 + 951u * 4);
+  EXPECT_EQ(runs.got_stats.qual_evaluations, 2049u * 2049u);
+}
+
 // Right-only conjuncts narrow a selection: before the join when the level
 // has no equi-conjunct or when they compare a column with a constant,
 // after it (on right rows with a partner) otherwise. A right-only
